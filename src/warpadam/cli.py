@@ -38,6 +38,7 @@ from .config import (
     build_model_spec,
     build_run_config,
     build_synth,
+    build_task_source,
     getint,
     getlist,
     has_task_section,
@@ -230,7 +231,9 @@ def cmd_compare(args) -> int:
     blocks = []
     any_diverged = []
     for prefix, block_name in prefixes:
-        configs = [build_run_config(cfg, seed, optimizer=o, prefix=prefix, label=o)
+        task_source = build_task_source(cfg, prefix)
+        configs = [build_run_config(cfg, seed, optimizer=o, prefix=prefix, label=o,
+                                    task_source=task_source)
                    for o in optimizers]
         rows = compare_optimizers(configs, model_spec)
         any_diverged += [r.algorithm for r in rows if r.diverged]

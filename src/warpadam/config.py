@@ -189,22 +189,31 @@ def has_task_section(cfg: dict[str, str], prefix: str) -> bool:
     return any(k.startswith(prefix) for k in cfg)
 
 
-def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = None,
-                     prefix: str = "tasks.", label: str | None = None) -> RunConfig:
-    optimizer = optimizer or cfg.get("run.optimizer")
-    if optimizer is None:
-        raise UsageError("run.optimizer is required")
+def build_task_source(cfg: dict[str, str], prefix: str = "tasks."):
+    """``(synth spec, None)`` or ``(None, loaded table)`` for one task block."""
     source = cfg.get(prefix + "source", "synth")
-    synth = table = None
     if source == "synth":
-        synth = build_synth(cfg, prefix)
-    elif source == "table":
+        return build_synth(cfg, prefix), None
+    if source == "table":
         path = cfg.get(prefix + "table")
         if path is None:
             raise UsageError(f"{prefix}table is required when {prefix}source=table")
-        table = load_table(path)
-    else:
-        raise UsageError(f"{prefix}source must be synth or table, got {source!r}")
+        return None, load_table(path)
+    raise UsageError(f"{prefix}source must be synth or table, got {source!r}")
+
+
+def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = None,
+                     prefix: str = "tasks.", label: str | None = None,
+                     task_source=None) -> RunConfig:
+    """One run's config; ``task_source`` reuses a ``build_task_source`` result.
+
+    Configs that share a ``task_source`` share one table object, as
+    ``compare`` requires.
+    """
+    optimizer = optimizer or cfg.get("run.optimizer")
+    if optimizer is None:
+        raise UsageError("run.optimizer is required")
+    synth, table = task_source or build_task_source(cfg, prefix)
 
     warps = None
     ckpt = cfg.get("warp.checkpoint")

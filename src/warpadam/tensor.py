@@ -12,11 +12,23 @@ acted on gradients *inside* earlier optimizer steps.
 
 Everything is 64-bit; gradient-check tolerances throughout the test suite
 assume it. Rank-0 tensors are allowed and behave as 1-element tensors.
-Graphs are built and walked single-threaded; distinct graphs share no state.
+
+Every tensor takes a creation index from one module-level counter, shared by
+all graphs. Graphs are append-only, so parents always exist before their
+children: a node's index is larger than each of its parents' indices. ``grad``
+relies on that invariant to prune its backward walk: a node created before the
+earliest requested input cannot depend on any input, so it is never visited.
+That keeps each inner step of an unrolled optimizer trajectory from walking
+the whole history before it. Graphs hold no reference cycles (outputs that
+their backward rule needs are held weakly), so they are freed by reference
+counting as soon as the last tensor of a graph is dropped. Graphs are built
+and walked single-threaded.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,15 +47,29 @@ def _as_array(data) -> np.ndarray:
     return arr
 
 
+_creation_index = itertools.count()
+
+
+def creation_mark() -> int:
+    """A creation index above every existing tensor's and below every later one's.
+
+    A mark takes an index of its own, so the tensors created between two
+    successive marks ``a < b`` number ``b - a - 1``.
+    """
+    return next(_creation_index)
+
+
 class Tensor:
     """A float64 array plus its position in an autodiff graph.
 
     ``requires_grad`` marks tensors that participate in differentiation; it
     propagates through operations, so a node requires grad iff some ancestor
-    leaf does. Operations never mutate operands: the graph is append-only.
+    leaf does. Operations never mutate operands: the graph is append-only,
+    and ``_index`` (the creation index) of a node exceeds its parents'.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd", "_op", "_index",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _bwd=None, _op=""):
         self.data = _as_array(data)
@@ -52,6 +78,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = _parents
         self._bwd: Callable | None = _bwd
         self._op = _op
+        self._index = next(_creation_index)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -283,14 +310,16 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.tanh(a.data)
-    out_holder: list[Tensor] = []
+    out_ref = None
 
     def bwd(g):
-        out = out_holder[0]
+        out = out_ref()
         return (mul(g, sub(1.0, mul(out, out))),)
 
     out = _node(out_data, (a,), bwd, "tanh")
-    out_holder.append(out)
+    # held weakly: out owns bwd, so a strong reference would be a cycle, and
+    # bwd only runs while out is alive
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -307,14 +336,14 @@ def relu(a) -> Tensor:
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.sqrt(a.data)
-    out_holder: list[Tensor] = []
+    out_ref = None
 
     def bwd(g):
-        out = out_holder[0]
+        out = out_ref()
         return (div(g, mul(out, 2.0)),)
 
     out = _node(out_data, (a,), bwd, "sqrt")
-    out_holder.append(out)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -323,15 +352,15 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out_holder: list[Tensor] = []
+    out_ref = None
 
     def bwd(g):
-        out = out_holder[0]
+        out = out_ref()
         inner = tsum(mul(g, out), axis=axis, keepdims=True)
         return (mul(out, sub(g, broadcast_to(inner, out.shape))),)
 
     out = _node(p, (a,), bwd, "softmax")
-    out_holder.append(out)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -376,8 +405,16 @@ def mean_squared_error(pred, target) -> Tensor:
 # differentiation
 
 
-def toposort(root: Tensor) -> list[Tensor]:
-    """Unique nodes reachable from ``root``, with every node after its inputs."""
+def toposort(root: Tensor, floor: int = 0) -> list[Tensor]:
+    """Unique nodes reachable from ``root``, with every node after its inputs.
+
+    Nodes whose creation index is below ``floor`` are neither returned nor
+    walked through; since parents predate their children, none of their
+    ancestors could be returned either. The kept nodes come in the same
+    relative order as with ``floor=0``.
+    """
+    if root._index < floor:
+        return []
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -391,21 +428,22 @@ def toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            stack.append((p, False))
+            if p._index >= floor:
+                stack.append((p, False))
     return order
 
 
-def _accumulate(root: Tensor) -> dict[int, Tensor]:
+def _accumulate(root: Tensor, floor: int = 0) -> dict[int, Tensor]:
     if root.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {root.shape}")
-    order = toposort(root)
+    order = toposort(root, floor)
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node._bwd is None:
             continue
         for parent, pg in zip(node._parents, node._bwd(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or not parent.requires_grad or parent._index < floor:
                 continue
             held = grads.get(id(parent))
             grads[id(parent)] = pg if held is None else add(held, pg)
@@ -415,10 +453,17 @@ def _accumulate(root: Tensor) -> dict[int, Tensor]:
 def grad(output: Tensor, inputs: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
     """d(output)/d(input) for each input; zeros for inputs the output never saw.
 
+    The backward walk stops at nodes created before the earliest input: they
+    cannot depend on any input, so its cost follows the part of the graph
+    built since then, not the whole history. This is exact for any inputs,
+    including inputs computed from other inputs, and leaves the result bits
+    unchanged.
+
     With ``create_graph`` the returned tensors stay attached to the graph so
     they can be differentiated again (gradients of gradients).
     """
-    grads = _accumulate(output)
+    floor = min((t._index for t in inputs), default=0)
+    grads = _accumulate(output, floor)
     result = []
     for t in inputs:
         g = grads.get(id(t))

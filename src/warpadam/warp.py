@@ -186,7 +186,13 @@ def tod_penalty_grad(warp: WarpMatrix, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetaConfig:
-    """Inner/outer loop hyperparameters for warp training."""
+    """Inner/outer loop hyperparameters for warp training.
+
+    ``node_budget`` caps the tensors the full (not first-order) unroll may
+    create: graph nodes, the backward nodes of each inner ``grad`` and
+    constants. It is checked after every inner step, so an oversized unroll
+    stops with ``ResourceError`` before its next step is built.
+    """
 
     inner_steps: int = 5
     inner_hyper: HyperParams = field(default_factory=HyperParams)
@@ -284,8 +290,13 @@ def _pack_leaf_grads(warp: WarpMatrix, leaf_grads: list[Tensor]) -> np.ndarray:
 
 def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
                        leaves_per_warp: list[tuple[Tensor, ...]], model, episode,
-                       steps: int, h: HyperParams) -> list[Tensor]:
-    """Run ``steps`` differentiable WarpAdam updates on the support loss."""
+                       steps: int, h: HyperParams, node_budget: int) -> list[Tensor]:
+    """Run ``steps`` differentiable WarpAdam updates on the support loss.
+
+    Raises ``ResourceError`` as soon as the tensors created since the unroll
+    began exceed ``node_budget``, before the next step is built.
+    """
+    start = T.creation_mark()
     ms = [Tensor(np.zeros(p.shape)) for p in params]
     vs = [Tensor(np.zeros(p.shape)) for p in params]
     ws = list(params)
@@ -302,6 +313,11 @@ def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
             v_hat = T.mul(vs[i], 1.0 / c2)
             update = T.div(m_hat, T.sqrt(T.add(v_hat, h.epsilon)))
             ws[i] = T.sub(w, T.mul(update, h.eta))
+        created = T.creation_mark() - start - k  # each mark takes an index too
+        if created > node_budget:
+            raise ResourceError(
+                f"unrolled graph created {created} tensors in {k} of {steps} inner steps, "
+                f"over the budget of {node_budget}; reduce inner_steps or set first_order=True")
     return ws
 
 
@@ -353,13 +369,8 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     else:
         params = [Tensor(p, requires_grad=True) for p in model.params]
         ws = _unrolled_warpadam(params, warps, leaves_per_warp, model, episode,
-                                cfg.inner_steps, h)
+                                cfg.inner_steps, h, cfg.node_budget)
         query_loss = model.loss(ws, episode.query_x, episode.query_y)
-        n_nodes = len(T.toposort(query_loss))
-        if n_nodes > cfg.node_budget:
-            raise ResourceError(
-                f"unrolled graph has {n_nodes} nodes, over the budget of "
-                f"{cfg.node_budget}; reduce inner_steps or set first_order=True")
 
     all_leaves = [leaf for leaves in leaves_per_warp for leaf in leaves]
     leaf_grads = grad(query_loss, all_leaves)

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 
 from warpadam.cli import main
 from warpadam.bench import read_curve_csv
+from warpadam.config import build_meta, parse_config_text, validate_keys
 from warpadam.tasks import load_table
 from warpadam.warp import load_warps
 
@@ -95,6 +99,16 @@ def test_run_divergence_exits_3(tmp_path):
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_RUN + "\nbogus.key=1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_readme_meta_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = parse_config_text(block, source="README.md")
+    validate_keys(cfg)
+    meta = build_meta(cfg)
+    assert cfg["model.hidden"] == "0"
+    assert meta.tod_lambda == 0.001 and meta.inner_hyper.eta == 0.1
 
 
 def test_unknown_flag_is_error(tmp_path):
@@ -209,6 +223,26 @@ def test_compare_two_blocks_and_columns(tmp_path):
     names = [ln.split(",")[0] for ln in data[1:]]
     assert names == ["sgd", "momentum", "radam", "adamw", "warpadam"] * 2
     assert len(text.split("\n\n")) == 2
+
+
+def test_compare_on_imported_table(tmp_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    make_tree(tree, alphabets=2, chars=4, insts=8, side=4)
+    out_t = tmp_path / "tbl"
+    assert main(["import", "--root", str(tree), "--side", "4", "--out", str(out_t)]) == 0
+    out = tmp_path / "cmp"
+    code = main(["compare", "--out", str(out), "--seed", "1",
+                 "--set", "compare.optimizers=adam,warpadam", "--set", "run.n_tasks=1",
+                 "--set", "run.steps_per_task=4", "--set", "run.eval_every=2",
+                 "--set", "tasks.source=table",
+                 "--set", f"tasks.table={out_t / 'table.wtbl'}",
+                 "--set", "tasks.n_way=3", "--set", "tasks.k_shot=2",
+                 "--set", "tasks.query_per_class=2", "--set", "model.hidden=4"])
+    assert code == 0
+    data = [ln for ln in (out / "compare.csv").read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    assert [ln.split(",")[0] for ln in data[1:]] == ["adam", "warpadam"]
 
 
 def test_compare_single_optimizer_is_usage_error(tmp_path):

@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpadam import tensor as T
 from warpadam.nn import MLP
@@ -114,6 +119,110 @@ def test_grad_accumulates_into_leaf():
     assert np.allclose(x.grad, [2.0, 4.0])
     T.tsum(T.mul(x, x)).backward()
     assert np.allclose(x.grad, [4.0, 8.0])
+
+
+# ---------------------------------------------------------------------------
+# the pruned backward walk: nodes older than every input are skipped
+
+def test_grad_nested_inputs_give_total_derivatives():
+    # y = x^2, z = x*y + y: dz/dy = x + 1 = 2.5, dz/dx = y + (x + 1) * 2x = 9.75
+    x = Tensor(1.5, requires_grad=True)
+    y = T.mul(x, x)
+    z = T.add(T.mul(x, y), y)
+    gy, gx = grad(z, [y, x])
+    gx2, gy2 = grad(z, [x, y])
+    assert gx.data == pytest.approx(9.75, rel=1e-15)
+    assert gy.data == pytest.approx(2.5, rel=1e-15)
+    assert np.array_equal(gx.data, gx2.data) and np.array_equal(gy.data, gy2.data)
+    assert np.array_equal(grad(z, [x])[0].data, gx.data)
+
+
+def test_toposort_floor_drops_only_older_nodes():
+    x = Tensor(np.array([0.3, -0.2]), requires_grad=True)
+    history = T.tanh(T.mul(x, 2.0))
+    w = T.sub(history, 0.1)
+    out = T.tsum(T.mul(w, w))
+    full = toposort(out)
+    pruned = toposort(out, floor=w._index)
+    assert [n for n in full if n._index >= w._index] == pruned
+    assert toposort(history, floor=w._index) == []
+
+
+def test_grad_input_created_after_output_is_zero():
+    x = Tensor(2.0, requires_grad=True)
+    out = T.mul(x, x)
+    late = Tensor(1.0, requires_grad=True)
+    gl, gx = grad(out, [late, x])
+    assert gl.data == 0.0 and gx.data == pytest.approx(4.0)
+
+
+def test_graphs_hold_no_reference_cycles():
+    gc.disable()
+    try:
+        x = Tensor(np.array([0.4, -0.7]), requires_grad=True)
+        outs = [T.tanh(x), T.sqrt(T.add(T.mul(x, x), 1.0)), T.softmax(x)]
+        refs = [weakref.ref(o) for o in outs]
+        (g,) = grad(T.tsum(T.add(T.add(outs[0], outs[1]), outs[2])), [x], create_graph=True)
+        del outs, g
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+_OPS = {  # every op keeps values within [-1.5, 1.5] and partials small
+    "tanh": (1, T.tanh),
+    "neg": (1, T.neg),
+    "soft_abs": (1, lambda a: T.sub(T.sqrt(T.add(T.mul(a, a), 1.0)), 1.0)),
+    "softmax": (1, T.softmax),
+    "avg": (2, lambda a, b: T.mul(T.add(a, b), 0.5)),
+    "half_diff": (2, lambda a, b: T.mul(T.sub(a, b), 0.5)),
+    "tanh_mul": (2, lambda a, b: T.tanh(T.mul(a, b))),
+    "damped_div": (2, lambda a, b: T.div(a, T.add(T.mul(b, b), 1.0))),
+}
+
+
+@st.composite
+def expression_dags(draw):
+    """Leaves of shape (3,), ops on random earlier nodes, a random set of nodes as inputs."""
+    n_leaves = draw(st.integers(1, 3))
+    ops = []
+    for k in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(sorted(_OPS)))
+        args = tuple(draw(st.integers(0, n_leaves + k - 1)) for _ in range(_OPS[name][0]))
+        ops.append((name, args))
+    leaf = st.floats(-1.5, 1.5, allow_nan=False)
+    values = [np.array(draw(st.lists(leaf, min_size=3, max_size=3))) for _ in range(n_leaves)]
+    inputs = draw(st.lists(st.integers(0, n_leaves + len(ops) - 1),
+                           min_size=1, max_size=4, unique=True))
+    return values, ops, inputs
+
+
+def _evaluate(dag, override=None):
+    """All nodes and the scalar root; ``override`` pins one node to a given value."""
+    values, ops, _ = dag
+    override = override or {}
+    nodes = [Tensor(override.get(i, v), requires_grad=True) for i, v in enumerate(values)]
+    for name, args in ops:
+        i = len(nodes)
+        nodes.append(Tensor(override[i]) if i in override
+                     else _OPS[name][1](*(nodes[a] for a in args)))
+    root = T.tsum(T.mul(nodes[-1], Tensor(np.array([1.0, -0.5, 0.25]))))
+    return nodes, root
+
+
+@settings(max_examples=60, deadline=None)
+@given(expression_dags())
+def test_grad_random_dags_match_fd_and_unpruned_walk(dag):
+    nodes, root = _evaluate(dag)
+    inputs = [nodes[i] for i in dag[2]]
+    gs = grad(root, inputs)
+    unpruned = T._accumulate(root)
+    for i, t, g in zip(dag[2], inputs, gs):
+        full = unpruned.get(id(t))
+        assert np.array_equal(g.data, np.zeros(3) if full is None else full.data)
+        fd = finite_diff_grad(lambda v, i=i: _evaluate(dag, {i: v})[1].item(),
+                              t.data, h=1e-6)
+        assert rel_err(g.data, fd, floor=1.0) < 1e-7
 
 
 def test_rank0_behaves_as_one_element():

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import warpadam.nn as nn
 import warpadam.tensor as T
 from warpadam.nn import MLP
 from warpadam.optim import AdamState, HyperParams, adam_step
@@ -280,7 +284,7 @@ def test_unrolled_graph_matches_array_trajectory():
     leaves = [_warp_leaves(w) for w in warps]
     params = [Tensor(p, requires_grad=True) for p in model.params]
     ws = _unrolled_warpadam(params, warps, leaves, model, episode,
-                            cfg.inner_steps, cfg.inner_hyper)
+                            cfg.inner_steps, cfg.inner_hyper, cfg.node_budget)
     arrays = adapt(model, warps, episode, cfg)
     for wt, arr in zip(ws, arrays):
         assert rel_err(wt.data, arr) < 1e-12
@@ -291,6 +295,87 @@ def test_hypergrad_node_budget():
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), node_budget=10)
     with pytest.raises(ResourceError, match="first_order"):
         hypergrad_P(episode, model, warps, cfg)
+
+
+class CountingModel:
+    """Forwards to a model and counts its ``loss`` calls (one per inner step)."""
+
+    def __init__(self, model):
+        self.model = model
+        self.params = model.params
+        self.calls = 0
+
+    def loss(self, params, x, y):
+        self.calls += 1
+        return self.model.loss(params, x, y)
+
+
+def _unroll_size(model, episode, warps, steps):
+    """Tensors a ``steps``-step unroll creates, counted with creation marks."""
+    leaves = [_warp_leaves(w) for w in warps]
+    params = [Tensor(p, requires_grad=True) for p in model.params]
+    start = T.creation_mark()
+    _unrolled_warpadam(params, warps, leaves, model, episode, steps, HyperParams(eta=0.05),
+                       MetaConfig().node_budget)
+    return T.creation_mark() - start - 1
+
+
+def test_hypergrad_node_budget_stops_before_the_step_that_exceeds_it():
+    model, episode, warps = _mlp_setup(seed=6)
+    two, four = (_unroll_size(model, episode, warps, k) for k in (2, 4))
+    counting = CountingModel(model)
+    cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05), node_budget=two)
+    with pytest.raises(ResourceError, match="in 3 of 4 inner steps"):
+        hypergrad_P(episode, counting, warps, cfg)
+    assert counting.calls == 3  # step 4 was never built
+    hypergrad_P(episode, model, warps, MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05),
+                                                  node_budget=four))
+
+
+def test_unroll_walk_per_inner_step_does_not_grow_with_k(monkeypatch):
+    model, episode, warps = _mlp_setup(seed=8)
+    walked = []
+    original = T.toposort
+
+    def counting_toposort(*args, **kwargs):
+        order = original(*args, **kwargs)
+        walked.append(len(order))
+        return order
+
+    monkeypatch.setattr(T, "toposort", counting_toposort)
+    largest = {}
+    for k in (2, 3, 8):
+        walked.clear()
+        leaves = [_warp_leaves(w) for w in warps]
+        params = [Tensor(p, requires_grad=True) for p in model.params]
+        _unrolled_warpadam(params, warps, leaves, model, episode, k, HyperParams(eta=0.05),
+                           MetaConfig().node_budget)
+        assert len(walked) == k
+        largest[k] = max(walked)
+    # step 2 walks a little less than later steps: step 1's moments start as constants
+    assert largest[2] <= largest[3] == largest[8]
+
+
+def test_hypergrad_graph_is_freed_without_the_cycle_collector(monkeypatch):
+    rng = np.random.default_rng(9)
+    model = MLP([3, 4, 2], rng)
+    episode = make_episode(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4),
+                           rng.normal(size=(5, 3)), rng.integers(0, 2, size=5), n_way=2)
+    warps = init_warps([p.shape for p in model.params], "dense")
+    refs = []
+
+    def recording_tanh(a):
+        out = T.tanh(a)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(nn, "tanh", recording_tanh)
+    gc.disable()
+    try:
+        hypergrad_P(episode, model, warps, MetaConfig(inner_steps=3))
+        assert refs and all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_hypergrad_validates_alignment():
