@@ -7,11 +7,12 @@ Subcommands:
   check       run the gradient/hypergradient verification oracles
   import      build a class-table cache from a PGM directory tree
 
-Exit codes: 0 ok, 1 check failure, 2 usage error, 3 divergence. Every output
-directory gets a ``manifest.txt`` of key=value lines that is itself a valid
-``--config`` file, sufficient to re-run the command bit-identically (modulo
-wall-clock fields). ``WARP_SEED`` in the environment seeds a run only when
-neither the flags nor the config file set one.
+Exit codes: 0 ok, 1 check failure, 2 usage, input or resource error (a bad
+config value, an unreadable file, an exceeded node budget), 3 divergence.
+Every output directory gets a ``manifest.txt`` of key=value lines that is
+itself a valid ``--config`` file, sufficient to re-run the command
+bit-identically (modulo wall-clock fields). ``WARP_SEED`` in the environment
+seeds a run only when neither the flags nor the config file set one.
 """
 
 from __future__ import annotations
@@ -48,7 +49,15 @@ from .config import (
 from .nn import MLP
 from .optim import AdamState
 from .tasks import import_image_classes, load_table, sample_episode, save_table, split_table, synth_proto_tasks
-from .warp import adaptation_query_loss, init_warps, meta_update_P, save_warps, tod_penalty
+from .warp import (
+    ResourceError,
+    adaptation_query_loss,
+    init_warps,
+    meta_update_P,
+    save_warps,
+    stack_episodes,
+    tod_penalty,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,6 +175,9 @@ def cmd_meta_train(args) -> int:
         raise UsageError(f"meta.outer_steps must be >= 0, got {outer_steps}")
     eval_episodes = getint(cfg, "meta.eval_episodes", 20)
     eval_every = getint(cfg, "meta.eval_every", 10)
+    for key, value in (("meta.eval_episodes", eval_episodes), ("meta.eval_every", eval_every)):
+        if value < 1:
+            raise UsageError(f"{key} must be >= 1, got {value}")
     n_way = getint(cfg, "tasks.n_way", 5)
     k_shot = getint(cfg, "tasks.k_shot", 1)
     qpc = getint(cfg, "tasks.query_per_class", 15)
@@ -174,22 +186,26 @@ def cmd_meta_train(args) -> int:
     warps = init_warps([p.shape for p in model.params], cfg.get("warp.policy", "auto"))
     states = [AdamState.zeros(w.n_params) for w in warps]
 
+    # the held-out set, sampled and stacked a task batch at a time, so the
+    # memory its evaluation takes follows tasks_per_outer_step
     eval_rng = np.random.default_rng([seed, 1])
-    eval_set = [sample_episode(eval_table, n_way, k_shot, qpc, eval_rng)
-                for _ in range(eval_episodes)]
+    batch_size = meta.tasks_per_outer_step
+    eval_stacks = [stack_episodes([sample_episode(eval_table, n_way, k_shot, qpc, eval_rng)
+                                   for _ in range(min(batch_size, eval_episodes - start))])
+                   for start in range(0, eval_episodes, batch_size)]
 
     def eval_loss(current):
-        return float(np.mean([adaptation_query_loss(model, current, ep, meta)
-                              for ep in eval_set]))
+        return float(np.mean(np.concatenate([adaptation_query_loss(model, current, stack, meta)
+                                             for stack in eval_stacks])))
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
     diverged = None
     for t in range(outer_steps):
         batch = [sample_episode(train_table, n_way, k_shot, qpc, rng)
-                 for _ in range(meta.tasks_per_outer_step)]
-        batch_loss = float(np.mean([adaptation_query_loss(model, warps, ep, meta)
-                                    for ep in batch]))
+                 for _ in range(batch_size)]
+        batch_loss = float(np.mean(adaptation_query_loss(model, warps, stack_episodes(batch),
+                                                         meta)))
         tod = sum(tod_penalty(w, meta.tod_lambda) for w in warps)
         held_out = eval_loss(warps) if t % eval_every == 0 else float("nan")
         rows.append((t, batch_loss, tod, held_out))
@@ -307,7 +323,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,13 @@
 
 A model here is just a list of float64 parameter arrays plus pure functions
 that rebuild the forward graph from parameter tensors. Anything with a
-``params`` list and a ``loss(param_tensors, x, y) -> scalar Tensor`` method
-can be trained and meta-trained; ``MLP`` is the stock classifier.
+``params`` list and a ``loss(param_tensors, x, y) -> Tensor`` method can be
+trained and meta-trained; ``MLP`` is the stock classifier.
+
+``loss`` returns one loss per episode. For a plain episode that is a scalar.
+Meta-learning also calls it on a stack of E episodes: every parameter tensor
+is shaped ``(E,) + shape``, ``x`` and ``y`` carry E on axis 0, and the result
+has shape ``(E,)``, with entry e depending only on episode e.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, add, matmul, softmax_cross_entropy, tanh
+from .tensor import Tensor, add, matmul, reshape, softmax_cross_entropy, tanh
 
 
 class MLP:
@@ -43,6 +48,8 @@ class MLP:
         n_layers = len(params) // 2
         for i in range(n_layers):
             w, b = params[2 * i], params[2 * i + 1]
+            if b.ndim == 2:  # stacked (E, c): one bias row per episode
+                b = reshape(b, (b.shape[0], 1, b.shape[1]))
             h = add(matmul(h, w), b)
             if i < n_layers - 1:
                 h = tanh(h)
@@ -53,7 +60,7 @@ class MLP:
 
     def accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
         logits = self.logits(self.param_tensors(arrays, requires_grad=False), x)
-        pred = np.argmax(logits.data, axis=1)
+        pred = np.argmax(logits.data, axis=-1)
         return float(np.mean(pred == np.asarray(y)))
 
     def clone_params(self) -> list[np.ndarray]:

@@ -132,9 +132,7 @@ def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp,
     placement that accumulates the raw gradient and warps the final update
     direction instead; it is off by default and exists for comparison only.
     """
-    _check_step_inputs(state, w, g)
-    if warp.dim != g.size:
-        raise ShapeError(f"warp dimension {warp.dim} does not match gradient size {g.size}")
+    _check_step_inputs(state, w, g)  # warp.apply checks g against the warp's dim
     if warp_update:
         new_state, update = _adam_direction(state, g, h)
         warped = warp.apply(update)

@@ -5,6 +5,12 @@ and unrolled optimizer updates: matmul, elementwise arithmetic with scalar and
 numpy-style broadcasting, tanh, relu, sqrt, softmax / softmax-cross-entropy,
 mean-squared-error, reshape, transpose, and sum/mean reductions.
 
+``matmul``, ``transpose`` and ``softmax_cross_entropy`` act on the last two
+axes and carry any leading axes along, so a stack of E independent problems
+(E episodes of a task batch) runs as one graph. ``matmul`` broadcasts a 2-D
+operand over the other's leading axes; its backward reduces with the inverse
+of broadcasting, so a shared operand receives the sum over the stack.
+
 Backward rules are written in terms of the public primitives, so the vector-
 Jacobian products are graph nodes too and can be differentiated again. That is
 what lets a query loss be differentiated with respect to a warp matrix that
@@ -23,6 +29,10 @@ the whole history before it. Graphs hold no reference cycles (outputs that
 their backward rule needs are held weakly), so they are freed by reference
 counting as soon as the last tensor of a graph is dropped. Graphs are built
 and walked single-threaded.
+
+``grad`` without ``create_graph`` records nothing: the backward rules run
+with graph recording off, so every tensor they create is a constant, and each
+intermediate gradient is dropped as soon as it has been passed to its parents.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ def _as_array(data) -> np.ndarray:
 
 
 _creation_index = itertools.count()
+_recording = True  # off while a backward pass builds no graph (see grad)
 
 
 def creation_mark() -> int:
@@ -162,7 +173,7 @@ def _as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
     """Create an op output; it joins the graph only if some input requires grad."""
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd, _op=op)
     return Tensor(data)
 
@@ -234,27 +245,34 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs operands of at least 2-D, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    try:
+        out = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from None
 
     def bwd(g):
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+        return (_sum_to(matmul(g, transpose(b)), a.shape),
+                _sum_to(matmul(transpose(a), g), b.shape))
 
-    return _node(a.data @ b.data, (a, b), bwd, "matmul")
+    return _node(out, (a, b), bwd, "matmul")
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D operand, got {a.shape}")
+    if a.ndim < 2:
+        raise ShapeError(f"transpose needs an operand of at least 2-D, got {a.shape}")
 
     def bwd(g):
         return (transpose(g),)
 
-    return _node(a.data.T, (a,), bwd, "transpose")
+    return _node(a.data.swapaxes(-1, -2), (a,), bwd, "transpose")
 
 
 def reshape(a, shape) -> Tensor:
@@ -365,31 +383,39 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
-    """Mean cross-entropy of row-wise softmax(logits) against integer labels."""
+    """Mean cross-entropy of softmax(logits) over the last axis against integer labels.
+
+    ``logits`` is ``(..., n, c)`` and ``labels`` ``(..., n)``; the result holds
+    one mean over the n rows for each leading index (a scalar for 2-D logits).
+    """
     logits = _as_tensor(logits)
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D (batch, classes), got {logits.shape}")
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
+    if logits.ndim < 2:
+        raise ShapeError(f"logits must be (..., batch, classes), got {logits.shape}")
+    n, c = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"labels out of range [0, {c})")
-    labels = labels.astype(np.int64)
+    rows, cols = np.arange(labels.size), labels.reshape(-1).astype(np.int64)
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    ce = float(np.mean(lse - shifted[np.arange(n), labels]))
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    picked = shifted.reshape(-1, c)[rows, cols].reshape(labels.shape)
+    ce = np.mean(lse - picked, axis=-1)
 
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    onehot_t = Tensor(onehot)
+    onehot = np.zeros((labels.size, c))
+    onehot[rows, cols] = 1.0
+    onehot_t = Tensor(onehot.reshape(logits.shape))
 
     def bwd(g):
-        p = softmax(logits, axis=1)
-        return (mul(broadcast_to(mul(g, 1.0 / n), (n, c)), sub(p, onehot_t)),)
+        p = softmax(logits, axis=-1)
+        per_row = mul(g, 1.0 / n)
+        if per_row.ndim:  # one scale per leading index, broadcast over its (n, c) block
+            per_row = reshape(per_row, per_row.shape + (1, 1))
+        return (mul(broadcast_to(per_row, logits.shape), sub(p, onehot_t)),)
 
-    return _node(np.float64(ce), (logits,), bwd, "softmax_ce")
+    return _node(ce, (logits,), bwd, "softmax_ce")
 
 
 def mean_squared_error(pred, target) -> Tensor:
@@ -433,13 +459,20 @@ def toposort(root: Tensor, floor: int = 0) -> list[Tensor]:
     return order
 
 
-def _accumulate(root: Tensor, floor: int = 0) -> dict[int, Tensor]:
+def _accumulate(root: Tensor, floor: int = 0, keep=None) -> dict[int, Tensor]:
+    """Gradients of ``root`` by node id.
+
+    With ``keep`` (a set of ids) only those nodes' gradients are returned, and
+    every other gradient is dropped once it has been passed to the parents;
+    without it, every reached node's gradient is returned.
+    """
     if root.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {root.shape}")
     order = toposort(root, floor)
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
     for node in reversed(order):
-        g = grads.get(id(node))
+        key = id(node)
+        g = grads.get(key) if keep is None or key in keep else grads.pop(key, None)
         if g is None or node._bwd is None:
             continue
         for parent, pg in zip(node._parents, node._bwd(g)):
@@ -460,18 +493,21 @@ def grad(output: Tensor, inputs: Sequence[Tensor], create_graph: bool = False) -
     unchanged.
 
     With ``create_graph`` the returned tensors stay attached to the graph so
-    they can be differentiated again (gradients of gradients).
+    they can be differentiated again (gradients of gradients). Without it the
+    backward pass records no graph: the results and every tensor created on
+    the way are constants.
     """
+    global _recording
     floor = min((t._index for t in inputs), default=0)
-    grads = _accumulate(output, floor)
+    was_recording, _recording = _recording, _recording and create_graph
+    try:
+        grads = _accumulate(output, floor, keep={id(t) for t in inputs})
+    finally:
+        _recording = was_recording
     result = []
     for t in inputs:
         g = grads.get(id(t))
-        if g is None:
-            g = Tensor(np.zeros_like(t.data))
-        elif not create_graph:
-            g = g.detach()
-        result.append(g)
+        result.append(Tensor(np.zeros_like(t.data)) if g is None else g)
     return result
 
 

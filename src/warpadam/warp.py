@@ -15,10 +15,16 @@ Warps are learned by differentiating a query loss through K unrolled WarpAdam
 steps on a support loss (the hypergradient), averaging over a task batch,
 adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
 step on the warp's entries.
+
+The meta-learning functions take an episode or a *stacked* episode: E
+episodes of one geometry whose arrays carry E on axis 0 (``stack_episodes``).
+A stack adapts E parameter copies side by side in one graph, and the warps,
+shared by all E, receive the sum of the E per-episode hypergradients.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,6 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import AdamState, HyperParams, adam_step, warpadam_step
+from .tasks import Episode
 from .tensor import ShapeError, Tensor, grad
 
 FORMS = ("identity", "diagonal", "dense", "kron")
@@ -85,20 +92,19 @@ class WarpMatrix:
     # -- application ------------------------------------------------------
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """Transform a gradient array; output shape equals input shape."""
+        """Transform a gradient array, or a stack of them on axis 0; shape is kept."""
         g = np.asarray(g, dtype=np.float64)
-        if g.size != self.dim:
-            raise ShapeError(f"warp of dim {self.dim} applied to gradient of size {g.size}")
+        lead = _stack_axes(self.dim, g.shape)
         if self.form == "identity":
             return g
-        flat = g.reshape(-1)
+        flat = g.reshape(lead + (self.dim,))
         if self.form == "diagonal":
             out = self.entries * flat
         elif self.form == "dense":
-            out = self.entries @ flat
+            out = self.entries @ flat[..., None]  # one matrix-vector product per gradient
         else:
             a, b = self.factor_a, self.factor_b
-            out = (a @ flat.reshape(a.shape[0], b.shape[0]) @ b.T).reshape(-1)
+            out = a @ flat.reshape(lead + (a.shape[0], b.shape[0])) @ b.T
         return out.reshape(g.shape)
 
     def materialize(self) -> np.ndarray:
@@ -146,6 +152,17 @@ class WarpMatrix:
                                     flat[na * na:].reshape(nb, nb))
 
 
+def _stack_axes(dim: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``()`` for one gradient of a dim-``dim`` warp, ``(E,)`` for a stack of E."""
+    size = math.prod(shape)
+    if size == dim:
+        return ()
+    if shape and size == shape[0] * dim:
+        return shape[:1]
+    raise ShapeError(f"warp of dim {dim} applied to gradient of shape {shape}: "
+                     f"size {size} is neither {dim} nor a stack of {dim}-sized gradients")
+
+
 def warp_apply(warp: WarpMatrix, g: np.ndarray) -> np.ndarray:
     """Apply the warp to a gradient under its structural form."""
     return warp.apply(g)
@@ -190,8 +207,11 @@ class MetaConfig:
 
     ``node_budget`` caps the tensors the full (not first-order) unroll may
     create: graph nodes, the backward nodes of each inner ``grad`` and
-    constants. It is checked after every inner step, so an oversized unroll
-    stops with ``ResourceError`` before its next step is built.
+    constants. One unroll serves a whole task batch (the episodes are
+    stacked), so the budget counts one batch's unroll, whose node count does
+    not grow with ``tasks_per_outer_step``. It is checked after every inner
+    step, so an oversized unroll stops with ``ResourceError`` before its next
+    step is built.
     """
 
     inner_steps: int = 5
@@ -263,21 +283,19 @@ def _warp_leaves(warp: WarpMatrix) -> tuple[Tensor, ...]:
 
 
 def _apply_leaves(warp: WarpMatrix, leaves: tuple[Tensor, ...], g: Tensor) -> Tensor:
-    shape = g.shape
-    flat = T.reshape(g, (g.size,))
+    """Graph-side ``WarpMatrix.apply``: ``g`` may be a stack on axis 0."""
+    lead = _stack_axes(warp.dim, g.shape)
     if warp.form == "identity":
-        out = flat
-    elif warp.form == "diagonal":
-        out = T.mul(leaves[0], flat)
+        return g
+    if warp.form == "diagonal":
+        out = T.mul(leaves[0], T.reshape(g, lead + (warp.dim,)))
     elif warp.form == "dense":
-        col = T.reshape(flat, (warp.dim, 1))
-        out = T.reshape(T.matmul(leaves[0], col), (warp.dim,))
+        out = T.matmul(leaves[0], T.reshape(g, lead + (warp.dim, 1)))
     else:
         a, b = leaves
-        na, nb = warp.factor_a.shape[0], warp.factor_b.shape[0]
-        gm = T.reshape(flat, (na, nb))
-        out = T.reshape(T.matmul(T.matmul(a, gm), T.transpose(b)), (warp.dim,))
-    return T.reshape(out, shape)
+        gm = T.reshape(g, lead + (warp.factor_a.shape[0], warp.factor_b.shape[0]))
+        out = T.matmul(T.matmul(a, gm), T.transpose(b))
+    return T.reshape(out, g.shape)
 
 
 def _pack_leaf_grads(warp: WarpMatrix, leaf_grads: list[Tensor]) -> np.ndarray:
@@ -293,15 +311,17 @@ def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
                        steps: int, h: HyperParams, node_budget: int) -> list[Tensor]:
     """Run ``steps`` differentiable WarpAdam updates on the support loss.
 
-    Raises ``ResourceError`` as soon as the tensors created since the unroll
-    began exceed ``node_budget``, before the next step is built.
+    ``params`` are stacked like ``episode``; each step differentiates the sum
+    of the per-episode support losses. Raises ``ResourceError`` as soon as the
+    tensors created since the unroll began exceed ``node_budget``, before the
+    next step is built.
     """
     start = T.creation_mark()
     ms = [Tensor(np.zeros(p.shape)) for p in params]
     vs = [Tensor(np.zeros(p.shape)) for p in params]
     ws = list(params)
     for k in range(1, steps + 1):
-        loss = model.loss(ws, episode.support_x, episode.support_y)
+        loss = T.tsum(model.loss(ws, episode.support_x, episode.support_y))
         gs = grad(loss, ws, create_graph=True)
         c1 = 1.0 - h.beta1 ** k
         c2 = 1.0 - h.beta2 ** k
@@ -321,10 +341,51 @@ def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
     return ws
 
 
+def stack_episodes(episodes: Sequence[Episode]) -> Episode:
+    """E episodes of one geometry as one episode whose arrays carry E on axis 0."""
+    if len(episodes) == 0:
+        raise ValueError("need at least one episode to stack")
+
+    def geometry(ep):
+        return (np.shape(ep.support_x), np.shape(ep.support_y), np.shape(ep.query_x),
+                np.shape(ep.query_y), ep.n_way, ep.k_shot)
+
+    first = geometry(episodes[0])
+    for i, ep in enumerate(episodes):
+        if geometry(ep) != first:
+            raise ShapeError(f"episode {i} has geometry {geometry(ep)}, episode 0 has {first}; "
+                             "only episodes of one geometry stack")
+    return Episode(
+        support_x=np.stack([ep.support_x for ep in episodes]),
+        support_y=np.stack([ep.support_y for ep in episodes]),
+        query_x=np.stack([ep.query_x for ep in episodes]),
+        query_y=np.stack([ep.query_y for ep in episodes]),
+        n_way=episodes[0].n_way, k_shot=episodes[0].k_shot,
+        task_id="+".join(ep.task_id for ep in episodes),
+    )
+
+
+def _start_arrays(model, episode) -> list[np.ndarray]:
+    """Copies of the model's parameters, one per episode of a stack."""
+    lead = np.shape(episode.support_x)[:-2]
+    return [np.broadcast_to(p, lead + p.shape).copy() for p in model.params]
+
+
 def _detached_grads(model, param_arrays: list[np.ndarray], x, y) -> list[np.ndarray]:
     params = [Tensor(p, requires_grad=True) for p in param_arrays]
-    loss = model.loss(params, x, y)
+    loss = T.tsum(model.loss(params, x, y))
     return [g.data for g in grad(loss, params)]
+
+
+def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams):
+    """``steps`` array WarpAdam steps on the support loss; the arrays and their states."""
+    arrays = _start_arrays(model, episode)
+    states = [AdamState.zeros(a.shape) for a in arrays]
+    for _ in range(steps):
+        gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
+        for i in range(len(arrays)):
+            states[i], arrays[i] = warpadam_step(states[i], arrays[i], gs[i], warps[i], h)
+    return arrays, states
 
 
 def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
@@ -334,11 +395,13 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     The model is never mutated: its parameters are cloned into the graph as
     differentiation roots. With ``cfg.first_order`` the first K-1 steps run
     detached and only the final step's direct dependence on the warp is kept;
-    otherwise the full trajectory is unrolled and differentiated.
+    otherwise the full trajectory is unrolled and differentiated. For a
+    stacked episode the graph root is the sum of the E query losses, so the
+    result is the sum of the E per-episode hypergradients.
     """
     if len(warps) != len(model.params):
         raise ShapeError(f"{len(warps)} warps for {len(model.params)} parameter tensors")
-    if len(episode.support_x) == 0 or len(episode.query_x) == 0:
+    if np.size(episode.support_y) == 0 or np.size(episode.query_y) == 0:
         raise ValueError("episode needs non-empty support and query sets")
     for w, p in zip(warps, model.params):
         if w.dim != p.size:
@@ -348,12 +411,7 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     h = cfg.inner_hyper
 
     if cfg.first_order:
-        arrays = [p.copy() for p in model.params]
-        states = [AdamState.zeros(p.shape) for p in arrays]
-        for _ in range(cfg.inner_steps - 1):
-            gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
-            for i in range(len(arrays)):
-                states[i], arrays[i] = warpadam_step(states[i], arrays[i], gs[i], warps[i], h)
+        arrays, states = _adapt(model, warps, episode, cfg.inner_steps - 1, h)
         gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
         k = cfg.inner_steps
         c1 = 1.0 - h.beta1 ** k
@@ -365,12 +423,11 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
             v = T.add(T.mul(Tensor(st.v), h.beta2), T.mul(T.mul(gw, gw), 1.0 - h.beta2))
             update = T.div(T.mul(m, 1.0 / c1), T.sqrt(T.add(T.mul(v, 1.0 / c2), h.epsilon)))
             ws.append(T.sub(Tensor(arr), T.mul(update, h.eta)))
-        query_loss = model.loss(ws, episode.query_x, episode.query_y)
     else:
-        params = [Tensor(p, requires_grad=True) for p in model.params]
+        params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
         ws = _unrolled_warpadam(params, warps, leaves_per_warp, model, episode,
                                 cfg.inner_steps, h, cfg.node_budget)
-        query_loss = model.loss(ws, episode.query_x, episode.query_y)
+    query_loss = T.tsum(model.loss(ws, episode.query_x, episode.query_y))
 
     all_leaves = [leaf for leaves in leaves_per_warp for leaf in leaves]
     leaf_grads = grad(query_loss, all_leaves)
@@ -383,42 +440,41 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
 
 
 def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig) -> list[np.ndarray]:
-    """K plain (non-differentiable) inner WarpAdam steps; returns adapted params."""
-    arrays = [p.copy() for p in model.params]
-    states = [AdamState.zeros(p.shape) for p in arrays]
-    for _ in range(cfg.inner_steps):
-        gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
-        for i in range(len(arrays)):
-            states[i], arrays[i] = warpadam_step(states[i], arrays[i], gs[i], warps[i],
-                                                 cfg.inner_hyper)
-    return arrays
+    """K plain (non-differentiable) inner WarpAdam steps; returns adapted params.
+
+    For a stacked episode every array carries one adapted copy per episode on
+    axis 0.
+    """
+    return _adapt(model, warps, episode, cfg.inner_steps, cfg.inner_hyper)[0]
 
 
-def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode,
-                          cfg: MetaConfig) -> float:
-    """Query loss after K inner steps (the meta-objective, minus the penalty)."""
+def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig):
+    """Query loss after K inner steps (the meta-objective, minus the penalty).
+
+    A float for an episode; for a stacked episode, the array of its E losses.
+    """
     arrays = adapt(model, warps, episode, cfg)
-    params = [Tensor(a) for a in arrays]
-    return model.loss(params, episode.query_x, episode.query_y).item()
+    losses = model.loss([Tensor(a) for a in arrays], episode.query_x, episode.query_y).data
+    return float(losses) if losses.ndim == 0 else losses
 
 
 def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfig,
                   outer_states: Sequence[AdamState]):
     """One outer step: averaged hypergradient + penalty gradient, Adam on entries.
 
-    Task results are reduced in batch index order, so the outcome does not
-    depend on how the per-task hypergradients were scheduled. Structural forms
-    are preserved; the identity form has no entries and is returned unchanged.
+    The batch is stacked into one episode and differentiated as one graph, so
+    the warps receive the sum of the per-task hypergradients from that graph's
+    backward pass. Its summation order differs from adding per-task results,
+    so the full hypergradient can differ from that sum in the last bits; the
+    first-order one does not. Structural forms are preserved; the identity
+    form has no entries and is returned unchanged.
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")
     if len(outer_states) != len(warps):
         raise ShapeError(f"{len(outer_states)} outer states for {len(warps)} warps")
 
-    totals = [np.zeros(w.n_params) for w in warps]
-    for episode in task_batch:
-        for acc, hg in zip(totals, hypergrad_P(episode, model, warps, cfg)):
-            acc += hg
+    totals = hypergrad_P(stack_episodes(task_batch), model, warps, cfg)
     outer_hyper = HyperParams(eta=cfg.outer_eta)
 
     new_warps: list[WarpMatrix] = []

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from warpadam.cli import main
 from warpadam.bench import read_curve_csv
@@ -111,6 +112,13 @@ def test_readme_meta_config_parses():
     assert meta.tod_lambda == 0.001 and meta.inner_hyper.eta == 0.1
 
 
+def test_missing_config_file_is_exit_2_naming_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(missing) in err
+
+
 def test_unknown_flag_is_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o"), "--frobnicate"]) == 2
 
@@ -163,6 +171,34 @@ def test_meta_train_writes_curve_with_eval_column(tmp_path):
     last = lines[-1].split(",")
     assert float(first[3]) > 0.0          # eval recorded at step 0
     assert np.isfinite(float(last[3]))    # and after the final step
+
+
+def test_meta_train_node_budget_is_exit_2_naming_the_budget(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_META)
+    assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", "meta.node_budget=100"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "budget of 100" in err
+
+
+@pytest.mark.parametrize("setting", ["meta.eval_every=0", "meta.eval_every=-2",
+                                     "meta.eval_episodes=0", "meta.eval_episodes=-1"])
+def test_meta_train_rejects_non_positive_eval_settings(tmp_path, capsys, setting):
+    cfg = write_cfg(tmp_path, SMALL_META)
+    out = tmp_path / "o"
+    assert main(["meta-train", "--config", cfg, "--out", str(out), "--set", setting]) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_meta_train_eval_set_not_a_multiple_of_the_batch(tmp_path):
+    # 5 eval episodes stack as 2 + 2 + 1 with a batch of 2
+    cfg = write_cfg(tmp_path, SMALL_META)
+    out = tmp_path / "o"
+    assert main(["meta-train", "--config", cfg, "--out", str(out),
+                 "--set", "meta.eval_episodes=5"]) == 0
+    last = (out / "meta_curve.csv").read_text().splitlines()[-1].split(",")
+    assert np.isfinite(float(last[3]))
 
 
 def test_meta_train_requires_explicit_split(tmp_path):

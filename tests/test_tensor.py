@@ -121,6 +121,41 @@ def test_grad_accumulates_into_leaf():
     assert np.allclose(x.grad, [4.0, 8.0])
 
 
+def _tensors_created_during(monkeypatch, fn):
+    created = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    try:
+        result = fn()
+    finally:
+        monkeypatch.undo()
+    return created, result
+
+
+def test_grad_without_create_graph_records_no_graph(monkeypatch):
+    rng = np.random.default_rng(9)
+    model = MLP([4, 6, 3], rng)
+    x, y = rng.normal(size=(5, 4)), rng.integers(0, 3, size=5)
+
+    def run(create_graph):
+        params = model.param_tensors()
+        loss = model.loss(params, x, y)
+        return _tensors_created_during(monkeypatch,
+                                       lambda: grad(loss, params, create_graph=create_graph))
+
+    created, plain = run(False)
+    assert created and not any(t.requires_grad for t in created)
+    created, attached = run(True)
+    assert any(t.requires_grad for t in created)  # the control: recording is back on
+    for a, b in zip(plain, attached):
+        assert np.array_equal(a.data, b.data)
+
+
 # ---------------------------------------------------------------------------
 # the pruned backward walk: nodes older than every input are skipped
 
@@ -311,6 +346,41 @@ def test_grad_transpose():
     _fd_check(lambda x, e: T.tsum(T.mul(T.transpose(x), T.transpose(x))), (3, 4))
 
 
+def test_grad_matmul_stacked():
+    _fd_check(lambda x, e: T.tsum(T.mul(T.matmul(x, Tensor(e[:, :, :2])), e[:, :3, 2:])),
+              (2, 3, 4), (2, 4, 4), trials=20)
+
+
+def test_grad_matmul_broadcasts_a_2d_operand():
+    # the shared operand receives the sum over the stack, from either side
+    _fd_check(lambda x, e: T.tsum(T.mul(T.matmul(x, Tensor(e[:, :4, :2])), e[:, :3, 2:4])),
+              (3, 4), (2, 4, 4), trials=20)
+    _fd_check(lambda x, e: T.tsum(T.mul(T.matmul(Tensor(e[:, :, :3]), x), e[:, :, 3:])),
+              (3, 2), (2, 4, 5), trials=20)
+
+
+def test_matmul_stacked_matches_per_slice_products():
+    rng = np.random.default_rng(7)
+    a, b, shared = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2))
+    out = T.matmul(Tensor(a), Tensor(b)).data
+    assert all(np.array_equal(out[i], a[i] @ b[i]) for i in range(3))
+    out = T.matmul(Tensor(a), Tensor(shared)).data
+    assert all(np.array_equal(out[i], a[i] @ shared) for i in range(3))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(a), Tensor(rng.normal(size=(2, 5, 2))))
+
+
+def test_grad_transpose_stacked():
+    _fd_check(lambda x, e: T.tsum(T.mul(T.transpose(x), e)), (2, 3, 4), (2, 4, 3), trials=20)
+
+
+def test_transpose_swaps_the_last_two_axes():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    assert np.array_equal(T.transpose(Tensor(x)).data, np.swapaxes(x, 1, 2))
+    with pytest.raises(ShapeError):
+        T.transpose(Tensor(np.ones(3)))
+
+
 def test_grad_reshape():
     _fd_check(lambda x, e: T.tsum(T.mul(T.reshape(x, (6,)), e)), (2, 3), (6,))
 
@@ -351,6 +421,23 @@ def test_grad_softmax():
 def test_grad_softmax_cross_entropy():
     labels = np.array([0, 2, 1])
     _fd_check(lambda x, e: T.softmax_cross_entropy(x, labels), (3, 4))
+
+
+def test_grad_softmax_cross_entropy_stacked():
+    labels = np.array([[0, 2, 1], [3, 3, 0]])
+    _fd_check(lambda x, e: T.tsum(T.mul(T.softmax_cross_entropy(x, labels), e)),
+              (2, 3, 4), (2,), trials=20)
+
+
+def test_softmax_cross_entropy_stacked_is_one_mean_per_slice():
+    rng = np.random.default_rng(8)
+    logits, labels = rng.normal(size=(3, 5, 4)), rng.integers(0, 4, size=(3, 5))
+    out = T.softmax_cross_entropy(Tensor(logits), labels)
+    assert out.shape == (3,)
+    for i in range(3):
+        assert out.data[i] == T.softmax_cross_entropy(Tensor(logits[i]), labels[i]).item()
+    with pytest.raises(ShapeError):
+        T.softmax_cross_entropy(Tensor(logits), labels[:, :4])
 
 
 def test_grad_mse():

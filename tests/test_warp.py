@@ -8,7 +8,7 @@ import warpadam.nn as nn
 import warpadam.tensor as T
 from warpadam.nn import MLP
 from warpadam.optim import AdamState, HyperParams, adam_step
-from warpadam.tasks import Episode
+from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
 from warpadam.tensor import ShapeError, Tensor, finite_diff_grad, grad
 from warpadam.warp import (
     MetaConfig,
@@ -24,6 +24,7 @@ from warpadam.warp import (
     load_warps,
     meta_update_P,
     save_warps,
+    stack_episodes,
     tod_penalty,
     tod_penalty_grad,
     warp_apply,
@@ -45,9 +46,9 @@ class ScalarQuadratic:
         self.params = [np.array([float(w0)])]
 
     def loss(self, params, x, y):
-        w = T.broadcast_to(params[0], (len(y),))
+        w = T.broadcast_to(params[0], np.shape(y))
         d = T.sub(w, Tensor(np.asarray(y, dtype=np.float64)))
-        return T.mul(T.tmean(T.mul(d, d)), 0.5)
+        return T.mul(T.tmean(T.mul(d, d), axis=-1), 0.5)
 
 
 def quad_episode(support_targets, query_targets):
@@ -385,6 +386,123 @@ def test_hypergrad_validates_alignment():
     bad = [WarpMatrix.identity(999), WarpMatrix.identity(999)]
     with pytest.raises(ShapeError):
         hypergrad_P(episode, model, bad, MetaConfig())
+
+
+# ---------------------------------------------------------------------------
+# stacked episodes: E tasks in one graph
+
+FORMS_UNDER_TEST = ("identity", "diagonal", "dense", "kron")
+
+
+def _stack_setup(form, seed=21, n_episodes=4):
+    """A hidden-layer MLP, E episodes of one geometry, and warps of ``form``.
+
+    Under ``kron`` the weight matrices get Kronecker warps and the biases dense ones.
+    """
+    rng = np.random.default_rng(seed)
+    table = synth_proto_tasks(3, 4, 8, 5, 0.5, rng)
+    episodes = [sample_episode(table, 3, 2, 3, rng) for _ in range(n_episodes)]
+    model = MLP([5, 4, 3], rng)
+    warps = []
+    for p in model.params:
+        d = p.size
+        if form == "identity":
+            warps.append(WarpMatrix.identity(d))
+        elif form == "diagonal":
+            warps.append(WarpMatrix.diagonal(1.0 + 0.1 * rng.normal(size=d)))
+        elif form == "dense" or p.ndim == 1:
+            warps.append(WarpMatrix.dense(np.eye(d) + 0.05 * rng.normal(size=(d, d))))
+        else:
+            r, c = p.shape
+            warps.append(WarpMatrix.kronecker(np.eye(r) + 0.1 * rng.normal(size=(r, r)),
+                                              np.eye(c) + 0.1 * rng.normal(size=(c, c))))
+    return model, episodes, warps
+
+
+def _per_task_sum(episodes, model, warps, cfg):
+    """The per-task hypergradients added in batch order, starting from zeros."""
+    totals = [np.zeros(w.n_params) for w in warps]
+    for episode in episodes:
+        for acc, hg in zip(totals, hypergrad_P(episode, model, warps, cfg)):
+            acc += hg
+    return totals
+
+
+@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+def test_stacked_full_hypergrad_matches_per_task_sum(form):
+    model, episodes, warps = _stack_setup(form)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    stacked = hypergrad_P(stack_episodes(episodes), model, warps, cfg)
+    for got, want, warp in zip(stacked, _per_task_sum(episodes, model, warps, cfg), warps):
+        assert got.shape == (warp.n_params,)
+        assert rel_err(got, want, floor=1e-300) < 1e-12
+
+
+@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+def test_stacked_first_order_hypergrad_is_bitwise_the_per_task_sum(form):
+    model, episodes, warps = _stack_setup(form)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                     first_order=True)
+    stacked = hypergrad_P(stack_episodes(episodes), model, warps, cfg)
+    for got, want in zip(stacked, _per_task_sum(episodes, model, warps, cfg)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+def test_stacked_adaptation_query_loss_is_bitwise_per_episode(form):
+    model, episodes, warps = _stack_setup(form)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    stacked = adaptation_query_loss(model, warps, stack_episodes(episodes), cfg)
+    singles = [adaptation_query_loss(model, warps, ep, cfg) for ep in episodes]
+    assert stacked.shape == (len(episodes),)
+    assert all(isinstance(x, float) for x in singles)
+    assert np.array_equal(stacked, singles)
+
+
+@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+def test_stacked_apply_is_bitwise_per_gradient(form):
+    _, _, (warp, _, _, _) = _stack_setup(form)
+    gs = np.random.default_rng(22).normal(size=(4, 5, 4))
+    singles = [warp.apply(g) for g in gs]
+    assert np.array_equal(warp.apply(gs), singles)
+    graph = _apply_leaves(warp, _warp_leaves(warp), Tensor(gs)).data
+    assert np.array_equal(graph, singles)
+
+
+def test_apply_rejects_a_size_that_is_not_a_stack():
+    warp = WarpMatrix.dense(np.eye(4))
+    for g in (np.ones((3, 5)), np.ones(6), np.ones((2, 3, 3))):
+        with pytest.raises(ShapeError):
+            warp.apply(g)
+        with pytest.raises(ShapeError):
+            _apply_leaves(warp, _warp_leaves(warp), Tensor(g))
+
+
+def test_stack_episodes_rejects_mixed_geometry():
+    rng = np.random.default_rng(23)
+    table = synth_proto_tasks(3, 4, 8, 5, 0.5, rng)
+    one_shot = sample_episode(table, 3, 1, 3, rng)
+    with pytest.raises(ShapeError):
+        stack_episodes([one_shot, sample_episode(table, 3, 2, 3, rng)])
+    with pytest.raises(ShapeError):
+        stack_episodes([one_shot, sample_episode(table, 3, 1, 4, rng)])
+    with pytest.raises(ShapeError):
+        stack_episodes([one_shot, sample_episode(table, 2, 1, 3, rng)])
+    with pytest.raises(ValueError):
+        stack_episodes([])
+    stacked = stack_episodes([one_shot, sample_episode(table, 3, 1, 3, rng)])
+    assert stacked.support_x.shape == (2,) + one_shot.support_x.shape
+    assert stacked.query_y.shape == (2,) + one_shot.query_y.shape
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_meta_update_builds_one_graph_per_batch(batch, first_order):
+    model, episodes, warps = _stack_setup("dense", n_episodes=batch)
+    counting = CountingModel(model)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
+    meta_update_P(warps, episodes, counting, cfg, [AdamState.zeros(w.n_params) for w in warps])
+    assert counting.calls == cfg.inner_steps + 1  # K support losses and one query loss
 
 
 # ---------------------------------------------------------------------------
