@@ -7,9 +7,12 @@ The package is organized as:
   unrolled optimizer trajectories).
 - ``nn``: small dense networks built on those tensors.
 - ``optim``: pure-function optimizer steps — Adam, WarpAdam, and the baseline
-  suite (SGD, Momentum, AMSGrad, AdamW, RAdam).
-- ``warp``: the warp matrix in its structural forms, the off-diagonal (TOD)
-  penalty, unrolled hypergradients, and the outer loop that learns the warps.
+  suite (SGD, Momentum, AMSGrad, AdamW, RAdam). ``STEP_FUNCS`` holds every
+  step but WarpAdam's by kind; the Adam family shares one moment update,
+  ``adam_moments``.
+- ``warp``: the warp matrix, one ``FORMS`` row per structural form, the
+  off-diagonal (TOD) penalty, unrolled hypergradients, and the outer loop
+  that learns the warps.
 - ``tasks``: episodic few-shot task sources (synthetic families and a PGM
   image-directory importer).
 - ``bench``: sequential-task training curves, optimizer comparison tables,
@@ -20,8 +23,8 @@ The package is organized as:
 __version__ = "0.1.0"
 
 from .tensor import Tensor, ShapeError, NumericError, grad, finite_diff_grad
-from .optim import HyperParams, AdamState, adam_step, warpadam_step, baseline_step
-from .warp import WarpMatrix, MetaConfig, warp_apply, tod_penalty, hypergrad_P, meta_update_P
+from .optim import HyperParams, AdamState, adam_step, warpadam_step
+from .warp import WarpMatrix, MetaConfig, tod_penalty, hypergrad_P, meta_update_P
 
 __all__ = [
     "Tensor",
@@ -33,10 +36,8 @@ __all__ = [
     "AdamState",
     "adam_step",
     "warpadam_step",
-    "baseline_step",
     "WarpMatrix",
     "MetaConfig",
-    "warp_apply",
     "tod_penalty",
     "hypergrad_P",
     "meta_update_P",

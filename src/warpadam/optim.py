@@ -2,16 +2,20 @@
 
 Every step maps ``(state, w, g) -> (state', w')`` without mutating anything,
 so trajectories are replayable and safe to run concurrently on disjoint
-parameter tensors. The Adam family uses
+parameter tensors. ``STEP_FUNCS`` holds every step but WarpAdam's (which
+also takes a warp) by optimizer kind. The Adam family uses
 
     m_t = b1*m_{t-1} + (1-b1)*g
     v_t = b2*v_{t-1} + (1-b2)*g^2
     m^ = m_t / (1 - b1^t),  v^ = v_t / (1 - b2^t)
     w' = w - eta * m^ / sqrt(v^ + eps)
 
-with epsilon *inside* the square root. WarpAdam is the same rule with g
-replaced by P@g in both moment updates; with P = identity the two code paths
-share every arithmetic instruction, so their outputs are bit-identical.
+with epsilon *inside* the square root. ``adam_moments`` is the only copy of
+the first three lines. It uses operators only, so the unrolled, differentiable
+WarpAdam of the warp module runs it on autodiff tensors and gets the bits of
+the array steps. WarpAdam is the same rule with g replaced by P@g in both
+moment updates; with P = identity the two code paths share every arithmetic
+instruction, so their outputs are bit-identical.
 
 A zero denominator (possible only with eps=0 and an all-zero gradient
 history) yields a zero update rather than NaN: 0/0 := 0 for the ratio.
@@ -81,6 +85,18 @@ def bias_correct(m: np.ndarray, v: np.ndarray, t: int, beta1: float, beta2: floa
     return m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
 
 
+def adam_moments(m, v, g, t: int, h: HyperParams):
+    """Step ``t`` of the moment update: ``(m, v, m_hat, v_hat)``.
+
+    ``m``, ``v`` and ``g`` are arrays, or autodiff tensors for a
+    differentiable step; the same operations run on either.
+    """
+    m = h.beta1 * m + (1.0 - h.beta1) * g
+    v = h.beta2 * v + (1.0 - h.beta2) * (g * g)
+    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    return m, v, m_hat, v_hat
+
+
 def _check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
     if not (w.shape == g.shape == state.m.shape == state.v.shape):
         raise ShapeError(
@@ -106,12 +122,10 @@ def _finite_or_raise(w: np.ndarray, what: str) -> np.ndarray:
 
 def _adam_direction(state: AdamState, g_used: np.ndarray, h: HyperParams):
     """Shared moment update; returns the new state and the update ratio."""
-    m = h.beta1 * state.m + (1.0 - h.beta1) * g_used
-    v = h.beta2 * state.v + (1.0 - h.beta2) * (g_used * g_used)
+    t = state.t + 1
+    m, v, m_hat, v_hat = adam_moments(state.m, state.v, g_used, t, h)
     if not np.all(np.isfinite(v)):
         raise NumericError("second moment overflowed to non-finite values")
-    t = state.t + 1
-    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
     denom = np.sqrt(v_hat + h.epsilon)
     update = _safe_ratio(m_hat, denom)
     return AdamState(m=m, v=v, t=t, v_max=state.v_max), update
@@ -135,9 +149,9 @@ def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp,
     _check_step_inputs(state, w, g)  # warp.apply checks g against the warp's dim
     if warp_update:
         new_state, update = _adam_direction(state, g, h)
-        warped = warp.apply(update)
-        return new_state, _finite_or_raise(w - h.eta * warped, "warpadam step")
-    new_state, update = _adam_direction(state, warp.apply(g), h)
+        update = warp.apply(update)
+    else:
+        new_state, update = _adam_direction(state, warp.apply(g), h)
     return new_state, _finite_or_raise(w - h.eta * update, "warpadam step")
 
 
@@ -161,10 +175,8 @@ def momentum_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams
 
 def amsgrad_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
     _check_step_inputs(state, w, g)
-    m = h.beta1 * state.m + (1.0 - h.beta1) * g
-    v = h.beta2 * state.v + (1.0 - h.beta2) * (g * g)
     t = state.t + 1
-    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    m, v, m_hat, v_hat = adam_moments(state.m, state.v, g, t, h)
     v_max_prev = state.v_max if state.v_max is not None else np.zeros_like(v)
     v_max = np.maximum(v_max_prev, v_hat)
     update = _safe_ratio(m_hat, np.sqrt(v_max + h.epsilon))
@@ -197,10 +209,8 @@ def radam_rectifier(rho_t: float, rho_inf: float) -> float:
 
 def radam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
     _check_step_inputs(state, w, g)
-    m = h.beta1 * state.m + (1.0 - h.beta1) * g
-    v = h.beta2 * state.v + (1.0 - h.beta2) * (g * g)
     t = state.t + 1
-    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    m, v, m_hat, v_hat = adam_moments(state.m, state.v, g, t, h)
     rho_inf, rho_t = radam_rho(t, h.beta2)
     new_state = AdamState(m=m, v=v, t=t, v_max=state.v_max)
     if rho_t > 4.0:
@@ -212,20 +222,11 @@ def radam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
     return new_state, _finite_or_raise(w - h.eta * update, "radam step")
 
 
-BASELINES = {
+STEP_FUNCS = {
     "sgd": sgd_step,
     "momentum": momentum_step,
     "amsgrad": amsgrad_step,
     "adamw": adamw_step,
     "radam": radam_step,
+    "adam": adam_step,
 }
-
-STEP_FUNCS = dict(BASELINES, adam=adam_step)
-
-
-def baseline_step(kind: str, state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
-    try:
-        fn = BASELINES[kind]
-    except KeyError:
-        raise ValueError(f"unknown optimizer kind {kind!r}; expected one of {sorted(BASELINES)}")
-    return fn(state, w, g, h)

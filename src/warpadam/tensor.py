@@ -52,11 +52,6 @@ class NumericError(ArithmeticError):
     """A value that must be finite is NaN or infinite."""
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 _creation_index = itertools.count()
 _recording = True  # off while a backward pass builds no graph (see grad)
 
@@ -79,13 +74,11 @@ class Tensor:
     and ``_index`` (the creation index) of a node exceeds its parents'.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd", "_op", "_index",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "_parents", "_bwd", "_op", "_index", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _bwd=None, _op=""):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents
         self._bwd: Callable | None = _bwd
         self._op = _op
@@ -105,18 +98,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """A constant view of this tensor's value, cut out of the graph."""
-        return Tensor(self.data)
-
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into ``.grad`` of every reached leaf."""
-        for leaf, g in _backward_map(self).items():
-            if leaf.grad is None:
-                leaf.grad = g.data.copy()
-            else:
-                leaf.grad = leaf.grad + g.data
 
     def __repr__(self):
         tag = f" op={self._op}" if self._op else ""
@@ -227,10 +208,10 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def bwd(g):
-        ga = div(g, b)
-        gb = neg(div(mul(g, a), mul(b, b)))
-        return _sum_to(ga, a.shape), _sum_to(gb, b.shape)
+    def bwd(g):  # no gradient for a constant operand, such as a bias correction
+        ga = _sum_to(div(g, b), a.shape) if a.requires_grad else None
+        gb = _sum_to(neg(div(mul(g, a), mul(b, b))), b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data / b.data, (a, b), bwd, "div")
 
@@ -509,15 +490,6 @@ def grad(output: Tensor, inputs: Sequence[Tensor], create_graph: bool = False) -
         g = grads.get(id(t))
         result.append(Tensor(np.zeros_like(t.data)) if g is None else g)
     return result
-
-
-def _backward_map(root: Tensor) -> dict[Tensor, Tensor]:
-    grads = _accumulate(root)
-    out: dict[Tensor, Tensor] = {}
-    for node in toposort(root):
-        if node.requires_grad and not node._parents and id(node) in grads:
-            out[node] = grads[id(node)].detach()
-    return out
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

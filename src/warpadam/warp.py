@@ -1,20 +1,25 @@
 """The gradient warp matrix and the meta-learning loop that trains it.
 
 A warp is a learnable linear map applied to a parameter tensor's flattened
-gradient before the optimizer's moment updates. Four structural forms are
-supported:
+gradient before the optimizer's moment updates. A warp holds its form, its
+dim d and a tuple of factors; four structural forms are supported:
 
-- identity: the no-op map (zero trainable entries),
-- diagonal: elementwise scaling (d entries),
+- identity: the no-op map, no factors,
+- diagonal: elementwise scaling by a d-vector,
 - dense: a full d x d matrix acting on the flattened gradient,
 - kron: two factors (A: r x r, B: c x c) applied to a matrix-shaped gradient
   as A @ G @ B.T, equivalent to the dense Kronecker product A (x) B acting on
   the row-major flattened gradient without ever materializing d x d.
 
+Each form is one row of ``FORMS`` (see ``Form``). Everything else (entries,
+penalty, graph leaves, checkpoints) works on the factors without naming a
+form, so a new form is one new row.
+
 Warps are learned by differentiating a query loss through K unrolled WarpAdam
 steps on a support loss (the hypergradient), averaging over a task batch,
 adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
-step on the warp's entries.
+step on the warp's entries. The unrolled step shares ``optim.adam_moments``
+with the array optimizer, so the graph's trajectory has ``adapt``'s bits.
 
 The meta-learning functions take an episode or a *stacked* episode: E
 episodes of one geometry whose arrays carry E on axis 0 (``stack_episodes``).
@@ -27,129 +32,144 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .optim import AdamState, HyperParams, adam_step, warpadam_step
+from .optim import AdamState, HyperParams, adam_moments, adam_step, warpadam_step
 from .tasks import Episode
 from .tensor import ShapeError, Tensor, grad
-
-FORMS = ("identity", "diagonal", "dense", "kron")
-_FORM_TAGS = {name: tag for tag, name in enumerate(FORMS)}
 
 
 class ResourceError(RuntimeError):
     """An unrolled graph outgrew the configured node budget."""
 
 
+class Form(NamedTuple):
+    """One structural warp form: a row of ``FORMS``.
+
+    ``tag`` marks the form in checkpoints; ``shapes(dim, fa, fb)`` gives its
+    factor shapes from a checkpoint header's dim and factor dims;
+    ``apply(factors, g, lead)`` warps ``g``, one gradient or a stack of them on
+    the axes ``lead``, and keeps its shape. ``apply`` uses operators only, so
+    it runs on factor arrays and on graph leaves alike.
+    """
+
+    tag: int
+    shapes: Callable[[int, int, int], tuple[tuple[int, ...], ...]]
+    apply: Callable
+
+
+def _kron_shapes(dim: int, fa: int, fb: int):
+    if fa * fb != dim:
+        raise ShapeError(f"kron factors of {fa} and {fb} rows do not act on dim {dim}")
+    return (fa, fa), (fb, fb)
+
+
+def _kron_apply(factors, g, lead):
+    a, b = factors
+    return (a @ g.reshape(lead + (a.shape[0], b.shape[0])) @ b.T).reshape(g.shape)
+
+
+FORMS = {
+    "identity": Form(0, lambda dim, fa, fb: (), lambda f, g, lead: g),
+    "diagonal": Form(1, lambda dim, fa, fb: ((dim,),),
+                     lambda f, g, lead: (f[0] * g.reshape(lead + f[0].shape)).reshape(g.shape)),
+    "dense": Form(  # one matrix-vector product per gradient
+        2, lambda dim, fa, fb: ((dim, dim),),
+        lambda f, g, lead: (f[0] @ g.reshape(lead + (f[0].shape[0], 1))).reshape(g.shape)),
+    "kron": Form(3, _kron_shapes, _kron_apply),
+}
+_FORM_BY_TAG = {form.tag: name for name, form in FORMS.items()}
+
+
 @dataclass
 class WarpMatrix:
     """One structural representation of the warp, fixed at construction.
 
-    ``entries`` holds the diagonal vector or the dense matrix; Kronecker
-    factors live in ``factor_a``/``factor_b``. Use the classmethod
-    constructors rather than building instances by hand.
+    ``factors`` holds the form's arrays, in the shapes its ``FORMS`` row
+    gives; construction checks them. Use the classmethod constructors rather
+    than building instances by hand.
     """
 
     form: str
     dim: int
-    entries: np.ndarray | None = None
-    factor_a: np.ndarray | None = None
-    factor_b: np.ndarray | None = None
+    factors: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ShapeError(f"warp dim must be positive, got {self.dim}")
+        shapes = tuple(f.shape for f in self.factors)
+        want = FORMS[self.form].shapes(self.dim, *_factor_dims(self.factors))
+        if shapes != want:
+            raise ShapeError(f"a {self.form} warp of dim {self.dim} takes factors of shapes "
+                             f"{want}, got {shapes}")
 
     @classmethod
     def identity(cls, dim: int) -> "WarpMatrix":
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
         return cls(form="identity", dim=int(dim))
 
     @classmethod
     def diagonal(cls, values) -> "WarpMatrix":
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size < 1:
-            raise ValueError("diagonal warp needs at least one entry")
-        return cls(form="diagonal", dim=values.size, entries=values.copy())
+        values = np.array(values, dtype=np.float64).reshape(-1)
+        return cls(form="diagonal", dim=values.size, factors=(values,))
 
     @classmethod
     def dense(cls, matrix) -> "WarpMatrix":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError(f"dense warp must be square, got {matrix.shape}")
-        return cls(form="dense", dim=matrix.shape[0], entries=matrix.copy())
+        matrix = np.array(matrix, dtype=np.float64, ndmin=1)
+        return cls(form="dense", dim=matrix.shape[0], factors=(matrix,))
 
     @classmethod
     def kronecker(cls, a, b) -> "WarpMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        for name, f in (("A", a), ("B", b)):
-            if f.ndim != 2 or f.shape[0] != f.shape[1]:
-                raise ShapeError(f"kron factor {name} must be square, got {f.shape}")
-        return cls(form="kron", dim=a.shape[0] * b.shape[0],
-                   factor_a=a.copy(), factor_b=b.copy())
+        a, b = (np.array(f, dtype=np.float64, ndmin=1) for f in (a, b))
+        return cls(form="kron", dim=a.shape[0] * b.shape[0], factors=(a, b))
 
     # -- application ------------------------------------------------------
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """Transform a gradient array, or a stack of them on axis 0; shape is kept."""
-        g = np.asarray(g, dtype=np.float64)
-        lead = _stack_axes(self.dim, g.shape)
-        if self.form == "identity":
-            return g
-        flat = g.reshape(lead + (self.dim,))
-        if self.form == "diagonal":
-            out = self.entries * flat
-        elif self.form == "dense":
-            out = self.entries @ flat[..., None]  # one matrix-vector product per gradient
-        else:
-            a, b = self.factor_a, self.factor_b
-            out = a @ flat.reshape(lead + (a.shape[0], b.shape[0])) @ b.T
-        return out.reshape(g.shape)
+    def apply(self, g, factors=None):
+        """Warp a gradient, or a stack of them on axis 0; the shape is kept.
+
+        Given ``factors`` (this warp's factors as graph leaves, from
+        ``_warp_leaves``), ``g`` is a tensor and the result a graph node.
+        """
+        if factors is None:
+            g, factors = np.asarray(g, dtype=np.float64), self.factors
+        return FORMS[self.form].apply(factors, g, _stack_axes(self.dim, g.shape))
 
     def materialize(self) -> np.ndarray:
         """The explicit d x d matrix (Kronecker product for the kron form)."""
-        if self.form == "identity":
-            return np.eye(self.dim)
-        if self.form == "diagonal":
-            return np.diag(self.entries)
-        if self.form == "dense":
-            return self.entries.copy()
-        return np.kron(self.factor_a, self.factor_b)
+        return self.apply(np.eye(self.dim)).T  # row i of the stack is P @ e_i
 
     # -- trainable entries --------------------------------------------------
 
     @property
     def n_params(self) -> int:
-        if self.form == "identity":
-            return 0
-        if self.form == "diagonal":
-            return self.dim
-        if self.form == "dense":
-            return self.dim * self.dim
-        return self.factor_a.size + self.factor_b.size
+        return sum(f.size for f in self.factors)
 
     def params(self) -> np.ndarray:
-        if self.form == "identity":
-            return np.zeros(0)
-        if self.form in ("diagonal", "dense"):
-            return self.entries.reshape(-1).copy()
-        return np.concatenate([self.factor_a.reshape(-1), self.factor_b.reshape(-1)])
+        return _flat(self.factors)
 
     def with_params(self, flat: np.ndarray) -> "WarpMatrix":
         flat = np.asarray(flat, dtype=np.float64).reshape(-1)
         if flat.size != self.n_params:
             raise ShapeError(f"expected {self.n_params} entries for {self.form} warp, got {flat.size}")
-        if self.form == "identity":
-            return WarpMatrix.identity(self.dim)
-        if self.form == "diagonal":
-            return WarpMatrix.diagonal(flat)
-        if self.form == "dense":
-            return WarpMatrix.dense(flat.reshape(self.dim, self.dim))
-        na = self.factor_a.shape[0]
-        nb = self.factor_b.shape[0]
-        return WarpMatrix.kronecker(flat[: na * na].reshape(na, na),
-                                    flat[na * na:].reshape(nb, nb))
+        return WarpMatrix(self.form, self.dim, _split(flat, [f.shape for f in self.factors]))
+
+
+def _flat(arrays) -> np.ndarray:
+    """The arrays' entries, concatenated in row-major order (a copy)."""
+    return np.concatenate([np.zeros(0)] + [a.reshape(-1) for a in arrays])
+
+
+def _split(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Copies of consecutive runs of ``flat``, shaped as ``shapes``; ``_flat`` undone."""
+    out, pos = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[pos:pos + n].reshape(shape).copy())
+        pos += n
+    return tuple(out)
 
 
 def _stack_axes(dim: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -163,42 +183,30 @@ def _stack_axes(dim: int, shape: tuple[int, ...]) -> tuple[int, ...]:
                      f"size {size} is neither {dim} nor a stack of {dim}-sized gradients")
 
 
-def warp_apply(warp: WarpMatrix, g: np.ndarray) -> np.ndarray:
-    """Apply the warp to a gradient under its structural form."""
-    return warp.apply(g)
-
-
 def tod_penalty(warp: WarpMatrix, lam: float) -> float:
     """Off-diagonal energy penalty: lam * sum of squared off-diagonal entries.
 
-    Identity and diagonal forms have none by construction. The kron form is
-    penalized factor-wise, which has the same zero set as penalizing the
-    materialized product: A (x) B is diagonal iff both factors are.
+    Square factors are penalized off their diagonal; vector factors have no
+    off-diagonal part, so identity and diagonal warps cost nothing. The kron
+    form is penalized factor-wise, which has the same zero set as penalizing
+    the materialized product: A (x) B is diagonal iff both factors are.
     """
     if lam < 0:
         raise ValueError(f"penalty weight must be non-negative, got {lam}")
-    if lam == 0.0 or warp.form in ("identity", "diagonal"):
+    if lam == 0.0:
         return 0.0
-    if warp.form == "dense":
-        return lam * _offdiag_sq(warp.entries)
-    return lam * (_offdiag_sq(warp.factor_a) + _offdiag_sq(warp.factor_b))
+    offs = map(_off_diagonal, warp.factors)
+    return lam * sum((float(np.sum(off * off)) for off in offs), 0.0)
 
 
-def _offdiag_sq(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.sum(off * off))
+def _off_diagonal(f: np.ndarray) -> np.ndarray:
+    """A square factor's off-diagonal part; zeros for a vector factor."""
+    return f - np.diag(np.diag(f)) if f.ndim == 2 else np.zeros_like(f)
 
 
 def tod_penalty_grad(warp: WarpMatrix, lam: float) -> np.ndarray:
     """d(tod_penalty)/d(entries), aligned with ``WarpMatrix.params()``."""
-    if warp.form in ("identity", "diagonal"):
-        return np.zeros(warp.n_params)
-    if warp.form == "dense":
-        off = warp.entries - np.diag(np.diag(warp.entries))
-        return (2.0 * lam * off).reshape(-1)
-    ga = 2.0 * lam * (warp.factor_a - np.diag(np.diag(warp.factor_a)))
-    gb = 2.0 * lam * (warp.factor_b - np.diag(np.diag(warp.factor_b)))
-    return np.concatenate([ga.reshape(-1), gb.reshape(-1)])
+    return _flat(2.0 * lam * _off_diagonal(f) for f in warp.factors)
 
 
 @dataclass(frozen=True)
@@ -239,71 +247,47 @@ def init_warps(shapes: Sequence[tuple[int, ...]], policy: str = "auto",
                dense_max: int = 256) -> list[WarpMatrix]:
     """Identity-valued warps for a list of parameter shapes.
 
-    ``auto`` picks dense for small tensors (d <= dense_max), Kronecker factors
-    for larger matrix-shaped tensors, and diagonal otherwise. Every form
-    starts as an exact identity, so fresh meta-training begins at vanilla
-    Adam behavior.
+    ``policy`` names a form for every tensor, or is ``auto``: dense for small
+    tensors (d <= dense_max entries in total), Kronecker factors for larger
+    matrix-shaped tensors, and diagonal otherwise. Every factor starts as an
+    identity (a vector of ones or an identity matrix), so fresh meta-training
+    begins at vanilla Adam behavior.
     """
+    if policy != "auto" and policy not in FORMS:
+        raise ValueError(f"unknown warp policy {policy!r}")
     warps = []
     for shape in shapes:
         d = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if policy == "identity":
-            warps.append(WarpMatrix.identity(d))
-        elif policy == "diagonal":
-            warps.append(WarpMatrix.diagonal(np.ones(d)))
-        elif policy == "dense":
-            warps.append(WarpMatrix.dense(np.eye(d)))
-        elif policy == "kron":
-            if len(shape) != 2:
-                raise ValueError(f"kron policy needs matrix-shaped tensors, got shape {shape}")
-            warps.append(WarpMatrix.kronecker(np.eye(shape[0]), np.eye(shape[1])))
-        elif policy == "auto":
-            if d <= dense_max:
-                warps.append(WarpMatrix.dense(np.eye(d)))
-            elif len(shape) == 2:
-                warps.append(WarpMatrix.kronecker(np.eye(shape[0]), np.eye(shape[1])))
-            else:
-                warps.append(WarpMatrix.diagonal(np.ones(d)))
-        else:
-            raise ValueError(f"unknown warp policy {policy!r}")
+        form = policy
+        if policy == "auto":
+            form = "dense" if d <= dense_max else "kron" if len(shape) == 2 else "diagonal"
+        if form == "kron" and len(shape) != 2:
+            raise ValueError(f"kron policy needs matrix-shaped tensors, got shape {shape}")
+        rows, cols = shape if len(shape) == 2 else (0, 0)
+        factors = tuple(np.ones(s) if len(s) == 1 else np.eye(s[0])
+                        for s in FORMS[form].shapes(d, rows, cols))
+        warps.append(WarpMatrix(form, d, factors))
     return warps
 
 
 # ---------------------------------------------------------------------------
-# graph-side application (the unrolled, differentiable path)
+# the unrolled, differentiable path
 
 
 def _warp_leaves(warp: WarpMatrix) -> tuple[Tensor, ...]:
-    if warp.form == "identity":
-        return ()
-    if warp.form in ("diagonal", "dense"):
-        return (Tensor(warp.entries, requires_grad=True),)
-    return (Tensor(warp.factor_a, requires_grad=True),
-            Tensor(warp.factor_b, requires_grad=True))
+    """The warp's factors as graph leaves, for ``WarpMatrix.apply``."""
+    return tuple(Tensor(f, requires_grad=True) for f in warp.factors)
 
 
-def _apply_leaves(warp: WarpMatrix, leaves: tuple[Tensor, ...], g: Tensor) -> Tensor:
-    """Graph-side ``WarpMatrix.apply``: ``g`` may be a stack on axis 0."""
-    lead = _stack_axes(warp.dim, g.shape)
-    if warp.form == "identity":
-        return g
-    if warp.form == "diagonal":
-        out = T.mul(leaves[0], T.reshape(g, lead + (warp.dim,)))
-    elif warp.form == "dense":
-        out = T.matmul(leaves[0], T.reshape(g, lead + (warp.dim, 1)))
-    else:
-        a, b = leaves
-        gm = T.reshape(g, lead + (warp.factor_a.shape[0], warp.factor_b.shape[0]))
-        out = T.matmul(T.matmul(a, gm), T.transpose(b))
-    return T.reshape(out, g.shape)
+def _warpadam_graph_step(w, m, v, g, t: int, warp: WarpMatrix, leaves, h: HyperParams):
+    """Differentiable WarpAdam step ``t``: ``(w', m', v')`` as graph nodes.
 
-
-def _pack_leaf_grads(warp: WarpMatrix, leaf_grads: list[Tensor]) -> np.ndarray:
-    if warp.form == "identity":
-        return np.zeros(0)
-    if warp.form in ("diagonal", "dense"):
-        return leaf_grads[0].data.reshape(-1).copy()
-    return np.concatenate([leaf_grads[0].data.reshape(-1), leaf_grads[1].data.reshape(-1)])
+    The graph twin of ``optim.warpadam_step``, with the warp's factors as the
+    leaves ``leaves``. It computes the array step's values bit for bit, except
+    where the array step's 0/0 := 0 rule applies.
+    """
+    m, v, m_hat, v_hat = adam_moments(m, v, warp.apply(g, leaves), t, h)
+    return w - m_hat / T.sqrt(v_hat + h.epsilon) * h.eta, m, v
 
 
 def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
@@ -323,16 +307,9 @@ def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
     for k in range(1, steps + 1):
         loss = T.tsum(model.loss(ws, episode.support_x, episode.support_y))
         gs = grad(loss, ws, create_graph=True)
-        c1 = 1.0 - h.beta1 ** k
-        c2 = 1.0 - h.beta2 ** k
-        for i, (w, g) in enumerate(zip(ws, gs)):
-            gw = _apply_leaves(warps[i], leaves_per_warp[i], g)
-            ms[i] = T.add(T.mul(ms[i], h.beta1), T.mul(gw, 1.0 - h.beta1))
-            vs[i] = T.add(T.mul(vs[i], h.beta2), T.mul(T.mul(gw, gw), 1.0 - h.beta2))
-            m_hat = T.mul(ms[i], 1.0 / c1)
-            v_hat = T.mul(vs[i], 1.0 / c2)
-            update = T.div(m_hat, T.sqrt(T.add(v_hat, h.epsilon)))
-            ws[i] = T.sub(w, T.mul(update, h.eta))
+        for i, g in enumerate(gs):
+            ws[i], ms[i], vs[i] = _warpadam_graph_step(ws[i], ms[i], vs[i], g, k, warps[i],
+                                                       leaves_per_warp[i], h)
         created = T.creation_mark() - start - k  # each mark takes an index too
         if created > node_budget:
             raise ResourceError(
@@ -413,28 +390,19 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     if cfg.first_order:
         arrays, states = _adapt(model, warps, episode, cfg.inner_steps - 1, h)
         gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
-        k = cfg.inner_steps
-        c1 = 1.0 - h.beta1 ** k
-        c2 = 1.0 - h.beta2 ** k
-        ws = []
-        for i, (arr, st) in enumerate(zip(arrays, states)):
-            gw = _apply_leaves(warps[i], leaves_per_warp[i], Tensor(gs[i]))
-            m = T.add(T.mul(Tensor(st.m), h.beta1), T.mul(gw, 1.0 - h.beta1))
-            v = T.add(T.mul(Tensor(st.v), h.beta2), T.mul(T.mul(gw, gw), 1.0 - h.beta2))
-            update = T.div(T.mul(m, 1.0 / c1), T.sqrt(T.add(T.mul(v, 1.0 / c2), h.epsilon)))
-            ws.append(T.sub(Tensor(arr), T.mul(update, h.eta)))
+        ws = [_warpadam_graph_step(Tensor(a), Tensor(st.m), Tensor(st.v), Tensor(g),
+                                   cfg.inner_steps, warp, leaves, h)[0]
+              for a, st, g, warp, leaves in zip(arrays, states, gs, warps, leaves_per_warp)]
     else:
         params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
         ws = _unrolled_warpadam(params, warps, leaves_per_warp, model, episode,
                                 cfg.inner_steps, h, cfg.node_budget)
     query_loss = T.tsum(model.loss(ws, episode.query_x, episode.query_y))
 
-    all_leaves = [leaf for leaves in leaves_per_warp for leaf in leaves]
-    leaf_grads = grad(query_loss, all_leaves)
-    out = []
-    pos = 0
-    for warp, leaves in zip(warps, leaves_per_warp):
-        out.append(_pack_leaf_grads(warp, leaf_grads[pos:pos + len(leaves)]))
+    leaf_grads = grad(query_loss, [leaf for leaves in leaves_per_warp for leaf in leaves])
+    out, pos = [], 0
+    for leaves in leaves_per_warp:
+        out.append(_flat(g.data for g in leaf_grads[pos:pos + len(leaves)]))
         pos += len(leaves)
     return out
 
@@ -466,8 +434,8 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     the warps receive the sum of the per-task hypergradients from that graph's
     backward pass. Its summation order differs from adding per-task results,
     so the full hypergradient can differ from that sum in the last bits; the
-    first-order one does not. Structural forms are preserved; the identity
-    form has no entries and is returned unchanged.
+    first-order one does not. Structural forms are preserved; a warp without
+    entries (the identity form) takes an empty step and comes back equal.
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")
@@ -480,14 +448,10 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     new_warps: list[WarpMatrix] = []
     new_states: list[AdamState] = []
     for warp, state, total in zip(warps, outer_states, totals):
-        if warp.n_params == 0:
-            new_warps.append(warp)
-            new_states.append(state)
-            continue
         g = total / len(task_batch) + tod_penalty_grad(warp, cfg.tod_lambda)
-        state2, flat = adam_step(state, warp.params(), g, outer_hyper)
+        state, flat = adam_step(state, warp.params(), g, outer_hyper)
         new_warps.append(warp.with_params(flat))
-        new_states.append(state2)
+        new_states.append(state)
     return new_warps, new_states
 
 
@@ -498,6 +462,13 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
 
 _MAGIC = b"WARP"
 _VERSION = 1
+_HEADER = struct.Struct("<BQQQ")
+
+
+def _factor_dims(factors) -> tuple[int, int]:
+    """The header's two factor dims: zero when ``dim`` alone fixes the factor
+    shapes (fewer than two factors), else each factor's last axis."""
+    return (0, 0) if len(factors) < 2 else tuple(f.shape[-1] for f in factors)
 
 
 def save_warps(path, warps: Sequence[WarpMatrix]) -> None:
@@ -505,48 +476,51 @@ def save_warps(path, warps: Sequence[WarpMatrix]) -> None:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, len(warps)))
         for w in warps:
-            fa = w.factor_a.shape[0] if w.factor_a is not None else 0
-            fb = w.factor_b.shape[0] if w.factor_b is not None else 0
-            f.write(struct.pack("<BQQQ", _FORM_TAGS[w.form], w.dim, fa, fb))
-            entries = w.params()
-            f.write(entries.astype("<f8").tobytes())
+            f.write(_HEADER.pack(FORMS[w.form].tag, w.dim, *_factor_dims(w.factors)))
+            f.write(w.params().astype("<f8").tobytes())
 
 
 def load_warps(path) -> list[WarpMatrix]:
+    """The warps of a checkpoint file; a malformed file raises ``ValueError``
+    naming ``path``, and nothing past the file's end is ever read."""
     with open(path, "rb") as f:
         blob = f.read()
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"{what} in warp checkpoint {path}")
+
     if blob[:4] != _MAGIC:
-        raise ValueError(f"not a warp checkpoint (bad magic) in {path}")
+        raise bad("bad magic (not a warp checkpoint)")
+    if len(blob) < 12:
+        raise bad("file header cut short")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
-        raise ValueError(f"unsupported warp checkpoint version {version} in {path}")
+        raise bad(f"unsupported version {version}")
     offset = 12
     warps = []
-    for _ in range(count):
-        tag, dim, fa, fb = struct.unpack_from("<BQQQ", blob, offset)
-        offset += 25
-        form = FORMS[tag] if tag < len(FORMS) else None
-        if form is None:
-            raise ValueError(f"unknown warp form tag {tag} in {path}")
-        if form == "identity":
-            n = 0
-        elif form == "diagonal":
-            n = dim
-        elif form == "dense":
-            n = dim * dim
-        else:
-            n = fa * fa + fb * fb
-        entries = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).astype(np.float64)
+    for i in range(count):
+        if len(blob) - offset < _HEADER.size:
+            raise bad(f"warp {i} of {count}: header cut short")
+        tag, dim, fa, fb = _HEADER.unpack_from(blob, offset)
+        offset += _HEADER.size
+        if tag not in _FORM_BY_TAG:
+            raise bad(f"warp {i}: unknown form tag {tag}")
+        form = _FORM_BY_TAG[tag]
+        try:
+            shapes = FORMS[form].shapes(dim, fa, fb)
+            n = sum(math.prod(shape) for shape in shapes)
+            if n * 8 > len(blob) - offset:
+                raise ValueError(f"{n} entries run past the end of the file")
+            entries = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).astype(np.float64)
+            if not np.all(np.isfinite(entries)):
+                raise ValueError("non-finite entries")
+            warp = WarpMatrix(form, dim, _split(entries, shapes))
+            if _factor_dims(warp.factors) != (fa, fb):
+                raise ValueError(f"factor dims {fa}, {fb} do not fit the {form} form")
+        except ValueError as exc:
+            raise bad(f"warp {i}: {exc}") from None
         offset += n * 8
-        if form == "identity":
-            warps.append(WarpMatrix.identity(dim))
-        elif form == "diagonal":
-            warps.append(WarpMatrix.diagonal(entries))
-        elif form == "dense":
-            warps.append(WarpMatrix.dense(entries.reshape(dim, dim)))
-        else:
-            if fa * fb != dim:
-                raise ValueError(f"inconsistent kron dims {fa}x{fb} != {dim} in {path}")
-            warps.append(WarpMatrix.kronecker(entries[: fa * fa].reshape(fa, fa),
-                                              entries[fa * fa:].reshape(fb, fb)))
+        warps.append(warp)
+    if offset != len(blob):
+        raise bad(f"{len(blob) - offset} trailing bytes after {count} warps")
     return warps

@@ -247,7 +247,7 @@ def test_a5_meta_learning_efficacy():
 def _offdiag_norm(warps):
     total = 0.0
     for w in warps:
-        off = w.entries - np.diag(np.diag(w.entries))
+        off = w.factors[0] - np.diag(np.diag(w.factors[0]))
         total += float(np.sum(off * off))
     return float(np.sqrt(total))
 

@@ -1,4 +1,5 @@
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from warpadam.cli import main
 from warpadam.bench import read_curve_csv
 from warpadam.config import build_meta, parse_config_text, validate_keys
 from warpadam.tasks import load_table
-from warpadam.warp import load_warps
+from warpadam.warp import init_warps, load_warps, save_warps
 
 from test_tasks import make_tree
 
@@ -226,6 +227,37 @@ def test_meta_trained_checkpoint_feeds_run(tmp_path):
                  "--set", "hyper.epsilon=0.1"])
     assert code == 0
     assert read_curve_csv(out_r / "curve.csv")
+
+
+def _spoil_checkpoint(data: bytearray, how: str) -> bytes:
+    """A valid checkpoint of dense warps, spoiled one way."""
+    first_entries = 12 + 25
+    if how == "cut_in_header":
+        second_header = first_entries + 8 * struct.unpack_from("<Q", data, 13)[0] ** 2
+        return bytes(data[:second_header + 10])
+    if how == "trailing_bytes":
+        return bytes(data) + b"\x00\x00\x00"
+    if how == "nan_entry":
+        struct.pack_into("<d", data, first_entries, float("nan"))
+    if how == "dim_past_end":
+        struct.pack_into("<Q", data, 13, 2 ** 40)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("how", ["cut_in_header", "trailing_bytes", "nan_entry", "dim_past_end"])
+def test_run_rejects_a_malformed_checkpoint_naming_it(tmp_path, capsys, how):
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    good = tmp_path / "good.bin"
+    save_warps(good, init_warps([(8, 8), (8,), (8, 3), (3,)]))  # SMALL_RUN's model
+    bad = tmp_path / f"{how}.bin"
+    bad.write_bytes(_spoil_checkpoint(bytearray(good.read_bytes()), how))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={bad}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(bad) in err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={good}"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpadam.optim import (
+    STEP_FUNCS,
     AdamState,
     HyperParams,
+    adam_moments,
     adam_step,
     amsgrad_step,
-    baseline_step,
     bias_correct,
     momentum_step,
     radam_rectifier,
@@ -17,7 +18,7 @@ from warpadam.optim import (
     sgd_step,
     warpadam_step,
 )
-from warpadam.tensor import NumericError, ShapeError
+from warpadam.tensor import NumericError, ShapeError, Tensor
 from warpadam.warp import WarpMatrix
 
 from conftest import rel_err
@@ -252,7 +253,7 @@ def test_zero_gradient_forever_fixed_points():
     for kind in ("sgd", "momentum", "amsgrad", "radam"):
         s, w = fresh((4,), amsgrad=True), w0.copy()
         for _ in range(10):
-            s, w = baseline_step(kind, s, w, np.zeros(4), h)
+            s, w = STEP_FUNCS[kind](s, w, np.zeros(4), h)
         assert np.array_equal(w, w0), kind
     s, w = fresh((4,)), w0.copy()
     for _ in range(10):
@@ -265,7 +266,7 @@ def test_adamw_zero_gradient_decays_geometrically():
     w = np.array([2.0, -4.0])
     s = fresh((2,))
     for t in range(1, 6):
-        s, w = baseline_step("adamw", s, w, np.zeros(2), h)
+        s, w = STEP_FUNCS["adamw"](s, w, np.zeros(2), h)
         assert np.allclose(w, np.array([2.0, -4.0]) * (1 - 0.1 * 0.2) ** t)
 
 
@@ -296,6 +297,12 @@ def test_radam_rectified_branch_uses_denominator():
     assert rho_t > 4.0
 
 
-def test_baseline_unknown_kind():
-    with pytest.raises(ValueError):
-        baseline_step("lion", fresh((1,)), np.zeros(1), np.zeros(1), HyperParams())
+def test_adam_moments_same_bits_on_arrays_and_tensors():
+    rng = np.random.default_rng(14)
+    m, g = rng.normal(size=(2, 3, 4))
+    v = rng.random(size=(3, 4))
+    h = HyperParams(beta1=0.85, beta2=0.99)
+    arrays = adam_moments(m, v, g, 3, h)
+    tensors = adam_moments(Tensor(m), Tensor(v), Tensor(g), 3, h)
+    for a, t in zip(arrays, tensors):
+        assert np.array_equal(a, t.data)

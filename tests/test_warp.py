@@ -1,4 +1,5 @@
 import gc
+import struct
 import weakref
 
 import numpy as np
@@ -11,10 +12,11 @@ from warpadam.optim import AdamState, HyperParams, adam_step
 from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
 from warpadam.tensor import ShapeError, Tensor, finite_diff_grad, grad
 from warpadam.warp import (
+    FORMS,
     MetaConfig,
     ResourceError,
     WarpMatrix,
-    _apply_leaves,
+    _start_arrays,
     _unrolled_warpadam,
     _warp_leaves,
     adapt,
@@ -27,7 +29,6 @@ from warpadam.warp import (
     stack_episodes,
     tod_penalty,
     tod_penalty_grad,
-    warp_apply,
 )
 
 from conftest import rel_err
@@ -64,30 +65,30 @@ def quad_episode(support_targets, query_targets):
 
 def test_identity_apply_is_noop():
     g = np.random.default_rng(0).normal(size=(3, 4))
-    out = warp_apply(WarpMatrix.identity(12), g)
+    out = WarpMatrix.identity(12).apply(g)
     assert np.array_equal(out, g)
 
 
 def test_dense_swap():
-    out = warp_apply(WarpMatrix.dense([[0.0, 1.0], [1.0, 0.0]]), np.array([3.0, 5.0]))
+    out = WarpMatrix.dense([[0.0, 1.0], [1.0, 0.0]]).apply(np.array([3.0, 5.0]))
     assert np.array_equal(out, np.array([5.0, 3.0]))
 
 
 def test_diagonal_is_elementwise():
-    out = warp_apply(WarpMatrix.diagonal([2.0, -1.0, 0.5]), np.array([1.0, 4.0, 8.0]))
+    out = WarpMatrix.diagonal([2.0, -1.0, 0.5]).apply(np.array([1.0, 4.0, 8.0]))
     assert np.array_equal(out, np.array([2.0, -4.0, 4.0]))
 
 
 def test_apply_preserves_shape():
     g = np.arange(6.0).reshape(2, 3)
-    out = warp_apply(WarpMatrix.kronecker(np.eye(2), np.eye(3)), g)
+    out = WarpMatrix.kronecker(np.eye(2), np.eye(3)).apply(g)
     assert out.shape == (2, 3)
     assert np.allclose(out, g)
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(ShapeError):
-        warp_apply(WarpMatrix.identity(3), np.ones(4))
+        WarpMatrix.identity(3).apply(np.ones(4))
 
 
 def test_kron_equals_dense_kronecker_product():
@@ -120,7 +121,7 @@ def test_graph_apply_matches_array_apply():
               WarpMatrix.dense(rng.normal(size=(6, 6))),
               WarpMatrix.kronecker(rng.normal(size=(3, 3)), rng.normal(size=(2, 2)))):
         g = rng.normal(size=(2, 3))
-        out = _apply_leaves(w, _warp_leaves(w), Tensor(g))
+        out = w.apply(Tensor(g), _warp_leaves(w))
         assert out.shape == (2, 3)
         assert np.allclose(out.data, w.apply(g), atol=1e-14)
 
@@ -391,9 +392,6 @@ def test_hypergrad_validates_alignment():
 # ---------------------------------------------------------------------------
 # stacked episodes: E tasks in one graph
 
-FORMS_UNDER_TEST = ("identity", "diagonal", "dense", "kron")
-
-
 def _stack_setup(form, seed=21, n_episodes=4):
     """A hidden-layer MLP, E episodes of one geometry, and warps of ``form``.
 
@@ -428,7 +426,7 @@ def _per_task_sum(episodes, model, warps, cfg):
     return totals
 
 
-@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+@pytest.mark.parametrize("form", FORMS)
 def test_stacked_full_hypergrad_matches_per_task_sum(form):
     model, episodes, warps = _stack_setup(form)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
@@ -438,7 +436,7 @@ def test_stacked_full_hypergrad_matches_per_task_sum(form):
         assert rel_err(got, want, floor=1e-300) < 1e-12
 
 
-@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+@pytest.mark.parametrize("form", FORMS)
 def test_stacked_first_order_hypergrad_is_bitwise_the_per_task_sum(form):
     model, episodes, warps = _stack_setup(form)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
@@ -448,7 +446,7 @@ def test_stacked_first_order_hypergrad_is_bitwise_the_per_task_sum(form):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+@pytest.mark.parametrize("form", FORMS)
 def test_stacked_adaptation_query_loss_is_bitwise_per_episode(form):
     model, episodes, warps = _stack_setup(form)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
@@ -459,14 +457,26 @@ def test_stacked_adaptation_query_loss_is_bitwise_per_episode(form):
     assert np.array_equal(stacked, singles)
 
 
-@pytest.mark.parametrize("form", FORMS_UNDER_TEST)
+@pytest.mark.parametrize("form", FORMS)
 def test_stacked_apply_is_bitwise_per_gradient(form):
     _, _, (warp, _, _, _) = _stack_setup(form)
     gs = np.random.default_rng(22).normal(size=(4, 5, 4))
     singles = [warp.apply(g) for g in gs]
     assert np.array_equal(warp.apply(gs), singles)
-    graph = _apply_leaves(warp, _warp_leaves(warp), Tensor(gs)).data
+    graph = warp.apply(Tensor(gs), _warp_leaves(warp)).data
     assert np.array_equal(graph, singles)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_stacked_unrolled_graph_is_bitwise_adapt(form):
+    model, episodes, warps = _stack_setup(form)
+    episode = stack_episodes(episodes)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
+    ws = _unrolled_warpadam(params, warps, [_warp_leaves(w) for w in warps], model, episode,
+                            cfg.inner_steps, cfg.inner_hyper, cfg.node_budget)
+    for wt, arr in zip(ws, adapt(model, warps, episode, cfg)):
+        assert np.array_equal(wt.data, arr)
 
 
 def test_apply_rejects_a_size_that_is_not_a_stack():
@@ -475,7 +485,7 @@ def test_apply_rejects_a_size_that_is_not_a_stack():
         with pytest.raises(ShapeError):
             warp.apply(g)
         with pytest.raises(ShapeError):
-            _apply_leaves(warp, _warp_leaves(warp), Tensor(g))
+            warp.apply(Tensor(g), _warp_leaves(warp))
 
 
 def test_stack_episodes_rejects_mixed_geometry():
@@ -515,7 +525,7 @@ def test_meta_update_zero_hypergrad_is_fixed_point():
     states = [AdamState.zeros(w.n_params) for w in warps]
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1), tod_lambda=0.0)
     new_warps, _ = meta_update_P(warps, [episode], model, cfg, states)
-    assert np.array_equal(new_warps[0].entries, warps[0].entries)
+    assert np.array_equal(new_warps[0].factors[0], warps[0].factors[0])
 
 
 def test_meta_update_preserves_form_and_dim():
@@ -531,7 +541,7 @@ def test_meta_update_preserves_form_and_dim():
     assert [w.dim for w in new_warps] == [12, 3]
     assert new_states[0].t == 1
     # inputs untouched
-    assert np.array_equal(warps[1].entries, np.ones(3))
+    assert np.array_equal(warps[1].factors[0], np.ones(3))
     assert states[0].t == 0
 
 
@@ -566,7 +576,7 @@ def test_meta_update_whole_pipeline_brute_force_oracle():
 
     fd_grad = finite_diff_grad(meta_objective, p0, h=1e-6)
     _, p_expected = adam_step(AdamState.zeros(1), p0, fd_grad, HyperParams(eta=cfg.outer_eta))
-    assert rel_err(new_warps[0].entries.reshape(-1), p_expected) < 1e-6
+    assert rel_err(new_warps[0].factors[0].reshape(-1), p_expected) < 1e-6
 
 
 def test_meta_update_rejects_empty_batch():
@@ -618,6 +628,40 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "warps2.bin"
     save_warps(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_bytes_are_the_v1_format(tmp_path):
+    rng = np.random.default_rng(12)
+    scale, p, a, b = (rng.normal(size=5), rng.normal(size=(2, 2)),
+                      rng.normal(size=(2, 2)), rng.normal(size=(3, 3)))
+    warps = [WarpMatrix.identity(7), WarpMatrix.diagonal(scale), WarpMatrix.dense(p),
+             WarpMatrix.kronecker(a, b)]
+    assert [w.form for w in warps] == list(FORMS)  # one warp of every form
+
+    def record(tag, dim, fa, fb, *factors):
+        entries = np.concatenate([np.zeros(0)] + [f.reshape(-1) for f in factors])
+        return struct.pack("<BQQQ", tag, dim, fa, fb) + struct.pack(f"<{entries.size}d", *entries)
+
+    expected = (b"WARP" + struct.pack("<II", 1, 4) + record(0, 7, 0, 0) + record(1, 5, 0, 0, scale)
+                + record(2, 2, 0, 0, p) + record(3, 6, 2, 3, a, b))
+    path = tmp_path / "warps.bin"
+    save_warps(path, warps)
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("header, why", [
+    pytest.param((2, 2, 1, 0), "1, 0 do not fit the dense form", id="dense_with_factor_dim"),
+    pytest.param((0, 3, 0, 2), "0, 2 do not fit the identity form", id="identity_with_factor_dim"),
+    pytest.param((3, 6, 2, 2), "do not act on dim 6", id="kron_factors_of_another_dim"),
+    pytest.param((1, 0, 0, 0), "dim must be positive", id="zero_dim"),
+    pytest.param((9, 1, 0, 0), "unknown form tag 9", id="unknown_tag"),
+])
+def test_checkpoint_rejects_an_inconsistent_header(tmp_path, header, why):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"WARP" + struct.pack("<II", 1, 1) + struct.pack("<BQQQ", *header)
+                     + np.ones(8).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=f"{why}.*bad.bin"):
+        load_warps(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
