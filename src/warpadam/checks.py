@@ -67,14 +67,15 @@ def check_primitive_gradients(perturb: float = 0.0, trials: int = 20) -> list[Ch
     return results
 
 
-def check_mlp_gradient(perturb: float = 0.0) -> CheckResult:
+def check_mlp_gradient(perturb: float = 0.0) -> list[CheckResult]:
+    """The MLP loss gradient from the engine and from ``MLP.loss_grads``."""
     rng = np.random.default_rng(7)
     model = MLP([6, 8, 4], rng)
     x = rng.normal(size=(10, 6))
     y = rng.integers(0, 4, size=10)
     params = model.param_tensors()
-    gs = grad(model.loss(params, x, y), params)
-    analytic = np.concatenate([g.data.reshape(-1) for g in gs]) + perturb
+    engine = [g.data for g in grad(model.loss(params, x, y), params)]
+    fast = model.loss_grads(model.params, x, y)[1]
 
     def loss_of_flat(flat):
         arrays, pos = [], 0
@@ -85,7 +86,8 @@ def check_mlp_gradient(perturb: float = 0.0) -> CheckResult:
 
     flat0 = np.concatenate([p.reshape(-1) for p in model.params])
     fd = finite_diff_grad(loss_of_flat, flat0, h=1e-5)
-    return CheckResult("grad.mlp_cross_entropy", _rel(analytic, fd), 1e-5)
+    return [CheckResult(name, _rel(np.concatenate([g.reshape(-1) for g in gs]) + perturb, fd), 1e-5)
+            for name, gs in (("grad.mlp_cross_entropy", engine), ("grad.mlp_loss_grads", fast))]
 
 
 def check_kron_equivalence() -> CheckResult:
@@ -138,7 +140,7 @@ def check_hypergradient(perturb: float = 0.0) -> CheckResult:
     warps = [WarpMatrix.dense(np.eye(p.size) + 0.05 * rng.normal(size=(p.size, p.size)))
              for p in model.params]
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
-    hgs = hypergrad_P(episode, model, warps, cfg)
+    hgs, _ = hypergrad_P(episode, model, warps, cfg)
     worst = 0.0
     for i, warp in enumerate(warps):
         def objective(flat, i=i, warp=warp):
@@ -153,7 +155,7 @@ def check_hypergradient(perturb: float = 0.0) -> CheckResult:
 
 def run_all(perturb: float = 0.0) -> list[CheckResult]:
     results = check_primitive_gradients(perturb)
-    results.append(check_mlp_gradient(perturb))
+    results.extend(check_mlp_gradient(perturb))
     results.append(check_kron_equivalence())
     results.append(check_identity_reduction())
     results.append(check_tod_zero_cases())

@@ -9,6 +9,13 @@ trained and meta-trained; ``MLP`` is the stock classifier.
 Meta-learning also calls it on a stack of E episodes: every parameter tensor
 is shaped ``(E,) + shape``, ``x`` and ``y`` carry E on axis 0, and the result
 has shape ``(E,)``, with entry e depending only on episode e.
+
+A model may also define ``loss_grads(arrays, x, y) -> (losses, grads)``: the
+values ``loss`` gives and the gradient of their sum with respect to each
+parameter array, computed without a graph. The array-level meta-learning path
+(``warp``'s adaptation) calls it where it exists and the engine otherwise.
+The engine stays the reference: ``MLP.loss_grads`` is tested to return
+exactly the bits of ``grad`` on ``loss``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, add, matmul, reshape, softmax_cross_entropy, tanh
+from .tensor import (Tensor, add, matmul, reshape, softmax_cross_entropy,
+                     softmax_cross_entropy_grad, sum_to, tanh)
 
 
 class MLP:
@@ -57,6 +65,32 @@ class MLP:
 
     def loss(self, params: Sequence[Tensor], x: np.ndarray, y: np.ndarray) -> Tensor:
         return softmax_cross_entropy(self.logits(params, x), y)
+
+    def loss_grads(self, arrays: Sequence[np.ndarray], x: np.ndarray,
+                   y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``loss`` on parameter arrays, and the gradient of the losses' sum.
+
+        Plain numpy, for plain and stacked episodes: the forward, then the
+        backward rules of ``softmax_cross_entropy``, ``tanh``, ``matmul`` and
+        ``add`` (with ``sum_to``) as the engine runs them, operation for
+        operation, so both results are the bits of ``grad`` on ``loss``.
+        """
+        n_layers = len(arrays) // 2
+        biases = [b.reshape(b.shape[0], 1, b.shape[1]) if b.ndim == 2 else b
+                  for b in arrays[1::2]]
+        hs = [np.atleast_2d(np.asarray(x, dtype=np.float64))]  # each layer's input
+        for i in range(n_layers):
+            z = hs[i] @ arrays[2 * i] + biases[i]
+            hs.append(np.tanh(z) if i < n_layers - 1 else z)
+        losses, g = softmax_cross_entropy_grad(hs.pop(), y)
+        grads: list[np.ndarray] = [None] * len(arrays)
+        for i in reversed(range(n_layers)):
+            w, h = arrays[2 * i], hs[i]
+            grads[2 * i + 1] = sum_to(g, biases[i].shape).reshape(arrays[2 * i + 1].shape)
+            grads[2 * i] = sum_to(h.swapaxes(-1, -2) @ g, w.shape)
+            if i:  # back through the previous layer's tanh
+                g = sum_to(g @ w.swapaxes(-1, -2), h.shape) * (1.0 - h * h)
+        return losses, grads
 
     def accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
         logits = self.logits(self.param_tensors(arrays, requires_grad=False), x)

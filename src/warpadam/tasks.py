@@ -264,11 +264,6 @@ def _write_str(f, s: str) -> None:
     f.write(raw)
 
 
-def _read_str(blob: bytes, offset: int) -> tuple[str, int]:
-    n = int.from_bytes(blob[offset:offset + 2], "little")
-    return blob[offset + 2:offset + 2 + n].decode("utf-8"), offset + 2 + n
-
-
 def save_table(path, table: ClassTable) -> None:
     with open(path, "wb") as f:
         f.write(_TBL_MAGIC)
@@ -286,33 +281,58 @@ def save_table(path, table: ClassTable) -> None:
 
 
 def load_table(path) -> ClassTable:
+    """The class table of a cache file; a malformed file raises ``ValueError``
+    naming ``path``, and nothing past the file's end is ever read."""
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"{what} in class-table cache {path}")
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise bad(f"{what} runs past the end of the file")
+        offset += n
+        return blob[offset - n:offset]
+
+    def uint(n: int, what: str) -> int:
+        return int.from_bytes(take(n, what), "little")
+
+    def text(what: str) -> str:
+        raw = take(uint(2, f"{what} length"), what)
+        try:
+            return bytes(raw).decode("utf-8")
+        except UnicodeDecodeError:
+            raise bad(f"{what} is not UTF-8") from None
+
     if blob[:4] != _TBL_MAGIC:
-        raise ValueError(f"not a class-table cache (bad magic) in {path}")
-    version = int.from_bytes(blob[4:8], "little")
+        raise bad("bad magic (not a class-table cache)")
+    offset = 4
+    version = uint(4, "file header")
     if version != _TBL_VERSION:
-        raise ValueError(f"unsupported table cache version {version} in {path}")
-    dim = int.from_bytes(blob[8:16], "little")
-    skipped = int.from_bytes(blob[16:20], "little")
-    n_alpha = int.from_bytes(blob[20:24], "little")
-    offset = 24
+        raise bad(f"unsupported version {version}")
+    dim = uint(8, "file header")
+    skipped = uint(4, "file header")
+    n_alpha = uint(4, "file header")
+    if not 1 <= dim <= len(blob) // 8:
+        raise bad(f"instance dim {dim} is not positive or larger than the file")
     alphabets = []
-    for _ in range(n_alpha):
-        a_name, offset = _read_str(blob, offset)
-        n_classes = int.from_bytes(blob[offset:offset + 4], "little")
-        offset += 4
+    for a in range(n_alpha):
+        a_name = text(f"alphabet {a} name")
         classes = []
-        for _ in range(n_classes):
-            c_name, offset = _read_str(blob, offset)
-            n_inst = int.from_bytes(blob[offset:offset + 4], "little")
-            offset += 4
-            count = n_inst * dim
-            data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            offset += count * 8
-            classes.append(CharacterClass(name=c_name,
-                                          instances=data.astype(np.float64).reshape(n_inst, dim)))
+        for c in range(uint(4, f"alphabet {a} class count")):
+            where = f"alphabet {a} class {c}"
+            c_name = text(f"{where} name")
+            n_inst = uint(4, f"{where} instance count")
+            raw = take(n_inst * dim * 8, f"{where}: {n_inst} instances of dim {dim}")
+            data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n_inst, dim)
+            if not np.isfinite(data).all():
+                raise bad(f"{where}: non-finite entries")
+            classes.append(CharacterClass(name=c_name, instances=data))
         alphabets.append(Alphabet(name=a_name, classes=classes))
+    if offset != len(blob):
+        raise bad(f"{len(blob) - offset} trailing bytes after {n_alpha} alphabets")
     return ClassTable(alphabets=alphabets, dim=dim, skipped_classes=skipped)
 
 

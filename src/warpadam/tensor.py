@@ -159,18 +159,21 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor
     return Tensor(data)
 
 
-def _sum_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Reduce a broadcast result back to ``shape`` (the inverse of broadcasting)."""
+def sum_to(t, shape: tuple[int, ...]):
+    """Reduce a broadcast result back to ``shape`` (the inverse of broadcasting).
+
+    ``t`` is a tensor or an array; the same reductions run on either.
+    """
     if t.shape == shape:
         return t
     extra = t.ndim - len(shape)
     if extra > 0:
-        t = tsum(t, axis=tuple(range(extra)))
+        t = t.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, (have, want) in enumerate(zip(t.shape, shape)) if want == 1 and have != 1)
     if axes:
-        t = tsum(t, axis=axes, keepdims=True)
+        t = t.sum(axis=axes, keepdims=True)
     if t.shape != shape:
-        t = reshape(t, shape)
+        t = t.reshape(shape)
     return t
 
 
@@ -182,7 +185,7 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        return _sum_to(g, a.shape), _sum_to(g, b.shape)
+        return sum_to(g, a.shape), sum_to(g, b.shape)
 
     return _node(a.data + b.data, (a, b), bwd, "add")
 
@@ -191,7 +194,7 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        return _sum_to(g, a.shape), _sum_to(neg(g), b.shape)
+        return sum_to(g, a.shape), sum_to(neg(g), b.shape)
 
     return _node(a.data - b.data, (a, b), bwd, "sub")
 
@@ -200,7 +203,7 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        return _sum_to(mul(g, b), a.shape), _sum_to(mul(g, a), b.shape)
+        return sum_to(mul(g, b), a.shape), sum_to(mul(g, a), b.shape)
 
     return _node(a.data * b.data, (a, b), bwd, "mul")
 
@@ -209,8 +212,8 @@ def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):  # no gradient for a constant operand, such as a bias correction
-        ga = _sum_to(div(g, b), a.shape) if a.requires_grad else None
-        gb = _sum_to(neg(div(mul(g, a), mul(b, b))), b.shape) if b.requires_grad else None
+        ga = sum_to(div(g, b), a.shape) if a.requires_grad else None
+        gb = sum_to(neg(div(mul(g, a), mul(b, b))), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _node(a.data / b.data, (a, b), bwd, "div")
@@ -238,8 +241,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from None
 
     def bwd(g):
-        return (_sum_to(matmul(g, transpose(b)), a.shape),
-                _sum_to(matmul(transpose(a), g), b.shape))
+        return (sum_to(matmul(g, transpose(b)), a.shape),
+                sum_to(matmul(transpose(a), g), b.shape))
 
     return _node(out, (a, b), bwd, "matmul")
 
@@ -273,7 +276,7 @@ def broadcast_to(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
 
     def bwd(g):
-        return (_sum_to(g, a.shape),)
+        return (sum_to(g, a.shape),)
 
     return _node(np.broadcast_to(a.data, shape).copy(), (a,), bwd, "broadcast")
 
@@ -346,11 +349,14 @@ def sqrt(a) -> Tensor:
     return out
 
 
+def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = _softmax_data(a.data, axis)
     out_ref = None
 
     def bwd(g):
@@ -363,6 +369,40 @@ def softmax(a, axis: int = -1) -> Tensor:
     return out
 
 
+def _cross_entropy_data(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax_cross_entropy``'s checked forward on arrays: the per-index
+    means and the one-hot labels, shaped like ``logits``."""
+    labels = np.asarray(labels)
+    if logits.ndim < 2:
+        raise ShapeError(f"logits must be (..., batch, classes), got {logits.shape}")
+    c = logits.shape[-1]
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise ValueError(f"labels out of range [0, {c})")
+    rows, cols = np.arange(labels.size), labels.reshape(-1).astype(np.int64)
+
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    picked = shifted.reshape(-1, c)[rows, cols].reshape(labels.shape)
+    ce = np.mean(lse - picked, axis=-1)
+
+    onehot = np.zeros((labels.size, c))
+    onehot[rows, cols] = 1.0
+    return ce, onehot.reshape(logits.shape)
+
+
+def softmax_cross_entropy_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax_cross_entropy`` of an array, and the gradient of its sum.
+
+    The array twin of the primitive and of its backward rule under a unit
+    upstream gradient: the same numpy operations in the same order, so both
+    results carry the bits the graph would give.
+    """
+    ce, onehot = _cross_entropy_data(logits, labels)
+    return ce, (1.0 / logits.shape[-2]) * (_softmax_data(logits, -1) - onehot)
+
+
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean cross-entropy of softmax(logits) over the last axis against integer labels.
 
@@ -370,24 +410,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     one mean over the n rows for each leading index (a scalar for 2-D logits).
     """
     logits = _as_tensor(logits)
-    labels = np.asarray(labels)
-    if logits.ndim < 2:
-        raise ShapeError(f"logits must be (..., batch, classes), got {logits.shape}")
-    n, c = logits.shape[-2:]
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"labels out of range [0, {c})")
-    rows, cols = np.arange(labels.size), labels.reshape(-1).astype(np.int64)
-
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted.reshape(-1, c)[rows, cols].reshape(labels.shape)
-    ce = np.mean(lse - picked, axis=-1)
-
-    onehot = np.zeros((labels.size, c))
-    onehot[rows, cols] = 1.0
-    onehot_t = Tensor(onehot.reshape(logits.shape))
+    ce, onehot = _cross_entropy_data(logits.data, labels)
+    onehot_t = Tensor(onehot)
+    n = logits.shape[-2]
 
     def bwd(g):
         p = softmax(logits, axis=-1)

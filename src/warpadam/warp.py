@@ -283,11 +283,18 @@ def _warpadam_graph_step(w, m, v, g, t: int, warp: WarpMatrix, leaves, h: HyperP
     """Differentiable WarpAdam step ``t``: ``(w', m', v')`` as graph nodes.
 
     The graph twin of ``optim.warpadam_step``, with the warp's factors as the
-    leaves ``leaves``. It computes the array step's values bit for bit, except
-    where the array step's 0/0 := 0 rule applies.
+    leaves ``leaves``. It computes the array step's values bit for bit. Where
+    ``v_hat + epsilon`` is 0 (only with epsilon 0 and an all-zero warped
+    gradient history) the ratio is the constant 0, as in the array step, and
+    ``sqrt`` sees 1 there, so its backward stays finite; those entries are
+    masked only when there are any, so other graphs are unchanged.
     """
     m, v, m_hat, v_hat = adam_moments(m, v, warp.apply(g, leaves), t, h)
-    return w - m_hat / T.sqrt(v_hat + h.epsilon) * h.eta, m, v
+    radicand = v_hat + h.epsilon
+    zero = radicand.data == 0
+    if zero.any():
+        m_hat, radicand = m_hat * ~zero, radicand + zero
+    return w - m_hat / T.sqrt(radicand) * h.eta, m, v
 
 
 def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
@@ -349,9 +356,18 @@ def _start_arrays(model, episode) -> list[np.ndarray]:
 
 
 def _detached_grads(model, param_arrays: list[np.ndarray], x, y) -> list[np.ndarray]:
+    """Gradients of the summed per-episode losses, as arrays: from the model's
+    ``loss_grads`` where it has one, from the engine otherwise."""
+    if hasattr(model, "loss_grads"):
+        return model.loss_grads(param_arrays, x, y)[1]
     params = [Tensor(p, requires_grad=True) for p in param_arrays]
     loss = T.tsum(model.loss(params, x, y))
     return [g.data for g in grad(loss, params)]
+
+
+def _per_episode(losses: np.ndarray):
+    """A float for a plain episode's loss, the array of E losses for a stack."""
+    return float(losses) if losses.ndim == 0 else losses
 
 
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams):
@@ -366,15 +382,19 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
 
 
 def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
-                cfg: MetaConfig) -> list[np.ndarray]:
-    """d(query loss after K inner WarpAdam steps) / d(warp entries).
+                cfg: MetaConfig) -> tuple[list[np.ndarray], float | np.ndarray]:
+    """d(query loss after K inner WarpAdam steps) / d(warp entries), and that loss.
+
+    Returns ``(hypergradients, losses)``: one flat array per warp, and the
+    query losses the graph differentiated, which are ``adaptation_query_loss``'s
+    values bit for bit (a float for an episode, the E losses for a stack).
 
     The model is never mutated: its parameters are cloned into the graph as
     differentiation roots. With ``cfg.first_order`` the first K-1 steps run
     detached and only the final step's direct dependence on the warp is kept;
     otherwise the full trajectory is unrolled and differentiated. For a
     stacked episode the graph root is the sum of the E query losses, so the
-    result is the sum of the E per-episode hypergradients.
+    hypergradient is the sum of the E per-episode hypergradients.
     """
     if len(warps) != len(model.params):
         raise ShapeError(f"{len(warps)} warps for {len(model.params)} parameter tensors")
@@ -397,14 +417,14 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
         params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
         ws = _unrolled_warpadam(params, warps, leaves_per_warp, model, episode,
                                 cfg.inner_steps, h, cfg.node_budget)
-    query_loss = T.tsum(model.loss(ws, episode.query_x, episode.query_y))
+    losses = model.loss(ws, episode.query_x, episode.query_y)
 
-    leaf_grads = grad(query_loss, [leaf for leaves in leaves_per_warp for leaf in leaves])
+    leaf_grads = grad(T.tsum(losses), [leaf for leaves in leaves_per_warp for leaf in leaves])
     out, pos = [], 0
     for leaves in leaves_per_warp:
         out.append(_flat(g.data for g in leaf_grads[pos:pos + len(leaves)]))
         pos += len(leaves)
-    return out
+    return out, _per_episode(losses.data)
 
 
 def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig) -> list[np.ndarray]:
@@ -422,14 +442,17 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
     A float for an episode; for a stacked episode, the array of its E losses.
     """
     arrays = adapt(model, warps, episode, cfg)
-    losses = model.loss([Tensor(a) for a in arrays], episode.query_x, episode.query_y).data
-    return float(losses) if losses.ndim == 0 else losses
+    return _per_episode(model.loss([Tensor(a) for a in arrays], episode.query_x,
+                                   episode.query_y).data)
 
 
 def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfig,
                   outer_states: Sequence[AdamState]):
     """One outer step: averaged hypergradient + penalty gradient, Adam on entries.
 
+    Returns ``(warps, states, losses)``: the updated warps and outer Adam
+    states, and the batch's E query losses after adaptation with the warps
+    as given (``hypergrad_P``'s losses, so ``adaptation_query_loss``'s bits).
     The batch is stacked into one episode and differentiated as one graph, so
     the warps receive the sum of the per-task hypergradients from that graph's
     backward pass. Its summation order differs from adding per-task results,
@@ -442,7 +465,7 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     if len(outer_states) != len(warps):
         raise ShapeError(f"{len(outer_states)} outer states for {len(warps)} warps")
 
-    totals = hypergrad_P(stack_episodes(task_batch), model, warps, cfg)
+    totals, losses = hypergrad_P(stack_episodes(task_batch), model, warps, cfg)
     outer_hyper = HyperParams(eta=cfg.outer_eta)
 
     new_warps: list[WarpMatrix] = []
@@ -452,7 +475,7 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
         state, flat = adam_step(state, warp.params(), g, outer_hyper)
         new_warps.append(warp.with_params(flat))
         new_states.append(state)
-    return new_warps, new_states
+    return new_warps, new_states, losses
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_a4_hypergradient_oracle():
     cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.05))
     assert cfg.inner_steps <= 5
 
-    hgs = hypergrad_P(episode, model, warps, cfg)
+    hgs, _ = hypergrad_P(episode, model, warps, cfg)
     worst = 0.0
     for i, warp in enumerate(warps):
         def objective(flat, i=i, warp=warp):
@@ -225,7 +225,7 @@ def _a5_run_seed(seed, outer_steps=200):
     baseline = np.mean([adaptation_query_loss(model, ident, ep, cfg) for ep in eval_set])
     for _ in range(outer_steps):
         batch = [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)]
-        warps, states = meta_update_P(warps, batch, model, cfg, states)
+        warps, states, _ = meta_update_P(warps, batch, model, cfg, states)
     learned = np.mean([adaptation_query_loss(model, warps, ep, cfg) for ep in eval_set])
     return baseline, learned
 
@@ -267,7 +267,7 @@ def test_a6_tod_effect():
         states = [AdamState.zeros(w.n_params) for w in warps]
         for _ in range(outer_steps):
             batch = [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)]
-            warps, states = meta_update_P(warps, batch, model, cfg, states)
+            warps, states, _ = meta_update_P(warps, batch, model, cfg, states)
         return _offdiag_norm(warps)
 
     norms = [train_with_lambda(lam) for lam in (0.0, 1e-3, 1e-1)]

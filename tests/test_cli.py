@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import warpadam.cli as cli
 from warpadam.cli import main
 from warpadam.bench import read_curve_csv
 from warpadam.config import build_meta, parse_config_text, validate_keys
-from warpadam.tasks import load_table
+from warpadam.tasks import load_table, save_table, synth_proto_tasks
 from warpadam.warp import init_warps, load_warps, save_warps
 
 from test_tasks import make_tree
@@ -202,6 +203,38 @@ def test_meta_train_eval_set_not_a_multiple_of_the_batch(tmp_path):
     assert np.isfinite(float(last[3]))
 
 
+@pytest.mark.parametrize("settings", [["inner.eta=1e200"],
+                                      ["meta.outer_eta=1e300", "meta.outer_steps=3"]])
+def test_meta_train_divergence_exits_3_keeping_the_last_finite_warps(tmp_path, capsys, settings):
+    cfg = write_cfg(tmp_path, SMALL_META)
+    out = tmp_path / "o"
+    argv = ["meta-train", "--config", cfg, "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("divergence: ")
+    lines = (out / "meta_curve.csv").read_text().splitlines()
+    assert lines[0] == "outer_step,batch_query_loss,tod_value,eval_query_loss"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(len(lines) - 1))
+    assert all(np.all(np.isfinite(w.params())) for w in load_warps(out / "warps.bin"))
+    assert "command=meta-train" in (out / "manifest.txt").read_text()
+
+
+def test_meta_train_adapts_only_the_held_out_set(tmp_path, monkeypatch):
+    # the batch loss comes from the hypergradient, so adaptation_query_loss
+    # serves only the held-out stacks: 5 episodes in stacks of 2, at step 0
+    # and after the last step
+    calls = []
+    original = cli.adaptation_query_loss
+    monkeypatch.setattr(cli, "adaptation_query_loss",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    cfg = write_cfg(tmp_path, SMALL_META)
+    assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", "meta.eval_episodes=5", "--set", "meta.eval_every=5"]) == 0
+    assert len(calls) == 2 * 3
+
+
 def test_meta_train_requires_explicit_split(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_META.replace("tasks.eval_alphabets=alpha03", ""))
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -258,6 +291,44 @@ def test_run_rejects_a_malformed_checkpoint_naming_it(tmp_path, capsys, how):
     assert len(err.strip().splitlines()) == 1 and str(bad) in err
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={good}"]) == 0
+
+
+def _spoil_table(data: bytearray, how: str) -> bytes:
+    """A valid table cache (alphabet names of 7 bytes, class names of 6), spoiled one way."""
+    first_entries = 24 + 2 + 7 + 4 + 2 + 6 + 4
+    cuts = {"cut_in_header": 8, "cut_in_a_name": 28, "cut_in_a_count": 35,
+            "entries_past_end": first_entries + 8}
+    if how in cuts:
+        return bytes(data[:cuts[how]])
+    if how == "trailing_bytes":
+        return bytes(data) + b"\x00"
+    if how == "zero_dim":
+        struct.pack_into("<Q", data, 8, 0)
+    if how == "name_not_utf8":
+        data[26] = 0xFF
+    if how == "nan_entry":
+        struct.pack_into("<d", data, first_entries, float("nan"))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("how", ["cut_in_header", "zero_dim", "cut_in_a_name", "cut_in_a_count",
+                                 "name_not_utf8", "entries_past_end", "trailing_bytes",
+                                 "nan_entry"])
+def test_run_rejects_a_malformed_table_naming_it(tmp_path, capsys, how):
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    good = tmp_path / "good.wtbl"
+    save_table(good, synth_proto_tasks(2, 5, 12, 8, 0.1, np.random.default_rng(4)))
+    bad = tmp_path / f"{how}.wtbl"
+    bad.write_bytes(_spoil_table(bytearray(good.read_bytes()), how))
+
+    def run(table):
+        return main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--set", "tasks.source=table", "--set", f"tasks.table={table}"])
+
+    assert run(bad) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(bad) in err
+    assert run(good) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +398,13 @@ def test_check_command_passes_fresh():
 
 def test_check_command_negative_control():
     assert main(["check", "--perturb", "1e-3"]) == 1
+
+
+def test_check_covers_the_fast_mlp_gradient(capsys):
+    assert main(["check"]) == 0
+    assert "PASS grad.mlp_loss_grads" in capsys.readouterr().out
+    assert main(["check", "--perturb", "1e-3"]) == 1
+    assert "FAIL grad.mlp_loss_grads" in capsys.readouterr().out
 
 
 def test_import_command(tmp_path):

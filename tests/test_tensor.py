@@ -525,3 +525,39 @@ def test_mlp_cross_entropy_grad_matches_fd():
     analytic = np.concatenate([g.data.reshape(-1) for g in gs])
     fd = finite_diff_grad(loss_of_flat, flat0, h=1e-5)
     assert rel_err(analytic, fd) < 1e-6
+
+
+def _mlp_case(hidden, stack, seed=43):
+    """An MLP with non-zero biases, its parameter arrays and an episode,
+    plain or stacked ``stack`` deep (one parameter copy per episode)."""
+    rng = np.random.default_rng(seed)
+    model = MLP([5, *hidden, 3], rng)
+    lead = () if stack is None else (stack,)
+    arrays = [rng.normal(size=lead + p.shape) for p in model.params]
+    x = rng.normal(size=lead + (7, 5))
+    y = rng.integers(0, 3, size=lead + (7,))
+    return model, arrays, x, y
+
+
+@pytest.mark.parametrize("stack", [None, 4])
+@pytest.mark.parametrize("hidden", [[], [16], [16, 8]])
+def test_mlp_loss_grads_is_bitwise_the_engine(hidden, stack):
+    model, arrays, x, y = _mlp_case(hidden, stack)
+    params = [Tensor(a, requires_grad=True) for a in arrays]
+    losses = model.loss(params, x, y)
+    engine = grad(T.tsum(losses), params)
+    fast_losses, fast = model.loss_grads(arrays, x, y)
+    assert np.array_equal(fast_losses, losses.data)
+    assert len(fast) == len(engine)
+    for got, want in zip(fast, engine):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want.data)
+
+
+def test_mlp_loss_grads_sums_a_stack_over_shared_parameters():
+    # plain parameters on a stacked episode: the engine's matmul broadcast
+    model, _, x, y = _mlp_case([16], 4)
+    params = model.param_tensors()
+    engine = grad(T.tsum(model.loss(params, x, y)), params)
+    for got, want in zip(model.loss_grads(model.params, x, y)[1], engine):
+        assert np.array_equal(got, want.data)

@@ -7,6 +7,7 @@ import pytest
 
 import warpadam.nn as nn
 import warpadam.tensor as T
+import warpadam.warp as warp_module
 from warpadam.nn import MLP
 from warpadam.optim import AdamState, HyperParams, adam_step
 from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
@@ -182,8 +183,26 @@ def test_hypergrad_zero_support_gradient_gives_zero():
     model = ScalarQuadratic(w0=0.7)
     episode = quad_episode([0.7], [1.5])  # support gradient is exactly zero
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1))
-    (hg,) = hypergrad_P(episode, model, [WarpMatrix.dense([[1.0]])], cfg)
+    (hg,), _ = hypergrad_P(episode, model, [WarpMatrix.dense([[1.0]])], cfg)
     assert np.allclose(hg, 0.0)
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_hypergrad_zero_support_gradient_with_zero_epsilon(first_order):
+    # v_hat + epsilon is exactly 0: the graph step takes the array step's
+    # 0/0 := 0 instead of a NaN
+    model = ScalarQuadratic(w0=0.7)
+    episode = quad_episode([0.7], [1.5])
+    cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1, epsilon=0.0),
+                     first_order=first_order)
+    p0 = np.array([1.0])
+    (hg,), loss = hypergrad_P(episode, model, [WarpMatrix.dense([[p0[0]]])], cfg)
+    fd = finite_diff_grad(
+        lambda p: adaptation_query_loss(model, [WarpMatrix.dense([[p[0]]])], episode, cfg),
+        p0, h=1e-4)
+    assert np.all(np.isfinite(hg))
+    assert np.allclose(hg, fd, rtol=0, atol=1e-12)
+    assert loss == adaptation_query_loss(model, [WarpMatrix.dense([[1.0]])], episode, cfg)
 
 
 def test_hypergrad_quadratic_flat_region_matches_fd():
@@ -193,7 +212,7 @@ def test_hypergrad_quadratic_flat_region_matches_fd():
     cfg = MetaConfig(inner_steps=1,
                      inner_hyper=HyperParams(eta=0.1, epsilon=0.0))
     p0 = np.array([0.8])
-    (hg,) = hypergrad_P(episode, model, [WarpMatrix.dense([[p0[0]]])], cfg)
+    (hg,), _ = hypergrad_P(episode, model, [WarpMatrix.dense([[p0[0]]])], cfg)
     fd = finite_diff_grad(
         lambda p: adaptation_query_loss(model, [WarpMatrix.dense([[p[0]]])], episode, cfg),
         p0, h=1e-4)
@@ -208,7 +227,7 @@ def test_hypergrad_quadratic_smooth_region_matches_fd():
     cfg = MetaConfig(inner_steps=3,
                      inner_hyper=HyperParams(eta=0.2, epsilon=1.0))
     p0 = np.array([0.9])
-    (hg,) = hypergrad_P(episode, model, [WarpMatrix.dense([[p0[0]]])], cfg)
+    (hg,), _ = hypergrad_P(episode, model, [WarpMatrix.dense([[p0[0]]])], cfg)
     fd = finite_diff_grad(
         lambda p: adaptation_query_loss(model, [WarpMatrix.dense([[p[0]]])], episode, cfg),
         p0, h=1e-6)
@@ -230,7 +249,7 @@ def _mlp_setup(seed=42, n=6, dim=3, classes=4):
 def test_hypergrad_mlp_dense_matches_fd():
     model, episode, warps = _mlp_setup()
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
-    hgs = hypergrad_P(episode, model, warps, cfg)
+    hgs, _ = hypergrad_P(episode, model, warps, cfg)
 
     for i, warp in enumerate(warps):
         def objective(flat, i=i, warp=warp):
@@ -251,7 +270,7 @@ def test_hypergrad_diagonal_and_kron_match_fd():
                                   np.eye(3) + 0.1 * rng.normal(size=(3, 3))),
              WarpMatrix.diagonal(1.0 + 0.2 * rng.normal(size=3))]
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.05))
-    hgs = hypergrad_P(episode, model, warps, cfg)
+    hgs, _ = hypergrad_P(episode, model, warps, cfg)
     for i, warp in enumerate(warps):
         def objective(flat, i=i, warp=warp):
             trial = list(warps)
@@ -264,9 +283,9 @@ def test_hypergrad_diagonal_and_kron_match_fd():
 
 def test_first_order_equals_full_unroll_at_k1():
     model, episode, warps = _mlp_setup(seed=3)
-    full = hypergrad_P(episode, model, warps,
+    full, _ = hypergrad_P(episode, model, warps,
                        MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=0.05)))
-    fo = hypergrad_P(episode, model, warps,
+    fo, _ = hypergrad_P(episode, model, warps,
                      MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=0.05),
                                 first_order=True))
     for a, b in zip(full, fo):
@@ -276,7 +295,7 @@ def test_first_order_equals_full_unroll_at_k1():
 def test_first_order_runs_and_is_finite_at_k3():
     model, episode, warps = _mlp_setup(seed=4)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), first_order=True)
-    for hg in hypergrad_P(episode, model, warps, cfg):
+    for hg in hypergrad_P(episode, model, warps, cfg)[0]:
         assert np.all(np.isfinite(hg))
 
 
@@ -421,7 +440,7 @@ def _per_task_sum(episodes, model, warps, cfg):
     """The per-task hypergradients added in batch order, starting from zeros."""
     totals = [np.zeros(w.n_params) for w in warps]
     for episode in episodes:
-        for acc, hg in zip(totals, hypergrad_P(episode, model, warps, cfg)):
+        for acc, hg in zip(totals, hypergrad_P(episode, model, warps, cfg)[0]):
             acc += hg
     return totals
 
@@ -430,7 +449,7 @@ def _per_task_sum(episodes, model, warps, cfg):
 def test_stacked_full_hypergrad_matches_per_task_sum(form):
     model, episodes, warps = _stack_setup(form)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
-    stacked = hypergrad_P(stack_episodes(episodes), model, warps, cfg)
+    stacked, _ = hypergrad_P(stack_episodes(episodes), model, warps, cfg)
     for got, want, warp in zip(stacked, _per_task_sum(episodes, model, warps, cfg), warps):
         assert got.shape == (warp.n_params,)
         assert rel_err(got, want, floor=1e-300) < 1e-12
@@ -441,7 +460,7 @@ def test_stacked_first_order_hypergrad_is_bitwise_the_per_task_sum(form):
     model, episodes, warps = _stack_setup(form)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
                      first_order=True)
-    stacked = hypergrad_P(stack_episodes(episodes), model, warps, cfg)
+    stacked, _ = hypergrad_P(stack_episodes(episodes), model, warps, cfg)
     for got, want in zip(stacked, _per_task_sum(episodes, model, warps, cfg)):
         assert np.array_equal(got, want)
 
@@ -477,6 +496,45 @@ def test_stacked_unrolled_graph_is_bitwise_adapt(form):
                             cfg.inner_steps, cfg.inner_hyper, cfg.node_budget)
     for wt, arr in zip(ws, adapt(model, warps, episode, cfg)):
         assert np.array_equal(wt.data, arr)
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("form", FORMS)
+def test_hypergrad_losses_are_adaptation_query_loss(form, first_order):
+    model, episodes, warps = _stack_setup(form)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                     first_order=first_order)
+    stacked = stack_episodes(episodes)
+    _, losses = hypergrad_P(stacked, model, warps, cfg)
+    assert np.array_equal(losses, adaptation_query_loss(model, warps, stacked, cfg))
+    _, loss = hypergrad_P(episodes[0], model, warps, cfg)
+    assert isinstance(loss, float)
+    assert loss == adaptation_query_loss(model, warps, episodes[0], cfg)
+    states = [AdamState.zeros(w.n_params) for w in warps]
+    assert np.array_equal(meta_update_P(warps, episodes, model, cfg, states)[2], losses)
+
+
+class EngineOnly:
+    """A model with only ``params`` and ``loss``: its gradients come from the engine."""
+
+    def __init__(self, model):
+        self.params = model.params
+        self.loss = model.loss
+
+
+def test_adaptation_takes_mlp_gradients_without_the_engine(monkeypatch):
+    model, episodes, warps = _stack_setup("kron")
+    episode = stack_episodes(episodes)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    calls = []
+    original = warp_module.grad
+    monkeypatch.setattr(warp_module, "grad", lambda *a, **k: calls.append(1) or original(*a, **k))
+    fast = adapt(model, warps, episode, cfg)
+    assert calls == []
+    engine = adapt(EngineOnly(model), warps, episode, cfg)
+    assert len(calls) == cfg.inner_steps
+    for got, want in zip(fast, engine):
+        assert np.array_equal(got, want)
 
 
 def test_apply_rejects_a_size_that_is_not_a_stack():
@@ -524,7 +582,7 @@ def test_meta_update_zero_hypergrad_is_fixed_point():
     warps = [WarpMatrix.dense([[1.0]])]
     states = [AdamState.zeros(w.n_params) for w in warps]
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1), tod_lambda=0.0)
-    new_warps, _ = meta_update_P(warps, [episode], model, cfg, states)
+    new_warps, _, _ = meta_update_P(warps, [episode], model, cfg, states)
     assert np.array_equal(new_warps[0].factors[0], warps[0].factors[0])
 
 
@@ -536,7 +594,7 @@ def test_meta_update_preserves_form_and_dim():
     warps = [WarpMatrix.kronecker(np.eye(4), np.eye(3)), WarpMatrix.diagonal(np.ones(3))]
     states = [AdamState.zeros(w.n_params) for w in warps]
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1))
-    new_warps, new_states = meta_update_P(warps, [episode], model, cfg, states)
+    new_warps, new_states, _ = meta_update_P(warps, [episode], model, cfg, states)
     assert [w.form for w in new_warps] == ["kron", "diagonal"]
     assert [w.dim for w in new_warps] == [12, 3]
     assert new_states[0].t == 1
@@ -552,7 +610,7 @@ def test_meta_update_identity_form_unchanged():
                            rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), n_way=2)
     warps = [WarpMatrix.identity(6), WarpMatrix.identity(2)]
     states = [AdamState.zeros(0), AdamState.zeros(0)]
-    new_warps, _ = meta_update_P(warps, [episode], model, cfg := MetaConfig(inner_steps=1), states)
+    new_warps, _, _ = meta_update_P(warps, [episode], model, cfg := MetaConfig(inner_steps=1), states)
     assert all(w.form == "identity" for w in new_warps)
 
 
@@ -567,7 +625,7 @@ def test_meta_update_whole_pipeline_brute_force_oracle():
     p0 = np.array([0.9])
     warps = [WarpMatrix.dense([[p0[0]]])]
     states = [AdamState.zeros(1)]
-    new_warps, _ = meta_update_P(warps, batch, model, cfg, states)
+    new_warps, _, _ = meta_update_P(warps, batch, model, cfg, states)
 
     def meta_objective(p):
         trial = [WarpMatrix.dense([[p[0]]])]
