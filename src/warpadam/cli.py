@@ -8,7 +8,8 @@ Subcommands:
   import      build a class-table cache from a PGM directory tree
 
 Exit codes: 0 ok, 1 check failure, 2 usage, input or resource error (a bad
-config value, an unreadable file, an exceeded node budget), 3 divergence.
+config value, an unreadable file, an exceeded node budget, an allocation that
+failed), 3 divergence.
 Every output directory gets a ``manifest.txt`` of key=value lines that is
 itself a valid ``--config`` file, sufficient to re-run the command
 bit-identically (modulo wall-clock fields). ``WARP_SEED`` in the environment
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the backstop for an allocation no size guard checked
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
 
 

@@ -57,7 +57,10 @@ class HyperParams:
 
 @dataclass
 class AdamState:
-    """Per-parameter-tensor moment accumulators and step counter.
+    """Moment accumulators and step counter of one parameter array.
+
+    The array is one tensor, or one flat buffer holding several tensors' entries
+    back to back (the warp module's adaptation steps all its tensors at once).
 
     ``m`` doubles as the velocity buffer for the Momentum baseline; ``v_max``
     is the AMSGrad running maximum of the bias-corrected second moment.

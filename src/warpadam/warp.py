@@ -25,6 +25,11 @@ The meta-learning functions take an episode or a *stacked* episode: E
 episodes of one geometry whose arrays carry E on axis 0 (``stack_episodes``).
 A stack adapts E parameter copies side by side in one graph, and the warps,
 shared by all E, receive the sum of the E per-episode hypergradients.
+
+Array adaptation (``adapt``, ``adaptation_query_loss`` and the detached
+steps of the first-order hypergradient) keeps the parameters of all tensors
+in one flat buffer with one Adam state, so each inner step is one
+``warpadam_step``; only the warps act tensor by tensor, each on its segment.
 """
 
 from __future__ import annotations
@@ -162,14 +167,19 @@ def _flat(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + [a.reshape(-1) for a in arrays])
 
 
-def _split(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
-    """Copies of consecutive runs of ``flat``, shaped as ``shapes``; ``_flat`` undone."""
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive runs of ``flat`` as views shaped as ``shapes``; ``_flat`` undone."""
     out, pos = [], 0
     for shape in shapes:
         n = math.prod(shape)
-        out.append(flat[pos:pos + n].reshape(shape).copy())
+        out.append(flat[pos:pos + n].reshape(shape))
         pos += n
-    return tuple(out)
+    return out
+
+
+def _split(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Copies of ``_views(flat, shapes)``."""
+    return tuple(view.copy() for view in _views(flat, shapes))
 
 
 def _stack_axes(dim: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -370,15 +380,48 @@ def _per_episode(losses: np.ndarray):
     return float(losses) if losses.ndim == 0 else losses
 
 
+class _FlatWarp:
+    """The warps of an adaptation as one warp of its flat buffer (see ``_adapt``).
+
+    ``apply`` warps each tensor's segment, viewed in the tensor's plain or
+    stacked shape, with that tensor's warp, into the same segment of a new
+    flat array.
+    """
+
+    def __init__(self, warps: Sequence[WarpMatrix], shapes):
+        if len(warps) != len(shapes):
+            raise ShapeError(f"{len(warps)} warps for {len(shapes)} parameter tensors")
+        self.warps, self.shapes = warps, shapes
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        out = np.empty_like(g)
+        for warp, segment, into in zip(self.warps, _views(g, self.shapes),
+                                       _views(out, self.shapes)):
+            into[...] = warp.apply(segment)
+        return out
+
+
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams):
-    """``steps`` array WarpAdam steps on the support loss; the arrays and their states."""
+    """``steps`` array WarpAdam steps on the support loss; the arrays and their states.
+
+    The parameters of all tensors live in one flat buffer with one
+    ``AdamState`` over it, so each inner step is one ``warpadam_step``: the
+    moment update, the finiteness checks and the 0/0 := 0 ratio run once over
+    every tensor, and only the warps act per tensor. Elementwise operations do
+    not depend on the layout, so the bits are those of one step per tensor.
+    Returns per-tensor views of the parameters and of the moments, in the
+    parameters' plain or stacked shapes, with one ``AdamState`` per tensor.
+    """
     arrays = _start_arrays(model, episode)
-    states = [AdamState.zeros(a.shape) for a in arrays]
+    shapes = [a.shape for a in arrays]
+    warp = _FlatWarp(warps, shapes)
+    w = _flat(arrays)
+    state = AdamState.zeros(w.shape)
     for _ in range(steps):
-        gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
-        for i in range(len(arrays)):
-            states[i], arrays[i] = warpadam_step(states[i], arrays[i], gs[i], warps[i], h)
-    return arrays, states
+        gs = _detached_grads(model, _views(w, shapes), episode.support_x, episode.support_y)
+        state, w = warpadam_step(state, w, _flat(gs), warp, h)
+    moments = zip(_views(state.m, shapes), _views(state.v, shapes))
+    return _views(w, shapes), [AdamState(m, v, state.t) for m, v in moments]
 
 
 def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],

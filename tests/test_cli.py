@@ -221,6 +221,22 @@ def test_meta_train_divergence_exits_3_keeping_the_last_finite_warps(tmp_path, c
     assert "command=meta-train" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)"),
+     "error: out of memory: Unable to allocate 298. GiB for an array with shape (200000, 200000)"),
+    (MemoryError(), "error: out of memory: MemoryError"),
+])
+def test_memory_error_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    # raised by a callee, so the test does not depend on the host's overcommit
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "init_warps", no_memory)
+    cfg = write_cfg(tmp_path, SMALL_META)
+    assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_meta_train_adapts_only_the_held_out_set(tmp_path, monkeypatch):
     # the batch loss comes from the hypergradient, so adaptation_query_loss
     # serves only the held-out stacks: 5 episodes in stacks of 2, at step 0

@@ -9,14 +9,16 @@ import warpadam.nn as nn
 import warpadam.tensor as T
 import warpadam.warp as warp_module
 from warpadam.nn import MLP
-from warpadam.optim import AdamState, HyperParams, adam_step
+from warpadam.optim import AdamState, HyperParams, adam_step, warpadam_step
 from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
-from warpadam.tensor import ShapeError, Tensor, finite_diff_grad, grad
+from warpadam.tensor import NumericError, ShapeError, Tensor, finite_diff_grad, grad
 from warpadam.warp import (
     FORMS,
     MetaConfig,
     ResourceError,
     WarpMatrix,
+    _adapt,
+    _detached_grads,
     _start_arrays,
     _unrolled_warpadam,
     _warp_leaves,
@@ -535,6 +537,99 @@ def test_adaptation_takes_mlp_gradients_without_the_engine(monkeypatch):
     assert len(calls) == cfg.inner_steps
     for got, want in zip(fast, engine):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# array adaptation: one WarpAdam step over all parameter tensors
+
+def _per_tensor_adapt(model, warps, episode, steps, h):
+    """The reference loop: one ``warpadam_step`` per tensor per inner step."""
+    arrays = _start_arrays(model, episode)
+    states = [AdamState.zeros(a.shape) for a in arrays]
+    for _ in range(steps):
+        gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
+        for i in range(len(arrays)):
+            states[i], arrays[i] = warpadam_step(states[i], arrays[i], gs[i], warps[i], h)
+    return arrays, states
+
+
+def _adapt_setup(form, stacked):
+    """A model, warps of ``form`` (or the ``auto`` policy, perturbed off the
+    identity) and a plain episode or a stack of 4."""
+    if form != "auto":
+        model, episodes, warps = _stack_setup(form)
+    else:
+        rng = np.random.default_rng(24)
+        table = synth_proto_tasks(3, 4, 8, 20, 0.5, rng)
+        episodes = [sample_episode(table, 3, 2, 3, rng) for _ in range(4)]
+        model = MLP([20, 16, 3], rng)
+        warps = [w.with_params(w.params() + 0.05 * rng.normal(size=w.n_params))
+                 for w in init_warps([p.shape for p in model.params], "auto")]
+        assert {w.form for w in warps} == {"kron", "dense"}
+    return model, warps, stack_episodes(episodes) if stacked else episodes[0]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("form", [*FORMS, "auto"])
+def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
+    model, warps, episode = _adapt_setup(form, stacked)
+    h = HyperParams(eta=0.05, epsilon=0.1)
+    arrays, states = _adapt(model, warps, episode, 3, h)
+    want_arrays, want_states = _per_tensor_adapt(model, warps, episode, 3, h)
+    assert len(arrays) == len(states) == len(model.params)
+    for got, want, st, want_st in zip(arrays, want_arrays, states, want_states):
+        assert got.shape == want.shape == st.m.shape == st.v.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(st.m, want_st.m)
+        assert np.array_equal(st.v, want_st.v)
+        assert st.t == want_st.t == 3
+
+
+def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
+    model, warps, episode = _adapt_setup("kron", stacked=True)
+    calls = []
+    original = warp_module.warpadam_step
+    monkeypatch.setattr(warp_module, "warpadam_step",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    for steps in (0, 1, 3):
+        calls.clear()
+        _adapt(model, warps, episode, steps, HyperParams(eta=0.05))
+        assert len(calls) == steps
+    assert len(model.params) == 4
+
+
+class FixedGrads:
+    """A model whose gradients are always ``grads``, whatever its parameters."""
+
+    def __init__(self, params, grads):
+        self.params, self.grads = params, grads
+
+    def loss_grads(self, arrays, x, y):
+        return None, [np.broadcast_to(g, a.shape) for g, a in zip(self.grads, arrays)]
+
+
+def test_adapt_checks_every_segment_of_the_flat_buffer():
+    episode = quad_episode([0.0], [0.0])
+    warps = [WarpMatrix.identity(3), WarpMatrix.diagonal(np.ones(2))]
+    h = HyperParams(eta=0.1)
+    for bad in (np.nan, np.inf):
+        model = FixedGrads([np.zeros(3), np.zeros(2)], [np.ones(3), np.array([1.0, bad])])
+        with pytest.raises(NumericError, match="non-finite gradient passed to optimizer step"):
+            _adapt(model, warps, episode, 1, h)
+    # an update of -1 at step 1 carries the last tensor's largest entry past the float range
+    model = FixedGrads([np.zeros(3), np.array([0.0, 1e308])], [np.ones(3), -np.ones(2)])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="warpadam step overflowed"):
+        _adapt(model, warps, episode, 1, HyperParams(eta=1e308))
+
+
+def test_adapt_rejects_a_warp_that_does_not_fit_its_tensor():
+    model, warps, episode = _adapt_setup("dense", stacked=False)
+    cfg = MetaConfig(inner_steps=1)
+    for bad in (WarpMatrix.identity(7), WarpMatrix.dense(np.eye(7))):
+        with pytest.raises(ShapeError):
+            adapt(model, warps[:-1] + [bad], episode, cfg)
+    with pytest.raises(ShapeError):
+        adapt(model, warps[:-1], episode, cfg)
 
 
 def test_apply_rejects_a_size_that_is_not_a_stack():
