@@ -19,7 +19,8 @@ from .nn import MLP
 from .optim import AdamState, HyperParams, adam_step, warpadam_step
 from .tasks import Episode
 from .tensor import Tensor, finite_diff_grad, grad
-from .warp import MetaConfig, WarpMatrix, adaptation_query_loss, hypergrad_P, tod_penalty
+from .warp import (MetaConfig, WarpMatrix, adaptation_query_loss, adjoint_hypergrad, hypergrad_P,
+                   tod_penalty)
 
 
 @dataclass
@@ -90,6 +91,24 @@ def check_mlp_gradient(perturb: float = 0.0) -> list[CheckResult]:
             for name, gs in (("grad.mlp_cross_entropy", engine), ("grad.mlp_loss_grads", fast))]
 
 
+def check_mlp_hvp(perturb: float = 0.0) -> CheckResult:
+    """``MLP.loss_hvp`` against central differences of ``loss_grads`` along
+    the same vectors, on a hidden-layer MLP (so the tanh terms count)."""
+    rng = np.random.default_rng(23)
+    model = MLP([5, 6, 3], rng)
+    x = rng.normal(size=(8, 5))
+    y = rng.integers(0, 3, size=8)
+    worst, step = 0.0, 1e-5
+    for _ in range(5):
+        vecs = [rng.normal(size=p.shape) for p in model.params]
+        hvp = model.loss_hvp(model.params, x, y, vecs)
+        plus = model.loss_grads([p + step * v for p, v in zip(model.params, vecs)], x, y)[1]
+        minus = model.loss_grads([p - step * v for p, v in zip(model.params, vecs)], x, y)[1]
+        fd = np.concatenate([((a - b) / (2.0 * step)).reshape(-1) for a, b in zip(plus, minus)])
+        worst = max(worst, _rel(np.concatenate([h.reshape(-1) for h in hvp]) + perturb, fd))
+    return CheckResult("grad.mlp_loss_hvp", worst, 1e-5)
+
+
 def check_kron_equivalence() -> CheckResult:
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -141,6 +160,13 @@ def check_hypergradient(perturb: float = 0.0) -> CheckResult:
              for p in model.params]
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
     hgs, _ = hypergrad_P(episode, model, warps, cfg)
+    return CheckResult("warp.hypergradient_vs_fd",
+                       _worst_vs_fd(hgs, perturb, model, warps, episode, cfg), 1e-4)
+
+
+def _worst_vs_fd(hgs, perturb, model, warps, episode, cfg) -> float:
+    """The largest relative error of the hypergradients ``hgs`` (plus
+    ``perturb``) against finite differences of the adaptation's query loss."""
     worst = 0.0
     for i, warp in enumerate(warps):
         def objective(flat, i=i, warp=warp):
@@ -150,14 +176,37 @@ def check_hypergradient(perturb: float = 0.0) -> CheckResult:
 
         fd = finite_diff_grad(objective, warp.params(), h=1e-4)
         worst = max(worst, _rel(hgs[i] + perturb, fd))
-    return CheckResult("warp.hypergradient_vs_fd", worst, 1e-4)
+    return worst
+
+
+def check_hypergradient_adjoint(perturb: float = 0.0) -> CheckResult:
+    """The full ``adjoint_hypergrad`` against finite differences of the
+    adaptation's query loss: a hidden-layer MLP with kron, diagonal and dense
+    warps."""
+    rng = np.random.default_rng(29)
+    model = MLP([4, 3, 3], rng)
+    episode = Episode(
+        support_x=rng.normal(size=(6, 4)), support_y=rng.integers(0, 3, size=6),
+        query_x=rng.normal(size=(8, 4)), query_y=rng.integers(0, 3, size=8),
+        n_way=3, k_shot=2, task_id="check")
+    warps = [WarpMatrix.kronecker(np.eye(4) + 0.1 * rng.normal(size=(4, 4)),
+                                  np.eye(3) + 0.1 * rng.normal(size=(3, 3))),
+             WarpMatrix.diagonal(1.0 + 0.2 * rng.normal(size=3)),
+             WarpMatrix.dense(np.eye(9) + 0.05 * rng.normal(size=(9, 9))),
+             WarpMatrix.diagonal(1.0 + 0.2 * rng.normal(size=3))]
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.01))
+    hgs, _ = adjoint_hypergrad(episode, model, warps, cfg)
+    return CheckResult("warp.hypergradient_adjoint_vs_fd",
+                       _worst_vs_fd(hgs, perturb, model, warps, episode, cfg), 1e-4)
 
 
 def run_all(perturb: float = 0.0) -> list[CheckResult]:
     results = check_primitive_gradients(perturb)
     results.extend(check_mlp_gradient(perturb))
+    results.append(check_mlp_hvp(perturb))
     results.append(check_kron_equivalence())
     results.append(check_identity_reduction())
     results.append(check_tod_zero_cases())
     results.append(check_hypergradient(perturb))
+    results.append(check_hypergradient_adjoint(perturb))
     return results

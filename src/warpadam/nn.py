@@ -16,6 +16,11 @@ parameter array, computed without a graph. The array-level meta-learning path
 (``warp``'s adaptation) calls it where it exists and the engine otherwise.
 The engine stays the reference: ``MLP.loss_grads`` is tested to return
 exactly the bits of ``grad`` on ``loss``.
+
+A model with ``loss_grads`` may also define ``loss_hvp(arrays, x, y, vecs)``:
+the Hessian of the losses' sum times the arrays ``vecs``, one array per
+parameter. With it, ``warp.meta_update_P`` differentiates through the inner
+steps on arrays (``warp.adjoint_hypergrad``) instead of on the engine.
 """
 
 from __future__ import annotations
@@ -24,8 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (Tensor, add, matmul, reshape, softmax_cross_entropy,
+from .tensor import (Tensor, _softmax_data, add, matmul, softmax_cross_entropy,
                      softmax_cross_entropy_grad, sum_to, tanh)
+
+
+def _bias_rows(b):
+    """A bias (array or tensor) as the rows it adds: a stacked (E, c) bias as
+    (E, 1, c), one bias row per episode."""
+    return b.reshape(b.shape[0], 1, b.shape[1]) if b.ndim == 2 else b
 
 
 class MLP:
@@ -55,10 +66,7 @@ class MLP:
         h: Tensor = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         n_layers = len(params) // 2
         for i in range(n_layers):
-            w, b = params[2 * i], params[2 * i + 1]
-            if b.ndim == 2:  # stacked (E, c): one bias row per episode
-                b = reshape(b, (b.shape[0], 1, b.shape[1]))
-            h = add(matmul(h, w), b)
+            h = add(matmul(h, params[2 * i]), _bias_rows(params[2 * i + 1]))
             if i < n_layers - 1:
                 h = tanh(h)
         return h
@@ -76,8 +84,7 @@ class MLP:
         operation, so both results are the bits of ``grad`` on ``loss``.
         """
         n_layers = len(arrays) // 2
-        biases = [b.reshape(b.shape[0], 1, b.shape[1]) if b.ndim == 2 else b
-                  for b in arrays[1::2]]
+        biases = [_bias_rows(b) for b in arrays[1::2]]
         hs = [np.atleast_2d(np.asarray(x, dtype=np.float64))]  # each layer's input
         for i in range(n_layers):
             z = hs[i] @ arrays[2 * i] + biases[i]
@@ -91,6 +98,49 @@ class MLP:
             if i:  # back through the previous layer's tanh
                 g = sum_to(g @ w.swapaxes(-1, -2), h.shape) * (1.0 - h * h)
         return losses, grads
+
+    def loss_hvp(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
+                 vecs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The Hessian of the losses' sum at ``arrays``, times ``vecs``.
+
+        The R-operator pass over ``loss_grads`` (Pearlmutter 1994): every
+        forward and backward quantity of ``loss_grads`` is carried together
+        with its directional derivative along ``vecs`` (``r_`` names), for
+        plain and stacked episodes and any depth. Returns one array per
+        parameter, shaped like it.
+        """
+        n_layers = len(arrays) // 2
+        ws, dws = arrays[0::2], vecs[0::2]
+        biases = [_bias_rows(b) for b in arrays[1::2]]
+        r_biases = [_bias_rows(db.reshape(b.shape)) for b, db in zip(arrays[1::2], vecs[1::2])]
+        hs = [np.atleast_2d(np.asarray(x, dtype=np.float64))]  # each layer's input
+        r_hs = [None]  # the input does not move along vecs
+        for i in range(n_layers):
+            z = hs[i] @ ws[i] + biases[i]
+            r_z = hs[i] @ dws[i] + r_biases[i]
+            if i:
+                r_z += r_hs[i] @ ws[i]
+            if i < n_layers - 1:
+                h = np.tanh(z)
+                hs.append(h)
+                r_hs.append((1.0 - h * h) * r_z)
+        g = softmax_cross_entropy_grad(z, y)[1]
+        p = _softmax_data(z, -1)
+        r_g = (1.0 / z.shape[-2]) * p * (r_z - np.sum(p * r_z, axis=-1, keepdims=True))
+        out: list[np.ndarray] = [None] * len(arrays)
+        for i in reversed(range(n_layers)):
+            w, h = ws[i], hs[i]
+            out[2 * i + 1] = sum_to(r_g, biases[i].shape).reshape(arrays[2 * i + 1].shape)
+            r_gw = h.swapaxes(-1, -2) @ r_g
+            if i:
+                r_gw += r_hs[i].swapaxes(-1, -2) @ g
+            out[2 * i] = sum_to(r_gw, w.shape)
+            if i:  # back through the previous layer's tanh
+                g_h = g @ w.swapaxes(-1, -2)
+                r_g_h = r_g @ w.swapaxes(-1, -2) + g @ dws[i].swapaxes(-1, -2)
+                slope = 1.0 - h * h
+                g, r_g = g_h * slope, r_g_h * slope - g_h * (2.0 * h * r_hs[i])
+        return out
 
     def accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
         logits = self.logits(self.param_tensors(arrays, requires_grad=False), x)

@@ -100,6 +100,35 @@ def adam_moments(m, v, g, t: int, h: HyperParams):
     return m, v, m_hat, v_hat
 
 
+def adam_adjoint(w_bar, m_bar, v_bar, g, m, v, t: int, h: HyperParams):
+    """Reverse mode through Adam step ``t``, on arrays.
+
+    ``g`` is the gradient the step took (the warped one, for WarpAdam), ``m``
+    and ``v`` the moments it left. ``w_bar`` is the adjoint of its output
+    parameters, ``m_bar`` and ``v_bar`` those of its output moments (0 for
+    the last step). Returns ``(g_bar, m_bar, v_bar)``: the adjoint of ``g``
+    and of the moments the step started from. The adjoint of the input
+    parameters is ``w_bar`` itself.
+
+    Every rule is the engine's backward rule for the unrolled step, in the
+    engine's order, so without incoming moment adjoints ``g_bar`` has the bits
+    of ``grad`` through one graph step. Where ``v_hat + epsilon`` is 0 the
+    ratio is the constant 0 of the 0/0 := 0 rule, and its adjoints are 0.
+    """
+    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    radicand = v_hat + h.epsilon
+    zero = radicand == 0
+    keep = ~zero
+    root = np.sqrt(radicand + zero)
+    ratio_bar = -w_bar * h.eta
+    root_bar = -((ratio_bar * (m_hat * keep)) / (root * root))
+    m_bar = ratio_bar / root * keep / (1.0 - h.beta1 ** t) + m_bar
+    v_bar = root_bar / (root * 2.0) / (1.0 - h.beta2 ** t) + v_bar
+    square_bar = v_bar * (1.0 - h.beta2) * g  # from g * g, once per factor
+    g_bar = m_bar * (1.0 - h.beta1) + square_bar + square_bar
+    return g_bar, h.beta1 * m_bar, h.beta2 * v_bar
+
+
 def _check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
     if not (w.shape == g.shape == state.m.shape == state.v.shape):
         raise ShapeError(

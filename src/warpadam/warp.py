@@ -21,6 +21,14 @@ adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
 step on the warp's entries. The unrolled step shares ``optim.adam_moments``
 with the array optimizer, so the graph's trajectory has ``adapt``'s bits.
 
+The hypergradient has two implementations. ``hypergrad_P`` unrolls the steps
+as an autodiff graph and differentiates it with the engine; it serves any
+model and is the reference. ``adjoint_hypergrad`` runs reverse mode through
+the array steps by hand, with the model's Hessian-vector product
+(``loss_hvp``); ``meta_update_P`` takes it for models that have one. Its
+first-order result has the engine's bits, and its full one matches to
+rounding.
+
 The meta-learning functions take an episode or a *stacked* episode: E
 episodes of one geometry whose arrays carry E on axis 0 (``stack_episodes``).
 A stack adapts E parameter copies side by side in one graph, and the warps,
@@ -36,13 +44,15 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .optim import AdamState, HyperParams, adam_moments, adam_step, warpadam_step
+from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_step,
+                    warpadam_step)
 from .tasks import Episode
 from .tensor import ShapeError, Tensor, grad
 
@@ -59,11 +69,15 @@ class Form(NamedTuple):
     ``apply(factors, g, lead)`` warps ``g``, one gradient or a stack of them on
     the axes ``lead``, and keeps its shape. ``apply`` uses operators only, so
     it runs on factor arrays and on graph leaves alike.
+    ``factor_grads(factors, u_bar, g, lead)`` is the gradient of
+    ``<u_bar, apply(factors, g, lead)>`` with respect to each factor, on
+    arrays: the engine's backward rules for ``apply``, so it has their bits.
     """
 
     tag: int
     shapes: Callable[[int, int, int], tuple[tuple[int, ...], ...]]
     apply: Callable
+    factor_grads: Callable
 
 
 def _kron_shapes(dim: int, fa: int, fb: int):
@@ -77,14 +91,37 @@ def _kron_apply(factors, g, lead):
     return (a @ g.reshape(lead + (a.shape[0], b.shape[0])) @ b.T).reshape(g.shape)
 
 
+def _kron_factor_grads(factors, u_bar, g, lead):
+    a, b = factors
+    shape = lead + (a.shape[0], b.shape[0])
+    g, u_bar = g.reshape(shape), u_bar.reshape(shape)
+    a_bar = T.sum_to(u_bar @ b @ g.swapaxes(-1, -2), a.shape)
+    b_bar = T.sum_to((a @ g).swapaxes(-1, -2) @ u_bar, b.shape).swapaxes(-1, -2)
+    return a_bar, b_bar
+
+
+def _diagonal_factor_grads(factors, u_bar, g, lead):
+    shape = lead + factors[0].shape
+    return (T.sum_to(u_bar.reshape(shape) * g.reshape(shape), factors[0].shape),)
+
+
+def _dense_factor_grads(factors, u_bar, g, lead):
+    column = lead + (factors[0].shape[0], 1)
+    return (T.sum_to(u_bar.reshape(column) @ g.reshape(column).swapaxes(-1, -2),
+                     factors[0].shape),)
+
+
 FORMS = {
-    "identity": Form(0, lambda dim, fa, fb: (), lambda f, g, lead: g),
+    "identity": Form(0, lambda dim, fa, fb: (), lambda f, g, lead: g,
+                     lambda f, u_bar, g, lead: ()),
     "diagonal": Form(1, lambda dim, fa, fb: ((dim,),),
-                     lambda f, g, lead: (f[0] * g.reshape(lead + f[0].shape)).reshape(g.shape)),
+                     lambda f, g, lead: (f[0] * g.reshape(lead + f[0].shape)).reshape(g.shape),
+                     _diagonal_factor_grads),
     "dense": Form(  # one matrix-vector product per gradient
         2, lambda dim, fa, fb: ((dim, dim),),
-        lambda f, g, lead: (f[0] @ g.reshape(lead + (f[0].shape[0], 1))).reshape(g.shape)),
-    "kron": Form(3, _kron_shapes, _kron_apply),
+        lambda f, g, lead: (f[0] @ g.reshape(lead + (f[0].shape[0], 1))).reshape(g.shape),
+        _dense_factor_grads),
+    "kron": Form(3, _kron_shapes, _kron_apply, _kron_factor_grads),
 }
 _FORM_BY_TAG = {form.tag: name for name, form in FORMS.items()}
 
@@ -141,6 +178,16 @@ class WarpMatrix:
         if factors is None:
             g, factors = np.asarray(g, dtype=np.float64), self.factors
         return FORMS[self.form].apply(factors, g, _stack_axes(self.dim, g.shape))
+
+    def transposed(self) -> "WarpMatrix":
+        """The warp of the transposed matrix: every factor transposed, as
+        (A (x) B)^T = A^T (x) B^T."""
+        return WarpMatrix(self.form, self.dim, tuple(f.T for f in self.factors))
+
+    def factor_grads(self, u_bar: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        """d<u_bar, apply(g)>/d(factors), one array per factor; for a stack of
+        gradients, the sum over the stack."""
+        return FORMS[self.form].factor_grads(self.factors, u_bar, g, _stack_axes(self.dim, g.shape))
 
     def materialize(self) -> np.ndarray:
         """The explicit d x d matrix (Kronecker product for the kron form)."""
@@ -223,13 +270,17 @@ def tod_penalty_grad(warp: WarpMatrix, lam: float) -> np.ndarray:
 class MetaConfig:
     """Inner/outer loop hyperparameters for warp training.
 
-    ``node_budget`` caps the tensors the full (not first-order) unroll may
-    create: graph nodes, the backward nodes of each inner ``grad`` and
-    constants. One unroll serves a whole task batch (the episodes are
-    stacked), so the budget counts one batch's unroll, whose node count does
-    not grow with ``tasks_per_outer_step``. It is checked after every inner
-    step, so an oversized unroll stops with ``ResourceError`` before its next
-    step is built.
+    ``node_budget`` caps the tensors the engine's full (not first-order)
+    unroll may create: graph nodes, the backward nodes of each inner ``grad``
+    and constants. It governs only that unroll, which ``hypergrad_P`` builds
+    and ``meta_update_P`` uses for models without ``loss_hvp``; the array
+    adjoint (``adjoint_hypergrad``) builds no graph and holds one tape of
+    about four flat parameter-sized arrays per inner step. One unroll serves
+    a whole task batch (the episodes are stacked), so the budget counts one
+    batch's unroll, whose node count does not grow with
+    ``tasks_per_outer_step``. It is checked after every inner step, so an
+    oversized unroll stops with ``ResourceError`` before its next step is
+    built.
     """
 
     inner_steps: int = 5
@@ -400,8 +451,14 @@ class _FlatWarp:
             into[...] = warp.apply(segment)
         return out
 
+    def factor_grads(self, u_bar: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """``WarpMatrix.factor_grads`` of each warp on its segments."""
+        return [warp.factor_grads(ub, seg) for warp, ub, seg in
+                zip(self.warps, _views(u_bar, self.shapes), _views(g, self.shapes))]
 
-def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams):
+
+def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
+           tape=None):
     """``steps`` array WarpAdam steps on the support loss; the arrays and their states.
 
     The parameters of all tensors live in one flat buffer with one
@@ -411,6 +468,10 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     not depend on the layout, so the bits are those of one step per tensor.
     Returns per-tensor views of the parameters and of the moments, in the
     parameters' plain or stacked shapes, with one ``AdamState`` per tensor.
+
+    Given a ``tape`` (anything with ``append``), each step appends the flat
+    ``(w, g, m, v)`` of ``adjoint_hypergrad``: the parameters it started
+    from, the gradient there, and the moments it left.
     """
     arrays = _start_arrays(model, episode)
     shapes = [a.shape for a in arrays]
@@ -418,10 +479,23 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     w = _flat(arrays)
     state = AdamState.zeros(w.shape)
     for _ in range(steps):
-        gs = _detached_grads(model, _views(w, shapes), episode.support_x, episode.support_y)
-        state, w = warpadam_step(state, w, _flat(gs), warp, h)
+        g = _flat(_detached_grads(model, _views(w, shapes), episode.support_x, episode.support_y))
+        w_start = w
+        state, w = warpadam_step(state, w, g, warp, h)
+        if tape is not None:
+            tape.append((w_start, g, state.m, state.v))
     moments = zip(_views(state.m, shapes), _views(state.v, shapes))
     return _views(w, shapes), [AdamState(m, v, state.t) for m, v in moments]
+
+
+def _check_hypergrad_inputs(episode, model, warps: Sequence[WarpMatrix]) -> None:
+    if len(warps) != len(model.params):
+        raise ShapeError(f"{len(warps)} warps for {len(model.params)} parameter tensors")
+    if np.size(episode.support_y) == 0 or np.size(episode.query_y) == 0:
+        raise ValueError("episode needs non-empty support and query sets")
+    for w, p in zip(warps, model.params):
+        if w.dim != p.size:
+            raise ShapeError(f"warp dim {w.dim} does not match parameter size {p.size}")
 
 
 def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
@@ -438,15 +512,15 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     otherwise the full trajectory is unrolled and differentiated. For a
     stacked episode the graph root is the sum of the E query losses, so the
     hypergradient is the sum of the E per-episode hypergradients.
-    """
-    if len(warps) != len(model.params):
-        raise ShapeError(f"{len(warps)} warps for {len(model.params)} parameter tensors")
-    if np.size(episode.support_y) == 0 or np.size(episode.query_y) == 0:
-        raise ValueError("episode needs non-empty support and query sets")
-    for w, p in zip(warps, model.params):
-        if w.dim != p.size:
-            raise ShapeError(f"warp dim {w.dim} does not match parameter size {p.size}")
 
+    This is the autodiff engine's hypergradient, the reference that
+    ``adjoint_hypergrad`` is tested against; ``meta_update_P`` uses it for
+    models without ``loss_hvp``. ``cfg.node_budget`` caps its full unroll and
+    governs nothing else: the adjoint that serves models with ``loss_hvp``
+    builds no graph and holds one tape of about four flat arrays per inner
+    step.
+    """
+    _check_hypergrad_inputs(episode, model, warps)
     leaves_per_warp = [_warp_leaves(w) for w in warps]
     h = cfg.inner_hyper
 
@@ -468,6 +542,47 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
         out.append(_flat(g.data for g in leaf_grads[pos:pos + len(leaves)]))
         pos += len(leaves)
     return out, _per_episode(losses.data)
+
+
+def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
+                      cfg: MetaConfig) -> tuple[list[np.ndarray], float | np.ndarray]:
+    """``hypergrad_P``'s hypergradients and losses, by reverse mode on arrays.
+
+    For a model with ``loss_grads`` and ``loss_hvp``. The forward pass is
+    ``_adapt`` with a tape of each step's flat ``(w, g, m, v)``; the
+    backward pass walks the steps from the last: ``optim.adam_adjoint`` gives
+    the adjoint ``u_bar`` of the warped gradient ``P g``, each warp adds its
+    ``factor_grads`` of ``<u_bar, P g>``, and the parameters' adjoint gains
+    ``H(w) P^T u_bar``, with ``P^T`` applied as the transposed warp and the
+    Hessian product from ``loss_hvp`` (Maclaurin et al. 2015; Pearlmutter
+    1994). Step 1 needs no Hessian product: the start parameters do not
+    depend on the warps. The tape holds four flat arrays per inner step.
+
+    With ``cfg.first_order`` the tape keeps only the last step, whose adjoint
+    is taken without a Hessian product; the result has the bits of
+    ``hypergrad_P``'s. The full result matches it to rounding: the sums run
+    in another order.
+    """
+    _check_hypergrad_inputs(episode, model, warps)
+    h, steps = cfg.inner_hyper, cfg.inner_steps
+    tape = deque(maxlen=1) if cfg.first_order else []
+    arrays = _adapt(model, warps, episode, steps, h, tape)[0]
+    losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
+    shapes = [a.shape for a in arrays]
+    warp, warp_t = _FlatWarp(warps, shapes), _FlatWarp([w.transposed() for w in warps], shapes)
+    w_bar, m_bar, v_bar = _flat(query_grads), 0.0, 0.0
+    totals = None
+    for t in range(steps, steps - len(tape), -1):
+        w, g, m, v = tape.pop()
+        u_bar, m_bar, v_bar = adam_adjoint(w_bar, m_bar, v_bar, warp.apply(g), m, v, t, h)
+        step = warp.factor_grads(u_bar, g)
+        totals = step if totals is None else [tuple(map(np.add, acc, new))
+                                              for acc, new in zip(totals, step)]
+        if t > 1 and not cfg.first_order:
+            g_bar = _views(warp_t.apply(u_bar), shapes)
+            w_bar = w_bar + _flat(model.loss_hvp(_views(w, shapes), episode.support_x,
+                                                 episode.support_y, g_bar))
+    return [_flat(factors) for factors in totals], _per_episode(losses)
 
 
 def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig) -> list[np.ndarray]:
@@ -495,20 +610,23 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
 
     Returns ``(warps, states, losses)``: the updated warps and outer Adam
     states, and the batch's E query losses after adaptation with the warps
-    as given (``hypergrad_P``'s losses, so ``adaptation_query_loss``'s bits).
-    The batch is stacked into one episode and differentiated as one graph, so
-    the warps receive the sum of the per-task hypergradients from that graph's
-    backward pass. Its summation order differs from adding per-task results,
-    so the full hypergradient can differ from that sum in the last bits; the
-    first-order one does not. Structural forms are preserved; a warp without
-    entries (the identity form) takes an empty step and comes back equal.
+    as given (the hypergradient's losses, so ``adaptation_query_loss``'s bits).
+    The batch is stacked into one episode and differentiated at once, so the
+    warps receive the sum of the per-task hypergradients. Its summation order
+    differs from adding per-task results, so the full hypergradient can differ
+    from that sum in the last bits; the first-order one does not. A model with
+    ``loss_hvp`` is differentiated on arrays (``adjoint_hypergrad``), any
+    other on the engine (``hypergrad_P``). Structural forms are preserved; a
+    warp without entries (the identity form) takes an empty step and comes
+    back equal.
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")
     if len(outer_states) != len(warps):
         raise ShapeError(f"{len(outer_states)} outer states for {len(warps)} warps")
 
-    totals, losses = hypergrad_P(stack_episodes(task_batch), model, warps, cfg)
+    hypergrad = adjoint_hypergrad if hasattr(model, "loss_hvp") else hypergrad_P
+    totals, losses = hypergrad(stack_episodes(task_batch), model, warps, cfg)
     outer_hyper = HyperParams(eta=cfg.outer_eta)
 
     new_warps: list[WarpMatrix] = []

@@ -1,14 +1,19 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpadam
 import warpadam.cli as cli
 from warpadam.cli import main
 from warpadam.bench import read_curve_csv
 from warpadam.config import build_meta, parse_config_text, validate_keys
+from warpadam.nn import MLP
 from warpadam.tasks import load_table, save_table, synth_proto_tasks
 from warpadam.warp import init_warps, load_warps, save_warps
 
@@ -175,12 +180,24 @@ def test_meta_train_writes_curve_with_eval_column(tmp_path):
     assert np.isfinite(float(last[3]))    # and after the final step
 
 
-def test_meta_train_node_budget_is_exit_2_naming_the_budget(tmp_path, capsys):
+def test_meta_train_node_budget_is_exit_2_naming_the_budget(tmp_path, capsys, monkeypatch):
+    # the budget caps the engine unroll, which an MLP without loss_hvp takes
+    monkeypatch.delattr(MLP, "loss_hvp")
     cfg = write_cfg(tmp_path, SMALL_META)
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--set", "meta.node_budget=100"]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "budget of 100" in err
+
+
+def test_meta_train_on_the_adjoint_builds_no_graph_for_the_budget(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_META)
+    outs = [tmp_path / "capped", tmp_path / "default"]
+    assert main(["meta-train", "--config", cfg, "--out", str(outs[0]),
+                 "--set", "meta.node_budget=1"]) == 0
+    assert main(["meta-train", "--config", cfg, "--out", str(outs[1])]) == 0
+    for name in ("warps.bin", "meta_curve.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("setting", ["meta.eval_every=0", "meta.eval_every=-2",
@@ -417,10 +434,25 @@ def test_check_command_negative_control():
 
 
 def test_check_covers_the_fast_mlp_gradient(capsys):
+    # and the array hypergradient's parts: the Hessian product and the adjoint
+    names = ("grad.mlp_loss_grads", "grad.mlp_loss_hvp", "warp.hypergradient_adjoint_vs_fd")
     assert main(["check"]) == 0
-    assert "PASS grad.mlp_loss_grads" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(f"PASS {name}:" in out for name in names)
+    assert "all 15 checks passed" in out
     assert main(["check", "--perturb", "1e-3"]) == 1
-    assert "FAIL grad.mlp_loss_grads" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(f"FAIL {name}:" in out for name in names)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "warpadam", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"warpadam {warpadam.__version__}"
 
 
 def test_import_command(tmp_path):

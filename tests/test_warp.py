@@ -24,6 +24,7 @@ from warpadam.warp import (
     _warp_leaves,
     adapt,
     adaptation_query_loss,
+    adjoint_hypergrad,
     hypergrad_P,
     init_warps,
     load_warps,
@@ -666,6 +667,108 @@ def test_meta_update_builds_one_graph_per_batch(batch, first_order):
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
     meta_update_P(warps, episodes, counting, cfg, [AdamState.zeros(w.n_params) for w in warps])
     assert counting.calls == cfg.inner_steps + 1  # K support losses and one query loss
+
+
+# ---------------------------------------------------------------------------
+# the array adjoint of the unroll, against the engine
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("form", [*FORMS, "auto"])
+def test_adjoint_hypergrad_matches_the_engine(form, stacked, first_order):
+    model, warps, episode = _adapt_setup(form, stacked)
+    for steps in (1, 2, 8):
+        cfg = MetaConfig(inner_steps=steps, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                         first_order=first_order)
+        got, losses = adjoint_hypergrad(episode, model, warps, cfg)
+        want, want_losses = hypergrad_P(episode, model, warps, cfg)
+        for a, b, warp in zip(got, want, warps):
+            assert a.shape == b.shape == (warp.n_params,)
+            if first_order:
+                assert np.array_equal(a, b)
+            else:
+                assert rel_err(a, b, floor=1e-300) < 1e-12
+        assert type(losses) is type(want_losses)
+        assert np.array_equal(losses, want_losses)
+        assert np.array_equal(losses, adaptation_query_loss(model, warps, episode, cfg))
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_adjoint_hypergrad_zero_radicand_matches_the_engine(first_order):
+    # the first input feature is 0 everywhere, so the first row of the first
+    # weight matrix never gets a gradient: with epsilon 0 its radicands stay 0
+    # and the steps take the 0/0 := 0 rule there. (With epsilon 0 a diagonal
+    # warp's scale cancels in m_hat / sqrt(v_hat), so both results are
+    # rounding noise about 0; the point is that they stay finite.)
+    rng = np.random.default_rng(31)
+    model = MLP([4, 5, 3], rng)
+    sx, qx = rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 7, 4))
+    sx[..., 0] = qx[..., 0] = 0.0
+    episode = Episode(support_x=sx, support_y=rng.integers(0, 3, size=(2, 6)),
+                      query_x=qx, query_y=rng.integers(0, 3, size=(2, 7)),
+                      n_way=3, k_shot=2, task_id="zero")
+    warps = [WarpMatrix.diagonal(1.0 + 0.1 * rng.normal(size=p.size)) for p in model.params]
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.0),
+                     first_order=first_order)
+    assert np.all(adapt(model, warps, episode, cfg)[0][:, 0] == model.params[0][0])
+    got, losses = adjoint_hypergrad(episode, model, warps, cfg)
+    want, want_losses = hypergrad_P(episode, model, warps, cfg)
+    for a, b in zip(got, want):
+        assert np.all(np.isfinite(a))
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+    assert np.all(got[0][:5] == 0.0)
+    assert np.array_equal(losses, want_losses)
+
+
+def _mlp_hvp_setup(sizes, stacked, seed=33):
+    rng = np.random.default_rng(seed)
+    model = MLP(sizes, rng)
+    lead = (3,) if stacked else ()
+    arrays = [p + 0.1 * rng.normal(size=lead + p.shape) for p in model.params]
+    x = rng.normal(size=lead + (7, sizes[0]))
+    y = rng.integers(0, sizes[-1], size=lead + (7,))
+    vecs = [rng.normal(size=a.shape) for a in arrays]
+    return model, arrays, x, y, vecs
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("sizes", [[4, 3], [4, 5, 3], [4, 5, 6, 3]])
+def test_mlp_loss_hvp_is_the_engine_second_derivative(sizes, stacked):
+    model, arrays, x, y, vecs = _mlp_hvp_setup(sizes, stacked)
+    params = [Tensor(a, requires_grad=True) for a in arrays]
+    gs = grad(T.tsum(model.loss(params, x, y)), params, create_graph=True)
+    inner = sum((T.tsum(T.mul(g, Tensor(v))) for g, v in zip(gs, vecs)), Tensor(0.0))
+    want = grad(inner, params)
+    got = model.loss_hvp(arrays, x, y, vecs)
+    for a, b, p in zip(got, want, arrays):
+        assert a.shape == p.shape
+        assert rel_err(a, b.data) < 1e-12
+
+
+def test_mlp_loss_hvp_matches_central_differences_of_loss_grads():
+    model, arrays, x, y, vecs = _mlp_hvp_setup([4, 5, 3], stacked=True)
+    step = 1e-5
+    plus = model.loss_grads([a + step * v for a, v in zip(arrays, vecs)], x, y)[1]
+    minus = model.loss_grads([a - step * v for a, v in zip(arrays, vecs)], x, y)[1]
+    for got, p, m in zip(model.loss_hvp(arrays, x, y, vecs), plus, minus):
+        assert rel_err(got, (p - m) / (2.0 * step)) < 1e-6
+
+
+def _counting(monkeypatch, owner, attr, calls):
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *a, **k: calls.append(attr) or original(*a, **k))
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_meta_update_on_an_mlp_takes_the_adjoint(monkeypatch, first_order):
+    model, episodes, warps = _stack_setup("kron")
+    calls = []
+    for owner, attr in ((T, "grad"), (warp_module, "grad"), (T, "toposort"),
+                        (MLP, "loss"), (MLP, "loss_hvp")):
+        _counting(monkeypatch, owner, attr, calls)
+    cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
+    meta_update_P(warps, episodes, model, cfg, [AdamState.zeros(w.n_params) for w in warps])
+    assert calls == ([] if first_order else ["loss_hvp"] * (cfg.inner_steps - 1))
 
 
 # ---------------------------------------------------------------------------
