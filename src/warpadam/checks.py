@@ -93,19 +93,23 @@ def check_mlp_gradient(perturb: float = 0.0) -> list[CheckResult]:
 
 def check_mlp_hvp(perturb: float = 0.0) -> CheckResult:
     """``MLP.loss_hvp`` against central differences of ``loss_grads`` along
-    the same vectors, on a hidden-layer MLP (so the tanh terms count)."""
+    the same vectors, on a hidden-layer MLP (so the tanh terms count), for a
+    plain episode and a stack of three."""
     rng = np.random.default_rng(23)
     model = MLP([5, 6, 3], rng)
-    x = rng.normal(size=(8, 5))
-    y = rng.integers(0, 3, size=8)
     worst, step = 0.0, 1e-5
-    for _ in range(5):
-        vecs = [rng.normal(size=p.shape) for p in model.params]
-        hvp = model.loss_hvp(model.params, x, y, vecs)
-        plus = model.loss_grads([p + step * v for p, v in zip(model.params, vecs)], x, y)[1]
-        minus = model.loss_grads([p - step * v for p, v in zip(model.params, vecs)], x, y)[1]
-        fd = np.concatenate([((a - b) / (2.0 * step)).reshape(-1) for a, b in zip(plus, minus)])
-        worst = max(worst, _rel(np.concatenate([h.reshape(-1) for h in hvp]) + perturb, fd))
+    for lead in ((), (3,)):
+        arrays = [p + 0.1 * rng.normal(size=lead + p.shape) for p in model.params]
+        x = rng.normal(size=lead + (8, 5))
+        y = rng.integers(0, 3, size=lead + (8,))
+        for _ in range(5):
+            vecs = [rng.normal(size=a.shape) for a in arrays]
+            hvp = model.loss_hvp(arrays, x, y, vecs)
+            plus = model.loss_grads([a + step * v for a, v in zip(arrays, vecs)], x, y)[1]
+            minus = model.loss_grads([a - step * v for a, v in zip(arrays, vecs)], x, y)[1]
+            fd = np.concatenate([((a - b) / (2.0 * step)).reshape(-1)
+                                 for a, b in zip(plus, minus)])
+            worst = max(worst, _rel(np.concatenate([h.reshape(-1) for h in hvp]) + perturb, fd))
     return CheckResult("grad.mlp_loss_hvp", worst, 1e-5)
 
 

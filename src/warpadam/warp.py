@@ -58,7 +58,7 @@ from .tensor import ShapeError, Tensor, grad
 
 
 class ResourceError(RuntimeError):
-    """An unrolled graph outgrew the configured node budget."""
+    """A full hypergradient outgrew the configured node budget."""
 
 
 class Form(NamedTuple):
@@ -270,17 +270,21 @@ def tod_penalty_grad(warp: WarpMatrix, lam: float) -> np.ndarray:
 class MetaConfig:
     """Inner/outer loop hyperparameters for warp training.
 
-    ``node_budget`` caps the tensors the engine's full (not first-order)
-    unroll may create: graph nodes, the backward nodes of each inner ``grad``
-    and constants. It governs only that unroll, which ``hypergrad_P`` builds
-    and ``meta_update_P`` uses for models without ``loss_hvp``; the array
-    adjoint (``adjoint_hypergrad``) builds no graph and holds one tape of
-    about four flat parameter-sized arrays per inner step. One unroll serves
-    a whole task batch (the episodes are stacked), so the budget counts one
-    batch's unroll, whose node count does not grow with
-    ``tasks_per_outer_step``. It is checked after every inner step, so an
-    oversized unroll stops with ``ResourceError`` before its next step is
-    built.
+    ``node_budget`` caps what a full (not first-order) hypergradient of one
+    task batch holds, and an oversized one stops with ``ResourceError``:
+
+    - the engine's unroll (``hypergrad_P``, and ``meta_update_P`` for models
+      without ``loss_hvp``) may create that many tensors: graph nodes, the
+      backward nodes of each inner ``grad`` and constants. Its node count
+      does not grow with ``tasks_per_outer_step``. It is checked after every
+      inner step, before the next one is built;
+    - the array adjoint (``adjoint_hypergrad``, for models with
+      ``loss_hvp``) may tape that many float64 entries: four flat arrays
+      ``(w, g, m, v)`` per inner step, each as long as the stacked
+      parameters, so ``4 * inner_steps * tasks * parameters``. It is checked
+      before the first inner step.
+
+    A first-order hypergradient holds one step and is not capped.
     """
 
     inner_steps: int = 5
@@ -515,10 +519,8 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
 
     This is the autodiff engine's hypergradient, the reference that
     ``adjoint_hypergrad`` is tested against; ``meta_update_P`` uses it for
-    models without ``loss_hvp``. ``cfg.node_budget`` caps its full unroll and
-    governs nothing else: the adjoint that serves models with ``loss_hvp``
-    builds no graph and holds one tape of about four flat arrays per inner
-    step.
+    models without ``loss_hvp``. ``cfg.node_budget`` caps the tensors its
+    full unroll creates (see ``MetaConfig``).
     """
     _check_hypergrad_inputs(episode, model, warps)
     leaves_per_warp = [_warp_leaves(w) for w in warps]
@@ -556,7 +558,9 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     ``H(w) P^T u_bar``, with ``P^T`` applied as the transposed warp and the
     Hessian product from ``loss_hvp`` (Maclaurin et al. 2015; Pearlmutter
     1994). Step 1 needs no Hessian product: the start parameters do not
-    depend on the warps. The tape holds four flat arrays per inner step.
+    depend on the warps. The tape holds four flat arrays per inner step;
+    before the first step, a full tape over ``cfg.node_budget`` float64
+    entries raises ``ResourceError``.
 
     With ``cfg.first_order`` the tape keeps only the last step, whose adjoint
     is taken without a Hessian product; the result has the bits of
@@ -565,6 +569,13 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     """
     _check_hypergrad_inputs(episode, model, warps)
     h, steps = cfg.inner_hyper, cfg.inner_steps
+    if not cfg.first_order:
+        stack = int(np.prod(np.shape(episode.support_x)[:-2]))
+        entries = 4 * steps * stack * sum(np.size(p) for p in model.params)
+        if entries > cfg.node_budget:
+            raise ResourceError(
+                f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
+                f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
     tape = deque(maxlen=1) if cfg.first_order else []
     arrays = _adapt(model, warps, episode, steps, h, tape)[0]
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
