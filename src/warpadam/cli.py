@@ -57,7 +57,7 @@ from .warp import (
     init_warps,
     meta_update_P,
     save_warps,
-    stack_episodes,
+    stack_within_budget,
     tod_penalty,
 )
 
@@ -188,13 +188,15 @@ def cmd_meta_train(args) -> int:
     warps = init_warps([p.shape for p in model.params], cfg.get("warp.policy", "auto"))
     states = [AdamState.zeros(w.n_params) for w in warps]
 
-    # the held-out set, sampled and stacked a task batch at a time, so the
-    # memory its evaluation takes follows tasks_per_outer_step
+    # the held-out set, sampled in order and evaluated in stacks that keep the
+    # stacked parameters within warp.STACK_ENTRY_BUDGET entries but hold no
+    # fewer episodes than a task batch: an evaluation's memory is bounded by
+    # that constant or by the task batch's own stack
     eval_rng = np.random.default_rng([seed, 1])
     batch_size = meta.tasks_per_outer_step
-    eval_stacks = [stack_episodes([sample_episode(eval_table, n_way, k_shot, qpc, eval_rng)
-                                   for _ in range(min(batch_size, eval_episodes - start))])
-                   for start in range(0, eval_episodes, batch_size)]
+    eval_stacks = stack_within_budget(
+        [sample_episode(eval_table, n_way, k_shot, qpc, eval_rng) for _ in range(eval_episodes)],
+        sum(p.size for p in model.params), batch_size)
 
     def eval_loss(current):
         return float(np.mean(np.concatenate([adaptation_query_loss(model, current, stack, meta)

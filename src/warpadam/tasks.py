@@ -207,6 +207,8 @@ def _read_pgm(path) -> np.ndarray:
     if len(raster) < width * height:
         raise PgmError(f"PGM raster shorter than {width}x{height} in {path}")
     img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if img.max() > maxval:
+        raise PgmError(f"PGM sample {img.max()} above maxval={maxval} in {path}")
     return img.astype(np.float64) / maxval
 
 

@@ -33,6 +33,8 @@ The meta-learning functions take an episode or a *stacked* episode: E
 episodes of one geometry whose arrays carry E on axis 0 (``stack_episodes``).
 A stack adapts E parameter copies side by side in one graph, and the warps,
 shared by all E, receive the sum of the E per-episode hypergradients.
+Each episode's losses do not depend on the stack it is in, so
+``stack_within_budget`` can size the stacks of an evaluation by memory alone.
 
 Array adaptation (``adapt``, ``adaptation_query_loss`` and the detached
 steps of the first-order hypergradient) keeps the parameters of all tensors
@@ -106,9 +108,15 @@ def _diagonal_factor_grads(factors, u_bar, g, lead):
 
 
 def _dense_factor_grads(factors, u_bar, g, lead):
-    column = lead + (factors[0].shape[0], 1)
-    return (T.sum_to(u_bar.reshape(column) @ g.reshape(column).swapaxes(-1, -2),
-                     factors[0].shape),)
+    # the engine's matmul backward sums the (E, d, d) stack of outer products
+    # over E in episode order; adding them one at a time into one (d, d) array
+    # is the same sum, without the stack. Starting from +0.0 gives matmul's
+    # signed zeros too: a product of -0.0 comes out +0.0.
+    d = factors[0].shape[0]
+    total = np.zeros((d, d))
+    for u_e, g_e in zip(u_bar.reshape(-1, d), g.reshape(-1, d)):
+        total += np.multiply.outer(u_e, g_e)
+    return (total,)
 
 
 FORMS = {
@@ -412,6 +420,28 @@ def stack_episodes(episodes: Sequence[Episode]) -> Episode:
         n_way=episodes[0].n_way, k_shot=episodes[0].k_shot,
         task_id="+".join(ep.task_id for ep in episodes),
     )
+
+
+# The float64 entries that one flat array of a stack's parameters (``_adapt``'s
+# w, g, m and v, and the temporaries of its steps) may hold: 16,384 entries
+# are 128 KiB, glibc's default mmap threshold, so these arrays come from the
+# heap rather than from one mmap each, and the memory an evaluation takes is
+# bounded by a constant.
+STACK_ENTRY_BUDGET = 16384
+
+
+def stack_within_budget(episodes: Sequence[Episode], n_params: int,
+                        min_stack: int) -> list[Episode]:
+    """The episodes, in order, as stacks of ``max(min_stack,
+    STACK_ENTRY_BUDGET // n_params)`` (the last may be shorter).
+
+    So a model of ``n_params`` parameters gets as many episodes per stack as
+    keep its stacked copy within the budget, and never fewer than
+    ``min_stack``. No stack is empty.
+    """
+    size = max(min_stack, STACK_ENTRY_BUDGET // n_params)
+    return [stack_episodes(episodes[start:start + size])
+            for start in range(0, len(episodes), size)]
 
 
 def _start_arrays(model, episode) -> list[np.ndarray]:

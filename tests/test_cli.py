@@ -12,9 +12,10 @@ import warpadam
 import warpadam.cli as cli
 from warpadam.cli import main
 from warpadam.bench import read_curve_csv
-from warpadam.config import build_meta, parse_config_text, validate_keys
-from warpadam.tasks import load_table, save_table, synth_proto_tasks
-from warpadam.warp import init_warps, load_warps, save_warps
+from warpadam.config import apply_overrides, build_meta, parse_config_text, validate_keys
+from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
+from warpadam.warp import (adaptation_query_loss, init_warps, load_warps, save_warps,
+                           stack_within_budget)
 
 from test_tasks import make_tree
 
@@ -198,13 +199,37 @@ def test_meta_train_rejects_non_positive_eval_settings(tmp_path, capsys, setting
 
 
 def test_meta_train_eval_set_not_a_multiple_of_the_batch(tmp_path):
-    # 5 eval episodes stack as 2 + 2 + 1 with a batch of 2
+    # 5 eval episodes with a batch of 2; this 21-parameter model evaluates them
+    # as one stack, a model over the stack budget as 2 + 2 + 1 (see below)
     cfg = write_cfg(tmp_path, SMALL_META)
     out = tmp_path / "o"
     assert main(["meta-train", "--config", cfg, "--out", str(out),
                  "--set", "meta.eval_episodes=5"]) == 0
     last = (out / "meta_curve.csv").read_text().splitlines()[-1].split(",")
     assert np.isfinite(float(last[3]))
+
+
+@pytest.mark.parametrize("settings, n_stacks", [
+    ([], 1),  # 21 parameters: the five episodes fit one stack
+    (["warp.policy=diagonal", "model.hidden=900"], 3),  # 9,003: stacks of the batch, 2 + 2 + 1
+])
+def test_meta_train_eval_column_is_the_mean_of_unstacked_losses(tmp_path, settings, n_stacks):
+    settings = settings + ["meta.eval_episodes=5"]
+    out = tmp_path / "o"
+    assert main(["meta-train", "--config", write_cfg(tmp_path, SMALL_META), "--out", str(out),
+                 *(a for kv in settings for a in ("--set", kv))]) == 0
+    cfg = apply_overrides(parse_config_text(SMALL_META), settings)
+    _, _, eval_table, model = cli._meta_setup(cfg, 5)
+    meta = build_meta(cfg)
+    eval_rng = np.random.default_rng([5, 1])  # SMALL_META's seed and episode geometry
+    episodes = [sample_episode(eval_table, 3, 1, 3, eval_rng) for _ in range(5)]
+    assert len(stack_within_budget(episodes, sum(p.size for p in model.params),
+                                   meta.tasks_per_outer_step)) == n_stacks
+    rows = [line.split(",") for line in (out / "meta_curve.csv").read_text().splitlines()[1:]]
+    start = init_warps([p.shape for p in model.params], cfg.get("warp.policy", "auto"))
+    for row, warps in ((rows[0], start), (rows[-1], load_warps(out / "warps.bin"))):
+        losses = [adaptation_query_loss(model, warps, ep, meta) for ep in episodes]
+        assert float(row[3]) == float(np.mean(losses))
 
 
 @pytest.mark.parametrize("settings", [["inner.eta=1e200"],
@@ -243,8 +268,8 @@ def test_memory_error_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch, exc
 
 def test_meta_train_adapts_only_the_held_out_set(tmp_path, monkeypatch):
     # the batch loss comes from the hypergradient, so adaptation_query_loss
-    # serves only the held-out stacks: 5 episodes in stacks of 2, at step 0
-    # and after the last step
+    # serves only the held-out stacks: 5 episodes of a 21-parameter model fit
+    # one stack, evaluated at step 0 and after the last step
     calls = []
     original = cli.adaptation_query_loss
     monkeypatch.setattr(cli, "adaptation_query_loss",
@@ -252,7 +277,7 @@ def test_meta_train_adapts_only_the_held_out_set(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, SMALL_META)
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--set", "meta.eval_episodes=5", "--set", "meta.eval_every=5"]) == 0
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2 * 1
 
 
 def test_meta_train_requires_explicit_split(tmp_path):

@@ -1,7 +1,9 @@
-"""Mutations of valid ``warps.bin`` and ``table.wtbl`` files.
+"""Mutations of valid input files, and random config text.
 
-Each mutated file either loads and saves back to the same bytes, or raises
-``ValueError`` naming the file: nothing else escapes the loaders.
+A mutated ``warps.bin`` or ``table.wtbl`` either loads and saves back to the
+same bytes, or raises ``ValueError`` naming the file; a mutated PGM image
+either imports or raises ``PgmError`` naming the file. Config text raises
+nothing but ``ValueError``.
 """
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpadam.tasks import load_table, save_table, synth_proto_tasks
+from warpadam.config import KNOWN_KEYS, parse_config_text, validate_keys
+from warpadam.tasks import PgmError, import_image_classes, load_table, save_table, synth_proto_tasks
 from warpadam.warp import WarpMatrix, load_warps, save_warps
 
 MUTATIONS = st.tuples(st.sampled_from(["truncate", "flip", "append", "overwrite"]),
@@ -73,3 +76,40 @@ def test_mutated_warp_checkpoint_loads_back_or_names_the_file(workdir, valid_fil
 def test_mutated_class_table_loads_back_or_names_the_file(workdir, valid_files, mutation):
     blob = _mutate(valid_files["table.wtbl"], *mutation)
     _loads_back_or_names_the_file(workdir, load_table, save_table, blob)
+
+
+# a 4x3 P5 image with a header comment
+VALID_PGM = b"P5\n# four by three\n4 3\n255\n" + bytes(range(0, 240, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MUTATIONS)
+def test_mutated_pgm_imports_or_names_the_file(workdir, mutation):
+    image = workdir / "tree" / "alpha" / "char" / "0.pgm"
+    image.parent.mkdir(parents=True, exist_ok=True)
+    image.write_bytes(_mutate(VALID_PGM, *mutation))
+    try:
+        table = import_image_classes(workdir / "tree", 4)
+    except PgmError as exc:
+        assert str(image) in str(exc)
+        return
+    (instances,) = [c.instances for a in table.alphabets for c in a.classes]
+    assert instances.shape == (1, 16)
+    assert np.all((instances >= 0.0) & (instances <= 1.0))
+
+
+CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds(lambda key, sep, value: f"{key}{sep}{value}",
+              st.one_of(st.sampled_from(sorted(KNOWN_KEYS)), st.text(max_size=12)),
+              st.sampled_from(["=", " = ", "==", ""]), st.text(max_size=12)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(CONFIG_LINES, max_size=8))
+def test_random_config_text_raises_only_value_error(lines):
+    try:
+        validate_keys(parse_config_text("\n".join(lines)))
+    except ValueError:
+        pass

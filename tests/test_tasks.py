@@ -235,6 +235,17 @@ def test_import_truncated_raster(tmp_path):
         import_image_classes(tmp_path, 4)
 
 
+def test_import_rejects_a_sample_above_maxval(tmp_path):
+    # read as is, the 200 would import as 200 / 100 = 2.0, outside [0, 1]
+    d = tmp_path / "a" / "c"
+    d.mkdir(parents=True)
+    write_pgm(d / "over.pgm", np.array([[0, 100], [200, 50]]), maxval=100)
+    with pytest.raises(PgmError, match="over.pgm"):
+        import_image_classes(tmp_path, 2)
+    write_pgm(d / "over.pgm", np.array([[0, 100], [100, 50]]), maxval=100)
+    assert import_image_classes(tmp_path, 2).alphabets[0].classes[0].instances.max() == 1.0
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

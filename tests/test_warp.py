@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warpadam.nn as nn
 import warpadam.tensor as T
@@ -30,7 +32,9 @@ from warpadam.warp import (
     load_warps,
     meta_update_P,
     save_warps,
+    STACK_ENTRY_BUDGET,
     stack_episodes,
+    stack_within_budget,
     tod_penalty,
     tod_penalty_grad,
 )
@@ -439,6 +443,21 @@ def _stack_setup(form, seed=21, n_episodes=4):
     return model, episodes, warps
 
 
+def _form_setup(form, n_episodes=4):
+    """``_stack_setup``, or for ``auto`` a larger MLP whose warps take the
+    ``auto`` policy, perturbed off the identity."""
+    if form != "auto":
+        return _stack_setup(form, n_episodes=n_episodes)
+    rng = np.random.default_rng(24)
+    table = synth_proto_tasks(3, 4, 8, 20, 0.5, rng)
+    episodes = [sample_episode(table, 3, 2, 3, rng) for _ in range(n_episodes)]
+    model = MLP([20, 16, 3], rng)
+    warps = [w.with_params(w.params() + 0.05 * rng.normal(size=w.n_params))
+             for w in init_warps([p.shape for p in model.params], "auto")]
+    assert {w.form for w in warps} == {"kron", "dense"}
+    return model, episodes, warps
+
+
 def _per_task_sum(episodes, model, warps, cfg):
     """The per-task hypergradients added in batch order, starting from zeros."""
     totals = [np.zeros(w.n_params) for w in warps]
@@ -468,15 +487,51 @@ def test_stacked_first_order_hypergrad_is_bitwise_the_per_task_sum(form):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("form", [*FORMS, "auto"])
 def test_stacked_adaptation_query_loss_is_bitwise_per_episode(form):
-    model, episodes, warps = _stack_setup(form)
+    # so the held-out set may be cut into stacks of any size
+    model, episodes, warps = _form_setup(form, n_episodes=20)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
-    stacked = adaptation_query_loss(model, warps, stack_episodes(episodes), cfg)
     singles = [adaptation_query_loss(model, warps, ep, cfg) for ep in episodes]
-    assert stacked.shape == (len(episodes),)
     assert all(isinstance(x, float) for x in singles)
-    assert np.array_equal(stacked, singles)
+    for size in (1, 4, 20):
+        stacks = [adaptation_query_loss(model, warps, stack_episodes(episodes[i:i + size]), cfg)
+                  for i in range(0, len(episodes), size)]
+        assert all(losses.shape == (size,) for losses in stacks)
+        assert np.array_equal(np.concatenate(stacks), singles)
+
+
+def _numbered_episodes(n):
+    """``n`` one-row episodes of one geometry, with task ids "0", "1", ... in order."""
+    return [Episode(support_x=np.full((1, 1), float(i)), support_y=np.zeros(1, dtype=int),
+                    query_x=np.full((1, 1), float(i)), query_y=np.zeros(1, dtype=int),
+                    n_way=1, k_shot=1, task_id=str(i)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n_params, min_stack, sizes", [
+    (195, 4, [20]),                    # meta-full's model: one stack
+    (2437, 4, [6, 6, 6, 2]),           # meta-fo-kron's model
+    (27, 4, [20]),                     # the README config's model
+    (STACK_ENTRY_BUDGET, 4, [4] * 5),  # one episode fits the budget; the batch size wins
+    (STACK_ENTRY_BUDGET + 1, 3, [3] * 6 + [2]),  # over the budget: the batch size
+])
+def test_stack_within_budget_sizes_and_order(n_params, min_stack, sizes):
+    stacks = stack_within_budget(_numbered_episodes(20), n_params, min_stack)
+    assert [len(s.support_y) for s in stacks] == sizes
+    assert "+".join(s.task_id for s in stacks) == "+".join(map(str, range(20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 3 * STACK_ENTRY_BUDGET), st.integers(1, 8))
+def test_stack_within_budget_keeps_every_episode_in_order(n, n_params, min_stack):
+    stacks = stack_within_budget(_numbered_episodes(n), n_params, min_stack)
+    size = max(min_stack, STACK_ENTRY_BUDGET // n_params)
+    lengths = [len(s.support_y) for s in stacks]
+    assert all(length == size for length in lengths[:-1])
+    assert all(1 <= length <= size for length in lengths)
+    assert "+".join(s.task_id for s in stacks) == "+".join(map(str, range(n)))
+    if 0 < n * n_params <= STACK_ENTRY_BUDGET:
+        assert len(stacks) == 1
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -487,6 +542,18 @@ def test_stacked_apply_is_bitwise_per_gradient(form):
     assert np.array_equal(warp.apply(gs), singles)
     graph = warp.apply(Tensor(gs), _warp_leaves(warp)).data
     assert np.array_equal(graph, singles)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("form", ["diagonal", "dense", "kron"])
+def test_factor_grads_are_the_engine_backward_of_apply(form, stacked):
+    _, _, (warp, _, _, _) = _stack_setup(form)
+    u_bar, g = np.random.default_rng(23).normal(size=(2,) + (4,) * stacked + (5, 4))
+    u_bar[..., 0, :] = 0.0  # zero adjoints: their products with g are signed zeros
+    leaves = _warp_leaves(warp)
+    want = grad(T.tsum(T.mul(warp.apply(Tensor(g), leaves), Tensor(u_bar))), list(leaves))
+    for got, w in zip(warp.factor_grads(u_bar, g), want, strict=True):
+        assert got.tobytes() == w.data.tobytes()
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -555,18 +622,8 @@ def _per_tensor_adapt(model, warps, episode, steps, h):
 
 
 def _adapt_setup(form, stacked):
-    """A model, warps of ``form`` (or the ``auto`` policy, perturbed off the
-    identity) and a plain episode or a stack of 4."""
-    if form != "auto":
-        model, episodes, warps = _stack_setup(form)
-    else:
-        rng = np.random.default_rng(24)
-        table = synth_proto_tasks(3, 4, 8, 20, 0.5, rng)
-        episodes = [sample_episode(table, 3, 2, 3, rng) for _ in range(4)]
-        model = MLP([20, 16, 3], rng)
-        warps = [w.with_params(w.params() + 0.05 * rng.normal(size=w.n_params))
-                 for w in init_warps([p.shape for p in model.params], "auto")]
-        assert {w.form for w in warps} == {"kron", "dense"}
+    """A model, warps of ``form`` or ``auto`` and a plain episode or a stack of 4."""
+    model, episodes, warps = _form_setup(form)
     return model, warps, stack_episodes(episodes) if stacked else episodes[0]
 
 
@@ -685,7 +742,7 @@ def test_adjoint_hypergrad_matches_the_engine(form, stacked, first_order):
         for a, b, warp in zip(got, want, warps):
             assert a.shape == b.shape == (warp.n_params,)
             if first_order:
-                assert np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()  # signed zeros too
             else:
                 assert rel_err(a, b, floor=1e-300) < 1e-12
         assert type(losses) is type(want_losses)
