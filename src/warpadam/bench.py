@@ -19,7 +19,9 @@ import numpy as np
 from .nn import MLP
 from .optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
 from .tasks import ClassTable, sample_episode, synth_proto_tasks
-from .tensor import NumericError, Tensor, grad
+from .tensor import NumericError, Tensor
+# unused; perfbench's tracer patches bench.grad (ROADMAP item 1)
+from .tensor import grad  # noqa: F401
 from .warp import WarpMatrix, init_warps
 
 OPTIMIZERS = tuple(sorted(STEP_FUNCS)) + ("warpadam",)
@@ -115,18 +117,17 @@ REFERENCE_ROWS = (
 )
 
 
-def _resolve_table(cfg: RunConfig, rng: np.random.Generator) -> ClassTable:
-    if cfg.table is not None:
-        return cfg.table
-    s = cfg.synth
-    return synth_proto_tasks(s.alphabets, s.classes_per_alphabet, s.instances_per_class,
-                             s.dim, s.noise, rng)
+def resolve_table(synth: SynthSpec | None, table: ClassTable | None,
+                  rng: np.random.Generator) -> ClassTable:
+    """The task table of a source: ``table`` itself, or ``synth`` drawn from ``rng``."""
+    if table is not None:
+        return table
+    return synth_proto_tasks(synth.alphabets, synth.classes_per_alphabet,
+                             synth.instances_per_class, synth.dim, synth.noise, rng)
 
 
-def build_model(cfg: RunConfig, model_spec: ModelSpec, dim: int,
-                rng: np.random.Generator) -> MLP:
-    sizes = [dim, cfg.episode.n_way] if model_spec.hidden == 0 else \
-            [dim, model_spec.hidden, cfg.episode.n_way]
+def build_model(model_spec: ModelSpec, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
+    sizes = [dim, n_way] if model_spec.hidden == 0 else [dim, model_spec.hidden, n_way]
     return MLP(sizes, rng)
 
 
@@ -162,12 +163,13 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
     """Train one shared model over a sequence of sampled episodes.
 
     The model is built fresh per run and carried across tasks; each task gets
-    ``steps_per_task`` full-batch steps on its support set, with train/query
+    ``steps_per_task`` full-batch steps on its support set, with gradients from
+    ``MLP.loss_grads`` (bitwise the engine's ``grad``) and train/query
     metrics recorded every ``eval_every`` steps and at the last step.
     """
     rng = np.random.default_rng(cfg.seed)
-    table = _resolve_table(cfg, rng)
-    model = build_model(cfg, model_spec, table.dim, rng)
+    table = resolve_table(cfg.synth, cfg.table, rng)
+    model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
     arrays = model.clone_params()
     amsgrad = cfg.optimizer == "amsgrad"
     states = [AdamState.zeros(a.shape, amsgrad=amsgrad) for a in arrays]
@@ -185,10 +187,8 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
                             alphabets=cfg.episode.alphabets)
         for s in range(1, cfg.steps_per_task + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                params = [Tensor(a, requires_grad=True) for a in arrays]
-                loss_t = model.loss(params, ep.support_x, ep.support_y)
-                gs = [g.data for g in grad(loss_t, params)]
-                loss_val = loss_t.item()
+                loss, gs = model.loss_grads(arrays, ep.support_x, ep.support_y)
+                loss_val = float(loss)
             if not np.isfinite(loss_val) or not all(np.all(np.isfinite(g)) for g in gs):
                 records.append(CurveRecord(task_index, s, loss_val, float("nan"),
                                            float("nan"), float("nan"), wall()))

@@ -26,8 +26,10 @@ import numpy as np
 
 from . import __version__
 from .bench import (
+    build_model,
     compare_optimizers,
     emit_csv,
+    resolve_table,
     run_sequential_tasks,
     write_comparison_csv,
     write_manifest,
@@ -36,10 +38,10 @@ from .checks import run_all
 from .config import (
     UsageError,
     apply_overrides,
+    build_episode,
     build_meta,
     build_model_spec,
     build_run_config,
-    build_synth,
     build_task_source,
     getint,
     getlist,
@@ -47,10 +49,11 @@ from .config import (
     load_config_file,
     validate_keys,
 )
-from .nn import MLP
 from .optim import AdamState
 from .tensor import NumericError
-from .tasks import import_image_classes, load_table, sample_episode, save_table, split_table, synth_proto_tasks
+from .tasks import import_image_classes, sample_episode, save_table, split_table
+# unused; perfbench's tracer patches cli.load_table and cli.synth_proto_tasks (ROADMAP item 1)
+from .tasks import load_table, synth_proto_tasks  # noqa: F401
 from .warp import (
     ResourceError,
     adaptation_query_loss,
@@ -136,21 +139,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _meta_setup(cfg, seed):
+def _meta_setup(cfg, seed, n_way):
     rng = np.random.default_rng(seed)
-    source = cfg.get("tasks.source", "synth")
-    if source == "synth":
-        s = build_synth(cfg)
-        table = synth_proto_tasks(s.alphabets, s.classes_per_alphabet,
-                                  s.instances_per_class, s.dim, s.noise, rng)
-    elif source == "table":
-        path = cfg.get("tasks.table")
-        if path is None:
-            raise UsageError("tasks.table is required when tasks.source=table")
-        table = load_table(path)
-    else:
-        raise UsageError(f"tasks.source must be synth or table, got {source!r}")
-
+    table = resolve_table(*build_task_source(cfg), rng)  # the synthetic table is rng's first draw
     train_names = getlist(cfg, "tasks.train_alphabets")
     eval_names = getlist(cfg, "tasks.eval_alphabets")
     if train_names is None or eval_names is None:
@@ -160,11 +151,7 @@ def _meta_setup(cfg, seed):
         train_table, eval_table = split_table(table, train_names, eval_names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-    n_way = getint(cfg, "tasks.n_way", 5)
-    hidden = build_model_spec(cfg).hidden
-    sizes = [table.dim, n_way] if hidden == 0 else [table.dim, hidden, n_way]
-    model = MLP(sizes, rng)
+    model = build_model(build_model_spec(cfg), table.dim, n_way, rng)
     return rng, train_table, eval_table, model
 
 
@@ -180,11 +167,10 @@ def cmd_meta_train(args) -> int:
     for key, value in (("meta.eval_episodes", eval_episodes), ("meta.eval_every", eval_every)):
         if value < 1:
             raise UsageError(f"{key} must be >= 1, got {value}")
-    n_way = getint(cfg, "tasks.n_way", 5)
-    k_shot = getint(cfg, "tasks.k_shot", 1)
-    qpc = getint(cfg, "tasks.query_per_class", 15)
+    episode = build_episode(cfg)
+    n_way, k_shot, qpc = episode.n_way, episode.k_shot, episode.query_per_class
 
-    rng, train_table, eval_table, model = _meta_setup(cfg, seed)
+    rng, train_table, eval_table, model = _meta_setup(cfg, seed, n_way)
     warps = init_warps([p.shape for p in model.params], cfg.get("warp.policy", "auto"))
     states = [AdamState.zeros(w.n_params) for w in warps]
 

@@ -12,6 +12,8 @@ keys a manifest carries (``command``, ``library.version``, ``out``,
 
 from __future__ import annotations
 
+import math
+
 from .bench import EpisodeSpec, ModelSpec, RunConfig, SynthSpec
 from .optim import HyperParams
 from .tasks import load_table
@@ -102,7 +104,10 @@ def getint(cfg, key, default=None):
 
 
 def getfloat(cfg, key, default=None):
-    return _convert(cfg, key, float, default, "a number")
+    value = _convert(cfg, key, float, default, "a number")
+    if key in cfg and not math.isfinite(value):
+        raise UsageError(f"config key {key} must be finite, got {cfg[key]!r}")
+    return value
 
 
 def getbool(cfg, key, default=None):
@@ -190,7 +195,10 @@ def has_task_section(cfg: dict[str, str], prefix: str) -> bool:
 
 
 def build_task_source(cfg: dict[str, str], prefix: str = "tasks."):
-    """``(synth spec, None)`` or ``(None, loaded table)`` for one task block."""
+    """``(synth spec, None)`` or ``(None, loaded table)`` for one task block.
+
+    ``bench.resolve_table`` turns the pair into the block's table.
+    """
     source = cfg.get(prefix + "source", "synth")
     if source == "synth":
         return build_synth(cfg, prefix), None

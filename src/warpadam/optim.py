@@ -47,9 +47,9 @@ class HyperParams:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")

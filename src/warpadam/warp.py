@@ -308,7 +308,7 @@ class MetaConfig:
             raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
         if not self.outer_eta > 0:
             raise ValueError(f"outer_eta must be positive, got {self.outer_eta}")
-        if self.tod_lambda < 0:
+        if not self.tod_lambda >= 0:
             raise ValueError(f"tod_lambda must be non-negative, got {self.tod_lambda}")
         if self.tasks_per_outer_step < 1:
             raise ValueError(f"tasks_per_outer_step must be >= 1, got {self.tasks_per_outer_step}")

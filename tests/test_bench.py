@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warpadam.tensor as T
 from warpadam.bench import (
     ComparisonRow,
     CurveRecord,
@@ -86,8 +87,24 @@ def test_low_learning_rate_run_completes():
 def test_divergence_is_flagged_not_raised():
     r = run_sequential_tasks(tiny_cfg("sgd", hyper=HyperParams(eta=1e308)), SPEC)
     assert r.diverged
-    assert "task" in r.note and "step" in r.note
+    assert r.note.startswith("non-finite loss/gradient") and "task" in r.note and "step" in r.note
     assert r.records  # the flagged record is emitted
+
+
+def test_run_takes_its_gradients_without_an_engine_backward_pass(monkeypatch):
+    # the MLP's loss_grads gives the engine's bits with no graph walk
+    walks = []
+    original = T.toposort
+
+    def counting_toposort(*args, **kwargs):
+        walks.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(T, "toposort", counting_toposort)
+    for opt in ("adam", "warpadam"):
+        r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
+        assert not r.diverged and r.records
+    assert walks == []
 
 
 def test_every_optimizer_runs():

@@ -109,6 +109,37 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+_HYPER_KEYS = ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", (
+    [("run", "hyper." + k) for k in _HYPER_KEYS] + [("run", "tasks.synth.noise")]
+    + [("meta-train", "inner." + k) for k in _HYPER_KEYS]
+    + [("meta-train", k) for k in ("meta.outer_eta", "meta.tod_lambda", "tasks.synth.noise")]
+))
+def test_non_finite_float_is_usage_error_naming_the_key(tmp_path, capsys, command, key, value):
+    cfg = write_cfg(tmp_path, SMALL_RUN if command == "run" else SMALL_META)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"usage error: config key {key} must be finite, got '{value}'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["tasks.source=bogus"], "tasks.source must be synth or table, got 'bogus'"),
+    (["tasks.source=table"], "tasks.table is required when tasks.source=table"),
+])
+def test_every_command_resolves_the_task_source_alike(tmp_path, capsys, settings, message):
+    for command, text in (("run", SMALL_RUN),
+                          ("compare", SMALL_RUN + "compare.optimizers=adam,warpadam\n"),
+                          ("meta-train", SMALL_META)):
+        cfg = write_cfg(tmp_path, text, name=f"{command}.cfg")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                     *(a for kv in settings for a in ("--set", kv))]) == 2, command
+        assert capsys.readouterr().err == f"usage error: {message}\n", command
+
+
 def test_readme_meta_config_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -219,7 +250,7 @@ def test_meta_train_eval_column_is_the_mean_of_unstacked_losses(tmp_path, settin
     assert main(["meta-train", "--config", write_cfg(tmp_path, SMALL_META), "--out", str(out),
                  *(a for kv in settings for a in ("--set", kv))]) == 0
     cfg = apply_overrides(parse_config_text(SMALL_META), settings)
-    _, _, eval_table, model = cli._meta_setup(cfg, 5)
+    _, _, eval_table, model = cli._meta_setup(cfg, 5, 3)
     meta = build_meta(cfg)
     eval_rng = np.random.default_rng([5, 1])  # SMALL_META's seed and episode geometry
     episodes = [sample_episode(eval_table, 3, 1, 3, eval_rng) for _ in range(5)]

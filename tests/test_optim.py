@@ -111,6 +111,9 @@ def test_hyperparams_validation():
         HyperParams(beta1=1.0)
     with pytest.raises(ValueError):
         HyperParams(epsilon=-1e-9)
+    for field in ("epsilon", "weight_decay"):
+        with pytest.raises(ValueError, match=field):
+            HyperParams(**{field: float("nan")})
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,11 @@ def test_hypergrad_graph_is_freed_without_the_cycle_collector(monkeypatch):
         gc.enable()
 
 
+def test_meta_config_rejects_nan_tod_lambda():
+    with pytest.raises(ValueError, match="tod_lambda"):
+        MetaConfig(tod_lambda=float("nan"))
+
+
 def test_hypergrad_validates_alignment():
     model, episode, warps = _mlp_setup(seed=7)
     with pytest.raises(ShapeError):
