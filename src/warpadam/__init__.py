@@ -6,9 +6,11 @@ The package is organized as:
   rules are themselves differentiable (needed to push gradients through
   unrolled optimizer trajectories).
 - ``nn``: small dense networks built on those tensors.
-- ``optim``: pure-function optimizer steps — Adam, WarpAdam, and the baseline
-  suite (SGD, Momentum, AMSGrad, AdamW, RAdam). ``STEP_FUNCS`` holds every
-  step but WarpAdam's by kind; the Adam family shares one moment update,
+- ``optim``: optimizer steps — Adam, WarpAdam, and the baseline suite (SGD,
+  Momentum, AMSGrad, AdamW, RAdam), each written once as an in-place core
+  (``STEP_CORES``) for loops that own their arrays, and wrapped as a pure
+  step (``STEP_FUNCS``); WarpAdam's are ``warpadam_core`` and
+  ``warpadam_step``. The Adam family shares one moment update,
   ``adam_moments``.
 - ``warp``: the warp matrix, one ``FORMS`` row per structural form, the
   off-diagonal (TOD) penalty, unrolled hypergradients, and the outer loop

@@ -17,12 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import MLP
-from .optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
+from .optim import STEP_CORES, STEP_FUNCS, AdamState, HyperParams, step_buffers, warpadam_core
+# unused; perfbench's tracer patches bench.warpadam_step (ROADMAP item 1)
+from .optim import warpadam_step  # noqa: F401
 from .tasks import ClassTable, sample_episode, synth_proto_tasks
-from .tensor import NumericError, Tensor
+from .tensor import NumericError
 # unused; perfbench's tracer patches bench.grad (ROADMAP item 1)
 from .tensor import grad  # noqa: F401
-from .warp import WarpMatrix, init_warps
+from .warp import FlatParams, WarpMatrix, init_warps
 
 OPTIMIZERS = tuple(sorted(STEP_FUNCS)) + ("warpadam",)
 
@@ -131,32 +133,26 @@ def build_model(model_spec: ModelSpec, dim: int, n_way: int, rng: np.random.Gene
     return MLP(sizes, rng)
 
 
-def _make_stepper(cfg: RunConfig, param_shapes: list[tuple[int, ...]]):
-    if cfg.optimizer == "warpadam":
-        warps = cfg.warps if cfg.warps is not None else init_warps(param_shapes, cfg.warp_policy)
-        if len(warps) != len(param_shapes):
-            raise ValueError(f"checkpoint holds {len(warps)} warps for "
-                             f"{len(param_shapes)} parameter tensors")
-
-        def step(state, w, g, i):
-            return warpadam_step(state, w, g, warps[i], cfg.hyper,
-                                 warp_update=cfg.warp_update_variant)
-    else:
-        fn = STEP_FUNCS[cfg.optimizer]
-
-        def step(state, w, g, i):
-            return fn(state, w, g, cfg.hyper)
-
-    return step
+def _make_stepper(cfg: RunConfig, params: FlatParams):
+    """``step(state, w, g, buf)``: the config's optimizer core on the flat buffer."""
+    h = cfg.hyper
+    if cfg.optimizer != "warpadam":
+        core = STEP_CORES[cfg.optimizer]
+        return lambda state, w, g, buf: core(state, w, g, h, buf)
+    warps = cfg.warps if cfg.warps is not None else init_warps(params.shapes, cfg.warp_policy)
+    if len(warps) != len(params.shapes):
+        raise ValueError(f"checkpoint holds {len(warps)} warps for "
+                         f"{len(params.shapes)} parameter tensors")
+    warp = params.warp(warps)
+    return lambda state, w, g, buf: warpadam_core(state, w, g, h, buf, warp,
+                                                  cfg.warp_update_variant)
 
 
 def _metrics(model: MLP, arrays, x, y) -> tuple[float, float]:
     # divergence is detected via isfinite checks, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        params = [Tensor(a) for a in arrays]
-        loss = model.loss(params, x, y).item()
-        acc = model.accuracy(arrays, x, y)
-    return loss, acc
+        loss, acc = model.loss_accuracy(arrays, x, y)
+    return float(loss), acc
 
 
 def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) -> RunResult:
@@ -166,14 +162,20 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
     ``steps_per_task`` full-batch steps on its support set, with gradients from
     ``MLP.loss_grads`` (bitwise the engine's ``grad``) and train/query
     metrics recorded every ``eval_every`` steps and at the last step.
+
+    The parameters of all tensors live in one ``FlatParams`` buffer with one
+    ``AdamState``, and each step is one in-place optimizer core over the
+    buffer (WarpAdam's warps act per tensor on their segments); the curves
+    have the bits of one pure step per tensor.
     """
     rng = np.random.default_rng(cfg.seed)
     table = resolve_table(cfg.synth, cfg.table, rng)
     model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
-    arrays = model.clone_params()
-    amsgrad = cfg.optimizer == "amsgrad"
-    states = [AdamState.zeros(a.shape, amsgrad=amsgrad) for a in arrays]
-    step = _make_stepper(cfg, [a.shape for a in arrays])
+    params = FlatParams(model.params)
+    w, arrays = params.w, params.arrays
+    state = AdamState.zeros(w.shape, amsgrad=cfg.optimizer == "amsgrad")
+    buf = step_buffers(w.shape)
+    step = _make_stepper(cfg, params)
 
     records: list[CurveRecord] = []
     t0 = time.perf_counter()
@@ -189,14 +191,14 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, gs = model.loss_grads(arrays, ep.support_x, ep.support_y)
                 loss_val = float(loss)
-            if not np.isfinite(loss_val) or not all(np.all(np.isfinite(g)) for g in gs):
+            g = params.flat(gs)
+            if not (np.isfinite(loss_val) and np.all(np.isfinite(g))):
                 records.append(CurveRecord(task_index, s, loss_val, float("nan"),
                                            float("nan"), float("nan"), wall()))
                 return RunResult(records, diverged=True,
                                  note=f"non-finite loss/gradient at task {task_index} step {s}")
             try:
-                for i in range(len(arrays)):
-                    states[i], arrays[i] = step(states[i], arrays[i], gs[i], i)
+                step(state, w, g, buf)
             except NumericError as exc:
                 records.append(CurveRecord(task_index, s, loss_val, float("nan"),
                                            float("nan"), float("nan"), wall()))

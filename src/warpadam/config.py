@@ -178,12 +178,12 @@ def build_synth(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec:
 def build_episode(cfg: dict[str, str], prefix: str = "tasks.",
                   alphabets=None) -> EpisodeSpec:
     d = EpisodeSpec()
-    return EpisodeSpec(
-        n_way=getint(cfg, prefix + "n_way", d.n_way),
-        k_shot=getint(cfg, prefix + "k_shot", d.k_shot),
-        query_per_class=getint(cfg, prefix + "query_per_class", d.query_per_class),
-        alphabets=alphabets,
-    )
+    sizes = {}
+    for name in ("n_way", "k_shot", "query_per_class"):
+        sizes[name] = getint(cfg, prefix + name, getattr(d, name))
+        if sizes[name] < 1:
+            raise UsageError(f"{prefix}{name} must be >= 1, got {sizes[name]}")
+    return EpisodeSpec(**sizes, alphabets=alphabets)
 
 
 def build_model_spec(cfg: dict[str, str]) -> ModelSpec:

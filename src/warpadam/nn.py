@@ -15,7 +15,9 @@ values ``loss`` gives and the gradient of their sum with respect to each
 parameter array, computed without a graph. The array-level meta-learning path
 (``warp``'s adaptation) calls it where it exists and the engine otherwise.
 The engine stays the reference: ``MLP.loss_grads`` is tested to return
-exactly the bits of ``grad`` on ``loss``.
+exactly the bits of ``grad`` on ``loss``. ``MLP.loss_accuracy`` takes
+``loss``'s values and the accuracy from the same numpy forward; the
+benchmark's curves record both with it.
 
 A model with ``loss_grads`` may also define ``loss_hvp(arrays, x, y, vecs)``:
 the Hessian of the losses' sum times the arrays ``vecs``, one array per
@@ -29,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (Tensor, _softmax_data, add, matmul, softmax_cross_entropy,
-                     softmax_cross_entropy_grad, sum_to, tanh)
+from .tensor import (Tensor, _cross_entropy_data, _softmax_data, add, matmul,
+                     softmax_cross_entropy, softmax_cross_entropy_grad, sum_to, tanh)
 
 
 def _bias_rows(b):
@@ -74,6 +76,17 @@ class MLP:
     def loss(self, params: Sequence[Tensor], x: np.ndarray, y: np.ndarray) -> Tensor:
         return softmax_cross_entropy(self.logits(params, x), y)
 
+    def _forward(self, arrays: Sequence[np.ndarray], x: np.ndarray):
+        """``logits`` on parameter arrays, in plain numpy: each layer's input
+        followed by the logits, and the biases as the rows they add."""
+        n_layers = len(arrays) // 2
+        biases = [_bias_rows(b) for b in arrays[1::2]]
+        hs = [np.atleast_2d(np.asarray(x, dtype=np.float64))]  # each layer's input
+        for i in range(n_layers):
+            z = hs[i] @ arrays[2 * i] + biases[i]
+            hs.append(np.tanh(z) if i < n_layers - 1 else z)
+        return hs, biases
+
     def loss_grads(self, arrays: Sequence[np.ndarray], x: np.ndarray,
                    y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """``loss`` on parameter arrays, and the gradient of the losses' sum.
@@ -84,11 +97,7 @@ class MLP:
         operation, so both results are the bits of ``grad`` on ``loss``.
         """
         n_layers = len(arrays) // 2
-        biases = [_bias_rows(b) for b in arrays[1::2]]
-        hs = [np.atleast_2d(np.asarray(x, dtype=np.float64))]  # each layer's input
-        for i in range(n_layers):
-            z = hs[i] @ arrays[2 * i] + biases[i]
-            hs.append(np.tanh(z) if i < n_layers - 1 else z)
+        hs, biases = self._forward(arrays, x)
         losses, g = softmax_cross_entropy_grad(hs.pop(), y)
         grads: list[np.ndarray] = [None] * len(arrays)
         for i in reversed(range(n_layers)):
@@ -142,10 +151,13 @@ class MLP:
                 g, r_g = g_h * slope, r_g_h * slope - g_h * (2.0 * h * r_hs[i])
         return out
 
-    def accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
-        logits = self.logits(self.param_tensors(arrays, requires_grad=False), x)
-        pred = np.argmax(logits.data, axis=-1)
-        return float(np.mean(pred == np.asarray(y)))
+    def loss_accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray,
+                      y: np.ndarray) -> tuple[np.ndarray, float]:
+        """``loss`` on parameter arrays, and the fraction of rows whose largest
+        logit is the label, from one numpy forward (the values of the engine's)."""
+        logits = self._forward(arrays, x)[0][-1]
+        losses = _cross_entropy_data(logits, y)[0]
+        return losses, float(np.mean(np.argmax(logits, axis=-1) == np.asarray(y)))
 
     def clone_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]

@@ -1,9 +1,17 @@
-"""Optimizer step functions with one uniform, pure interface.
+"""Optimizer steps: in-place cores, and pure steps with one uniform interface.
 
-Every step maps ``(state, w, g) -> (state', w')`` without mutating anything,
-so trajectories are replayable and safe to run concurrently on disjoint
-parameter tensors. ``STEP_FUNCS`` holds every step but WarpAdam's (which
-also takes a warp) by optimizer kind. The Adam family uses
+Each optimizer's math is written once, as an in-place core
+``core(state, w, g, h, buf)``: it updates the caller's parameters ``w`` and
+``state`` (moments, ``v_max`` and step count) in place, taking its
+temporaries from ``buf``, the two work arrays of ``step_buffers``, which a
+loop allocates once. ``STEP_CORES`` holds every core but WarpAdam's (which
+also takes a warp) by optimizer kind. A loop that owns its arrays, such as
+one over a flat buffer of every parameter tensor, steps them with a core.
+
+Each public step is a pure wrapper: it checks and copies its inputs and runs
+the core on the copies, so it maps ``(state, w, g) -> (state', w')`` without
+mutating anything, and trajectories stay replayable. ``STEP_FUNCS`` holds them
+by kind. The Adam family uses
 
     m_t = b1*m_{t-1} + (1-b1)*g
     v_t = b2*v_{t-1} + (1-b2)*g^2
@@ -11,20 +19,24 @@ also takes a warp) by optimizer kind. The Adam family uses
     w' = w - eta * m^ / sqrt(v^ + eps)
 
 with epsilon *inside* the square root. ``adam_moments`` is the only copy of
-the first three lines. It uses operators only, so the unrolled, differentiable
-WarpAdam of the warp module runs it on autodiff tensors and gets the bits of
-the array steps. WarpAdam is the same rule with g replaced by P@g in both
-moment updates; with P = identity the two code paths share every arithmetic
-instruction, so their outputs are bit-identical.
+the first three lines. It uses operators only (augmented assignments, which
+update arrays in place and build new nodes on tensors), so the unrolled,
+differentiable WarpAdam of the warp module runs it on autodiff tensors and
+gets the bits of the array steps. WarpAdam is the same rule with g replaced by
+P@g in both moment updates; with P = identity the two code paths share every
+arithmetic instruction, so their outputs are bit-identical.
 
 A zero denominator (possible only with eps=0 and an all-zero gradient
-history) yields a zero update rather than NaN: 0/0 := 0 for the ratio.
+history) yields a zero update rather than NaN: 0/0 := 0 for the ratio. A core
+raises ``NumericError`` when the Adam or WarpAdam second moment or the new
+parameters are not finite; the wrappers also check the gradient
+(``check_step_inputs``), which a loop over its own arrays does itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,22 +93,35 @@ class AdamState:
         )
 
 
-def bias_correct(m: np.ndarray, v: np.ndarray, t: int, beta1: float, beta2: float):
-    """Undo the zero-initialization bias of the moment estimates."""
+def bias_correct(m, v, t: int, beta1: float, beta2: float, out=None):
+    """Undo the zero-initialization bias of the moment estimates.
+
+    ``out`` takes two arrays to write ``m_hat`` and ``v_hat`` into; without
+    it (and on autodiff tensors) the results are new.
+    """
     if t < 1:
         raise ValueError(f"bias correction needs t >= 1, got t={t}")
-    return m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
+    c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    if out is None:
+        return m / c1, v / c2
+    return np.divide(m, c1, out=out[0]), np.divide(v, c2, out=out[1])
 
 
-def adam_moments(m, v, g, t: int, h: HyperParams):
+def adam_moments(m, v, g, t: int, h: HyperParams, out=None):
     """Step ``t`` of the moment update: ``(m, v, m_hat, v_hat)``.
 
     ``m``, ``v`` and ``g`` are arrays, or autodiff tensors for a
-    differentiable step; the same operations run on either.
+    differentiable step; the same operations run on either. On arrays the
+    augmented assignments update ``m`` and ``v`` in place (the caller owns
+    them), and ``out`` (see ``bias_correct``) takes the corrected moments.
+    Tensors have no in-place operations, so there ``m *= b`` builds the node
+    ``b * m`` builds and the inputs stay as they were.
     """
-    m = h.beta1 * m + (1.0 - h.beta1) * g
-    v = h.beta2 * v + (1.0 - h.beta2) * (g * g)
-    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    m *= h.beta1
+    m += (1.0 - h.beta1) * g
+    v *= h.beta2
+    v += (1.0 - h.beta2) * (g * g)
+    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2, out)
     return m, v, m_hat, v_hat
 
 
@@ -129,7 +154,8 @@ def adam_adjoint(w_bar, m_bar, v_bar, g, m, v, t: int, h: HyperParams):
     return g_bar, h.beta1 * m_bar, h.beta2 * v_bar
 
 
-def _check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
+def check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
+    """The checks every step makes on its inputs: matching shapes, a finite gradient."""
     if not (w.shape == g.shape == state.m.shape == state.v.shape):
         raise ShapeError(
             f"parameter/gradient/state shapes disagree: w={w.shape} g={g.shape} "
@@ -139,89 +165,93 @@ def _check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
         raise NumericError("non-finite gradient passed to optimizer step")
 
 
+def step_buffers(shape) -> tuple[np.ndarray, np.ndarray]:
+    """The two work arrays of an in-place core, for parameters of ``shape``."""
+    return np.empty(shape), np.empty(shape)
+
+
 def _safe_ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    # 0/0 := 0; a zero denominator only occurs with eps=0 and zero history
-    out = np.zeros_like(num)
-    np.divide(num, denom, out=out, where=denom > 0)
-    return out
+    # num / denom, written into num, with 0/0 := 0; a zero denominator only
+    # occurs with eps=0 and zero history
+    positive = denom > 0
+    np.divide(num, denom, out=num, where=positive)
+    num[~positive] = 0.0
+    return num
 
 
-def _finite_or_raise(w: np.ndarray, what: str) -> np.ndarray:
+def _finite_or_raise(w: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(w)):
         raise NumericError(f"{what} overflowed to non-finite values")
-    return w
 
 
-def _adam_direction(state: AdamState, g_used: np.ndarray, h: HyperParams):
-    """Shared moment update; returns the new state and the update ratio."""
-    t = state.t + 1
-    m, v, m_hat, v_hat = adam_moments(state.m, state.v, g_used, t, h)
-    if not np.all(np.isfinite(v)):
+def _adam_direction(state: AdamState, g_used, h: HyperParams, buf) -> np.ndarray:
+    """Shared moment update, in place; returns the update ratio, in ``buf[0]``."""
+    state.t += 1
+    _, _, m_hat, v_hat = adam_moments(state.m, state.v, g_used, state.t, h, buf)
+    if not np.all(np.isfinite(state.v)):
         raise NumericError("second moment overflowed to non-finite values")
-    denom = np.sqrt(v_hat + h.epsilon)
-    update = _safe_ratio(m_hat, denom)
-    return AdamState(m=m, v=v, t=t, v_max=state.v_max), update
+    v_hat += h.epsilon
+    return _safe_ratio(m_hat, np.sqrt(v_hat, out=v_hat))
 
 
-def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
-    _check_step_inputs(state, w, g)
-    new_state, update = _adam_direction(state, g, h)
-    return new_state, _finite_or_raise(w - h.eta * update, "adam step")
-
-
-def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp,
-                  h: HyperParams, warp_update: bool = False):
-    """Adam with the gradient pre-transformed by the warp matrix.
-
-    The transformed gradient feeds *both* moment updates; the parameter update
-    rule itself is unchanged. ``warp_update=True`` switches to the alternative
-    placement that accumulates the raw gradient and warps the final update
-    direction instead; it is off by default and exists for comparison only.
-    """
-    _check_step_inputs(state, w, g)  # warp.apply checks g against the warp's dim
-    if warp_update:
-        new_state, update = _adam_direction(state, g, h)
-        update = warp.apply(update)
-    else:
-        new_state, update = _adam_direction(state, warp.apply(g), h)
-    return new_state, _finite_or_raise(w - h.eta * update, "warpadam step")
+def _descend(w: np.ndarray, update: np.ndarray, h: HyperParams, what: str, out=None) -> None:
+    """``w -= eta * update`` in place, then the finiteness check; the product
+    goes to ``out``, or over ``update`` when that is scratch."""
+    w -= np.multiply(update, h.eta, out=update if out is None else out)
+    _finite_or_raise(w, what)
 
 
 # ---------------------------------------------------------------------------
-# baselines
+# in-place cores: ``core(state, w, g, h, buf)`` updates the caller's ``w`` and
+# ``state`` (its arrays and its step count) in place, with ``buf`` from
+# ``step_buffers`` as scratch. They do not check their inputs. WarpAdam's
+# core takes the warp after ``buf``.
 
 
-def sgd_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
-    _check_step_inputs(state, w, g)
-    new_state = replace(state, t=state.t + 1)
-    return new_state, _finite_or_raise(w - h.eta * g, "sgd step")
+def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+    _descend(w, _adam_direction(state, g, h, buf), h, "adam step")
 
 
-def momentum_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf,
+                  warp, warp_update: bool = False) -> None:
+    """WarpAdam's core; see ``warpadam_step``. ``warp`` needs only ``apply``."""
+    if warp_update:
+        update = warp.apply(_adam_direction(state, g, h, buf))
+    else:
+        update = _adam_direction(state, warp.apply(g), h, buf)
+    _descend(w, update, h, "warpadam step")
+
+
+def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+    state.t += 1
+    _descend(w, g, h, "sgd step", buf[0])
+
+
+def momentum_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
     # heavy-ball velocity: u <- mu*u + g, stored in state.m
-    _check_step_inputs(state, w, g)
-    u = h.momentum * state.m + g
-    new_state = AdamState(m=u, v=state.v, t=state.t + 1, v_max=state.v_max)
-    return new_state, _finite_or_raise(w - h.eta * u, "momentum step")
+    state.t += 1
+    state.m *= h.momentum
+    state.m += g
+    _descend(w, state.m, h, "momentum step", buf[0])
 
 
-def amsgrad_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
-    _check_step_inputs(state, w, g)
-    t = state.t + 1
-    m, v, m_hat, v_hat = adam_moments(state.m, state.v, g, t, h)
-    v_max_prev = state.v_max if state.v_max is not None else np.zeros_like(v)
-    v_max = np.maximum(v_max_prev, v_hat)
-    update = _safe_ratio(m_hat, np.sqrt(v_max + h.epsilon))
-    return AdamState(m=m, v=v, t=t, v_max=v_max), _finite_or_raise(
-        w - h.eta * update, "amsgrad step")
+def amsgrad_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+    state.t += 1
+    _, _, m_hat, v_hat = adam_moments(state.m, state.v, g, state.t, h, buf)
+    if state.v_max is None:
+        state.v_max = np.zeros_like(state.v)
+    np.maximum(state.v_max, v_hat, out=state.v_max)
+    np.add(state.v_max, h.epsilon, out=v_hat)
+    _descend(w, _safe_ratio(m_hat, np.sqrt(v_hat, out=v_hat)), h, "amsgrad step")
 
 
-def adamw_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+def adamw_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
     # decoupled decay: the wd term bypasses the adaptive denominator
-    _check_step_inputs(state, w, g)
-    new_state, update = _adam_direction(state, g, h)
-    w_new = w - h.eta * update - h.eta * h.weight_decay * w
-    return new_state, _finite_or_raise(w_new, "adamw step")
+    update = _adam_direction(state, g, h, buf)
+    decay = np.multiply(w, h.eta * h.weight_decay, out=buf[1])
+    w -= np.multiply(update, h.eta, out=update)
+    w -= decay
+    _finite_or_raise(w, "adamw step")
 
 
 def radam_rho(t: int, beta2: float) -> tuple[float, float]:
@@ -239,19 +269,68 @@ def radam_rectifier(rho_t: float, rho_inf: float) -> float:
     )
 
 
-def radam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
-    _check_step_inputs(state, w, g)
-    t = state.t + 1
-    m, v, m_hat, v_hat = adam_moments(state.m, state.v, g, t, h)
-    rho_inf, rho_t = radam_rho(t, h.beta2)
-    new_state = AdamState(m=m, v=v, t=t, v_max=state.v_max)
+def radam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+    state.t += 1
+    _, _, update, v_hat = adam_moments(state.m, state.v, g, state.t, h, buf)
+    rho_inf, rho_t = radam_rho(state.t, h.beta2)
     if rho_t > 4.0:
-        r = radam_rectifier(rho_t, rho_inf)
-        update = r * _safe_ratio(m_hat, np.sqrt(v_hat + h.epsilon))
-    else:
-        # variance estimate not yet tractable: plain momentum step
-        update = m_hat
-    return new_state, _finite_or_raise(w - h.eta * update, "radam step")
+        v_hat += h.epsilon
+        update = _safe_ratio(update, np.sqrt(v_hat, out=v_hat))
+        update *= radam_rectifier(rho_t, rho_inf)
+    # else the variance estimate is not yet tractable: a plain momentum step on m_hat
+    _descend(w, update, h, "radam step")
+
+
+# ---------------------------------------------------------------------------
+# pure steps: checked copies of the inputs, then the core
+
+
+def _pure(core, state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, *extra):
+    """``core`` run on checked copies of a step's inputs: the pure step."""
+    check_step_inputs(state, w, g)
+    v_max = None if state.v_max is None else np.array(state.v_max, dtype=np.float64)
+    state = AdamState(np.array(state.m, dtype=np.float64), np.array(state.v, dtype=np.float64),
+                      state.t, v_max)
+    w = np.array(w, dtype=np.float64)
+    core(state, w, g, h, step_buffers(w.shape), *extra)
+    return state, w
+
+
+def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    return _pure(adam_core, state, w, g, h)
+
+
+def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp,
+                  h: HyperParams, warp_update: bool = False):
+    """Adam with the gradient pre-transformed by the warp matrix.
+
+    The transformed gradient feeds *both* moment updates; the parameter update
+    rule itself is unchanged. ``warp_update=True`` switches to the alternative
+    placement that accumulates the raw gradient and warps the final update
+    direction instead; it is off by default and exists for comparison only.
+    ``warp.apply`` checks ``g`` against the warp's dim.
+    """
+    return _pure(warpadam_core, state, w, g, h, warp, warp_update)
+
+
+def sgd_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    return _pure(sgd_core, state, w, g, h)
+
+
+def momentum_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    return _pure(momentum_core, state, w, g, h)
+
+
+def amsgrad_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    return _pure(amsgrad_core, state, w, g, h)
+
+
+def adamw_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    return _pure(adamw_core, state, w, g, h)
+
+
+def radam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    return _pure(radam_core, state, w, g, h)
 
 
 STEP_FUNCS = {
@@ -261,4 +340,12 @@ STEP_FUNCS = {
     "adamw": adamw_step,
     "radam": radam_step,
     "adam": adam_step,
+}
+STEP_CORES = {
+    "sgd": sgd_core,
+    "momentum": momentum_core,
+    "amsgrad": amsgrad_core,
+    "adamw": adamw_core,
+    "radam": radam_core,
+    "adam": adam_core,
 }

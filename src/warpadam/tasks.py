@@ -107,25 +107,22 @@ def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: 
     class_pick = rng.choice(len(eligible), size=n_way, replace=False)
     chosen = [eligible[i] for i in class_pick]
 
-    sup_x, sup_y, qry_x, qry_y = [], [], [], []
-    sup_ids, qry_ids = [], []
-    for label, ci in enumerate(chosen):
-        cls = alphabet.classes[ci]
-        idx = rng.choice(len(cls.instances), size=need, replace=False)
-        for j in idx[:k_shot]:
-            sup_x.append(cls.instances[j])
-            sup_y.append(label)
-            sup_ids.append((ai, ci, int(j)))
-        for j in idx[k_shot:]:
-            qry_x.append(cls.instances[j])
-            qry_y.append(label)
-            qry_ids.append((ai, ci, int(j)))
+    sup_x, qry_x, sup_ids, qry_ids = [], [], [], []
+    for ci in chosen:
+        instances = alphabet.classes[ci].instances
+        idx = rng.choice(len(instances), size=need, replace=False)
+        rows = instances[idx]
+        sup_x.append(rows[:k_shot])
+        qry_x.append(rows[k_shot:])
+        sup_ids += [(ai, ci, j) for j in idx[:k_shot].tolist()]
+        qry_ids += [(ai, ci, j) for j in idx[k_shot:].tolist()]
 
     # no commas: task_id must survive as a single CSV field
     task_id = f"{alphabet.name}|" + "+".join(alphabet.classes[ci].name for ci in chosen)
+    labels = np.arange(n_way, dtype=np.int64)
     return Episode(
-        support_x=np.array(sup_x), support_y=np.array(sup_y, dtype=np.int64),
-        query_x=np.array(qry_x), query_y=np.array(qry_y, dtype=np.int64),
+        support_x=np.concatenate(sup_x), support_y=np.repeat(labels, k_shot),
+        query_x=np.concatenate(qry_x), query_y=np.repeat(labels, query_per_class),
         n_way=n_way, k_shot=k_shot, task_id=task_id,
         support_ids=sup_ids, query_ids=qry_ids,
     )

@@ -38,8 +38,10 @@ Each episode's losses do not depend on the stack it is in, so
 
 Array adaptation (``adapt``, ``adaptation_query_loss`` and the detached
 steps of the first-order hypergradient) keeps the parameters of all tensors
-in one flat buffer with one Adam state, so each inner step is one
-``warpadam_step``; only the warps act tensor by tensor, each on its segment.
+in one flat buffer with one Adam state (``FlatParams``), so each inner step is
+one in-place ``optim.warpadam_core``; only the warps act tensor by tensor,
+each on its segment. ``bench.run_sequential_tasks`` steps its parameters the
+same way.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ import numpy as np
 
 from . import tensor as T
 from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_step,
-                    warpadam_step)
+                    check_step_inputs, step_buffers, warpadam_core)
+# unused; perfbench's tracer patches warp.warpadam_step (ROADMAP item 1)
+from .optim import warpadam_step  # noqa: F401
 from .tasks import Episode
 from .tensor import ShapeError, Tensor, grad
 
@@ -491,35 +495,65 @@ class _FlatWarp:
                 zip(self.warps, _views(u_bar, self.shapes), _views(g, self.shapes))]
 
 
+class FlatParams:
+    """Parameter tensors as views of one flat buffer, for a loop that steps them in place.
+
+    ``w`` holds the entries of every tensor back to back, in row-major order;
+    ``arrays`` are views of it in the tensors' plain or stacked shapes, so they
+    follow every in-place step of ``w``. With one ``AdamState`` over ``w``,
+    one optimizer core per iteration steps every tensor at once: the moment
+    update, the finiteness checks and the 0/0 := 0 ratio run once over the
+    buffer (the multi-tensor, or "foreach", form of an optimizer), and only a
+    warp acts per tensor, on its segment (``warp``). Elementwise operations do
+    not depend on the layout, so the bits are those of one step per tensor.
+    """
+
+    def __init__(self, arrays: Sequence[np.ndarray]):
+        self.shapes = [np.shape(a) for a in arrays]
+        self.w = _flat(arrays)
+        self.arrays = _views(self.w, self.shapes)
+
+    def flat(self, per_tensor) -> np.ndarray:
+        """One array per tensor, such as its gradient, in the buffer's layout (a new array)."""
+        return _flat(per_tensor)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of an array in the buffer's layout, one per tensor, in its shape."""
+        return _views(flat, self.shapes)
+
+    def warp(self, warps: Sequence[WarpMatrix]) -> _FlatWarp:
+        """The tensors' warps as one warp of the buffer."""
+        return _FlatWarp(warps, self.shapes)
+
+
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
            tape=None):
     """``steps`` array WarpAdam steps on the support loss; the arrays and their states.
 
-    The parameters of all tensors live in one flat buffer with one
-    ``AdamState`` over it, so each inner step is one ``warpadam_step``: the
-    moment update, the finiteness checks and the 0/0 := 0 ratio run once over
-    every tensor, and only the warps act per tensor. Elementwise operations do
-    not depend on the layout, so the bits are those of one step per tensor.
-    Returns per-tensor views of the parameters and of the moments, in the
-    parameters' plain or stacked shapes, with one ``AdamState`` per tensor.
+    The parameters of all tensors live in one ``FlatParams`` buffer with one
+    ``AdamState`` over it, and each inner step is one in-place
+    ``warpadam_core`` over every tensor. Returns per-tensor views of the
+    parameters and of the moments, in the parameters' plain or stacked
+    shapes, with one ``AdamState`` per tensor.
 
     Given a ``tape`` (anything with ``append``), each step appends the flat
     ``(w, g, m, v)`` of ``adjoint_hypergrad``: the parameters it started
-    from, the gradient there, and the moments it left.
+    from, the gradient there, and the moments it left, each an array of the
+    tape's own.
     """
-    arrays = _start_arrays(model, episode)
-    shapes = [a.shape for a in arrays]
-    warp = _FlatWarp(warps, shapes)
-    w = _flat(arrays)
-    state = AdamState.zeros(w.shape)
+    params = FlatParams(_start_arrays(model, episode))
+    warp = params.warp(warps)
+    w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
     for _ in range(steps):
-        g = _flat(_detached_grads(model, _views(w, shapes), episode.support_x, episode.support_y))
-        w_start = w
-        state, w = warpadam_step(state, w, g, warp, h)
+        g = params.flat(_detached_grads(model, params.arrays, episode.support_x,
+                                        episode.support_y))
+        check_step_inputs(state, w, g)
+        w_start = w.copy() if tape is not None else None
+        warpadam_core(state, w, g, h, buf, warp)
         if tape is not None:
-            tape.append((w_start, g, state.m, state.v))
-    moments = zip(_views(state.m, shapes), _views(state.v, shapes))
-    return _views(w, shapes), [AdamState(m, v, state.t) for m, v in moments]
+            tape.append((w_start, g, state.m.copy(), state.v.copy()))
+    moments = zip(params.views(state.m), params.views(state.v))
+    return params.arrays, [AdamState(m, v, state.t) for m, v in moments]
 
 
 def _check_hypergrad_inputs(episode, model, warps: Sequence[WarpMatrix]) -> None:

@@ -5,21 +5,28 @@ from hypothesis import strategies as st
 
 import warpadam.tensor as T
 from warpadam.bench import (
+    OPTIMIZERS,
     ComparisonRow,
     CurveRecord,
     EpisodeSpec,
     ModelSpec,
     RunConfig,
     SynthSpec,
+    build_model,
     compare_optimizers,
     convergence_epoch,
     emit_csv,
     read_curve_csv,
+    resolve_table,
     run_sequential_tasks,
     write_comparison_csv,
     write_manifest,
 )
-from warpadam.optim import HyperParams
+from warpadam.nn import MLP
+from warpadam.optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
+from warpadam.tasks import sample_episode
+from warpadam.tensor import NumericError, Tensor
+from warpadam.warp import init_warps
 
 
 def tiny_cfg(optimizer="adam", **kw):
@@ -105,6 +112,112 @@ def test_run_takes_its_gradients_without_an_engine_backward_pass(monkeypatch):
         r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
         assert not r.diverged and r.records
     assert walks == []
+
+
+def _per_tensor_run(cfg, model_spec):
+    """The reference loop: one pure step per tensor per iteration, and each
+    metric from the engine's forward graph. Returns the records without
+    ``wall_ms`` and the divergence note."""
+    rng = np.random.default_rng(cfg.seed)
+    table = resolve_table(cfg.synth, cfg.table, rng)
+    model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
+    arrays = model.clone_params()
+    states = [AdamState.zeros(a.shape, amsgrad=cfg.optimizer == "amsgrad") for a in arrays]
+    warps = init_warps([a.shape for a in arrays], cfg.warp_policy)
+
+    def step(i, g):
+        if cfg.optimizer == "warpadam":
+            return warpadam_step(states[i], arrays[i], g, warps[i], cfg.hyper,
+                                 cfg.warp_update_variant)
+        return STEP_FUNCS[cfg.optimizer](states[i], arrays[i], g, cfg.hyper)
+
+    def metrics(x, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = [Tensor(a) for a in arrays]
+            pred = np.argmax(model.logits(params, x).data, axis=-1)
+            return model.loss(params, x, y).item(), float(np.mean(pred == y))
+
+    rows, nan = [], float("nan")
+    for ti in range(cfg.n_tasks):
+        ep = sample_episode(table, cfg.episode.n_way, cfg.episode.k_shot,
+                            cfg.episode.query_per_class, rng)
+        for s in range(1, cfg.steps_per_task + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, gs = model.loss_grads(arrays, ep.support_x, ep.support_y)
+            if not np.isfinite(float(loss)) or not all(np.all(np.isfinite(g)) for g in gs):
+                rows.append((ti, s, float(loss), nan, nan, nan))
+                return rows, f"non-finite loss/gradient at task {ti} step {s}"
+            try:
+                for i, g in enumerate(gs):
+                    states[i], arrays[i] = step(i, g)
+            except NumericError as exc:
+                rows.append((ti, s, float(loss), nan, nan, nan))
+                return rows, f"optimizer overflow at task {ti} step {s}: {exc}"
+            if s % cfg.eval_every == 0 or s == cfg.steps_per_task:
+                rows.append((ti, s) + metrics(ep.support_x, ep.support_y)
+                            + metrics(ep.query_x, ep.query_y))
+    return rows, ""
+
+
+def _bits(rows):
+    return [tuple(x if isinstance(x, int) else x.hex() for x in row) for row in rows]
+
+
+RUN_CASES = [(opt, False) for opt in OPTIMIZERS] + [("warpadam", True)]
+
+
+@pytest.mark.parametrize("optimizer,warp_update", RUN_CASES)
+def test_run_curves_are_bitwise_per_tensor_steps(optimizer, warp_update):
+    # a two-layer MLP: four tensors of three warp forms, stepped as one flat buffer
+    hyper = HyperParams(eta=0.05, beta2=0.9, weight_decay=0.1)
+    cfg = tiny_cfg(optimizer, hyper=hyper, warp_update_variant=warp_update, steps_per_task=12)
+    result = run_sequential_tasks(cfg, SPEC)
+    want_rows, want_note = _per_tensor_run(cfg, SPEC)
+    assert _bits(strip_wall(result.records)) == _bits(want_rows)
+    assert not result.diverged and result.note == want_note == ""
+    assert len(want_rows) == 2 * 3
+
+
+def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
+    original = MLP.loss_grads
+    calls = []
+
+    def nan_in_the_last_tensor_at_step_3(self, arrays, x, y):
+        loss, grads = original(self, arrays, x, y)
+        calls.append(1)
+        if len(calls) == 3:
+            grads[-1] = grads[-1].copy()
+            grads[-1][-1] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(MLP, "loss_grads", nan_in_the_last_tensor_at_step_3)
+    for optimizer in ("adam", "warpadam"):
+        cfg = tiny_cfg(optimizer)
+        calls.clear()
+        result = run_sequential_tasks(cfg, SPEC)
+        calls.clear()
+        want_rows, want_note = _per_tensor_run(cfg, SPEC)
+        assert result.diverged and result.note == want_note
+        assert want_note == "non-finite loss/gradient at task 0 step 3"
+        assert _bits(strip_wall(result.records)) == _bits(want_rows)
+    monkeypatch.setattr(MLP, "loss_grads", original)
+
+    # a decay factor eta * weight_decay that overflows to inf sends every
+    # parameter to a non-finite value at the first step
+    cfg = tiny_cfg("adamw", hyper=HyperParams(eta=1e10, weight_decay=1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_sequential_tasks(cfg, SPEC)
+        want_rows, want_note = _per_tensor_run(cfg, SPEC)
+    assert result.diverged and result.note == want_note
+    assert want_note == "optimizer overflow at task 0 step 1: adamw step overflowed to non-finite values"
+    assert _bits(strip_wall(result.records)) == _bits(want_rows)
+
+
+def test_run_takes_its_metrics_without_the_engine_forward(monkeypatch):
+    monkeypatch.setattr(MLP, "loss", lambda *a, **k: pytest.fail("engine forward"))
+    for opt in ("adam", "warpadam"):
+        r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
+        assert not r.diverged and len(r.records) == 1
 
 
 def test_every_optimizer_runs():

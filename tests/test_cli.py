@@ -140,6 +140,22 @@ def test_every_command_resolves_the_task_source_alike(tmp_path, capsys, settings
         assert capsys.readouterr().err == f"usage error: {message}\n", command
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, key", (
+    [(c, "tasks." + k) for c in ("run", "compare", "meta-train")
+     for k in ("n_way", "k_shot", "query_per_class")]
+    + [("compare", "tasks2." + k) for k in ("n_way", "k_shot", "query_per_class")]
+))
+def test_episode_geometry_below_one_is_usage_error_naming_the_key(tmp_path, capsys, command,
+                                                                 key, value):
+    text = {"run": SMALL_RUN, "compare": SMALL_RUN + COMPARE_EXTRA, "meta-train": SMALL_META}
+    cfg = write_cfg(tmp_path, text[command])
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"usage error: {key} must be >= 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_readme_meta_config_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)

@@ -305,7 +305,97 @@ def test_adam_moments_same_bits_on_arrays_and_tensors():
     m, g = rng.normal(size=(2, 3, 4))
     v = rng.random(size=(3, 4))
     h = HyperParams(beta1=0.85, beta2=0.99)
-    arrays = adam_moments(m, v, g, 3, h)
     tensors = adam_moments(Tensor(m), Tensor(v), Tensor(g), 3, h)
+    m_in, v_in = m.copy(), v.copy()
+    arrays = adam_moments(m_in, v_in, g, 3, h)
+    assert arrays[0] is m_in and arrays[1] is v_in  # arrays are updated in place
     for a, t in zip(arrays, tensors):
         assert np.array_equal(a, t.data)
+
+
+# ---------------------------------------------------------------------------
+# the pure steps over the in-place cores
+
+def _reference_step(kind, s, w, g, h, warp=None, warp_update=False):
+    """Each step as the plain expressions of its formula, one new array per
+    operation, with 0/0 := 0 in the ratio."""
+    def ratio(num, den):
+        out = np.zeros_like(num)
+        np.divide(num, den, out=out, where=den > 0)
+        return out
+
+    if kind == "sgd":
+        return AdamState(s.m, s.v, s.t + 1, s.v_max), w - h.eta * g
+    if kind == "momentum":
+        u = h.momentum * s.m + g
+        return AdamState(u, s.v, s.t + 1, s.v_max), w - h.eta * u
+    t = s.t + 1
+    g_used = warp.apply(g) if kind == "warpadam" and not warp_update else g
+    m = h.beta1 * s.m + (1.0 - h.beta1) * g_used
+    v = h.beta2 * s.v + (1.0 - h.beta2) * (g_used * g_used)
+    m_hat, v_hat = m / (1.0 - h.beta1 ** t), v / (1.0 - h.beta2 ** t)
+    v_max = s.v_max
+    if kind == "amsgrad":
+        v_max = np.maximum(v_max, v_hat)
+        update = ratio(m_hat, np.sqrt(v_max + h.epsilon))
+    elif kind == "radam":
+        rho_inf, rho_t = radam_rho(t, h.beta2)
+        update = m_hat
+        if rho_t > 4.0:
+            update = radam_rectifier(rho_t, rho_inf) * ratio(m_hat, np.sqrt(v_hat + h.epsilon))
+    else:
+        update = ratio(m_hat, np.sqrt(v_hat + h.epsilon))
+    if warp_update:
+        update = warp.apply(update)
+    w_new = w - h.eta * update
+    if kind == "adamw":
+        w_new = w_new - h.eta * h.weight_decay * w
+    return AdamState(m, v, t, v_max), w_new
+
+
+STEP_CASES = [(kind, False) for kind in STEP_FUNCS] + [("warpadam", False), ("warpadam", True)]
+
+
+def _public_step(kind, warp_update, warp):
+    if kind == "warpadam":
+        return lambda s, w, g, h: warpadam_step(s, w, g, warp, h, warp_update)
+    return STEP_FUNCS[kind]
+
+
+@pytest.mark.parametrize("epsilon", [1e-8, 0.0])
+@pytest.mark.parametrize("kind,warp_update", STEP_CASES)
+def test_public_steps_keep_the_bits_of_their_formulas(kind, warp_update, epsilon):
+    rng = np.random.default_rng(15)
+    h = HyperParams(eta=0.05, beta2=0.9, epsilon=epsilon, weight_decay=0.1)
+    warp = WarpMatrix.dense(rng.normal(size=(6, 6)))
+    step = _public_step(kind, warp_update, warp)
+    s = want_s = fresh((6,), amsgrad=True)
+    w = want_w = rng.normal(size=6)
+    w[1] = 0.0  # the first 1e-200 lands here; with epsilon 0 its denominator is 0, its ratio 0
+    for k in range(12):  # radam rectifies from step 6 on with beta2 = 0.9
+        g = rng.normal(size=6)
+        g[k % 6] = 0.0
+        g[(k + 1) % 6] = 1e-200  # its square underflows: m moves, v does not
+        s, w = step(s, w, g, h)
+        want_s, want_w = _reference_step(kind, want_s, want_w, g, h, warp, warp_update)
+        assert w.tobytes() == want_w.tobytes()
+        for got, want in ((s.m, want_s.m), (s.v, want_s.v), (s.v_max, want_s.v_max)):
+            assert got.tobytes() == want.tobytes()
+        assert s.t == want_s.t == k + 1
+
+
+@pytest.mark.parametrize("kind,warp_update", STEP_CASES)
+def test_public_steps_leave_their_inputs_unchanged(kind, warp_update):
+    rng = np.random.default_rng(16)
+    warp = WarpMatrix.dense(rng.normal(size=(5, 5)))
+    step = _public_step(kind, warp_update, warp)
+    s = AdamState(rng.normal(size=5), rng.random(size=5), 3, rng.random(size=5))
+    w, g = rng.normal(size=5), rng.normal(size=5)
+    inputs = (w, g, s.m, s.v, s.v_max)
+    snaps = [a.copy() for a in inputs]
+    new_s, new_w = step(s, w, g, HyperParams(eta=0.1))
+    for a, snap in zip(inputs, snaps):
+        assert a.tobytes() == snap.tobytes()
+    assert s.t == 3 and new_s.t == 4
+    for out in (new_w, new_s.m, new_s.v, new_s.v_max):
+        assert not any(np.shares_memory(out, a) for a in inputs)

@@ -75,6 +75,51 @@ def test_labels_are_bijective_reindexing(n_way, k_shot, qpc, seed):
     assert np.all(counts == k_shot)
 
 
+def _row_by_row_episode(table, n_way, k_shot, query_per_class, rng):
+    """The reference sampler: the same draws, each row appended on its own."""
+    need = k_shot + query_per_class
+    candidates = []
+    for ai, alphabet in enumerate(table.alphabets):
+        eligible = [ci for ci, c in enumerate(alphabet.classes) if len(c.instances) >= need]
+        if len(eligible) >= n_way:
+            candidates.append((ai, eligible))
+    ai, eligible = candidates[rng.integers(len(candidates))]
+    alphabet = table.alphabets[ai]
+    chosen = [eligible[i] for i in rng.choice(len(eligible), size=n_way, replace=False)]
+    sup_x, sup_y, qry_x, qry_y, sup_ids, qry_ids = [], [], [], [], [], []
+    for label, ci in enumerate(chosen):
+        cls = alphabet.classes[ci]
+        idx = rng.choice(len(cls.instances), size=need, replace=False)
+        for j in idx[:k_shot]:
+            sup_x.append(cls.instances[j])
+            sup_y.append(label)
+            sup_ids.append((ai, ci, int(j)))
+        for j in idx[k_shot:]:
+            qry_x.append(cls.instances[j])
+            qry_y.append(label)
+            qry_ids.append((ai, ci, int(j)))
+    return (np.array(sup_x), np.array(sup_y, dtype=np.int64), np.array(qry_x),
+            np.array(qry_y, dtype=np.int64), sup_ids, qry_ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
+def test_sampled_episode_is_the_row_by_row_episode(n_way, k_shot, qpc, seed):
+    table = small_table(instances=9)
+    # one class too small for some geometries: the eligible lists differ by alphabet
+    table.alphabets[1].classes[0].instances = table.alphabets[1].classes[0].instances[:5]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ep = sample_episode(table, n_way, k_shot, qpc, rng)
+    want = _row_by_row_episode(table, n_way, k_shot, qpc, ref_rng)
+    for got, arr in zip((ep.support_x, ep.support_y, ep.query_x, ep.query_y), want):
+        assert got.dtype == arr.dtype and got.shape == arr.shape
+        assert got.tobytes() == arr.tobytes()
+    assert ep.support_ids == want[4] and ep.query_ids == want[5]
+    assert all(type(j) is int for ids in want[4:] for _, _, j in ids)
+    assert all(type(j) is int for ids in (ep.support_ids, ep.query_ids) for _, _, j in ids)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_sampling_error_names_shortfall():
     table = small_table(classes=3)
     with pytest.raises(SamplingError, match="4 classes"):

@@ -21,6 +21,7 @@ from warpadam.warp import (
     WarpMatrix,
     _adapt,
     _detached_grads,
+    _flat,
     _start_arrays,
     _unrolled_warpadam,
     _warp_leaves,
@@ -651,14 +652,34 @@ def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
 def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
     model, warps, episode = _adapt_setup("kron", stacked=True)
     calls = []
-    original = warp_module.warpadam_step
-    monkeypatch.setattr(warp_module, "warpadam_step",
+    original = warp_module.warpadam_core
+    monkeypatch.setattr(warp_module, "warpadam_core",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     for steps in (0, 1, 3):
         calls.clear()
         _adapt(model, warps, episode, steps, HyperParams(eta=0.05))
         assert len(calls) == steps
     assert len(model.params) == 4
+
+
+def test_adapt_tape_holds_arrays_of_its_own_per_step():
+    model, warps, episode = _adapt_setup("kron", stacked=True)
+    h = HyperParams(eta=0.05, epsilon=0.1)
+    tape = []
+    arrays, states = _adapt(model, warps, episode, 3, h, tape)
+    assert len(tape) == 3
+    entries = [a for step in tape for a in step]
+    outputs = arrays + [s.m for s in states] + [s.v for s in states]
+    for i, a in enumerate(entries):
+        assert not any(np.shares_memory(a, b) for b in entries[i + 1:] + outputs)
+    # step k starts from the parameters k steps left and leaves k+1 steps' moments
+    for k, (w, g, m, v) in enumerate(tape):
+        start, after = _adapt(model, warps, episode, k, h), _adapt(model, warps, episode, k + 1, h)
+        assert np.array_equal(w, _flat(start[0]))
+        assert np.array_equal(g, _flat(_detached_grads(model, start[0], episode.support_x,
+                                                       episode.support_y)))
+        assert np.array_equal(m, _flat(s.m for s in after[1]))
+        assert np.array_equal(v, _flat(s.v for s in after[1]))
 
 
 class FixedGrads:
