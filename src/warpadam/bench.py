@@ -140,9 +140,6 @@ def _make_stepper(cfg: RunConfig, params: FlatParams):
         core = STEP_CORES[cfg.optimizer]
         return lambda state, w, g, buf: core(state, w, g, h, buf)
     warps = cfg.warps if cfg.warps is not None else init_warps(params.shapes, cfg.warp_policy)
-    if len(warps) != len(params.shapes):
-        raise ValueError(f"checkpoint holds {len(warps)} warps for "
-                         f"{len(params.shapes)} parameter tensors")
     warp = params.warp(warps)
     return lambda state, w, g, buf: warpadam_core(state, w, g, h, buf, warp,
                                                   cfg.warp_update_variant)

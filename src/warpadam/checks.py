@@ -183,10 +183,10 @@ def _worst_vs_fd(hgs, perturb, model, warps, episode, cfg) -> float:
     return worst
 
 
-def check_hypergradient_adjoint(perturb: float = 0.0) -> CheckResult:
+def check_hypergradient_adjoint(perturb: float = 0.0) -> list[CheckResult]:
     """The full ``adjoint_hypergrad`` against finite differences of the
-    adaptation's query loss: a hidden-layer MLP with kron, diagonal and dense
-    warps."""
+    adaptation's query loss and against the engine's ``hypergrad_P``: a
+    hidden-layer MLP with kron, diagonal and dense warps."""
     rng = np.random.default_rng(29)
     model = MLP([4, 3, 3], rng)
     episode = Episode(
@@ -200,8 +200,11 @@ def check_hypergradient_adjoint(perturb: float = 0.0) -> CheckResult:
              WarpMatrix.diagonal(1.0 + 0.2 * rng.normal(size=3))]
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.01))
     hgs, _ = adjoint_hypergrad(episode, model, warps, cfg)
-    return CheckResult("warp.hypergradient_adjoint_vs_fd",
-                       _worst_vs_fd(hgs, perturb, model, warps, episode, cfg), 1e-4)
+    engine, _ = hypergrad_P(episode, model, warps, cfg)
+    return [CheckResult("warp.hypergradient_adjoint_vs_fd",
+                        _worst_vs_fd(hgs, perturb, model, warps, episode, cfg), 1e-4),
+            CheckResult("warp.hypergradient_adjoint_vs_engine",
+                        max(_rel(a + perturb, b) for a, b in zip(hgs, engine)), 1e-10)]
 
 
 def run_all(perturb: float = 0.0) -> list[CheckResult]:
@@ -212,5 +215,5 @@ def run_all(perturb: float = 0.0) -> list[CheckResult]:
     results.append(check_identity_reduction())
     results.append(check_tod_zero_cases())
     results.append(check_hypergradient(perturb))
-    results.append(check_hypergradient_adjoint(perturb))
+    results.extend(check_hypergradient_adjoint(perturb))
     return results

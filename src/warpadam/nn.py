@@ -1,28 +1,29 @@
 """Small dense networks built on the autodiff tensors.
 
 A model here is just a list of float64 parameter arrays plus pure functions
-that rebuild the forward graph from parameter tensors. Anything with a
-``params`` list and a ``loss(param_tensors, x, y) -> Tensor`` method can be
-trained and meta-trained; ``MLP`` is the stock classifier.
+of them. ``loss(param_tensors, x, y) -> Tensor`` rebuilds the forward graph
+from parameter tensors for the autodiff engine; ``MLP`` is the stock
+classifier.
 
 ``loss`` returns one loss per episode. For a plain episode that is a scalar.
 Meta-learning also calls it on a stack of E episodes: every parameter tensor
 is shaped ``(E,) + shape``, ``x`` and ``y`` carry E on axis 0, and the result
 has shape ``(E,)``, with entry e depending only on episode e.
 
-A model may also define ``loss_grads(arrays, x, y) -> (losses, grads)``: the
-values ``loss`` gives and the gradient of their sum with respect to each
-parameter array, computed without a graph. The array-level meta-learning path
-(``warp``'s adaptation) calls it where it exists and the engine otherwise.
-The engine stays the reference: ``MLP.loss_grads`` is tested to return
-exactly the bits of ``grad`` on ``loss``. ``MLP.loss_accuracy`` takes
-``loss``'s values and the accuracy from the same numpy forward; the
-benchmark's curves record both with it.
+A meta-learned model (``warp.meta_update_P``) supplies ``params`` and two
+methods on parameter arrays, computed without a graph:
 
-A model with ``loss_grads`` may also define ``loss_hvp(arrays, x, y, vecs)``:
-the Hessian of the losses' sum times the arrays ``vecs``, one array per
-parameter. With it, ``warp.meta_update_P`` differentiates through the inner
-steps on arrays (``warp.adjoint_hypergrad``) instead of on the engine.
+- ``loss_grads(arrays, x, y) -> (losses, grads)``: the values ``loss`` gives
+  and the gradient of their sum with respect to each parameter array. The
+  adaptation takes its steps and its query losses from it;
+- ``loss_hvp(arrays, x, y, vecs)``: the Hessian of the losses' sum times the
+  arrays ``vecs``, one array per parameter, for ``warp.adjoint_hypergrad``.
+
+The engine stays the oracle: ``MLP.loss_grads`` is tested to return exactly
+the bits of ``grad`` on ``loss``, and ``MLP.loss_hvp`` to match the engine's
+second derivative. ``MLP.loss_accuracy`` takes ``loss``'s values and the
+accuracy from the same numpy forward; the benchmark's curves record both
+with it.
 """
 
 from __future__ import annotations

@@ -134,7 +134,8 @@ def synth_proto_tasks(n_alphabets: int, classes_per_alphabet: int, instances_per
 
     Per alphabet: a random orthogonal rotation (the shared "style") and one
     orthonormal prototype per class; instances are rotation @ (prototype +
-    sigma * gaussian). Zero noise collapses each class to a single point.
+    sigma * gaussian). Zero noise collapses each class to a single point; a
+    noise so large that an instance overflows raises ``ValueError``.
     """
     if min(n_alphabets, classes_per_alphabet, instances_per_class, input_dim) < 1:
         raise ValueError("all counts must be positive")
@@ -151,8 +152,11 @@ def synth_proto_tasks(n_alphabets: int, classes_per_alphabet: int, instances_per
         protos, _ = np.linalg.qr(rng.normal(size=(input_dim, classes_per_alphabet)))
         classes = []
         for c in range(classes_per_alphabet):
-            noise = noise_sigma * rng.normal(size=(instances_per_class, input_dim))
-            instances = (protos[:, c][None, :] + noise) @ rotation.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise = noise_sigma * rng.normal(size=(instances_per_class, input_dim))
+                instances = (protos[:, c][None, :] + noise) @ rotation.T
+            if not np.isfinite(instances).all():
+                raise ValueError(f"noise_sigma={noise_sigma!r} makes non-finite instances")
             classes.append(CharacterClass(name=f"char{c:02d}", instances=instances))
         alphabets.append(Alphabet(name=f"alpha{a:02d}", classes=classes))
     return ClassTable(alphabets=alphabets, dim=input_dim)
@@ -221,7 +225,8 @@ def import_image_classes(root_path, image_side: int) -> ClassTable:
 
     Directories and files are visited in lexicographic order, so two imports
     of the same tree produce identical tables. Empty character directories are
-    skipped and counted in ``skipped_classes``.
+    skipped and counted in ``skipped_classes``; a tree with no image at all
+    raises ``ValueError`` naming the root.
     """
     if image_side < 1:
         raise ValueError(f"image_side must be positive, got {image_side}")
@@ -247,6 +252,8 @@ def import_image_classes(root_path, image_side: int) -> ClassTable:
             ]
             classes.append(CharacterClass(name=c_name, instances=np.array(vecs)))
         alphabets.append(Alphabet(name=a_name, classes=classes))
+    if not any(a.classes for a in alphabets):
+        raise ValueError(f"no <alphabet>/<character>/<image>.pgm image under {root}")
     return ClassTable(alphabets=alphabets, dim=dim, skipped_classes=skipped)
 
 

@@ -56,15 +56,6 @@ _creation_index = itertools.count()
 _recording = True  # off while a backward pass builds no graph (see grad)
 
 
-def creation_mark() -> int:
-    """A creation index above every existing tensor's and below every later one's.
-
-    A mark takes an index of its own, so the tensors created between two
-    successive marks ``a < b`` number ``b - a - 1``.
-    """
-    return next(_creation_index)
-
-
 class Tensor:
     """A float64 array plus its position in an autodiff graph.
 

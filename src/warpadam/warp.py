@@ -21,13 +21,14 @@ adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
 step on the warp's entries. The unrolled step shares ``optim.adam_moments``
 with the array optimizer, so the graph's trajectory has ``adapt``'s bits.
 
-The hypergradient has two implementations. ``hypergrad_P`` unrolls the steps
-as an autodiff graph and differentiates it with the engine; it serves any
-model and is the reference. ``adjoint_hypergrad`` runs reverse mode through
-the array steps by hand, with the model's Hessian-vector product
-(``loss_hvp``); ``meta_update_P`` takes it for models that have one. Its
-first-order result has the engine's bits, and its full one matches to
-rounding.
+A meta-learned model supplies ``params``, ``loss_grads`` and ``loss_hvp``
+(see ``nn``). ``meta_update_P`` takes its hypergradient from
+``adjoint_hypergrad``, reverse mode through the array steps by hand, with
+the model's Hessian-vector product. ``hypergrad_P`` unrolls the steps as an
+autodiff graph of the model's ``loss`` and differentiates it with the engine:
+the oracle that the tests and ``warpadam check`` compare the adjoint with,
+on no run-time path. The adjoint's first-order result has its bits, and the
+full one matches it to rounding.
 
 The meta-learning functions take an episode or a *stacked* episode: E
 episodes of one geometry whose arrays carry E on axis 0 (``stack_episodes``).
@@ -64,7 +65,7 @@ from .tensor import ShapeError, Tensor, grad
 
 
 class ResourceError(RuntimeError):
-    """A full hypergradient outgrew the configured node budget."""
+    """A full hypergradient's tape would outgrow the configured budget."""
 
 
 class Form(NamedTuple):
@@ -282,21 +283,12 @@ def tod_penalty_grad(warp: WarpMatrix, lam: float) -> np.ndarray:
 class MetaConfig:
     """Inner/outer loop hyperparameters for warp training.
 
-    ``node_budget`` caps what a full (not first-order) hypergradient of one
-    task batch holds, and an oversized one stops with ``ResourceError``:
-
-    - the engine's unroll (``hypergrad_P``, and ``meta_update_P`` for models
-      without ``loss_hvp``) may create that many tensors: graph nodes, the
-      backward nodes of each inner ``grad`` and constants. Its node count
-      does not grow with ``tasks_per_outer_step``. It is checked after every
-      inner step, before the next one is built;
-    - the array adjoint (``adjoint_hypergrad``, for models with
-      ``loss_hvp``) may tape that many float64 entries: four flat arrays
-      ``(w, g, m, v)`` per inner step, each as long as the stacked
-      parameters, so ``4 * inner_steps * tasks * parameters``. It is checked
-      before the first inner step.
-
-    A first-order hypergradient holds one step and is not capped.
+    ``node_budget`` caps the float64 entries that the tape of a full (not
+    first-order) ``adjoint_hypergrad`` of one task batch may hold: four flat
+    arrays ``(w, g, m, v)`` per inner step, each as long as the stacked
+    parameters, so ``4 * inner_steps * tasks * parameters``. An oversized
+    tape stops with ``ResourceError`` before the first inner step. A
+    first-order hypergradient tapes one step and is not capped.
     """
 
     inner_steps: int = 5
@@ -376,15 +368,12 @@ def _warpadam_graph_step(w, m, v, g, t: int, warp: WarpMatrix, leaves, h: HyperP
 
 def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
                        leaves_per_warp: list[tuple[Tensor, ...]], model, episode,
-                       steps: int, h: HyperParams, node_budget: int) -> list[Tensor]:
+                       steps: int, h: HyperParams) -> list[Tensor]:
     """Run ``steps`` differentiable WarpAdam updates on the support loss.
 
     ``params`` are stacked like ``episode``; each step differentiates the sum
-    of the per-episode support losses. Raises ``ResourceError`` as soon as the
-    tensors created since the unroll began exceed ``node_budget``, before the
-    next step is built.
+    of the per-episode support losses.
     """
-    start = T.creation_mark()
     ms = [Tensor(np.zeros(p.shape)) for p in params]
     vs = [Tensor(np.zeros(p.shape)) for p in params]
     ws = list(params)
@@ -394,11 +383,6 @@ def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
         for i, g in enumerate(gs):
             ws[i], ms[i], vs[i] = _warpadam_graph_step(ws[i], ms[i], vs[i], g, k, warps[i],
                                                        leaves_per_warp[i], h)
-        created = T.creation_mark() - start - k  # each mark takes an index too
-        if created > node_budget:
-            raise ResourceError(
-                f"unrolled graph created {created} tensors in {k} of {steps} inner steps, "
-                f"over the budget of {node_budget}; reduce inner_steps or set first_order=True")
     return ws
 
 
@@ -448,20 +432,15 @@ def stack_within_budget(episodes: Sequence[Episode], n_params: int,
             for start in range(0, len(episodes), size)]
 
 
+def _stack_lead(episode) -> tuple[int, ...]:
+    """``()`` for a plain episode, ``(E,)`` for a stack of E."""
+    return np.shape(episode.support_x)[:-2]
+
+
 def _start_arrays(model, episode) -> list[np.ndarray]:
     """Copies of the model's parameters, one per episode of a stack."""
-    lead = np.shape(episode.support_x)[:-2]
+    lead = _stack_lead(episode)
     return [np.broadcast_to(p, lead + p.shape).copy() for p in model.params]
-
-
-def _detached_grads(model, param_arrays: list[np.ndarray], x, y) -> list[np.ndarray]:
-    """Gradients of the summed per-episode losses, as arrays: from the model's
-    ``loss_grads`` where it has one, from the engine otherwise."""
-    if hasattr(model, "loss_grads"):
-        return model.loss_grads(param_arrays, x, y)[1]
-    params = [Tensor(p, requires_grad=True) for p in param_arrays]
-    loss = T.tsum(model.loss(params, x, y))
-    return [g.data for g in grad(loss, params)]
 
 
 def _per_episode(losses: np.ndarray):
@@ -472,14 +451,23 @@ def _per_episode(losses: np.ndarray):
 class _FlatWarp:
     """The warps of an adaptation as one warp of its flat buffer (see ``_adapt``).
 
-    ``apply`` warps each tensor's segment, viewed in the tensor's plain or
-    stacked shape, with that tensor's warp, into the same segment of a new
-    flat array.
+    ``shapes`` are the tensors' shapes in the buffer, each starting with the
+    stack axes ``lead``. Construction checks that each warp fits its tensor:
+    its dim is the tensor's size, and a warp of two factors (kron) acts on a
+    matrix of their rows. ``apply`` warps each tensor's segment, viewed in the
+    tensor's plain or stacked shape, with that tensor's warp, into the same
+    segment of a new flat array.
     """
 
-    def __init__(self, warps: Sequence[WarpMatrix], shapes):
+    def __init__(self, warps: Sequence[WarpMatrix], shapes, lead: tuple[int, ...] = ()):
         if len(warps) != len(shapes):
             raise ShapeError(f"{len(warps)} warps for {len(shapes)} parameter tensors")
+        for i, (warp, shape) in enumerate(zip(warps, shapes)):
+            shape, rows = tuple(shape[len(lead):]), _factor_dims(warp.factors)
+            if warp.dim != math.prod(shape) or rows not in ((0, 0), shape):
+                of_rows = f", factors of {rows[0]} and {rows[1]} rows" if rows != (0, 0) else ""
+                raise ShapeError(f"warp {i} ({warp.form}, dim {warp.dim}{of_rows}) does not fit "
+                                 f"parameter tensor {i} of shape {shape}")
         self.warps, self.shapes = warps, shapes
 
     def apply(self, g: np.ndarray) -> np.ndarray:
@@ -521,9 +509,10 @@ class FlatParams:
         """Views of an array in the buffer's layout, one per tensor, in its shape."""
         return _views(flat, self.shapes)
 
-    def warp(self, warps: Sequence[WarpMatrix]) -> _FlatWarp:
-        """The tensors' warps as one warp of the buffer."""
-        return _FlatWarp(warps, self.shapes)
+    def warp(self, warps: Sequence[WarpMatrix], lead: tuple[int, ...] = ()) -> _FlatWarp:
+        """The tensors' warps as one warp of the buffer, whose tensors carry
+        the stack axes ``lead``; a warp that does not fit raises ``ShapeError``."""
+        return _FlatWarp(warps, self.shapes, lead)
 
 
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
@@ -540,13 +529,15 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     ``(w, g, m, v)`` of ``adjoint_hypergrad``: the parameters it started
     from, the gradient there, and the moments it left, each an array of the
     tape's own.
+
+    The gradients come from ``model.loss_grads``. A warp that does not fit its
+    tensor raises ``ShapeError`` before the first step.
     """
     params = FlatParams(_start_arrays(model, episode))
-    warp = params.warp(warps)
+    warp = params.warp(warps, _stack_lead(episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
     for _ in range(steps):
-        g = params.flat(_detached_grads(model, params.arrays, episode.support_x,
-                                        episode.support_y))
+        g = params.flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
         check_step_inputs(state, w, g)
         w_start = w.copy() if tape is not None else None
         warpadam_core(state, w, g, h, buf, warp)
@@ -556,14 +547,9 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     return params.arrays, [AdamState(m, v, state.t) for m, v in moments]
 
 
-def _check_hypergrad_inputs(episode, model, warps: Sequence[WarpMatrix]) -> None:
-    if len(warps) != len(model.params):
-        raise ShapeError(f"{len(warps)} warps for {len(model.params)} parameter tensors")
+def _check_episode(episode) -> None:
     if np.size(episode.support_y) == 0 or np.size(episode.query_y) == 0:
         raise ValueError("episode needs non-empty support and query sets")
-    for w, p in zip(warps, model.params):
-        if w.dim != p.size:
-            raise ShapeError(f"warp dim {w.dim} does not match parameter size {p.size}")
 
 
 def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
@@ -581,25 +567,27 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     stacked episode the graph root is the sum of the E query losses, so the
     hypergradient is the sum of the E per-episode hypergradients.
 
-    This is the autodiff engine's hypergradient, the reference that
-    ``adjoint_hypergrad`` is tested against; ``meta_update_P`` uses it for
-    models without ``loss_hvp``. ``cfg.node_budget`` caps the tensors its
-    full unroll creates (see ``MetaConfig``).
+    This is the autodiff engine's hypergradient: the oracle that
+    ``adjoint_hypergrad`` is tested against, on no run-time path. Its full
+    unroll differentiates the model's ``loss``; the detached steps and the
+    last step's gradient of its first-order mode take ``loss_grads``. No
+    budget caps it.
     """
-    _check_hypergrad_inputs(episode, model, warps)
+    _check_episode(episode)
+    _FlatWarp(warps, [np.shape(p) for p in model.params])  # raises on a warp that does not fit
     leaves_per_warp = [_warp_leaves(w) for w in warps]
     h = cfg.inner_hyper
 
     if cfg.first_order:
         arrays, states = _adapt(model, warps, episode, cfg.inner_steps - 1, h)
-        gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
+        gs = model.loss_grads(arrays, episode.support_x, episode.support_y)[1]
         ws = [_warpadam_graph_step(Tensor(a), Tensor(st.m), Tensor(st.v), Tensor(g),
                                    cfg.inner_steps, warp, leaves, h)[0]
               for a, st, g, warp, leaves in zip(arrays, states, gs, warps, leaves_per_warp)]
     else:
         params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
         ws = _unrolled_warpadam(params, warps, leaves_per_warp, model, episode,
-                                cfg.inner_steps, h, cfg.node_budget)
+                                cfg.inner_steps, h)
     losses = model.loss(ws, episode.query_x, episode.query_y)
 
     leaf_grads = grad(T.tsum(losses), [leaf for leaves in leaves_per_warp for leaf in leaves])
@@ -614,7 +602,8 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
                       cfg: MetaConfig) -> tuple[list[np.ndarray], float | np.ndarray]:
     """``hypergrad_P``'s hypergradients and losses, by reverse mode on arrays.
 
-    For a model with ``loss_grads`` and ``loss_hvp``. The forward pass is
+    The model supplies ``params``, ``loss_grads`` and ``loss_hvp``; one
+    that lacks any of them raises ``TypeError`` naming it. The forward pass is
     ``_adapt`` with a tape of each step's flat ``(w, g, m, v)``; the
     backward pass walks the steps from the last: ``optim.adam_adjoint`` gives
     the adjoint ``u_bar`` of the warped gradient ``P g``, each warp adds its
@@ -631,11 +620,14 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     ``hypergrad_P``'s. The full result matches it to rounding: the sums run
     in another order.
     """
-    _check_hypergrad_inputs(episode, model, warps)
-    h, steps = cfg.inner_hyper, cfg.inner_steps
+    for name in ("params", "loss_grads", "loss_hvp"):
+        if not hasattr(model, name):
+            raise TypeError(f"{type(model).__name__} has no {name}: a meta-learned model "
+                            "supplies params, loss_grads and loss_hvp")
+    _check_episode(episode)
+    h, steps, lead = cfg.inner_hyper, cfg.inner_steps, _stack_lead(episode)
     if not cfg.first_order:
-        stack = int(np.prod(np.shape(episode.support_x)[:-2]))
-        entries = 4 * steps * stack * sum(np.size(p) for p in model.params)
+        entries = 4 * steps * math.prod(lead) * sum(np.size(p) for p in model.params)
         if entries > cfg.node_budget:
             raise ResourceError(
                 f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
@@ -644,7 +636,8 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     arrays = _adapt(model, warps, episode, steps, h, tape)[0]
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
     shapes = [a.shape for a in arrays]
-    warp, warp_t = _FlatWarp(warps, shapes), _FlatWarp([w.transposed() for w in warps], shapes)
+    warp = _FlatWarp(warps, shapes, lead)
+    warp_t = _FlatWarp([w.transposed() for w in warps], shapes, lead)
     w_bar, m_bar, v_bar = _flat(query_grads), 0.0, 0.0
     totals = None
     for t in range(steps, steps - len(tape), -1):
@@ -673,10 +666,10 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
     """Query loss after K inner steps (the meta-objective, minus the penalty).
 
     A float for an episode; for a stacked episode, the array of its E losses.
+    The losses are ``model.loss_grads``'s, from its numpy forward.
     """
     arrays = adapt(model, warps, episode, cfg)
-    return _per_episode(model.loss([Tensor(a) for a in arrays], episode.query_x,
-                                   episode.query_y).data)
+    return _per_episode(model.loss_grads(arrays, episode.query_x, episode.query_y)[0])
 
 
 def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfig,
@@ -689,19 +682,18 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     The batch is stacked into one episode and differentiated at once, so the
     warps receive the sum of the per-task hypergradients. Its summation order
     differs from adding per-task results, so the full hypergradient can differ
-    from that sum in the last bits; the first-order one does not. A model with
-    ``loss_hvp`` is differentiated on arrays (``adjoint_hypergrad``), any
-    other on the engine (``hypergrad_P``). Structural forms are preserved; a
-    warp without entries (the identity form) takes an empty step and comes
-    back equal.
+    from that sum in the last bits; the first-order one does not. The
+    hypergradient is ``adjoint_hypergrad``'s, so the model supplies
+    ``params``, ``loss_grads`` and ``loss_hvp``. Structural forms are
+    preserved; a warp without entries (the identity form) takes an empty step
+    and comes back equal.
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")
     if len(outer_states) != len(warps):
         raise ShapeError(f"{len(outer_states)} outer states for {len(warps)} warps")
 
-    hypergrad = adjoint_hypergrad if hasattr(model, "loss_hvp") else hypergrad_P
-    totals, losses = hypergrad(stack_episodes(task_batch), model, warps, cfg)
+    totals, losses = adjoint_hypergrad(stack_episodes(task_batch), model, warps, cfg)
     outer_hyper = HyperParams(eta=cfg.outer_eta)
 
     new_warps: list[WarpMatrix] = []

@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,18 @@ import pytest
 
 import warpadam
 import warpadam.cli as cli
+import warpadam.tensor as T
+import warpadam.warp as warp_module
 from warpadam.cli import main
 from warpadam.bench import read_curve_csv
 from warpadam.config import apply_overrides, build_meta, parse_config_text, validate_keys
+from warpadam.nn import MLP
 from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
-from warpadam.warp import (adaptation_query_loss, init_warps, load_warps, save_warps,
+from warpadam.warp import (WarpMatrix, adaptation_query_loss, init_warps, load_warps, save_warps,
                            stack_within_budget)
 
 from test_tasks import make_tree
+from test_warp import _counting
 
 
 SMALL_RUN = """
@@ -156,10 +161,15 @@ def test_episode_geometry_below_one_is_usage_error_naming_the_key(tmp_path, caps
     assert not out.exists()
 
 
-def test_readme_meta_config_parses():
+def readme_config() -> str:
+    """The meta-training config block of the README."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
-    cfg = parse_config_text(block, source="README.md")
+    return block
+
+
+def test_readme_meta_config_parses():
+    cfg = parse_config_text(readme_config(), source="README.md")
     validate_keys(cfg)
     meta = build_meta(cfg)
     assert cfg["model.hidden"] == "0"
@@ -327,6 +337,18 @@ def test_meta_train_adapts_only_the_held_out_set(tmp_path, monkeypatch):
     assert len(calls) == 2 * 1
 
 
+@pytest.mark.parametrize("first_order", ["false", "true"])
+def test_meta_train_makes_no_engine_call(tmp_path, monkeypatch, first_order):
+    # 20 outer steps of the README config, held-out evaluation included
+    calls = []
+    for owner, attr in ((T, "grad"), (warp_module, "grad"), (T, "toposort"), (MLP, "loss")):
+        _counting(monkeypatch, owner, attr, calls)
+    cfg = write_cfg(tmp_path, readme_config())
+    assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", "meta.outer_steps=20", "--set", f"meta.first_order={first_order}"]) == 0
+    assert calls == []
+
+
 def test_meta_train_requires_explicit_split(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_META.replace("tasks.eval_alphabets=alpha03", ""))
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -352,6 +374,29 @@ def test_meta_trained_checkpoint_feeds_run(tmp_path):
                  "--set", "hyper.epsilon=0.1"])
     assert code == 0
     assert read_curve_csv(out_r / "curve.csv")
+
+
+@pytest.mark.parametrize("warps, line", [
+    # the README model is [8, 3] linear: W (8, 3) and b (3,)
+    ([np.eye(3), np.eye(3)],
+     "warp 0 (dense, dim 3) does not fit parameter tensor 0 of shape (8, 3)"),
+    ([np.eye(24), np.eye(2)],
+     "warp 1 (dense, dim 2) does not fit parameter tensor 1 of shape (3,)"),
+    ([(np.eye(3), np.eye(8)), np.eye(3)],
+     "warp 0 (kron, dim 24, factors of 3 and 8 rows) does not fit parameter tensor 0 "
+     "of shape (8, 3)"),
+    ([np.eye(24), np.eye(3), np.eye(3)], "3 warps for 2 parameter tensors"),
+])
+def test_run_rejects_a_checkpoint_whose_warps_do_not_fit_the_model(tmp_path, capsys, warps, line):
+    checkpoint = tmp_path / "warps.bin"
+    save_warps(checkpoint, [WarpMatrix.kronecker(*w) if isinstance(w, tuple)
+                            else WarpMatrix.dense(w) for w in warps])
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, readme_config()), "--out", str(out),
+                 "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={checkpoint}",
+                 "--set", "run.n_tasks=1", "--set", "run.steps_per_task=2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (out / "curve.csv").exists()
 
 
 def _spoil_checkpoint(data: bytearray, how: str) -> bytes:
@@ -494,11 +539,12 @@ def test_check_command_negative_control():
 
 def test_check_covers_the_fast_mlp_gradient(capsys):
     # and the array hypergradient's parts: the Hessian product and the adjoint
-    names = ("grad.mlp_loss_grads", "grad.mlp_loss_hvp", "warp.hypergradient_adjoint_vs_fd")
+    names = ("grad.mlp_loss_grads", "grad.mlp_loss_hvp", "warp.hypergradient_adjoint_vs_fd",
+             "warp.hypergradient_adjoint_vs_engine")
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert all(f"PASS {name}:" in out for name in names)
-    assert "all 15 checks passed" in out
+    assert "all 16 checks passed" in out
     assert main(["check", "--perturb", "1e-3"]) == 1
     out = capsys.readouterr().out
     assert all(f"FAIL {name}:" in out for name in names)
@@ -529,6 +575,31 @@ def test_import_command(tmp_path):
 
 def test_import_requires_root(tmp_path):
     assert main(["import", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("dirs", [[], ["alpha0/char0", "alpha0/char1", "alpha1"]])
+def test_import_of_a_tree_without_images_is_exit_2_naming_the_root(tmp_path, capsys, dirs):
+    root = tmp_path / "tree"
+    root.mkdir()
+    for d in dirs:
+        (root / d).mkdir(parents=True)
+    (root / "notes.txt").write_text("no images here\n")
+    out = tmp_path / "o"
+    assert main(["import", "--root", str(root), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(root) in err[0]
+    assert not (out / "table.wtbl").exists()
+
+
+@pytest.mark.parametrize("command, text", [("run", SMALL_RUN), ("meta-train", SMALL_META)])
+def test_synth_noise_that_overflows_is_exit_2_naming_it(tmp_path, capsys, command, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+        code = main([command, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                     "--set", "tasks.synth.noise=1e308"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise_sigma=1e+308 makes non-finite instances"]
 
 
 def test_imported_table_feeds_run(tmp_path):

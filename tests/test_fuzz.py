@@ -1,16 +1,22 @@
-"""Mutations of valid input files, and random config text.
+"""Mutations of valid input files, random config text and random config values.
 
 A mutated ``warps.bin`` or ``table.wtbl`` either loads and saves back to the
 same bytes, or raises ``ValueError`` naming the file; a mutated PGM image
 either imports or raises ``PgmError`` naming the file. Config text raises
-nothing but ``ValueError``.
+nothing but ``ValueError``. ``meta-train`` with edge values in its keys exits
+0, 2 or 3 with at most one line on stderr.
 """
+
+import contextlib
+import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from warpadam.cli import main
 from warpadam.config import KNOWN_KEYS, parse_config_text, validate_keys
 from warpadam.tasks import PgmError, import_image_classes, load_table, save_table, synth_proto_tasks
 from warpadam.warp import WarpMatrix, load_warps, save_warps
@@ -113,3 +119,58 @@ def test_random_config_text_raises_only_value_error(lines):
         validate_keys(parse_config_text("\n".join(lines)))
     except ValueError:
         pass
+
+
+# every key meta-train reads, apart from the task source and the alphabet split
+META_KEYS = (
+    "run.seed", "model.hidden", "meta.inner_steps", "meta.outer_steps",
+    "meta.tasks_per_outer_step", "meta.node_budget", "meta.eval_episodes", "meta.eval_every",
+    "tasks.synth.alphabets", "tasks.synth.classes", "tasks.synth.instances", "tasks.synth.dim",
+    "tasks.n_way", "tasks.k_shot", "tasks.query_per_class",
+    *(f"inner.{k}" for k in ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")),
+    "meta.outer_eta", "meta.tod_lambda", "tasks.synth.noise",
+    "meta.first_order", "warp.policy",
+)
+EDGE_VALUES = ("0", "-1", "0.5", "2.5", "nan", "inf", "-inf", "1e308", "-1e308",
+               "true", "kron", "identity")
+
+# sizes at or under dim 16, hidden 8 and 3 steps; an edge value can only shrink them
+FUZZ_META = """
+run.seed=5
+model.hidden=8
+meta.inner_steps=3
+meta.outer_steps=3
+meta.tasks_per_outer_step=2
+meta.eval_episodes=4
+meta.eval_every=2
+inner.eta=0.1
+inner.epsilon=0.1
+tasks.synth.alphabets=3
+tasks.synth.classes=4
+tasks.synth.instances=8
+tasks.synth.dim=16
+tasks.synth.noise=0.4
+tasks.n_way=3
+tasks.k_shot=1
+tasks.query_per_class=3
+tasks.train_alphabets=alpha00,alpha01
+tasks.eval_alphabets=alpha02
+"""
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(META_KEYS), st.sampled_from(EDGE_VALUES),
+                       min_size=1, max_size=3))
+@example({"tasks.synth.noise": "1e308"})
+def test_meta_train_edge_values_exit_0_2_or_3_with_one_line(workdir, overrides):
+    cfg = workdir / "meta.cfg"
+    cfg.write_text(FUZZ_META)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")  # each warning would be a line on stderr
+        code = main(["meta-train", "--config", str(cfg), "--out", str(workdir / "meta"),
+                     *(a for kv in overrides.items() for a in ("--set", "=".join(kv)))])
+    lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3), lines
+    assert len(lines) <= 1, lines

@@ -1,6 +1,7 @@
 import gc
 import struct
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from warpadam.warp import (
     ResourceError,
     WarpMatrix,
     _adapt,
-    _detached_grads,
     _flat,
     _start_arrays,
     _unrolled_warpadam,
@@ -59,6 +59,15 @@ class ScalarQuadratic:
         w = T.broadcast_to(params[0], np.shape(y))
         d = T.sub(w, Tensor(np.asarray(y, dtype=np.float64)))
         return T.mul(T.tmean(T.mul(d, d), axis=-1), 0.5)
+
+    def loss_grads(self, arrays, x, y):
+        # the losses in the engine's operation order, so they have its bits
+        d = arrays[0] - np.asarray(y, dtype=np.float64)
+        losses = np.sum(d * d, axis=-1) * (1.0 / d.shape[-1]) * 0.5
+        return losses, [np.mean(d, axis=-1, keepdims=True)]
+
+    def loss_hvp(self, arrays, x, y, vecs):
+        return [1.0 * vecs[0]]  # each episode's loss has curvature 1 in its w
 
 
 def quad_episode(support_targets, query_targets):
@@ -313,52 +322,23 @@ def test_unrolled_graph_matches_array_trajectory():
     leaves = [_warp_leaves(w) for w in warps]
     params = [Tensor(p, requires_grad=True) for p in model.params]
     ws = _unrolled_warpadam(params, warps, leaves, model, episode,
-                            cfg.inner_steps, cfg.inner_hyper, cfg.node_budget)
+                            cfg.inner_steps, cfg.inner_hyper)
     arrays = adapt(model, warps, episode, cfg)
     for wt, arr in zip(ws, arrays):
         assert rel_err(wt.data, arr) < 1e-12
 
 
-def test_hypergrad_node_budget():
-    model, episode, warps = _mlp_setup(seed=6)
-    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), node_budget=10)
-    with pytest.raises(ResourceError, match="first_order"):
-        hypergrad_P(episode, model, warps, cfg)
-
-
 class CountingModel:
-    """Forwards to a model and counts its ``loss`` calls (one per inner step)."""
+    """Forwards to an MLP and counts its ``loss_grads`` calls (one per inner step)."""
 
     def __init__(self, model):
         self.model = model
-        self.params = model.params
+        self.params, self.loss, self.loss_hvp = model.params, model.loss, model.loss_hvp
         self.calls = 0
 
-    def loss(self, params, x, y):
+    def loss_grads(self, arrays, x, y):
         self.calls += 1
-        return self.model.loss(params, x, y)
-
-
-def _unroll_size(model, episode, warps, steps):
-    """Tensors a ``steps``-step unroll creates, counted with creation marks."""
-    leaves = [_warp_leaves(w) for w in warps]
-    params = [Tensor(p, requires_grad=True) for p in model.params]
-    start = T.creation_mark()
-    _unrolled_warpadam(params, warps, leaves, model, episode, steps, HyperParams(eta=0.05),
-                       MetaConfig().node_budget)
-    return T.creation_mark() - start - 1
-
-
-def test_hypergrad_node_budget_stops_before_the_step_that_exceeds_it():
-    model, episode, warps = _mlp_setup(seed=6)
-    two, four = (_unroll_size(model, episode, warps, k) for k in (2, 4))
-    counting = CountingModel(model)
-    cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05), node_budget=two)
-    with pytest.raises(ResourceError, match="in 3 of 4 inner steps"):
-        hypergrad_P(episode, counting, warps, cfg)
-    assert counting.calls == 3  # step 4 was never built
-    hypergrad_P(episode, model, warps, MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05),
-                                                  node_budget=four))
+        return self.model.loss_grads(arrays, x, y)
 
 
 def test_unroll_walk_per_inner_step_does_not_grow_with_k(monkeypatch):
@@ -377,8 +357,7 @@ def test_unroll_walk_per_inner_step_does_not_grow_with_k(monkeypatch):
         walked.clear()
         leaves = [_warp_leaves(w) for w in warps]
         params = [Tensor(p, requires_grad=True) for p in model.params]
-        _unrolled_warpadam(params, warps, leaves, model, episode, k, HyperParams(eta=0.05),
-                           MetaConfig().node_budget)
+        _unrolled_warpadam(params, warps, leaves, model, episode, k, HyperParams(eta=0.05))
         assert len(walked) == k
         largest[k] = max(walked)
     # step 2 walks a little less than later steps: step 1's moments start as constants
@@ -569,7 +548,7 @@ def test_stacked_unrolled_graph_is_bitwise_adapt(form):
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
     params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
     ws = _unrolled_warpadam(params, warps, [_warp_leaves(w) for w in warps], model, episode,
-                            cfg.inner_steps, cfg.inner_hyper, cfg.node_budget)
+                            cfg.inner_steps, cfg.inner_hyper)
     for wt, arr in zip(ws, adapt(model, warps, episode, cfg)):
         assert np.array_equal(wt.data, arr)
 
@@ -590,12 +569,10 @@ def test_hypergrad_losses_are_adaptation_query_loss(form, first_order):
     assert np.array_equal(meta_update_P(warps, episodes, model, cfg, states)[2], losses)
 
 
-class EngineOnly:
-    """A model with only ``params`` and ``loss``: its gradients come from the engine."""
-
-    def __init__(self, model):
-        self.params = model.params
-        self.loss = model.loss
+def _engine_grads(model, arrays, x, y):
+    """The gradients of the summed per-episode losses, from the engine on ``model.loss``."""
+    params = [Tensor(a, requires_grad=True) for a in arrays]
+    return [g.data for g in grad(T.tsum(model.loss(params, x, y)), params)]
 
 
 def test_adaptation_takes_mlp_gradients_without_the_engine(monkeypatch):
@@ -603,12 +580,13 @@ def test_adaptation_takes_mlp_gradients_without_the_engine(monkeypatch):
     episode = stack_episodes(episodes)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
     calls = []
-    original = warp_module.grad
-    monkeypatch.setattr(warp_module, "grad", lambda *a, **k: calls.append(1) or original(*a, **k))
+    for owner, attr in ((T, "grad"), (warp_module, "grad"), (T, "toposort"), (MLP, "loss")):
+        _counting(monkeypatch, owner, attr, calls)
     fast = adapt(model, warps, episode, cfg)
     assert calls == []
-    engine = adapt(EngineOnly(model), warps, episode, cfg)
-    assert len(calls) == cfg.inner_steps
+    monkeypatch.undo()
+    # the reference loop takes the engine's gradients: the same bits
+    engine = _per_tensor_adapt(model, warps, episode, cfg.inner_steps, cfg.inner_hyper)[0]
     for got, want in zip(fast, engine):
         assert np.array_equal(got, want)
 
@@ -617,11 +595,12 @@ def test_adaptation_takes_mlp_gradients_without_the_engine(monkeypatch):
 # array adaptation: one WarpAdam step over all parameter tensors
 
 def _per_tensor_adapt(model, warps, episode, steps, h):
-    """The reference loop: one ``warpadam_step`` per tensor per inner step."""
+    """The reference loop: one ``warpadam_step`` per tensor per inner step,
+    on the engine's gradients."""
     arrays = _start_arrays(model, episode)
     states = [AdamState.zeros(a.shape) for a in arrays]
     for _ in range(steps):
-        gs = _detached_grads(model, arrays, episode.support_x, episode.support_y)
+        gs = _engine_grads(model, arrays, episode.support_x, episode.support_y)
         for i in range(len(arrays)):
             states[i], arrays[i] = warpadam_step(states[i], arrays[i], gs[i], warps[i], h)
     return arrays, states
@@ -676,8 +655,8 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
     for k, (w, g, m, v) in enumerate(tape):
         start, after = _adapt(model, warps, episode, k, h), _adapt(model, warps, episode, k + 1, h)
         assert np.array_equal(w, _flat(start[0]))
-        assert np.array_equal(g, _flat(_detached_grads(model, start[0], episode.support_x,
-                                                       episode.support_y)))
+        assert np.array_equal(g, _flat(model.loss_grads(start[0], episode.support_x,
+                                                        episode.support_y)[1]))
         assert np.array_equal(m, _flat(s.m for s in after[1]))
         assert np.array_equal(v, _flat(s.v for s in after[1]))
 
@@ -714,6 +693,20 @@ def test_adapt_rejects_a_warp_that_does_not_fit_its_tensor():
             adapt(model, warps[:-1] + [bad], episode, cfg)
     with pytest.raises(ShapeError):
         adapt(model, warps[:-1], episode, cfg)
+    # the first weight is (5, 4): a warp of one row's size would act on its
+    # five rows as on a stack of five gradients, and kron factors of the
+    # transposed rows would warp it as a (4, 5) matrix
+    for stacked in (False, True):
+        episode = _adapt_setup("dense", stacked)[2]
+        for bad, what in ((WarpMatrix.dense(np.eye(4)), r"warp 0 \(dense, dim 4\)"),
+                          (WarpMatrix.kronecker(np.eye(4), np.eye(5)),
+                           r"warp 0 \(kron, dim 20, factors of 4 and 5 rows\)")):
+            with pytest.raises(ShapeError, match=what + r" does not fit parameter tensor 0 of "
+                                                 r"shape \(5, 4\)"):
+                adapt(model, [bad] + warps[1:], episode, cfg)
+    bias = WarpMatrix.kronecker(np.eye(1), np.eye(4))  # of the size of the (4,) bias, not a matrix
+    with pytest.raises(ShapeError, match=r"warp 1 .* shape \(4,\)"):
+        adapt(model, warps[:1] + [bias] + warps[2:], episode, cfg)
 
 
 def test_apply_rejects_a_size_that_is_not_a_stack():
@@ -749,7 +742,7 @@ def test_meta_update_builds_one_graph_per_batch(batch, first_order):
     counting = CountingModel(model)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
     meta_update_P(warps, episodes, counting, cfg, [AdamState.zeros(w.n_params) for w in warps])
-    assert counting.calls == cfg.inner_steps + 1  # K support losses and one query loss
+    assert counting.calls == cfg.inner_steps + 1  # K support gradients and one query loss
 
 
 # ---------------------------------------------------------------------------
@@ -838,14 +831,46 @@ def _mlp_hvp_setup(sizes, stacked, seed=33):
 @pytest.mark.parametrize("sizes", [[4, 3], [4, 5, 3], [4, 5, 6, 3]])
 def test_mlp_loss_hvp_is_the_engine_second_derivative(sizes, stacked):
     model, arrays, x, y, vecs = _mlp_hvp_setup(sizes, stacked)
+    got = model.loss_hvp(arrays, x, y, vecs)
+    for a, b, p in zip(got, _engine_hvp(model, arrays, x, y, vecs), arrays):
+        assert a.shape == p.shape
+        assert rel_err(a, b) < 1e-12
+
+
+def _engine_hvp(model, arrays, x, y, vecs):
+    """The Hessian of the summed losses times ``vecs``, from the engine on ``model.loss``."""
     params = [Tensor(a, requires_grad=True) for a in arrays]
     gs = grad(T.tsum(model.loss(params, x, y)), params, create_graph=True)
     inner = sum((T.tsum(T.mul(g, Tensor(v))) for g, v in zip(gs, vecs)), Tensor(0.0))
-    want = grad(inner, params)
-    got = model.loss_hvp(arrays, x, y, vecs)
-    for a, b, p in zip(got, want, arrays):
-        assert a.shape == p.shape
-        assert rel_err(a, b.data) < 1e-12
+    return [g.data for g in grad(inner, params)]
+
+
+def _test_model_setup(name, stacked):
+    """A test model at perturbed parameters, a plain or 3-stacked batch and vectors."""
+    rng = np.random.default_rng(34)
+    lead = (3,) if stacked else ()
+    if name == "quadratic":
+        model, x = ScalarQuadratic(0.3), np.zeros(lead + (5, 1))
+        y = rng.normal(size=lead + (5,))
+    else:
+        model, x = CountingModel(MLP([4, 5, 3], rng)), rng.normal(size=lead + (7, 4))
+        y = rng.integers(0, 3, size=lead + (7,))
+    arrays = [p + 0.1 * rng.normal(size=lead + p.shape) for p in model.params]
+    return model, arrays, x, y, [rng.normal(size=a.shape) for a in arrays]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", ["quadratic", "counting"])
+def test_test_models_loss_grads_and_loss_hvp_are_the_engines(name, stacked):
+    model, arrays, x, y, vecs = _test_model_setup(name, stacked)
+    losses, grads = model.loss_grads(arrays, x, y)
+    want = model.loss([Tensor(a) for a in arrays], x, y).data
+    assert losses.shape == want.shape and losses.tobytes() == want.tobytes()
+    for got, engine, a in zip(grads, _engine_grads(model, arrays, x, y), arrays, strict=True):
+        assert got.shape == a.shape and rel_err(got, engine) < 1e-12
+    hvps = model.loss_hvp(arrays, x, y, vecs)
+    for got, engine, a in zip(hvps, _engine_hvp(model, arrays, x, y, vecs), arrays, strict=True):
+        assert got.shape == a.shape and rel_err(got, engine) < 1e-12
 
 
 def _counting(monkeypatch, owner, attr, calls):
@@ -933,6 +958,19 @@ def test_meta_update_rejects_empty_batch():
     with pytest.raises(ValueError):
         meta_update_P([WarpMatrix.identity(1)], [], ScalarQuadratic(0.0),
                       MetaConfig(), [AdamState.zeros(0)])
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("missing", ["loss_grads", "loss_hvp"])
+def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_order):
+    quad = ScalarQuadratic(0.2)
+    model = SimpleNamespace(params=quad.params, loss=quad.loss,
+                            **{m: getattr(quad, m) for m in ("loss_grads", "loss_hvp")
+                               if m != missing})
+    cfg = MetaConfig(inner_steps=2, first_order=first_order)
+    with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
+        meta_update_P([WarpMatrix.dense([[1.0]])], [quad_episode([1.0], [1.2])], model, cfg,
+                      [AdamState.zeros(1)])
 
 
 # ---------------------------------------------------------------------------
