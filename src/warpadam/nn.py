@@ -10,14 +10,16 @@ Meta-learning also calls it on a stack of E episodes: every parameter tensor
 is shaped ``(E,) + shape``, ``x`` and ``y`` carry E on axis 0, and the result
 has shape ``(E,)``, with entry e depending only on episode e.
 
-A meta-learned model (``warp.meta_update_P``) supplies ``params`` and two
+A meta-learned model (``warp.meta_update_P``) supplies ``params`` and three
 methods on parameter arrays, computed without a graph:
 
 - ``loss_grads(arrays, x, y) -> (losses, grads)``: the values ``loss`` gives
   and the gradient of their sum with respect to each parameter array. The
-  adaptation takes its steps and its query losses from it;
+  adaptation takes its steps and the hypergradient's query losses from it;
 - ``loss_hvp(arrays, x, y, vecs)``: the Hessian of the losses' sum times the
-  arrays ``vecs``, one array per parameter, for ``warp.adjoint_hypergrad``.
+  arrays ``vecs``, one array per parameter, for ``warp.adjoint_hypergrad``;
+- ``losses(arrays, x, y)``: the losses of ``loss_grads``, bit for bit, from
+  the forward pass alone, for ``warp.adaptation_query_loss``.
 
 The engine stays the oracle: ``MLP.loss_grads`` is tested to return exactly
 the bits of ``grad`` on ``loss``, and ``MLP.loss_hvp`` to match the engine's
@@ -151,6 +153,11 @@ class MLP:
                 slope = 1.0 - h * h
                 g, r_g = g_h * slope, r_g_h * slope - g_h * (2.0 * h * r_hs[i])
         return out
+
+    def losses(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``loss`` on parameter arrays, from the numpy forward alone: the
+        losses of ``loss_grads``, without its backward pass."""
+        return _cross_entropy_data(self._forward(arrays, x)[0][-1], y)[0]
 
     def loss_accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, float]:

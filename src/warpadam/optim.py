@@ -139,19 +139,40 @@ def adam_adjoint(w_bar, m_bar, v_bar, g, m, v, t: int, h: HyperParams):
     engine's order, so without incoming moment adjoints ``g_bar`` has the bits
     of ``grad`` through one graph step. Where ``v_hat + epsilon`` is 0 the
     ratio is the constant 0 of the 0/0 := 0 rule, and its adjoints are 0.
+    Those entries are masked only when there are any (as in the graph step):
+    a mask of ones would change no bit. Each rule writes over a temporary
+    that is no longer needed, so a call allocates six arrays.
     """
-    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
-    radicand = v_hat + h.epsilon
-    zero = radicand == 0
-    keep = ~zero
-    root = np.sqrt(radicand + zero)
-    ratio_bar = -w_bar * h.eta
-    root_bar = -((ratio_bar * (m_hat * keep)) / (root * root))
-    m_bar = ratio_bar / root * keep / (1.0 - h.beta1 ** t) + m_bar
-    v_bar = root_bar / (root * 2.0) / (1.0 - h.beta2 ** t) + v_bar
-    square_bar = v_bar * (1.0 - h.beta2) * g  # from g * g, once per factor
-    g_bar = m_bar * (1.0 - h.beta1) + square_bar + square_bar
-    return g_bar, h.beta1 * m_bar, h.beta2 * v_bar
+    m_hat, radicand = bias_correct(m, v, t, h.beta1, h.beta2)
+    radicand += h.epsilon
+    keep = None
+    if not radicand.min(initial=math.inf) > 0:  # only with epsilon 0
+        keep = np.where(radicand == 0, 0.0, 1.0)
+        m_hat *= keep
+        radicand += 1.0 - keep  # sqrt sees 1 where the radicand is 0
+    root = np.sqrt(radicand, out=radicand)
+    ratio_bar = np.negative(w_bar)
+    ratio_bar *= h.eta
+    m_bar_in, m_bar = m_bar, ratio_bar / root
+    if keep is not None:
+        m_bar *= keep
+    m_bar /= 1.0 - h.beta1 ** t
+    m_bar += m_bar_in
+    root_bar = np.multiply(ratio_bar, m_hat, out=ratio_bar)
+    root_bar /= np.multiply(root, root, out=m_hat)
+    np.negative(root_bar, out=root_bar)
+    root_bar /= np.multiply(root, 2.0, out=root)
+    root_bar /= 1.0 - h.beta2 ** t
+    root_bar += v_bar
+    v_bar = root_bar
+    square_bar = np.multiply(v_bar, 1.0 - h.beta2)  # from g * g, once per factor
+    square_bar *= g
+    g_bar = np.multiply(m_bar, 1.0 - h.beta1)
+    g_bar += square_bar
+    g_bar += square_bar
+    m_bar *= h.beta1
+    v_bar *= h.beta2
+    return g_bar, m_bar, v_bar
 
 
 def check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
@@ -172,7 +193,9 @@ def step_buffers(shape) -> tuple[np.ndarray, np.ndarray]:
 
 def _safe_ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     # num / denom, written into num, with 0/0 := 0; a zero denominator only
-    # occurs with eps=0 and zero history
+    # occurs with eps=0 and zero history, so the mask is built only then
+    if denom.min(initial=math.inf) > 0:
+        return np.divide(num, denom, out=num)
     positive = denom > 0
     np.divide(num, denom, out=num, where=positive)
     num[~positive] = 0.0

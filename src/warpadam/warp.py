@@ -21,8 +21,8 @@ adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
 step on the warp's entries. The unrolled step shares ``optim.adam_moments``
 with the array optimizer, so the graph's trajectory has ``adapt``'s bits.
 
-A meta-learned model supplies ``params``, ``loss_grads`` and ``loss_hvp``
-(see ``nn``). ``meta_update_P`` takes its hypergradient from
+A meta-learned model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
+``losses`` (see ``nn``). ``meta_update_P`` takes its hypergradient from
 ``adjoint_hypergrad``, reverse mode through the array steps by hand, with
 the model's Hessian-vector product. ``hypergrad_P`` unrolls the steps as an
 autodiff graph of the model's ``loss`` and differentiates it with the engine:
@@ -42,15 +42,19 @@ steps of the first-order hypergradient) keeps the parameters of all tensors
 in one flat buffer with one Adam state (``FlatParams``), so each inner step is
 one in-place ``optim.warpadam_core``; only the warps act tensor by tensor,
 each on its segment. ``bench.run_sequential_tasks`` steps its parameters the
-same way.
+same way. There each warp is resolved once (``_FlatWarp``): an
+identity-valued warp costs a copy, with the product's bits, so WarpAdam at
+``init_warps``'s warps costs what Adam costs plus that copy.
+``WarpMatrix.apply`` always multiplies, so the engine oracle does not
+depend on that shortcut.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -448,15 +452,45 @@ def _per_episode(losses: np.ndarray):
     return float(losses) if losses.ndim == 0 else losses
 
 
+def _is_identity(factor: np.ndarray) -> bool:
+    """Whether a factor is a vector of ones or an identity matrix."""
+    if factor.ndim == 1:
+        return bool(np.all(factor == 1.0))
+    return bool(np.all(np.diagonal(factor) == 1.0)) and np.count_nonzero(factor) == len(factor)
+
+
+def _segment_apply(warp: WarpMatrix, shape: tuple[int, ...]):
+    """``apply(g, out)``: the warp of a tensor of ``shape`` (plain or stacked),
+    from the tensor's flat segment ``g`` into its flat segment ``out``.
+
+    A warp whose factors are all identities needs no product. Its result has
+    the product's bits: a product by an identity matrix (dense, or a kron
+    factor) turns -0.0 into +0.0, as adding 0.0 does, and a product by ones
+    (diagonal) keeps every bit, as a copy does.
+    """
+    if all(map(_is_identity, warp.factors)):
+        if any(f.ndim == 2 for f in warp.factors):
+            return lambda g, out: np.add(g, 0.0, out=out)
+        return lambda g, out: np.copyto(out, g)
+    form_apply, factors, lead = FORMS[warp.form].apply, warp.factors, _stack_axes(warp.dim, shape)
+
+    def product(g, out):
+        out.reshape(shape)[...] = form_apply(factors, g.reshape(shape), lead)
+    return product
+
+
 class _FlatWarp:
     """The warps of an adaptation as one warp of its flat buffer (see ``_adapt``).
 
     ``shapes`` are the tensors' shapes in the buffer, each starting with the
     stack axes ``lead``. Construction checks that each warp fits its tensor:
     its dim is the tensor's size, and a warp of two factors (kron) acts on a
-    matrix of their rows. ``apply`` warps each tensor's segment, viewed in the
-    tensor's plain or stacked shape, with that tensor's warp, into the same
-    segment of a new flat array.
+    matrix of their rows. It then resolves each warp once into the function
+    that applies it to its segment (``_segment_apply``): an identity-valued
+    warp, such as every warp of ``init_warps``, costs a copy. ``apply`` warps
+    each tensor's segment, in the tensor's plain or stacked shape, with that
+    tensor's warp, into the same segment of a new flat array, with the bits
+    of ``WarpMatrix.apply``.
     """
 
     def __init__(self, warps: Sequence[WarpMatrix], shapes, lead: tuple[int, ...] = ()):
@@ -469,12 +503,17 @@ class _FlatWarp:
                 raise ShapeError(f"warp {i} ({warp.form}, dim {warp.dim}{of_rows}) does not fit "
                                  f"parameter tensor {i} of shape {shape}")
         self.warps, self.shapes = warps, shapes
+        ends = [0, *accumulate(math.prod(shape) for shape in shapes)]
+        self.size = ends[-1]
+        self._segments = [(slice(start, end), _segment_apply(warp, tuple(shape)))
+                          for start, end, warp, shape in zip(ends, ends[1:], warps, shapes)]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
+        if g.shape != (self.size,):
+            raise ShapeError(f"flat warp of {self.size} entries applied to shape {g.shape}")
         out = np.empty_like(g)
-        for warp, segment, into in zip(self.warps, _views(g, self.shapes),
-                                       _views(out, self.shapes)):
-            into[...] = warp.apply(segment)
+        for segment, apply in self._segments:
+            apply(g[segment], out[segment])
         return out
 
     def factor_grads(self, u_bar: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -516,7 +555,7 @@ class FlatParams:
 
 
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
-           tape=None):
+           tape=None, tape_from: int = 1):
     """``steps`` array WarpAdam steps on the support loss; the arrays and their states.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
@@ -525,10 +564,11 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     parameters and of the moments, in the parameters' plain or stacked
     shapes, with one ``AdamState`` per tensor.
 
-    Given a ``tape`` (anything with ``append``), each step appends the flat
-    ``(w, g, m, v)`` of ``adjoint_hypergrad``: the parameters it started
-    from, the gradient there, and the moments it left, each an array of the
-    tape's own.
+    Given a ``tape`` (anything with ``append``), each step from step
+    ``tape_from`` on appends the flat ``(w, g, m, v)`` of
+    ``adjoint_hypergrad``: the parameters it started from, the gradient
+    there, and the moments it left, each an array of the tape's own. The
+    steps before it copy nothing.
 
     The gradients come from ``model.loss_grads``. A warp that does not fit its
     tensor raises ``ShapeError`` before the first step.
@@ -536,15 +576,24 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     params = FlatParams(_start_arrays(model, episode))
     warp = params.warp(warps, _stack_lead(episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
-    for _ in range(steps):
+    for t in range(1, steps + 1):
         g = params.flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
         check_step_inputs(state, w, g)
-        w_start = w.copy() if tape is not None else None
+        taped = tape is not None and t >= tape_from
+        w_start = w.copy() if taped else None
         warpadam_core(state, w, g, h, buf, warp)
-        if tape is not None:
+        if taped:
             tape.append((w_start, g, state.m.copy(), state.v.copy()))
     moments = zip(params.views(state.m), params.views(state.v))
     return params.arrays, [AdamState(m, v, state.t) for m, v in moments]
+
+
+def _check_model(model) -> None:
+    """``TypeError`` naming the first of a meta-learned model's methods it lacks."""
+    for name in ("params", "loss_grads", "loss_hvp", "losses"):
+        if not hasattr(model, name):
+            raise TypeError(f"{type(model).__name__} has no {name}: a meta-learned model "
+                            "supplies params, loss_grads, loss_hvp and losses")
 
 
 def _check_episode(episode) -> None:
@@ -602,28 +651,25 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
                       cfg: MetaConfig) -> tuple[list[np.ndarray], float | np.ndarray]:
     """``hypergrad_P``'s hypergradients and losses, by reverse mode on arrays.
 
-    The model supplies ``params``, ``loss_grads`` and ``loss_hvp``; one
-    that lacks any of them raises ``TypeError`` naming it. The forward pass is
-    ``_adapt`` with a tape of each step's flat ``(w, g, m, v)``; the
-    backward pass walks the steps from the last: ``optim.adam_adjoint`` gives
-    the adjoint ``u_bar`` of the warped gradient ``P g``, each warp adds its
-    ``factor_grads`` of ``<u_bar, P g>``, and the parameters' adjoint gains
-    ``H(w) P^T u_bar``, with ``P^T`` applied as the transposed warp and the
-    Hessian product from ``loss_hvp`` (Maclaurin et al. 2015; Pearlmutter
-    1994). Step 1 needs no Hessian product: the start parameters do not
-    depend on the warps. The tape holds four flat arrays per inner step;
-    before the first step, a full tape over ``cfg.node_budget`` float64
-    entries raises ``ResourceError``.
+    The model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
+    ``losses``; one that lacks any of them raises ``TypeError`` naming it.
+    The forward pass is ``_adapt`` with a tape of each step's flat
+    ``(w, g, m, v)``; the backward pass walks the steps from the last:
+    ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped gradient
+    ``P g``, each warp adds its ``factor_grads`` of ``<u_bar, P g>``, and the
+    parameters' adjoint gains ``H(w) P^T u_bar``, with ``P^T`` applied as the
+    transposed warp and the Hessian product from ``loss_hvp`` (Maclaurin et
+    al. 2015; Pearlmutter 1994). Step 1 needs no Hessian product: the start
+    parameters do not depend on the warps. The tape holds four flat arrays
+    per inner step; before the first step, a full tape over
+    ``cfg.node_budget`` float64 entries raises ``ResourceError``.
 
-    With ``cfg.first_order`` the tape keeps only the last step, whose adjoint
-    is taken without a Hessian product; the result has the bits of
-    ``hypergrad_P``'s. The full result matches it to rounding: the sums run
-    in another order.
+    With ``cfg.first_order`` the tape holds only the last step (the earlier
+    steps copy nothing), whose adjoint is taken without a Hessian product;
+    the result has the bits of ``hypergrad_P``'s. The full result matches it
+    to rounding: the sums run in another order.
     """
-    for name in ("params", "loss_grads", "loss_hvp"):
-        if not hasattr(model, name):
-            raise TypeError(f"{type(model).__name__} has no {name}: a meta-learned model "
-                            "supplies params, loss_grads and loss_hvp")
+    _check_model(model)
     _check_episode(episode)
     h, steps, lead = cfg.inner_hyper, cfg.inner_steps, _stack_lead(episode)
     if not cfg.first_order:
@@ -632,8 +678,8 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
             raise ResourceError(
                 f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
                 f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
-    tape = deque(maxlen=1) if cfg.first_order else []
-    arrays = _adapt(model, warps, episode, steps, h, tape)[0]
+    tape = []
+    arrays = _adapt(model, warps, episode, steps, h, tape, steps if cfg.first_order else 1)[0]
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
     shapes = [a.shape for a in arrays]
     warp = _FlatWarp(warps, shapes, lead)
@@ -666,10 +712,13 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
     """Query loss after K inner steps (the meta-objective, minus the penalty).
 
     A float for an episode; for a stacked episode, the array of its E losses.
-    The losses are ``model.loss_grads``'s, from its numpy forward.
+    The losses are ``model.losses``: the values of ``loss_grads``, from the
+    forward pass alone, as no gradient of the query loss is needed. The model
+    supplies the methods ``adjoint_hypergrad`` names.
     """
+    _check_model(model)
     arrays = adapt(model, warps, episode, cfg)
-    return _per_episode(model.loss_grads(arrays, episode.query_x, episode.query_y)[0])
+    return _per_episode(model.losses(arrays, episode.query_x, episode.query_y))
 
 
 def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfig,
@@ -684,9 +733,9 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     differs from adding per-task results, so the full hypergradient can differ
     from that sum in the last bits; the first-order one does not. The
     hypergradient is ``adjoint_hypergrad``'s, so the model supplies
-    ``params``, ``loss_grads`` and ``loss_hvp``. Structural forms are
-    preserved; a warp without entries (the identity form) takes an empty step
-    and comes back equal.
+    ``params``, ``loss_grads``, ``loss_hvp`` and ``losses``. Structural
+    forms are preserved; a warp without entries (the identity form) takes an
+    empty step and comes back equal.
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")

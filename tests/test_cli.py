@@ -100,6 +100,22 @@ def test_run_rerun_from_manifest_is_bit_identical_except_wall(tmp_path):
     assert strip(r1) == strip(r2)
 
 
+@pytest.mark.parametrize("policy", ["auto", "dense", "diagonal", "identity"])
+def test_run_warpadam_at_identity_valued_warps_writes_adams_curve(tmp_path, policy):
+    # hidden 40 makes the first weight 8 x 40, which auto warps with kron factors
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+
+    def curve(*settings):
+        out = tmp_path / "-".join(settings)
+        argv = ["run", "--config", cfg, "--out", str(out), "--set", "model.hidden=40"]
+        assert main(argv + [a for kv in settings for a in ("--set", kv)]) == 0
+        return [line.rsplit(",", 1)[0] for line in (out / "curve.csv").read_text().splitlines()]
+
+    want = curve("run.optimizer=adam")
+    assert curve("run.optimizer=warpadam", f"warp.policy={policy}") == want
+    assert len(want) == 1 + 2 * 2
+
+
 def test_run_divergence_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     out = tmp_path / "out"

@@ -7,6 +7,8 @@ from warpadam.optim import (
     STEP_FUNCS,
     AdamState,
     HyperParams,
+    _safe_ratio,
+    adam_adjoint,
     adam_moments,
     adam_step,
     amsgrad_step,
@@ -399,3 +401,81 @@ def test_public_steps_leave_their_inputs_unchanged(kind, warp_update):
     assert s.t == 3 and new_s.t == 4
     for out in (new_w, new_s.m, new_s.v, new_s.v_max):
         assert not any(np.shares_memory(out, a) for a in inputs)
+
+
+# ---------------------------------------------------------------------------
+# the ratio and its adjoint keep the bits of their masked formulas
+
+def _masked_ratio(num, denom):
+    # the 0/0 := 0 ratio, masked everywhere, as it was written before the
+    # unmasked division for positive denominators
+    num = num.copy()
+    positive = denom > 0
+    np.divide(num, denom, out=num, where=positive)
+    num[~positive] = 0.0
+    return num
+
+
+def _masked_adam_adjoint(w_bar, m_bar, v_bar, g, m, v, t, h):
+    # adam_adjoint as it was written before it masked only zero radicands
+    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    radicand = v_hat + h.epsilon
+    zero = radicand == 0
+    keep = ~zero
+    root = np.sqrt(radicand + zero)
+    ratio_bar = -w_bar * h.eta
+    root_bar = -((ratio_bar * (m_hat * keep)) / (root * root))
+    m_bar = ratio_bar / root * keep / (1.0 - h.beta1 ** t) + m_bar
+    v_bar = root_bar / (root * 2.0) / (1.0 - h.beta2 ** t) + v_bar
+    square_bar = v_bar * (1.0 - h.beta2) * g
+    g_bar = m_bar * (1.0 - h.beta1) + square_bar + square_bar
+    return g_bar, h.beta1 * m_bar, h.beta2 * v_bar
+
+
+def _signed_zeros(rng, a):
+    """``a`` with about a fifth of its entries -0.0 and a fifth +0.0."""
+    a = a.copy()
+    u = rng.random(a.shape)
+    a[u < 0.2] = -0.0
+    a[u > 0.8] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_safe_ratio_keeps_the_bits_of_the_masked_ratio(zeros):
+    rng = np.random.default_rng(41)
+    for n in (1, 7, 1000):
+        num = _signed_zeros(rng, rng.normal(size=n))
+        denom = rng.random(n) + 0.5
+        if zeros:
+            denom[rng.random(n) < 0.3] = 0.0
+            denom[0] = 0.0
+        want = _masked_ratio(num, denom)
+        got = _safe_ratio(num.copy(), denom)
+        assert got.tobytes() == want.tobytes()
+    assert _safe_ratio(np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("moment_bars", ["zero", "arrays"])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-8, 0.1])
+def test_adam_adjoint_keeps_the_bits_of_the_masked_formulas(epsilon, moment_bars):
+    rng = np.random.default_rng(42)
+    h = HyperParams(eta=0.05, beta2=0.99, epsilon=epsilon)
+    n = 500
+    for t in (1, 3, 8):
+        g = _signed_zeros(rng, rng.normal(size=n))
+        m = _signed_zeros(rng, rng.normal(size=n))
+        v = rng.random(n)
+        v[g == 0] = 0.0  # with epsilon 0 these radicands are 0
+        w_bar = _signed_zeros(rng, rng.normal(size=n))
+        m_bar, v_bar = 0.0, 0.0
+        if moment_bars == "arrays":
+            m_bar, v_bar = (_signed_zeros(rng, rng.normal(size=n)) for _ in range(2))
+        inputs = [w_bar, m_bar, v_bar, g, m, v]
+        copies = [np.copy(a) for a in inputs]
+        got = adam_adjoint(*inputs, t, h)
+        want = _masked_adam_adjoint(*copies, t, h)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(inputs, copies):  # the inputs are left as they were
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

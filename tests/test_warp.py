@@ -1,4 +1,5 @@
 import gc
+import math
 import struct
 import weakref
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from warpadam.warp import (
     MetaConfig,
     ResourceError,
     WarpMatrix,
+    _FlatWarp,
     _adapt,
     _flat,
     _start_arrays,
@@ -41,6 +43,7 @@ from warpadam.warp import (
 )
 
 from conftest import rel_err
+from test_optim import _signed_zeros
 
 
 def make_episode(sx, sy, qx, qy, n_way=1, k_shot=1):
@@ -60,11 +63,14 @@ class ScalarQuadratic:
         d = T.sub(w, Tensor(np.asarray(y, dtype=np.float64)))
         return T.mul(T.tmean(T.mul(d, d), axis=-1), 0.5)
 
-    def loss_grads(self, arrays, x, y):
+    def losses(self, arrays, x, y):
         # the losses in the engine's operation order, so they have its bits
         d = arrays[0] - np.asarray(y, dtype=np.float64)
-        losses = np.sum(d * d, axis=-1) * (1.0 / d.shape[-1]) * 0.5
-        return losses, [np.mean(d, axis=-1, keepdims=True)]
+        return np.sum(d * d, axis=-1) * (1.0 / d.shape[-1]) * 0.5
+
+    def loss_grads(self, arrays, x, y):
+        d = arrays[0] - np.asarray(y, dtype=np.float64)
+        return self.losses(arrays, x, y), [np.mean(d, axis=-1, keepdims=True)]
 
     def loss_hvp(self, arrays, x, y, vecs):
         return [1.0 * vecs[0]]  # each episode's loss has curvature 1 in its w
@@ -329,16 +335,21 @@ def test_unrolled_graph_matches_array_trajectory():
 
 
 class CountingModel:
-    """Forwards to an MLP and counts its ``loss_grads`` calls (one per inner step)."""
+    """Forwards to an MLP and counts its ``loss_grads`` calls (one per inner
+    step) and its ``losses`` calls."""
 
     def __init__(self, model):
         self.model = model
         self.params, self.loss, self.loss_hvp = model.params, model.loss, model.loss_hvp
-        self.calls = 0
+        self.calls = self.loss_calls = 0
 
     def loss_grads(self, arrays, x, y):
         self.calls += 1
         return self.model.loss_grads(arrays, x, y)
+
+    def losses(self, arrays, x, y):
+        self.loss_calls += 1
+        return self.model.losses(arrays, x, y)
 
 
 def test_unroll_walk_per_inner_step_does_not_grow_with_k(monkeypatch):
@@ -661,6 +672,126 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
         assert np.array_equal(v, _flat(s.v for s in after[1]))
 
 
+def test_adapt_tapes_only_the_steps_from_tape_from():
+    model, warps, episode = _adapt_setup("kron", stacked=True)
+    h = HyperParams(eta=0.05, epsilon=0.1)
+    full, tail = [], []
+    want = _adapt(model, warps, episode, 4, h, full)
+    got = _adapt(model, warps, episode, 4, h, tail, tape_from=3)
+    assert len(full) == 4 and len(tail) == 2
+    for a, b in zip(got[0] + [s.m for s in got[1]], want[0] + [s.m for s in want[1]]):
+        assert np.array_equal(a, b)
+    for step, want_step in zip(tail, full[2:]):
+        assert all(np.array_equal(a, b) for a, b in zip(step, want_step, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# identity-valued warps: a copy in place of the product, with its bits
+
+_SHAPES = [(5, 4), (4,), (20, 16), (16,), (4, 3), (3,)]
+
+
+def _identity_valued(policy, shapes=_SHAPES):
+    """``init_warps`` of ``policy``; for ``kron``, dense warps on the vectors."""
+    if policy != "kron":
+        return init_warps(shapes, policy)
+    return [init_warps([s], "kron" if len(s) == 2 else "dense")[0] for s in shapes]
+
+
+def _warp_segments(warps, g, lead):
+    """``WarpMatrix.apply`` of each warp on its tensor's segment of the flat ``g``."""
+    shapes = [lead + s for s in _SHAPES]
+    return _flat(w.apply(seg) for w, seg in zip(warps, warp_module._views(g, shapes)))
+
+
+def _count_products(monkeypatch):
+    """Count the calls of every form's ``apply`` from here on."""
+    calls = []
+
+    def counting(apply):
+        return lambda *args: calls.append(1) or apply(*args)
+
+    for name, form in FORMS.items():
+        monkeypatch.setitem(FORMS, name, form._replace(apply=counting(form.apply)))
+    return calls
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("policy", [*FORMS, "auto"])
+def test_flat_warp_has_the_bytes_of_warp_apply(monkeypatch, policy, perturbed, lead):
+    rng = np.random.default_rng(51)
+    warps = _identity_valued(policy)
+    if perturbed:
+        warps = [w.with_params(w.params() + 0.1 * rng.normal(size=w.n_params)) for w in warps]
+    g = _signed_zeros(rng, rng.normal(size=math.prod(lead) * sum(map(math.prod, _SHAPES))))
+    want = _warp_segments(warps, g, lead)
+    products = _count_products(monkeypatch)
+    got = _FlatWarp(warps, [lead + s for s in _SHAPES], lead).apply(g)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+    # an identity-valued warp costs a copy; each other warp, one product
+    assert len(products) == sum(w.form != "identity" for w in warps if perturbed)
+
+
+@pytest.mark.parametrize("off", ["diagonal entry", "dense diagonal", "dense off-diagonal",
+                                 "kron second factor"])
+def test_a_warp_one_ulp_off_the_identity_takes_the_product(monkeypatch, off):
+    up = np.nextafter(1.0, 2.0)
+    shape = (4, 3)
+    if off == "diagonal entry":
+        warp = WarpMatrix.diagonal([1.0] * 11 + [up])
+    elif off == "kron second factor":
+        warp = WarpMatrix.kronecker(np.eye(4), np.diag([1.0, up, 1.0]))
+    else:
+        matrix = np.eye(12)
+        matrix[(0, 0) if off == "dense diagonal" else (2, 7)] = (
+            up if off == "dense diagonal" else np.nextafter(0.0, 1.0))
+        warp = WarpMatrix.dense(matrix)
+    rng = np.random.default_rng(52)
+    g = _signed_zeros(rng, rng.normal(size=shape))
+    want = warp.apply(g).reshape(-1)
+    products = _count_products(monkeypatch)
+    assert _FlatWarp([warp], [shape]).apply(g.reshape(-1)).tobytes() == want.tobytes()
+    assert len(products) == 1
+
+
+class SignedZeroGrads:
+    """Forwards to an MLP, with every zero gradient entry made -0.0."""
+
+    def __init__(self, model):
+        self.model = model
+        self.params, self.loss, self.loss_hvp, self.losses = (
+            model.params, model.loss, model.loss_hvp, model.losses)
+
+    def loss_grads(self, arrays, x, y):
+        losses, grads = self.model.loss_grads(arrays, x, y)
+        return losses, [np.where(g == 0, -0.0, g) for g in grads]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("policy", [*FORMS, "auto"])
+def test_first_order_adjoint_at_identity_warps_has_the_engines_bytes(policy, stacked):
+    # the first input feature of every support set is 0, so the first row of
+    # the first weight matrix gets a -0.0 gradient at every inner step; the
+    # query sets keep it, so their gradients have no zero entries
+    model, episodes, _ = _form_setup(policy if policy == "auto" else "dense")
+    model = SignedZeroGrads(model)
+    for ep in episodes:
+        ep.support_x[..., 0] = 0.0
+    episode = stack_episodes(episodes) if stacked else episodes[0]
+    warps = _identity_valued(policy, [p.shape for p in model.params])
+    g0 = model.loss_grads(_start_arrays(model, episode), episode.support_x, episode.support_y)[1]
+    assert np.any(np.signbit(g0[0]) & (g0[0] == 0))
+    for steps in (1, 3):
+        cfg = MetaConfig(inner_steps=steps, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                         first_order=True)
+        got, losses = adjoint_hypergrad(episode, model, warps, cfg)
+        want, want_losses = hypergrad_P(episode, model, warps, cfg)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert np.asarray(losses).tobytes() == np.asarray(want_losses).tobytes()
+
+
 class FixedGrads:
     """A model whose gradients are always ``grads``, whatever its parameters."""
 
@@ -743,6 +874,16 @@ def test_meta_update_builds_one_graph_per_batch(batch, first_order):
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
     meta_update_P(warps, episodes, counting, cfg, [AdamState.zeros(w.n_params) for w in warps])
     assert counting.calls == cfg.inner_steps + 1  # K support gradients and one query loss
+    assert counting.loss_calls == 0
+
+
+def test_held_out_stack_takes_its_losses_from_one_forward_pass():
+    model, episodes, warps = _stack_setup("kron")
+    counting = CountingModel(model)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
+    losses = adaptation_query_loss(counting, warps, stack_episodes(episodes), cfg)
+    assert (counting.calls, counting.loss_calls) == (cfg.inner_steps, 1)
+    assert losses.shape == (len(episodes),)
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +1014,15 @@ def test_test_models_loss_grads_and_loss_hvp_are_the_engines(name, stacked):
         assert got.shape == a.shape and rel_err(got, engine) < 1e-12
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", ["quadratic", "counting"])
+def test_test_models_losses_are_their_loss_grads_losses(name, stacked):
+    model, arrays, x, y, _ = _test_model_setup(name, stacked)
+    want = model.loss_grads(arrays, x, y)[0]
+    got = model.losses(arrays, x, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _counting(monkeypatch, owner, attr, calls):
     original = getattr(owner, attr)
     monkeypatch.setattr(owner, attr, lambda *a, **k: calls.append(attr) or original(*a, **k))
@@ -961,16 +1111,18 @@ def test_meta_update_rejects_empty_batch():
 
 
 @pytest.mark.parametrize("first_order", [False, True])
-@pytest.mark.parametrize("missing", ["loss_grads", "loss_hvp"])
+@pytest.mark.parametrize("missing", ["loss_grads", "loss_hvp", "losses"])
 def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_order):
     quad = ScalarQuadratic(0.2)
     model = SimpleNamespace(params=quad.params, loss=quad.loss,
-                            **{m: getattr(quad, m) for m in ("loss_grads", "loss_hvp")
+                            **{m: getattr(quad, m) for m in ("loss_grads", "loss_hvp", "losses")
                                if m != missing})
     cfg = MetaConfig(inner_steps=2, first_order=first_order)
     with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
         meta_update_P([WarpMatrix.dense([[1.0]])], [quad_episode([1.0], [1.2])], model, cfg,
                       [AdamState.zeros(1)])
+    with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
+        adaptation_query_loss(model, [WarpMatrix.dense([[1.0]])], quad_episode([1.0], [1.2]), cfg)
 
 
 # ---------------------------------------------------------------------------
