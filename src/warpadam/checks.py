@@ -2,7 +2,9 @@
 
 Each check compares an analytic quantity against an independent oracle
 (central finite differences, explicit Kronecker products, or bit-exact
-reduction identities) and reports its worst relative error. ``perturb``
+reduction identities) and reports its worst relative error. Every error goes
+through ``_worst``, which counts a NaN or infinite error as ``inf``, so a
+check fails on it. ``perturb``
 injects a bias into every analytic gradient before comparison; it exists as a
 negative control so the harness itself can be shown to fail when gradients
 are wrong.
@@ -10,6 +12,7 @@ are wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +37,26 @@ class CheckResult:
         return self.max_err < self.tol
 
 
+def _worst(errors) -> float:
+    """The largest entry of ``errors`` (floats or arrays), 0.0 for none.
+
+    A NaN or infinite entry counts as ``inf``. Python's ``max`` would keep
+    its other argument against a NaN, so a NaN error would pass.
+    """
+    worst = 0.0
+    for err in errors:
+        err = np.asarray(err, dtype=np.float64)
+        if not np.all(np.isfinite(err)):
+            return math.inf
+        worst = max(worst, float(np.max(err, initial=0.0)))
+    return worst
+
+
 def _rel(a, b, floor=1e-8) -> float:
-    a, b = np.asarray(a), np.asarray(b)
-    denom = max(np.max(np.abs(b), initial=0.0), floor)
-    return float(np.max(np.abs(a - b), initial=0.0) / denom)
+    """The largest ``|a - b|`` over the largest ``|b|`` (at least ``floor``);
+    ``inf`` when either holds a NaN or an infinity."""
+    diff, scale = _worst([np.abs(np.subtract(a, b))]), _worst([np.abs(b)])
+    return math.inf if math.isinf(scale) else diff / max(scale, floor)
 
 
 def _primitive_cases(rng):
@@ -57,14 +76,14 @@ def check_primitive_gradients(perturb: float = 0.0, trials: int = 20) -> list[Ch
     rng = np.random.default_rng(2024)
     results = []
     for name, shape, build in _primitive_cases(rng):
-        worst = 0.0
+        errors = []
         for _ in range(trials):
             x = rng.uniform(-1.0, 1.0, size=shape)
             xt = Tensor(x, requires_grad=True)
             (g,) = grad(build(xt), [xt])
             fd = finite_diff_grad(lambda v: build(Tensor(v)).item(), x, h=1e-5)
-            worst = max(worst, _rel(g.data + perturb, fd))
-        results.append(CheckResult(f"grad.{name}", worst, 1e-5))
+            errors.append(_rel(g.data + perturb, fd))
+        results.append(CheckResult(f"grad.{name}", _worst(errors), 1e-5))
     return results
 
 
@@ -97,7 +116,7 @@ def check_mlp_hvp(perturb: float = 0.0) -> CheckResult:
     plain episode and a stack of three."""
     rng = np.random.default_rng(23)
     model = MLP([5, 6, 3], rng)
-    worst, step = 0.0, 1e-5
+    errors, step = [], 1e-5
     for lead in ((), (3,)):
         arrays = [p + 0.1 * rng.normal(size=lead + p.shape) for p in model.params]
         x = rng.normal(size=lead + (8, 5))
@@ -109,21 +128,21 @@ def check_mlp_hvp(perturb: float = 0.0) -> CheckResult:
             minus = model.loss_grads([a - step * v for a, v in zip(arrays, vecs)], x, y)[1]
             fd = np.concatenate([((a - b) / (2.0 * step)).reshape(-1)
                                  for a, b in zip(plus, minus)])
-            worst = max(worst, _rel(np.concatenate([h.reshape(-1) for h in hvp]) + perturb, fd))
-    return CheckResult("grad.mlp_loss_hvp", worst, 1e-5)
+            errors.append(_rel(np.concatenate([h.reshape(-1) for h in hvp]) + perturb, fd))
+    return CheckResult("grad.mlp_loss_hvp", _worst(errors), 1e-5)
 
 
 def check_kron_equivalence() -> CheckResult:
     rng = np.random.default_rng(11)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2))
         g = rng.normal(size=6)
         kron = WarpMatrix.kronecker(a, b).apply(g)
         dense = WarpMatrix.dense(np.kron(a, b)).apply(g)
-        worst = max(worst, float(np.max(np.abs(kron - dense))))
-    return CheckResult("warp.kron_vs_dense", worst, 1e-12)
+        errors.append(np.abs(kron - dense))
+    return CheckResult("warp.kron_vs_dense", _worst(errors), 1e-12)
 
 
 def check_identity_reduction() -> CheckResult:
@@ -133,23 +152,23 @@ def check_identity_reduction() -> CheckResult:
     sa, sw = AdamState.zeros((8,)), AdamState.zeros((8,))
     ident = WarpMatrix.identity(8)
     h = HyperParams(eta=0.05)
-    worst = 0.0
+    errors = []
     for _ in range(50):
         g = rng.normal(size=8)
         sa, w_a = adam_step(sa, w_a, g, h)
         sw, w_w = warpadam_step(sw, w_w, g, ident, h)
         if not np.array_equal(w_a, w_w):
-            worst = max(worst, float(np.max(np.abs(w_a - w_w))))
-    return CheckResult("warp.identity_reduction_bitwise", worst, 1e-300)
+            errors.append(np.abs(w_a - w_w))
+    return CheckResult("warp.identity_reduction_bitwise", _worst(errors), 1e-300)
 
 
 def check_tod_zero_cases() -> CheckResult:
     rng = np.random.default_rng(17)
-    worst = max(
-        abs(tod_penalty(WarpMatrix.identity(5), 3.0)),
-        abs(tod_penalty(WarpMatrix.diagonal(rng.normal(size=4)), 2.0)),
-        abs(tod_penalty(WarpMatrix.dense(rng.normal(size=(4, 4))), 0.0)),
-    )
+    worst = _worst(abs(value) for value in (
+        tod_penalty(WarpMatrix.identity(5), 3.0),
+        tod_penalty(WarpMatrix.diagonal(rng.normal(size=4)), 2.0),
+        tod_penalty(WarpMatrix.dense(rng.normal(size=(4, 4))), 0.0),
+    ))
     return CheckResult("warp.tod_zero_cases", worst, 1e-300)
 
 
@@ -171,7 +190,7 @@ def check_hypergradient(perturb: float = 0.0) -> CheckResult:
 def _worst_vs_fd(hgs, perturb, model, warps, episode, cfg) -> float:
     """The largest relative error of the hypergradients ``hgs`` (plus
     ``perturb``) against finite differences of the adaptation's query loss."""
-    worst = 0.0
+    errors = []
     for i, warp in enumerate(warps):
         def objective(flat, i=i, warp=warp):
             trial = list(warps)
@@ -179,8 +198,8 @@ def _worst_vs_fd(hgs, perturb, model, warps, episode, cfg) -> float:
             return adaptation_query_loss(model, trial, episode, cfg)
 
         fd = finite_diff_grad(objective, warp.params(), h=1e-4)
-        worst = max(worst, _rel(hgs[i] + perturb, fd))
-    return worst
+        errors.append(_rel(hgs[i] + perturb, fd))
+    return _worst(errors)
 
 
 def check_hypergradient_adjoint(perturb: float = 0.0) -> list[CheckResult]:
@@ -204,7 +223,7 @@ def check_hypergradient_adjoint(perturb: float = 0.0) -> list[CheckResult]:
     return [CheckResult("warp.hypergradient_adjoint_vs_fd",
                         _worst_vs_fd(hgs, perturb, model, warps, episode, cfg), 1e-4),
             CheckResult("warp.hypergradient_adjoint_vs_engine",
-                        max(_rel(a + perturb, b) for a, b in zip(hgs, engine)), 1e-10)]
+                        _worst(_rel(a + perturb, b) for a, b in zip(hgs, engine)), 1e-10)]
 
 
 def run_all(perturb: float = 0.0) -> list[CheckResult]:

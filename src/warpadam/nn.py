@@ -123,18 +123,16 @@ class MLP:
         """
         n_layers = len(arrays) // 2
         ws, dws = arrays[0::2], vecs[0::2]
-        biases = [_bias_rows(b) for b in arrays[1::2]]
+        hs, biases = self._forward(arrays, x)
+        z = hs.pop()  # the logits; hs[i] is layer i's input, the tanh output of layer i - 1
         r_biases = [_bias_rows(db.reshape(b.shape)) for b, db in zip(arrays[1::2], vecs[1::2])]
-        hs = [np.atleast_2d(np.asarray(x, dtype=np.float64))]  # each layer's input
         r_hs = [None]  # the input does not move along vecs
         for i in range(n_layers):
-            z = hs[i] @ ws[i] + biases[i]
             r_z = hs[i] @ dws[i] + r_biases[i]
             if i:
                 r_z += r_hs[i] @ ws[i]
             if i < n_layers - 1:
-                h = np.tanh(z)
-                hs.append(h)
+                h = hs[i + 1]
                 r_hs.append((1.0 - h * h) * r_z)
         g = softmax_cross_entropy_grad(z, y)[1]
         p = _softmax_data(z, -1)

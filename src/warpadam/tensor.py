@@ -19,26 +19,17 @@ acted on gradients *inside* earlier optimizer steps.
 Everything is 64-bit; gradient-check tolerances throughout the test suite
 assume it. Rank-0 tensors are allowed and behave as 1-element tensors.
 
-Every tensor takes a creation index from one module-level counter, shared by
-all graphs. Graphs are append-only, so parents always exist before their
-children: a node's index is larger than each of its parents' indices. ``grad``
-relies on that invariant to prune its backward walk: a node created before the
-earliest requested input cannot depend on any input, so it is never visited.
-That keeps each inner step of an unrolled optimizer trajectory from walking
-the whole history before it. Graphs hold no reference cycles (outputs that
-their backward rule needs are held weakly), so they are freed by reference
-counting as soon as the last tensor of a graph is dropped. Graphs are built
-and walked single-threaded.
-
-``grad`` without ``create_graph`` records nothing: the backward rules run
-with graph recording off, so every tensor they create is a constant, and each
-intermediate gradient is dropped as soon as it has been passed to its parents.
+The engine is the oracle: the tests and ``warpadam check`` compare every
+fast path (``nn.MLP.loss_grads`` and ``loss_hvp``, ``warp.adjoint_hypergrad``)
+with it, and no run-time path calls it. So it stays plain: ``grad`` walks
+every node the output reaches, and a backward rule that needs its op's output
+computes it again from the inputs. Graphs hold no reference cycles, so they
+are freed by reference counting as soon as the last tensor of a graph is
+dropped. Graphs are built and walked single-threaded.
 """
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,20 +43,15 @@ class NumericError(ArithmeticError):
     """A value that must be finite is NaN or infinite."""
 
 
-_creation_index = itertools.count()
-_recording = True  # off while a backward pass builds no graph (see grad)
-
-
 class Tensor:
     """A float64 array plus its position in an autodiff graph.
 
     ``requires_grad`` marks tensors that participate in differentiation; it
     propagates through operations, so a node requires grad iff some ancestor
-    leaf does. Operations never mutate operands: the graph is append-only,
-    and ``_index`` (the creation index) of a node exceeds its parents'.
+    leaf does. Operations never mutate operands.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_bwd", "_op", "_index", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_parents", "_bwd", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _bwd=None, _op=""):
         self.data = np.asarray(data, dtype=np.float64)
@@ -73,7 +59,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = _parents
         self._bwd: Callable | None = _bwd
         self._op = _op
-        self._index = next(_creation_index)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,7 +130,7 @@ def _as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
     """Create an op output; it joins the graph only if some input requires grad."""
-    if _recording and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd, _op=op)
     return Tensor(data)
 
@@ -302,18 +287,12 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-    out_ref = None
 
-    def bwd(g):
-        out = out_ref()
+    def bwd(g):  # the output again: holding the node would be a reference cycle
+        out = tanh(a)
         return (mul(g, sub(1.0, mul(out, out))),)
 
-    out = _node(out_data, (a,), bwd, "tanh")
-    # held weakly: out owns bwd, so a strong reference would be a cycle, and
-    # bwd only runs while out is alive
-    out_ref = weakref.ref(out)
-    return out
+    return _node(np.tanh(a.data), (a,), bwd, "tanh")
 
 
 def relu(a) -> Tensor:
@@ -328,16 +307,11 @@ def relu(a) -> Tensor:
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-    out_ref = None
 
     def bwd(g):
-        out = out_ref()
-        return (div(g, mul(out, 2.0)),)
+        return (div(g, mul(sqrt(a), 2.0)),)
 
-    out = _node(out_data, (a,), bwd, "sqrt")
-    out_ref = weakref.ref(out)
-    return out
+    return _node(np.sqrt(a.data), (a,), bwd, "sqrt")
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
@@ -347,17 +321,13 @@ def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    p = _softmax_data(a.data, axis)
-    out_ref = None
 
     def bwd(g):
-        out = out_ref()
+        out = softmax(a, axis)
         inner = tsum(mul(g, out), axis=axis, keepdims=True)
         return (mul(out, sub(g, broadcast_to(inner, out.shape))),)
 
-    out = _node(p, (a,), bwd, "softmax")
-    out_ref = weakref.ref(out)
-    return out
+    return _node(_softmax_data(a.data, axis), (a,), bwd, "softmax")
 
 
 def _cross_entropy_data(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -428,16 +398,8 @@ def mean_squared_error(pred, target) -> Tensor:
 # differentiation
 
 
-def toposort(root: Tensor, floor: int = 0) -> list[Tensor]:
-    """Unique nodes reachable from ``root``, with every node after its inputs.
-
-    Nodes whose creation index is below ``floor`` are neither returned nor
-    walked through; since parents predate their children, none of their
-    ancestors could be returned either. The kept nodes come in the same
-    relative order as with ``floor=0``.
-    """
-    if root._index < floor:
-        return []
+def toposort(root: Tensor) -> list[Tensor]:
+    """Unique nodes reachable from ``root``, with every node after its inputs."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -450,30 +412,21 @@ def toposort(root: Tensor, floor: int = 0) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p._index >= floor:
-                stack.append((p, False))
+        stack.extend((p, False) for p in node._parents)
     return order
 
 
-def _accumulate(root: Tensor, floor: int = 0, keep=None) -> dict[int, Tensor]:
-    """Gradients of ``root`` by node id.
-
-    With ``keep`` (a set of ids) only those nodes' gradients are returned, and
-    every other gradient is dropped once it has been passed to the parents;
-    without it, every reached node's gradient is returned.
-    """
+def _accumulate(root: Tensor) -> dict[int, Tensor]:
+    """Gradients of ``root`` by node id, for every node it reaches."""
     if root.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {root.shape}")
-    order = toposort(root, floor)
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
-    for node in reversed(order):
-        key = id(node)
-        g = grads.get(key) if keep is None or key in keep else grads.pop(key, None)
+    for node in reversed(toposort(root)):
+        g = grads.get(id(node))
         if g is None or node._bwd is None:
             continue
         for parent, pg in zip(node._parents, node._bwd(g)):
-            if pg is None or not parent.requires_grad or parent._index < floor:
+            if pg is None or not parent.requires_grad:
                 continue
             held = grads.get(id(parent))
             grads[id(parent)] = pg if held is None else add(held, pg)
@@ -483,28 +436,19 @@ def _accumulate(root: Tensor, floor: int = 0, keep=None) -> dict[int, Tensor]:
 def grad(output: Tensor, inputs: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
     """d(output)/d(input) for each input; zeros for inputs the output never saw.
 
-    The backward walk stops at nodes created before the earliest input: they
-    cannot depend on any input, so its cost follows the part of the graph
-    built since then, not the whole history. This is exact for any inputs,
-    including inputs computed from other inputs, and leaves the result bits
-    unchanged.
-
     With ``create_graph`` the returned tensors stay attached to the graph so
-    they can be differentiated again (gradients of gradients). Without it the
-    backward pass records no graph: the results and every tensor created on
-    the way are constants.
+    they can be differentiated again (gradients of gradients). Without it
+    they are constants: new tensors of the same arrays, detached from the
+    graph that the backward pass built.
     """
-    global _recording
-    floor = min((t._index for t in inputs), default=0)
-    was_recording, _recording = _recording, _recording and create_graph
-    try:
-        grads = _accumulate(output, floor, keep={id(t) for t in inputs})
-    finally:
-        _recording = was_recording
+    grads = _accumulate(output)
     result = []
     for t in inputs:
         g = grads.get(id(t))
-        result.append(Tensor(np.zeros_like(t.data)) if g is None else g)
+        if g is None:
+            result.append(Tensor(np.zeros_like(t.data)))
+        else:
+            result.append(g if create_graph else Tensor(g.data))
     return result
 
 

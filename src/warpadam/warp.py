@@ -37,8 +37,8 @@ shared by all E, receive the sum of the E per-episode hypergradients.
 Each episode's losses do not depend on the stack it is in, so
 ``stack_within_budget`` can size the stacks of an evaluation by memory alone.
 
-Array adaptation (``adapt``, ``adaptation_query_loss`` and the detached
-steps of the first-order hypergradient) keeps the parameters of all tensors
+Array adaptation (``adapt``, ``adaptation_query_loss`` and the forward
+pass of ``adjoint_hypergrad``) keeps the parameters of all tensors
 in one flat buffer with one Adam state (``FlatParams``), so each inner step is
 one in-place ``optim.warpadam_core``; only the warps act tensor by tensor,
 each on its segment. ``bench.run_sequential_tasks`` steps its parameters the
@@ -370,23 +370,32 @@ def _warpadam_graph_step(w, m, v, g, t: int, warp: WarpMatrix, leaves, h: HyperP
     return w - m_hat / T.sqrt(radicand) * h.eta, m, v
 
 
-def _unrolled_warpadam(params: list[Tensor], warps: Sequence[WarpMatrix],
-                       leaves_per_warp: list[tuple[Tensor, ...]], model, episode,
-                       steps: int, h: HyperParams) -> list[Tensor]:
-    """Run ``steps`` differentiable WarpAdam updates on the support loss.
+def _unrolled_warpadam(model, episode, warps: Sequence[WarpMatrix],
+                       leaves: list[tuple[Tensor, ...]], steps: int, cut: int,
+                       h: HyperParams) -> list[Tensor]:
+    """``steps`` differentiable WarpAdam updates on the support loss, from
+    ``_start_arrays``; the parameters after them, as graph nodes.
 
-    ``params`` are stacked like ``episode``; each step differentiates the sum
-    of the per-episode support losses.
+    Each step takes the gradient of the sum of the per-episode support
+    losses of ``model.loss``. The steps up to ``cut`` start from the
+    parameters as fresh leaves and the moments as constants, and take that
+    gradient as a constant, as no warp reaches those leaves; the steps after
+    ``cut`` take it with ``create_graph``. So the warps reach the result
+    through steps ``cut`` to ``steps``: ``cut`` 1 unrolls every step,
+    ``cut`` ``steps`` keeps only the last.
     """
-    ms = [Tensor(np.zeros(p.shape)) for p in params]
-    vs = [Tensor(np.zeros(p.shape)) for p in params]
-    ws = list(params)
+    ws = [Tensor(a) for a in _start_arrays(model, episode)]
+    ms = [Tensor(np.zeros(w.shape)) for w in ws]
+    vs = list(ms)
     for k in range(1, steps + 1):
+        if k <= cut:
+            ws = [Tensor(w.data, requires_grad=True) for w in ws]
+            ms, vs = [Tensor(m.data) for m in ms], [Tensor(v.data) for v in vs]
         loss = T.tsum(model.loss(ws, episode.support_x, episode.support_y))
-        gs = grad(loss, ws, create_graph=True)
+        gs = grad(loss, ws, create_graph=k > cut)
         for i, g in enumerate(gs):
             ws[i], ms[i], vs[i] = _warpadam_graph_step(ws[i], ms[i], vs[i], g, k, warps[i],
-                                                       leaves_per_warp[i], h)
+                                                       leaves[i], h)
     return ws
 
 
@@ -544,10 +553,6 @@ class FlatParams:
         """One array per tensor, such as its gradient, in the buffer's layout (a new array)."""
         return _flat(per_tensor)
 
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of an array in the buffer's layout, one per tensor, in its shape."""
-        return _views(flat, self.shapes)
-
     def warp(self, warps: Sequence[WarpMatrix], lead: tuple[int, ...] = ()) -> _FlatWarp:
         """The tensors' warps as one warp of the buffer, whose tensors carry
         the stack axes ``lead``; a warp that does not fit raises ``ShapeError``."""
@@ -555,14 +560,13 @@ class FlatParams:
 
 
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
-           tape=None, tape_from: int = 1):
-    """``steps`` array WarpAdam steps on the support loss; the arrays and their states.
+           tape=None, tape_from: int = 1) -> list[np.ndarray]:
+    """``steps`` array WarpAdam steps on the support loss; the adapted parameters.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
     ``AdamState`` over it, and each inner step is one in-place
     ``warpadam_core`` over every tensor. Returns per-tensor views of the
-    parameters and of the moments, in the parameters' plain or stacked
-    shapes, with one ``AdamState`` per tensor.
+    parameters, in their plain or stacked shapes.
 
     Given a ``tape`` (anything with ``append``), each step from step
     ``tape_from`` on appends the flat ``(w, g, m, v)`` of
@@ -584,8 +588,7 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
         warpadam_core(state, w, g, h, buf, warp)
         if taped:
             tape.append((w_start, g, state.m.copy(), state.v.copy()))
-    moments = zip(params.views(state.m), params.views(state.v))
-    return params.arrays, [AdamState(m, v, state.t) for m, v in moments]
+    return params.arrays
 
 
 def _check_model(model) -> None:
@@ -609,42 +612,29 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     query losses the graph differentiated, which are ``adaptation_query_loss``'s
     values bit for bit (a float for an episode, the E losses for a stack).
 
-    The model is never mutated: its parameters are cloned into the graph as
-    differentiation roots. With ``cfg.first_order`` the first K-1 steps run
-    detached and only the final step's direct dependence on the warp is kept;
-    otherwise the full trajectory is unrolled and differentiated. For a
-    stacked episode the graph root is the sum of the E query losses, so the
-    hypergradient is the sum of the E per-episode hypergradients.
-
     This is the autodiff engine's hypergradient: the oracle that
-    ``adjoint_hypergrad`` is tested against, on no run-time path. Its full
-    unroll differentiates the model's ``loss``; the detached steps and the
-    last step's gradient of its first-order mode take ``loss_grads``. No
-    budget caps it.
+    ``adjoint_hypergrad`` is tested against, on no run-time path. It takes
+    only ``params`` and ``loss`` from the model, so it runs none of the code
+    it checks, and the model is never mutated. ``_unrolled_warpadam`` runs
+    the K steps in the engine; with ``cfg.first_order`` the graph keeps only
+    the last one (``cut`` K), so only that step's direct dependence on the
+    warps counts; otherwise it keeps them all (``cut`` 1). The engine walks
+    every node an output reaches, so each step of the full unroll walks the
+    graph of the steps before it, and its cost grows with K squared. For a
+    stacked episode the graph root is the sum of the E query losses, so the
+    hypergradient is the sum of the E per-episode hypergradients. No budget
+    caps it.
     """
     _check_episode(episode)
     _FlatWarp(warps, [np.shape(p) for p in model.params])  # raises on a warp that does not fit
-    leaves_per_warp = [_warp_leaves(w) for w in warps]
-    h = cfg.inner_hyper
-
-    if cfg.first_order:
-        arrays, states = _adapt(model, warps, episode, cfg.inner_steps - 1, h)
-        gs = model.loss_grads(arrays, episode.support_x, episode.support_y)[1]
-        ws = [_warpadam_graph_step(Tensor(a), Tensor(st.m), Tensor(st.v), Tensor(g),
-                                   cfg.inner_steps, warp, leaves, h)[0]
-              for a, st, g, warp, leaves in zip(arrays, states, gs, warps, leaves_per_warp)]
-    else:
-        params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
-        ws = _unrolled_warpadam(params, warps, leaves_per_warp, model, episode,
-                                cfg.inner_steps, h)
+    leaves = [_warp_leaves(w) for w in warps]
+    steps = cfg.inner_steps
+    ws = _unrolled_warpadam(model, episode, warps, leaves, steps,
+                            steps if cfg.first_order else 1, cfg.inner_hyper)
     losses = model.loss(ws, episode.query_x, episode.query_y)
-
-    leaf_grads = grad(T.tsum(losses), [leaf for leaves in leaves_per_warp for leaf in leaves])
-    out, pos = [], 0
-    for leaves in leaves_per_warp:
-        out.append(_flat(g.data for g in leaf_grads[pos:pos + len(leaves)]))
-        pos += len(leaves)
-    return out, _per_episode(losses.data)
+    leaf_grads = iter(grad(T.tsum(losses), [leaf for factors in leaves for leaf in factors]))
+    return ([_flat(next(leaf_grads).data for _ in factors) for factors in leaves],
+            _per_episode(losses.data))
 
 
 def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
@@ -679,7 +669,7 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
                 f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
                 f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
     tape = []
-    arrays = _adapt(model, warps, episode, steps, h, tape, steps if cfg.first_order else 1)[0]
+    arrays = _adapt(model, warps, episode, steps, h, tape, steps if cfg.first_order else 1)
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
     shapes = [a.shape for a in arrays]
     warp = _FlatWarp(warps, shapes, lead)
@@ -705,7 +695,7 @@ def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig) -> list[
     For a stacked episode every array carries one adapted copy per episode on
     axis 0.
     """
-    return _adapt(model, warps, episode, cfg.inner_steps, cfg.inner_hyper)[0]
+    return _adapt(model, warps, episode, cfg.inner_steps, cfg.inner_hyper)
 
 
 def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig):

@@ -365,6 +365,24 @@ def test_meta_train_makes_no_engine_call(tmp_path, monkeypatch, first_order):
     assert calls == []
 
 
+@pytest.mark.parametrize("command, text, setting", [
+    ("meta-train", SMALL_META, "meta.first_order=false"),
+    ("meta-train", SMALL_META, "meta.first_order=true"),
+    ("run", SMALL_RUN, "run.optimizer=warpadam"),
+])
+def test_cli_creates_no_tensor(tmp_path, monkeypatch, command, text, setting):
+    # the autodiff engine is the oracle only: no command builds a graph node
+    created = []
+    init = T.Tensor.__init__
+    monkeypatch.setattr(T.Tensor, "__init__",
+                        lambda self, *a, **k: created.append(1) or init(self, *a, **k))
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]) == 0
+    assert created == []
+    T.Tensor(0.0)  # the control: the count sees a tensor
+    assert created == [1]
+
+
 def test_meta_train_requires_explicit_split(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_META.replace("tasks.eval_alphabets=alpha03", ""))
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -326,9 +326,7 @@ def test_unrolled_graph_matches_array_trajectory():
     model, episode, warps = _mlp_setup(seed=5)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
     leaves = [_warp_leaves(w) for w in warps]
-    params = [Tensor(p, requires_grad=True) for p in model.params]
-    ws = _unrolled_warpadam(params, warps, leaves, model, episode,
-                            cfg.inner_steps, cfg.inner_hyper)
+    ws = _unrolled_warpadam(model, episode, warps, leaves, cfg.inner_steps, 1, cfg.inner_hyper)
     arrays = adapt(model, warps, episode, cfg)
     for wt, arr in zip(ws, arrays):
         assert rel_err(wt.data, arr) < 1e-12
@@ -350,29 +348,6 @@ class CountingModel:
     def losses(self, arrays, x, y):
         self.loss_calls += 1
         return self.model.losses(arrays, x, y)
-
-
-def test_unroll_walk_per_inner_step_does_not_grow_with_k(monkeypatch):
-    model, episode, warps = _mlp_setup(seed=8)
-    walked = []
-    original = T.toposort
-
-    def counting_toposort(*args, **kwargs):
-        order = original(*args, **kwargs)
-        walked.append(len(order))
-        return order
-
-    monkeypatch.setattr(T, "toposort", counting_toposort)
-    largest = {}
-    for k in (2, 3, 8):
-        walked.clear()
-        leaves = [_warp_leaves(w) for w in warps]
-        params = [Tensor(p, requires_grad=True) for p in model.params]
-        _unrolled_warpadam(params, warps, leaves, model, episode, k, HyperParams(eta=0.05))
-        assert len(walked) == k
-        largest[k] = max(walked)
-    # step 2 walks a little less than later steps: step 1's moments start as constants
-    assert largest[2] <= largest[3] == largest[8]
 
 
 def test_hypergrad_graph_is_freed_without_the_cycle_collector(monkeypatch):
@@ -557,11 +532,12 @@ def test_stacked_unrolled_graph_is_bitwise_adapt(form):
     model, episodes, warps = _stack_setup(form)
     episode = stack_episodes(episodes)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
-    params = [Tensor(a, requires_grad=True) for a in _start_arrays(model, episode)]
-    ws = _unrolled_warpadam(params, warps, [_warp_leaves(w) for w in warps], model, episode,
-                            cfg.inner_steps, cfg.inner_hyper)
-    for wt, arr in zip(ws, adapt(model, warps, episode, cfg)):
-        assert np.array_equal(wt.data, arr)
+    want = adapt(model, warps, episode, cfg)
+    for cut in range(1, cfg.inner_steps + 1):
+        ws = _unrolled_warpadam(model, episode, warps, [_warp_leaves(w) for w in warps],
+                                cfg.inner_steps, cut, cfg.inner_hyper)
+        for wt, arr in zip(ws, want, strict=True):
+            assert wt.data.tobytes() == arr.tobytes()
 
 
 @pytest.mark.parametrize("first_order", [False, True])
@@ -578,6 +554,36 @@ def test_hypergrad_losses_are_adaptation_query_loss(form, first_order):
     assert loss == adaptation_query_loss(model, warps, episodes[0], cfg)
     states = [AdamState.zeros(w.n_params) for w in warps]
     assert np.array_equal(meta_update_P(warps, episodes, model, cfg, states)[2], losses)
+
+
+class FastPathsRaise:
+    """An MLP of which only ``params`` and ``loss`` work: the methods that the
+    oracle checks raise."""
+
+    def __init__(self, model):
+        self.params, self.loss = model.params, model.loss
+
+    def loss_grads(self, *args):
+        raise AssertionError("the engine oracle called loss_grads")
+
+    def loss_hvp(self, *args):
+        raise AssertionError("the engine oracle called loss_hvp")
+
+    def losses(self, *args):
+        raise AssertionError("the engine oracle called losses")
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_hypergrad_calls_none_of_the_code_it_checks(stacked, first_order):
+    model, warps, episode = _adapt_setup("kron", stacked)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                     first_order=first_order)
+    got, losses = hypergrad_P(episode, FastPathsRaise(model), warps, cfg)
+    want, want_losses = hypergrad_P(episode, model, warps, cfg)
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert np.asarray(losses).tobytes() == np.asarray(want_losses).tobytes()
 
 
 def _engine_grads(model, arrays, x, y):
@@ -628,15 +634,17 @@ def _adapt_setup(form, stacked):
 def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
     model, warps, episode = _adapt_setup(form, stacked)
     h = HyperParams(eta=0.05, epsilon=0.1)
-    arrays, states = _adapt(model, warps, episode, 3, h)
+    tape = []
+    arrays = _adapt(model, warps, episode, 3, h, tape)
     want_arrays, want_states = _per_tensor_adapt(model, warps, episode, 3, h)
-    assert len(arrays) == len(states) == len(model.params)
-    for got, want, st, want_st in zip(arrays, want_arrays, states, want_states):
-        assert got.shape == want.shape == st.m.shape == st.v.shape
+    assert len(arrays) == len(model.params)
+    for got, want in zip(arrays, want_arrays, strict=True):
+        assert got.shape == want.shape
         assert np.array_equal(got, want)
-        assert np.array_equal(st.m, want_st.m)
-        assert np.array_equal(st.v, want_st.v)
-        assert st.t == want_st.t == 3
+    # the last step's taped moments are the per-tensor states', flattened
+    assert len(tape) == 3 and all(st.t == 3 for st in want_states)
+    assert np.array_equal(tape[-1][2], _flat(st.m for st in want_states))
+    assert np.array_equal(tape[-1][3], _flat(st.v for st in want_states))
 
 
 def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
@@ -656,20 +664,20 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
     tape = []
-    arrays, states = _adapt(model, warps, episode, 3, h, tape)
+    arrays = _adapt(model, warps, episode, 3, h, tape)
     assert len(tape) == 3
     entries = [a for step in tape for a in step]
-    outputs = arrays + [s.m for s in states] + [s.v for s in states]
     for i, a in enumerate(entries):
-        assert not any(np.shares_memory(a, b) for b in entries[i + 1:] + outputs)
+        assert not any(np.shares_memory(a, b) for b in entries[i + 1:] + arrays)
     # step k starts from the parameters k steps left and leaves k+1 steps' moments
     for k, (w, g, m, v) in enumerate(tape):
-        start, after = _adapt(model, warps, episode, k, h), _adapt(model, warps, episode, k + 1, h)
-        assert np.array_equal(w, _flat(start[0]))
-        assert np.array_equal(g, _flat(model.loss_grads(start[0], episode.support_x,
+        start = _adapt(model, warps, episode, k, h)
+        after = _per_tensor_adapt(model, warps, episode, k + 1, h)[1]
+        assert np.array_equal(w, _flat(start))
+        assert np.array_equal(g, _flat(model.loss_grads(start, episode.support_x,
                                                         episode.support_y)[1]))
-        assert np.array_equal(m, _flat(s.m for s in after[1]))
-        assert np.array_equal(v, _flat(s.v for s in after[1]))
+        assert np.array_equal(m, _flat(s.m for s in after))
+        assert np.array_equal(v, _flat(s.v for s in after))
 
 
 def test_adapt_tapes_only_the_steps_from_tape_from():
@@ -679,7 +687,7 @@ def test_adapt_tapes_only_the_steps_from_tape_from():
     want = _adapt(model, warps, episode, 4, h, full)
     got = _adapt(model, warps, episode, 4, h, tail, tape_from=3)
     assert len(full) == 4 and len(tail) == 2
-    for a, b in zip(got[0] + [s.m for s in got[1]], want[0] + [s.m for s in want[1]]):
+    for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
     for step, want_step in zip(tail, full[2:]):
         assert all(np.array_equal(a, b) for a, b in zip(step, want_step, strict=True))
@@ -756,12 +764,21 @@ def test_a_warp_one_ulp_off_the_identity_takes_the_product(monkeypatch, off):
 
 
 class SignedZeroGrads:
-    """Forwards to an MLP, with every zero gradient entry made -0.0."""
+    """Forwards to an MLP, with every zero gradient entry made -0.0, in the
+    engine's ``loss`` and in ``loss_grads`` alike.
+
+    ``loss`` runs the MLP on ``-n + 0.0 * n`` with ``n = -p`` for each
+    parameter ``p``: that is ``p`` for a nonzero or +0.0 value, and the
+    backward rules send a gradient ``g`` back as ``-(-g + 0.0 * g)``, which
+    is ``g`` for a nonzero ``g`` and -0.0 for either zero.
+    """
 
     def __init__(self, model):
         self.model = model
-        self.params, self.loss, self.loss_hvp, self.losses = (
-            model.params, model.loss, model.loss_hvp, model.losses)
+        self.params, self.loss_hvp, self.losses = model.params, model.loss_hvp, model.losses
+
+    def loss(self, params, x, y):
+        return self.model.loss([T.add(T.neg(n), T.mul(n, 0.0)) for n in map(T.neg, params)], x, y)
 
     def loss_grads(self, arrays, x, y):
         losses, grads = self.model.loss_grads(arrays, x, y)
@@ -780,8 +797,11 @@ def test_first_order_adjoint_at_identity_warps_has_the_engines_bytes(policy, sta
         ep.support_x[..., 0] = 0.0
     episode = stack_episodes(episodes) if stacked else episodes[0]
     warps = _identity_valued(policy, [p.shape for p in model.params])
-    g0 = model.loss_grads(_start_arrays(model, episode), episode.support_x, episode.support_y)[1]
+    start = _start_arrays(model, episode)
+    g0 = model.loss_grads(start, episode.support_x, episode.support_y)[1]
     assert np.any(np.signbit(g0[0]) & (g0[0] == 0))
+    engine = _engine_grads(model, start, episode.support_x, episode.support_y)
+    assert [g.tobytes() for g in g0] == [g.tobytes() for g in engine]
     for steps in (1, 3):
         cfg = MetaConfig(inner_steps=steps, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
                          first_order=True)
