@@ -10,11 +10,12 @@ The package is organized as:
   Momentum, AMSGrad, AdamW, RAdam), each written once as an in-place core
   (``STEP_CORES``) for loops that own their arrays, and wrapped as a pure
   step (``STEP_FUNCS``); WarpAdam's are ``warpadam_core`` and
-  ``warpadam_step``. The Adam family shares one moment update,
-  ``adam_moments``.
+  ``warpadam_step``, which warp the gradient that feeds both moments. The
+  Adam family shares one moment update, ``adam_moments``.
 - ``warp``: the warp matrix, one ``FORMS`` row per structural form, the
-  off-diagonal (TOD) penalty, unrolled hypergradients, and the outer loop
-  that learns the warps.
+  off-diagonal (TOD) penalty, unrolled hypergradients truncated at one step
+  (``MetaConfig.cut``), and the outer loop that learns the warps with one
+  Adam state over all their entries.
 - ``tasks``: episodic few-shot task sources (synthetic families and a PGM
   image-directory importer).
 - ``bench``: sequential-task training curves, optimizer comparison tables,

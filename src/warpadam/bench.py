@@ -24,7 +24,7 @@ from .tasks import ClassTable, sample_episode, synth_proto_tasks
 from .tensor import NumericError
 # unused; perfbench's tracer patches bench.grad (ROADMAP item 1)
 from .tensor import grad  # noqa: F401
-from .warp import FlatParams, WarpMatrix, init_warps
+from .warp import FlatParams, WarpMatrix, _flat, _FlatWarp, init_warps
 
 OPTIMIZERS = tuple(sorted(STEP_FUNCS)) + ("warpadam",)
 
@@ -75,7 +75,6 @@ class RunConfig:
     seed: int = 0
     warps: list[WarpMatrix] | None = None  # loaded checkpoint; None = identity init
     warp_policy: str = "auto"
-    warp_update_variant: bool = False
     label: str | None = None
 
     def __post_init__(self):
@@ -140,9 +139,8 @@ def _make_stepper(cfg: RunConfig, params: FlatParams):
         core = STEP_CORES[cfg.optimizer]
         return lambda state, w, g, buf: core(state, w, g, h, buf)
     warps = cfg.warps if cfg.warps is not None else init_warps(params.shapes, cfg.warp_policy)
-    warp = params.warp(warps)
-    return lambda state, w, g, buf: warpadam_core(state, w, g, h, buf, warp,
-                                                  cfg.warp_update_variant)
+    warp = _FlatWarp(warps, params.shapes)
+    return lambda state, w, g, buf: warpadam_core(state, w, g, h, buf, warp)
 
 
 def _metrics(model: MLP, arrays, x, y) -> tuple[float, float]:
@@ -188,7 +186,7 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, gs = model.loss_grads(arrays, ep.support_x, ep.support_y)
                 loss_val = float(loss)
-            g = params.flat(gs)
+            g = _flat(gs)
             if not (np.isfinite(loss_val) and np.all(np.isfinite(g))):
                 records.append(CurveRecord(task_index, s, loss_val, float("nan"),
                                            float("nan"), float("nan"), wall()))

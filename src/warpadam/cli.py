@@ -101,17 +101,22 @@ def _effective_config(args) -> dict[str, str]:
 
 
 def _resolve_seed(args, cfg) -> tuple[int, str]:
-    if args.seed is not None:
-        return args.seed, "flag"
-    if "run.seed" in cfg:
-        return getint(cfg, "run.seed"), "file"
+    """The seed and its source; a negative one is a ``UsageError`` naming its source."""
     env = os.environ.get("WARP_SEED")
-    if env is not None:
+    if args.seed is not None:
+        seed, source, name = args.seed, "flag", "--seed"
+    elif "run.seed" in cfg:
+        seed, source, name = getint(cfg, "run.seed"), "file", "run.seed"
+    elif env is not None:
         try:
-            return int(env), "env"
+            seed, source, name = int(env), "env", "WARP_SEED"
         except ValueError:
             raise UsageError(f"WARP_SEED must be an integer, got {env!r}") from None
-    return 0, "default"
+    else:
+        return 0, "default"
+    if seed < 0:
+        raise UsageError(f"{name} must be a non-negative integer, got {seed}")
+    return seed, source
 
 
 def _write_run_manifest(out_dir, cfg, command, seed, seed_source) -> None:
@@ -128,8 +133,8 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     run_cfg = build_run_config(cfg, seed)
-    os.makedirs(args.out, exist_ok=True)
     result = run_sequential_tasks(run_cfg, build_model_spec(cfg))
+    os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
     _write_run_manifest(args.out, cfg, "run", seed, seed_source)
     if result.diverged:
@@ -172,7 +177,7 @@ def cmd_meta_train(args) -> int:
 
     rng, train_table, eval_table, model = _meta_setup(cfg, seed, n_way)
     warps = init_warps([p.shape for p in model.params], cfg.get("warp.policy", "auto"))
-    states = [AdamState.zeros(w.n_params) for w in warps]
+    state = AdamState.zeros(sum(w.n_params for w in warps))
 
     # the held-out set, sampled in order and evaluated in stacks that keep the
     # stacked parameters within warp.STACK_ENTRY_BUDGET entries but hold no
@@ -205,13 +210,13 @@ def cmd_meta_train(args) -> int:
                          for _ in range(batch_size)]
                 held_out = eval_loss(warps) if t % eval_every == 0 else float("nan")
                 # the batch loss is the one the hypergradient's own adaptation reached
-                new_warps, new_states, losses = meta_update_P(warps, batch, model, meta, states)
+                new_warps, new_state, losses = meta_update_P(warps, batch, model, meta, state)
                 batch_loss = float(np.mean(losses))
                 rows.append((t, batch_loss, tod(warps), held_out))
                 if not np.isfinite(batch_loss):
                     diverged = f"non-finite meta objective at outer step {t}"
                     break
-                warps, states = new_warps, new_states
+                warps, state = new_warps, new_state
             else:
                 t = outer_steps
                 rows.append((outer_steps, float("nan"), tod(warps), eval_loss(warps)))

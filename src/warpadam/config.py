@@ -40,7 +40,7 @@ KNOWN_KEYS = frozenset(
         "run.optimizer", "run.n_tasks", "run.steps_per_task", "run.eval_every",
         "run.seed", "run.label",
         "model.hidden",
-        "warp.policy", "warp.checkpoint", "warp.update_variant",
+        "warp.policy", "warp.checkpoint",
         "meta.inner_steps", "meta.outer_eta", "meta.tod_lambda", "meta.first_order",
         "meta.tasks_per_outer_step", "meta.node_budget", "meta.outer_steps",
         "meta.eval_episodes", "meta.eval_every",
@@ -241,7 +241,6 @@ def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = Non
             seed=seed,
             warps=warps,
             warp_policy=cfg.get("warp.policy", "auto"),
-            warp_update_variant=getbool(cfg, "warp.update_variant", False),
             label=label or cfg.get("run.label"),
         )
     except ValueError as exc:

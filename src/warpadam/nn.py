@@ -155,14 +155,14 @@ class MLP:
     def losses(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``loss`` on parameter arrays, from the numpy forward alone: the
         losses of ``loss_grads``, without its backward pass."""
-        return _cross_entropy_data(self._forward(arrays, x)[0][-1], y)[0]
+        return _cross_entropy_data(self._forward(arrays, x)[0][-1], y)
 
     def loss_accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, float]:
         """``loss`` on parameter arrays, and the fraction of rows whose largest
         logit is the label, from one numpy forward (the values of the engine's)."""
         logits = self._forward(arrays, x)[0][-1]
-        losses = _cross_entropy_data(logits, y)[0]
+        losses = _cross_entropy_data(logits, y)
         return losses, float(np.mean(np.argmax(logits, axis=-1) == np.asarray(y)))
 
     def clone_params(self) -> list[np.ndarray]:

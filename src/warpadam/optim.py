@@ -23,8 +23,9 @@ the first three lines. It uses operators only (augmented assignments, which
 update arrays in place and build new nodes on tensors), so the unrolled,
 differentiable WarpAdam of the warp module runs it on autodiff tensors and
 gets the bits of the array steps. WarpAdam is the same rule with g replaced by
-P@g in both moment updates; with P = identity the two code paths share every
-arithmetic instruction, so their outputs are bit-identical.
+P@g in both moment updates (warped preconditioning, Flennerhag et al. 2020);
+with P = identity the two code paths share every arithmetic instruction, so
+their outputs are bit-identical.
 
 A zero denominator (possible only with eps=0 and an all-zero gradient
 history) yields a zero update rather than NaN: 0/0 := 0 for the ratio. A core
@@ -236,13 +237,9 @@ def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, bu
 
 
 def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf,
-                  warp, warp_update: bool = False) -> None:
+                  warp) -> None:
     """WarpAdam's core; see ``warpadam_step``. ``warp`` needs only ``apply``."""
-    if warp_update:
-        update = warp.apply(_adam_direction(state, g, h, buf))
-    else:
-        update = _adam_direction(state, warp.apply(g), h, buf)
-    _descend(w, update, h, "warpadam step")
+    _descend(w, _adam_direction(state, warp.apply(g), h, buf), h, "warpadam step")
 
 
 def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
@@ -323,17 +320,13 @@ def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
     return _pure(adam_core, state, w, g, h)
 
 
-def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp,
-                  h: HyperParams, warp_update: bool = False):
+def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp, h: HyperParams):
     """Adam with the gradient pre-transformed by the warp matrix.
 
     The transformed gradient feeds *both* moment updates; the parameter update
-    rule itself is unchanged. ``warp_update=True`` switches to the alternative
-    placement that accumulates the raw gradient and warps the final update
-    direction instead; it is off by default and exists for comparison only.
-    ``warp.apply`` checks ``g`` against the warp's dim.
+    rule itself is unchanged. ``warp.apply`` checks ``g`` against the warp's dim.
     """
-    return _pure(warpadam_core, state, w, g, h, warp, warp_update)
+    return _pure(warpadam_core, state, w, g, h, warp)
 
 
 def sgd_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):

@@ -330,9 +330,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(_softmax_data(a.data, axis), (a,), bwd, "softmax")
 
 
-def _cross_entropy_data(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax_cross_entropy``'s checked forward on arrays: the per-index
-    means and the one-hot labels, shaped like ``logits``."""
+def _cross_entropy_data(logits: np.ndarray, labels) -> np.ndarray:
+    """``softmax_cross_entropy``'s checked forward on arrays: the per-index means."""
     labels = np.asarray(labels)
     if logits.ndim < 2:
         raise ShapeError(f"logits must be (..., batch, classes), got {logits.shape}")
@@ -346,11 +345,12 @@ def _cross_entropy_data(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndar
     shifted = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
     picked = shifted.reshape(-1, c)[rows, cols].reshape(labels.shape)
-    ce = np.mean(lse - picked, axis=-1)
+    return np.mean(lse - picked, axis=-1)
 
-    onehot = np.zeros((labels.size, c))
-    onehot[rows, cols] = 1.0
-    return ce, onehot.reshape(logits.shape)
+
+def _one_hot(labels, c: int) -> np.ndarray:
+    """The rows of the c x c identity that ``labels`` pick, shaped ``labels.shape + (c,)``."""
+    return np.eye(c)[np.asarray(labels).astype(np.int64)]
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +360,8 @@ def softmax_cross_entropy_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, 
     upstream gradient: the same numpy operations in the same order, so both
     results carry the bits the graph would give.
     """
-    ce, onehot = _cross_entropy_data(logits, labels)
+    ce = _cross_entropy_data(logits, labels)
+    onehot = _one_hot(labels, logits.shape[-1])
     return ce, (1.0 / logits.shape[-2]) * (_softmax_data(logits, -1) - onehot)
 
 
@@ -371,8 +372,8 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     one mean over the n rows for each leading index (a scalar for 2-D logits).
     """
     logits = _as_tensor(logits)
-    ce, onehot = _cross_entropy_data(logits.data, labels)
-    onehot_t = Tensor(onehot)
+    ce = _cross_entropy_data(logits.data, labels)
+    onehot_t = Tensor(_one_hot(labels, logits.shape[-1]))
     n = logits.shape[-2]
 
     def bwd(g):

@@ -18,8 +18,9 @@ form, so a new form is one new row.
 Warps are learned by differentiating a query loss through K unrolled WarpAdam
 steps on a support loss (the hypergradient), averaging over a task batch,
 adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
-step on the warp's entries. The unrolled step shares ``optim.adam_moments``
-with the array optimizer, so the graph's trajectory has ``adapt``'s bits.
+step on every warp's entries at once. The unrolled step shares
+``optim.adam_moments`` with the array optimizer, so the graph's trajectory
+has ``adapt``'s bits.
 
 A meta-learned model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
 ``losses`` (see ``nn``). ``meta_update_P`` takes its hypergradient from
@@ -287,6 +288,8 @@ def tod_penalty_grad(warp: WarpMatrix, lam: float) -> np.ndarray:
 class MetaConfig:
     """Inner/outer loop hyperparameters for warp training.
 
+    ``cut`` is the first inner step that the hypergradient differentiates
+    (Shaban et al. 2019's truncation point): 1, or K with ``first_order``.
     ``node_budget`` caps the float64 entries that the tape of a full (not
     first-order) ``adjoint_hypergrad`` of one task batch may hold: four flat
     arrays ``(w, g, m, v)`` per inner step, each as long as the stacked
@@ -315,13 +318,19 @@ class MetaConfig:
         if self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
 
+    @property
+    def cut(self) -> int:
+        return self.inner_steps if self.first_order else 1
 
-def init_warps(shapes: Sequence[tuple[int, ...]], policy: str = "auto",
-               dense_max: int = 256) -> list[WarpMatrix]:
+
+DENSE_MAX = 256  # the most entries of a tensor that the ``auto`` policy warps densely
+
+
+def init_warps(shapes: Sequence[tuple[int, ...]], policy: str = "auto") -> list[WarpMatrix]:
     """Identity-valued warps for a list of parameter shapes.
 
     ``policy`` names a form for every tensor, or is ``auto``: dense for small
-    tensors (d <= dense_max entries in total), Kronecker factors for larger
+    tensors (d <= DENSE_MAX entries in total), Kronecker factors for larger
     matrix-shaped tensors, and diagonal otherwise. Every factor starts as an
     identity (a vector of ones or an identity matrix), so fresh meta-training
     begins at vanilla Adam behavior.
@@ -333,7 +342,7 @@ def init_warps(shapes: Sequence[tuple[int, ...]], policy: str = "auto",
         d = int(np.prod(shape, dtype=np.int64)) if shape else 1
         form = policy
         if policy == "auto":
-            form = "dense" if d <= dense_max else "kron" if len(shape) == 2 else "diagonal"
+            form = "dense" if d <= DENSE_MAX else "kron" if len(shape) == 2 else "diagonal"
         if form == "kron" and len(shape) != 2:
             raise ValueError(f"kron policy needs matrix-shaped tensors, got shape {shape}")
         rows, cols = shape if len(shape) == 2 else (0, 0)
@@ -540,23 +549,15 @@ class FlatParams:
     one optimizer core per iteration steps every tensor at once: the moment
     update, the finiteness checks and the 0/0 := 0 ratio run once over the
     buffer (the multi-tensor, or "foreach", form of an optimizer), and only a
-    warp acts per tensor, on its segment (``warp``). Elementwise operations do
-    not depend on the layout, so the bits are those of one step per tensor.
+    warp acts per tensor, on its segment (``_FlatWarp``). Elementwise
+    operations do not depend on the layout, so the bits are those of one step
+    per tensor.
     """
 
     def __init__(self, arrays: Sequence[np.ndarray]):
         self.shapes = [np.shape(a) for a in arrays]
         self.w = _flat(arrays)
         self.arrays = _views(self.w, self.shapes)
-
-    def flat(self, per_tensor) -> np.ndarray:
-        """One array per tensor, such as its gradient, in the buffer's layout (a new array)."""
-        return _flat(per_tensor)
-
-    def warp(self, warps: Sequence[WarpMatrix], lead: tuple[int, ...] = ()) -> _FlatWarp:
-        """The tensors' warps as one warp of the buffer, whose tensors carry
-        the stack axes ``lead``; a warp that does not fit raises ``ShapeError``."""
-        return _FlatWarp(warps, self.shapes, lead)
 
 
 def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
@@ -569,19 +570,18 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     parameters, in their plain or stacked shapes.
 
     Given a ``tape`` (anything with ``append``), each step from step
-    ``tape_from`` on appends the flat ``(w, g, m, v)`` of
-    ``adjoint_hypergrad``: the parameters it started from, the gradient
-    there, and the moments it left, each an array of the tape's own. The
-    steps before it copy nothing.
+    ``tape_from`` (``MetaConfig.cut``) on appends the flat ``(w, g, m, v)``:
+    the parameters it started from, the gradient there, and the moments it
+    left, each an array of the tape's own. The steps before it copy nothing.
 
     The gradients come from ``model.loss_grads``. A warp that does not fit its
     tensor raises ``ShapeError`` before the first step.
     """
     params = FlatParams(_start_arrays(model, episode))
-    warp = params.warp(warps, _stack_lead(episode))
+    warp = _FlatWarp(warps, params.shapes, _stack_lead(episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
     for t in range(1, steps + 1):
-        g = params.flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
+        g = _flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
         check_step_inputs(state, w, g)
         taped = tape is not None and t >= tape_from
         w_start = w.copy() if taped else None
@@ -616,9 +616,9 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     ``adjoint_hypergrad`` is tested against, on no run-time path. It takes
     only ``params`` and ``loss`` from the model, so it runs none of the code
     it checks, and the model is never mutated. ``_unrolled_warpadam`` runs
-    the K steps in the engine; with ``cfg.first_order`` the graph keeps only
-    the last one (``cut`` K), so only that step's direct dependence on the
-    warps counts; otherwise it keeps them all (``cut`` 1). The engine walks
+    the K steps in the engine, and the graph keeps those from ``cfg.cut`` on:
+    every step (``cut`` 1), or for first order only the last (``cut`` K), so
+    that only its direct dependence on the warps counts. The engine walks
     every node an output reaches, so each step of the full unroll walks the
     graph of the steps before it, and its cost grows with K squared. For a
     stacked episode the graph root is the sum of the E query losses, so the
@@ -628,9 +628,8 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     _check_episode(episode)
     _FlatWarp(warps, [np.shape(p) for p in model.params])  # raises on a warp that does not fit
     leaves = [_warp_leaves(w) for w in warps]
-    steps = cfg.inner_steps
-    ws = _unrolled_warpadam(model, episode, warps, leaves, steps,
-                            steps if cfg.first_order else 1, cfg.inner_hyper)
+    ws = _unrolled_warpadam(model, episode, warps, leaves, cfg.inner_steps, cfg.cut,
+                            cfg.inner_hyper)
     losses = model.loss(ws, episode.query_x, episode.query_y)
     leaf_grads = iter(grad(T.tsum(losses), [leaf for factors in leaves for leaf in factors]))
     return ([_flat(next(leaf_grads).data for _ in factors) for factors in leaves],
@@ -649,40 +648,39 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     ``P g``, each warp adds its ``factor_grads`` of ``<u_bar, P g>``, and the
     parameters' adjoint gains ``H(w) P^T u_bar``, with ``P^T`` applied as the
     transposed warp and the Hessian product from ``loss_hvp`` (Maclaurin et
-    al. 2015; Pearlmutter 1994). Step 1 needs no Hessian product: the start
-    parameters do not depend on the warps. The tape holds four flat arrays
-    per inner step; before the first step, a full tape over
-    ``cfg.node_budget`` float64 entries raises ``ResourceError``.
-
-    With ``cfg.first_order`` the tape holds only the last step (the earlier
-    steps copy nothing), whose adjoint is taken without a Hessian product;
-    the result has the bits of ``hypergrad_P``'s. The full result matches it
-    to rounding: the sums run in another order.
+    al. 2015; Pearlmutter 1994). The walk stops at step ``cfg.cut``, whose
+    start parameters count as independent of the warps, so Hessian products
+    are taken only after ``cut``; the tape holds four flat arrays per step
+    from ``cut`` on. With ``cut`` before the last step, a tape of all K steps
+    over ``cfg.node_budget`` float64 entries raises ``ResourceError`` before
+    the first step. First order (``cut`` K) tapes only the last step and has
+    the bits of ``hypergrad_P``'s result; the full result (``cut`` 1) matches
+    it to rounding: the sums run in another order.
     """
     _check_model(model)
     _check_episode(episode)
-    h, steps, lead = cfg.inner_hyper, cfg.inner_steps, _stack_lead(episode)
-    if not cfg.first_order:
+    h, steps, cut, lead = cfg.inner_hyper, cfg.inner_steps, cfg.cut, _stack_lead(episode)
+    if cut < steps:
         entries = 4 * steps * math.prod(lead) * sum(np.size(p) for p in model.params)
         if entries > cfg.node_budget:
             raise ResourceError(
                 f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
                 f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
     tape = []
-    arrays = _adapt(model, warps, episode, steps, h, tape, steps if cfg.first_order else 1)
+    arrays = _adapt(model, warps, episode, steps, h, tape, cut)
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
     shapes = [a.shape for a in arrays]
     warp = _FlatWarp(warps, shapes, lead)
     warp_t = _FlatWarp([w.transposed() for w in warps], shapes, lead)
     w_bar, m_bar, v_bar = _flat(query_grads), 0.0, 0.0
     totals = None
-    for t in range(steps, steps - len(tape), -1):
+    for t in range(steps, cut - 1, -1):
         w, g, m, v = tape.pop()
         u_bar, m_bar, v_bar = adam_adjoint(w_bar, m_bar, v_bar, warp.apply(g), m, v, t, h)
         step = warp.factor_grads(u_bar, g)
         totals = step if totals is None else [tuple(map(np.add, acc, new))
                                               for acc, new in zip(totals, step)]
-        if t > 1 and not cfg.first_order:
+        if t > cut:
             g_bar = _views(warp_t.apply(u_bar), shapes)
             w_bar = w_bar + _flat(model.loss_hvp(_views(w, shapes), episode.support_x,
                                                  episode.support_y, g_bar))
@@ -712,11 +710,16 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
 
 
 def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfig,
-                  outer_states: Sequence[AdamState]):
+                  outer_state: AdamState):
     """One outer step: averaged hypergradient + penalty gradient, Adam on entries.
 
-    Returns ``(warps, states, losses)``: the updated warps and outer Adam
-    states, and the batch's E query losses after adaptation with the warps
+    ``outer_state`` is one Adam state over every warp's entries, back to back
+    in warp order (``AdamState.zeros(sum(w.n_params for w in warps))`` to
+    start); one of another size raises ``ShapeError``. Adam is elementwise,
+    so one step over them all has the bits of one step per warp.
+
+    Returns ``(warps, state, losses)``: the updated warps and outer Adam
+    state, and the batch's E query losses after adaptation with the warps
     as given (the hypergradient's losses, so ``adaptation_query_loss``'s bits).
     The batch is stacked into one episode and differentiated at once, so the
     warps receive the sum of the per-task hypergradients. Its summation order
@@ -729,20 +732,15 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")
-    if len(outer_states) != len(warps):
-        raise ShapeError(f"{len(outer_states)} outer states for {len(warps)} warps")
 
     totals, losses = adjoint_hypergrad(stack_episodes(task_batch), model, warps, cfg)
-    outer_hyper = HyperParams(eta=cfg.outer_eta)
-
-    new_warps: list[WarpMatrix] = []
-    new_states: list[AdamState] = []
-    for warp, state, total in zip(warps, outer_states, totals):
-        g = total / len(task_batch) + tod_penalty_grad(warp, cfg.tod_lambda)
-        state, flat = adam_step(state, warp.params(), g, outer_hyper)
-        new_warps.append(warp.with_params(flat))
-        new_states.append(state)
-    return new_warps, new_states, losses
+    g = _flat(total / len(task_batch) + tod_penalty_grad(warp, cfg.tod_lambda)
+              for warp, total in zip(warps, totals))
+    state, entries = adam_step(outer_state, _flat(w.params() for w in warps), g,
+                               HyperParams(eta=cfg.outer_eta))
+    new_warps = [warp.with_params(view) for warp, view in
+                 zip(warps, _views(entries, [(w.n_params,) for w in warps]))]
+    return new_warps, state, losses
 
 
 # ---------------------------------------------------------------------------

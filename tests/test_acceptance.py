@@ -217,7 +217,7 @@ def _a5_run_seed(seed, outer_steps=200):
     cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.1, epsilon=0.1),
                      outer_eta=3e-3, tod_lambda=1e-3, tasks_per_outer_step=4)
     warps = init_warps([p.shape for p in model.params], "dense")
-    states = [AdamState.zeros(w.n_params) for w in warps]
+    state = AdamState.zeros(sum(w.n_params for w in warps))
     ident = init_warps([p.shape for p in model.params], "dense")
 
     eval_rng = np.random.default_rng(seed + 10_000)
@@ -225,7 +225,7 @@ def _a5_run_seed(seed, outer_steps=200):
     baseline = np.mean([adaptation_query_loss(model, ident, ep, cfg) for ep in eval_set])
     for _ in range(outer_steps):
         batch = [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)]
-        warps, states, _ = meta_update_P(warps, batch, model, cfg, states)
+        warps, state, _ = meta_update_P(warps, batch, model, cfg, state)
     learned = np.mean([adaptation_query_loss(model, warps, ep, cfg) for ep in eval_set])
     return baseline, learned
 
@@ -264,10 +264,10 @@ def test_a6_tod_effect():
         cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.1, epsilon=0.1),
                          outer_eta=3e-3, tod_lambda=lam, tasks_per_outer_step=4)
         warps = init_warps([p.shape for p in model.params], "dense")
-        states = [AdamState.zeros(w.n_params) for w in warps]
+        state = AdamState.zeros(sum(w.n_params for w in warps))
         for _ in range(outer_steps):
             batch = [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)]
-            warps, states, _ = meta_update_P(warps, batch, model, cfg, states)
+            warps, state, _ = meta_update_P(warps, batch, model, cfg, state)
         return _offdiag_norm(warps)
 
     norms = [train_with_lambda(lam) for lam in (0.0, 1e-3, 1e-1)]

@@ -130,6 +130,16 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_warp_update_variant_is_an_unknown_key(tmp_path, capsys):
+    # warpadam warps only the gradient that feeds the moments; no key selects another placement
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.optimizer=adam", "run.optimizer=warpadam"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--set", "warp.update_variant=true"]) == 2
+    assert capsys.readouterr().err == "usage error: unknown config keys: warp.update_variant\n"
+    assert not out.exists()
+
+
 _HYPER_KEYS = ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")
 
 
@@ -215,6 +225,32 @@ def test_seed_precedence_flag_file_env(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(out_flag), "--seed", "4"]) == 0
     assert "run.seed=4" in (out_flag / "manifest.txt").read_text()
     assert "seed.source=flag" in (out_flag / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("source, name", [("flag", "--seed"), ("file", "run.seed"),
+                                          ("env", "WARP_SEED")])
+@pytest.mark.parametrize("command", ["run", "meta-train"])
+def test_negative_seed_is_usage_error_naming_its_source(tmp_path, capsys, monkeypatch, command,
+                                                        source, name):
+    text = SMALL_RUN if command == "run" else SMALL_META
+    cfg = write_cfg(tmp_path, re.sub(r"run\.seed=\d+", "run.seed=-2" if source == "file" else "",
+                                     text))
+    monkeypatch.setenv("WARP_SEED", "-1" if source == "env" else "7")
+    out = tmp_path / "o"
+    flag = ["--seed", "-3"] if source == "flag" else []
+    assert main([command, "--config", cfg, "--out", str(out), *flag]) == 2
+    value = {"flag": -3, "file": -2, "env": -1}[source]
+    assert capsys.readouterr().err == (f"usage error: {name} must be a non-negative integer, "
+                                       f"got {value}\n")
+    assert not out.exists()
+
+
+def test_run_that_fails_while_building_writes_no_output_directory(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.optimizer=adam", "run.optimizer=warpadam"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--set", "warp.policy=bogus"]) == 2
+    assert capsys.readouterr().err == "error: unknown warp policy 'bogus'\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -207,14 +207,14 @@ def _evaluate(dag, override=None):
 
 @settings(max_examples=60, deadline=None)
 @given(expression_dags())
-def test_grad_random_dags_match_fd_and_unpruned_walk(dag):
+def test_grad_random_dags_match_fd_and_zero_fill(dag):
     nodes, root = _evaluate(dag)
     inputs = [nodes[i] for i in dag[2]]
     gs = grad(root, inputs)
-    unpruned = T._accumulate(root)
+    reached = {id(node) for node in T.toposort(root)}
     for i, t, g in zip(dag[2], inputs, gs):
-        full = unpruned.get(id(t))
-        assert np.array_equal(g.data, np.zeros(3) if full is None else full.data)
+        if id(t) not in reached:
+            assert g.data.tobytes() == np.zeros(3).tobytes()
         fd = finite_diff_grad(lambda v, i=i: _evaluate(dag, {i: v})[1].item(),
                               t.data, h=1e-6)
         assert rel_err(g.data, fd, floor=1.0) < 1e-7

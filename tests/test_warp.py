@@ -552,8 +552,8 @@ def test_hypergrad_losses_are_adaptation_query_loss(form, first_order):
     _, loss = hypergrad_P(episodes[0], model, warps, cfg)
     assert isinstance(loss, float)
     assert loss == adaptation_query_loss(model, warps, episodes[0], cfg)
-    states = [AdamState.zeros(w.n_params) for w in warps]
-    assert np.array_equal(meta_update_P(warps, episodes, model, cfg, states)[2], losses)
+    assert np.array_equal(meta_update_P(warps, episodes, model, cfg, _outer_state(warps))[2],
+                          losses)
 
 
 class FastPathsRaise:
@@ -892,7 +892,7 @@ def test_meta_update_builds_one_graph_per_batch(batch, first_order):
     model, episodes, warps = _stack_setup("dense", n_episodes=batch)
     counting = CountingModel(model)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
-    meta_update_P(warps, episodes, counting, cfg, [AdamState.zeros(w.n_params) for w in warps])
+    meta_update_P(warps, episodes, counting, cfg, _outer_state(warps))
     assert counting.calls == cfg.inner_steps + 1  # K support gradients and one query loss
     assert counting.loss_calls == 0
 
@@ -1056,20 +1056,65 @@ def test_meta_update_on_an_mlp_takes_the_adjoint(monkeypatch, first_order):
                         (MLP, "loss"), (MLP, "loss_hvp")):
         _counting(monkeypatch, owner, attr, calls)
     cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
-    meta_update_P(warps, episodes, model, cfg, [AdamState.zeros(w.n_params) for w in warps])
+    meta_update_P(warps, episodes, model, cfg, _outer_state(warps))
     assert calls == ([] if first_order else ["loss_hvp"] * (cfg.inner_steps - 1))
 
 
 # ---------------------------------------------------------------------------
 # outer loop
 
+def _outer_state(warps):
+    """A fresh outer Adam state over every warp's entries, back to back."""
+    return AdamState.zeros(sum(w.n_params for w in warps))
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_meta_update_is_bitwise_one_adam_step_per_warp(first_order):
+    # one warp of each form, and the reference: one outer state and one pure
+    # adam_step per warp, on the same hypergradients
+    model, episodes, _ = _stack_setup("dense")
+    rng = np.random.default_rng(32)
+    warps = [WarpMatrix.kronecker(np.eye(5) + 0.1 * rng.normal(size=(5, 5)),
+                                  np.eye(4) + 0.1 * rng.normal(size=(4, 4))),
+             WarpMatrix.diagonal(1.0 + 0.1 * rng.normal(size=4)),
+             WarpMatrix.dense(np.eye(12) + 0.05 * rng.normal(size=(12, 12))),
+             WarpMatrix.identity(3)]
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05), outer_eta=0.01,
+                     tod_lambda=0.1, first_order=first_order)
+    outer_hyper = HyperParams(eta=cfg.outer_eta)
+    state, start = _outer_state(warps), warps
+    want_warps, want_states = warps, [AdamState.zeros(w.n_params) for w in warps]
+    for _ in range(3):
+        warps, state, losses = meta_update_P(warps, episodes, model, cfg, state)
+        totals, want_losses = adjoint_hypergrad(stack_episodes(episodes), model, want_warps, cfg)
+        stepped = [adam_step(s, w.params(), total / len(episodes)
+                             + tod_penalty_grad(w, cfg.tod_lambda), outer_hyper)
+                   for w, s, total in zip(want_warps, want_states, totals)]
+        want_states = [s for s, _ in stepped]
+        want_warps = [w.with_params(entries) for w, (_, entries) in zip(want_warps, stepped)]
+        assert losses.tobytes() == want_losses.tobytes()
+        assert [w.form for w in warps] == [w.form for w in want_warps]
+        for got, want in zip(warps, want_warps):
+            assert got.params().tobytes() == want.params().tobytes()
+        assert state.m.tobytes() == _flat(s.m for s in want_states).tobytes()
+        assert state.v.tobytes() == _flat(s.v for s in want_states).tobytes()
+        assert state.t == want_states[0].t
+    assert all(not np.array_equal(w.params(), w0.params()) for w, w0 in zip(warps, start[:3]))
+
+
+def test_meta_update_rejects_an_outer_state_of_another_size():
+    model, episodes, warps = _stack_setup("kron")
+    n = sum(w.n_params for w in warps)
+    for size in (0, n - 1, n + 1):
+        with pytest.raises(ShapeError, match="shapes disagree"):
+            meta_update_P(warps, episodes, model, MetaConfig(inner_steps=2), AdamState.zeros(size))
+
 def test_meta_update_zero_hypergrad_is_fixed_point():
     model = ScalarQuadratic(w0=0.7)
     episode = quad_episode([0.7], [1.5])   # zero support gradient
     warps = [WarpMatrix.dense([[1.0]])]
-    states = [AdamState.zeros(w.n_params) for w in warps]
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1), tod_lambda=0.0)
-    new_warps, _, _ = meta_update_P(warps, [episode], model, cfg, states)
+    new_warps, _, _ = meta_update_P(warps, [episode], model, cfg, _outer_state(warps))
     assert np.array_equal(new_warps[0].factors[0], warps[0].factors[0])
 
 
@@ -1079,15 +1124,15 @@ def test_meta_update_preserves_form_and_dim():
     episode = make_episode(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5),
                            rng.normal(size=(5, 4)), rng.integers(0, 3, size=5), n_way=3)
     warps = [WarpMatrix.kronecker(np.eye(4), np.eye(3)), WarpMatrix.diagonal(np.ones(3))]
-    states = [AdamState.zeros(w.n_params) for w in warps]
+    state = _outer_state(warps)
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1))
-    new_warps, new_states, _ = meta_update_P(warps, [episode], model, cfg, states)
+    new_warps, new_state, _ = meta_update_P(warps, [episode], model, cfg, state)
     assert [w.form for w in new_warps] == ["kron", "diagonal"]
     assert [w.dim for w in new_warps] == [12, 3]
-    assert new_states[0].t == 1
+    assert new_state.t == 1 and new_state.m.shape == (16 + 9 + 3,)
     # inputs untouched
     assert np.array_equal(warps[1].factors[0], np.ones(3))
-    assert states[0].t == 0
+    assert state.t == 0 and not state.m.any()
 
 
 def test_meta_update_identity_form_unchanged():
@@ -1096,8 +1141,8 @@ def test_meta_update_identity_form_unchanged():
     episode = make_episode(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4),
                            rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), n_way=2)
     warps = [WarpMatrix.identity(6), WarpMatrix.identity(2)]
-    states = [AdamState.zeros(0), AdamState.zeros(0)]
-    new_warps, _, _ = meta_update_P(warps, [episode], model, cfg := MetaConfig(inner_steps=1), states)
+    new_warps, _, _ = meta_update_P(warps, [episode], model, MetaConfig(inner_steps=1),
+                                    AdamState.zeros(0))
     assert all(w.form == "identity" for w in new_warps)
 
 
@@ -1111,8 +1156,7 @@ def test_meta_update_whole_pipeline_brute_force_oracle():
                      outer_eta=0.05, tod_lambda=0.1)
     p0 = np.array([0.9])
     warps = [WarpMatrix.dense([[p0[0]]])]
-    states = [AdamState.zeros(1)]
-    new_warps, _, _ = meta_update_P(warps, batch, model, cfg, states)
+    new_warps, _, _ = meta_update_P(warps, batch, model, cfg, AdamState.zeros(1))
 
     def meta_objective(p):
         trial = [WarpMatrix.dense([[p[0]]])]
@@ -1127,7 +1171,7 @@ def test_meta_update_whole_pipeline_brute_force_oracle():
 def test_meta_update_rejects_empty_batch():
     with pytest.raises(ValueError):
         meta_update_P([WarpMatrix.identity(1)], [], ScalarQuadratic(0.0),
-                      MetaConfig(), [AdamState.zeros(0)])
+                      MetaConfig(), AdamState.zeros(0))
 
 
 @pytest.mark.parametrize("first_order", [False, True])
@@ -1140,7 +1184,7 @@ def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_o
     cfg = MetaConfig(inner_steps=2, first_order=first_order)
     with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
         meta_update_P([WarpMatrix.dense([[1.0]])], [quad_episode([1.0], [1.2])], model, cfg,
-                      [AdamState.zeros(1)])
+                      AdamState.zeros(1))
     with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
         adaptation_query_loss(model, [WarpMatrix.dense([[1.0]])], quad_episode([1.0], [1.2]), cfg)
 
@@ -1149,7 +1193,7 @@ def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_o
 # structural defaults and checkpointing
 
 def test_init_warps_auto_policy():
-    warps = init_warps([(4, 3), (300,), (20, 30), ()], policy="auto", dense_max=256)
+    warps = init_warps([(4, 3), (300,), (20, 30), ()], policy="auto")
     assert warps[0].form == "dense" and warps[0].dim == 12
     assert warps[1].form == "diagonal" and warps[1].dim == 300
     assert warps[2].form == "kron" and warps[2].dim == 600
