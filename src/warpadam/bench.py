@@ -75,7 +75,6 @@ class RunConfig:
     seed: int = 0
     warps: list[WarpMatrix] | None = None  # loaded checkpoint; None = identity init
     warp_policy: str = "auto"
-    label: str | None = None
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -91,12 +90,6 @@ class RunResult:
     records: list[CurveRecord]
     diverged: bool = False
     note: str = ""
-
-
-@dataclass
-class ConvergenceResult:
-    epoch: int
-    degenerate: bool = False
 
 
 @dataclass
@@ -168,7 +161,7 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
     model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
     params = FlatParams(model.params)
     w, arrays = params.w, params.arrays
-    state = AdamState.zeros(w.shape, amsgrad=cfg.optimizer == "amsgrad")
+    state = AdamState.zeros(w.shape)
     buf = step_buffers(w.shape)
     step = _make_stepper(cfg, params)
 
@@ -210,25 +203,18 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
     return RunResult(records)
 
 
-def convergence_epoch(records: list[CurveRecord], fraction: float = 0.99) -> ConvergenceResult:
-    """First 1-indexed epoch reaching ``fraction`` of the run's peak val accuracy.
+def convergence_epoch(records: list[CurveRecord]) -> int:
+    """First 1-indexed epoch reaching 99% of the run's peak val accuracy.
 
-    One task is one epoch. An all-zero accuracy curve has no meaningful
-    threshold crossing; the final epoch is returned with a degenerate flag.
+    One task is one epoch. An all-zero accuracy curve has no threshold
+    crossing; it converges at its final epoch.
     """
     if not records:
         raise ValueError("convergence_epoch needs a non-empty curve")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     peak = max(r.val_acc for r in records)
-    last_epoch = records[-1].task_index + 1
     if not peak > 0.0:
-        return ConvergenceResult(epoch=last_epoch, degenerate=True)
-    threshold = fraction * peak
-    for r in records:
-        if r.val_acc >= threshold:
-            return ConvergenceResult(epoch=r.task_index + 1)
-    return ConvergenceResult(epoch=last_epoch, degenerate=True)  # unreachable with finite data
+        return records[-1].task_index + 1
+    return next(r.task_index + 1 for r in records if r.val_acc >= 0.99 * peak)
 
 
 def _shared_fields_check(configs: list[RunConfig]) -> None:
@@ -258,18 +244,17 @@ def compare_optimizers(configs: list[RunConfig],
         start = time.perf_counter()
         result = run_sequential_tasks(cfg, model_spec)
         elapsed = time.perf_counter() - start
+        # a run records at least one step, so a diverged run without a
+        # finite accuracy converges at the epoch it stopped in
         finite = [r for r in result.records if np.isfinite(r.val_acc)]
         if finite:
-            conv = convergence_epoch(finite)
-            val_pct = finite[-1].val_acc * 100.0
+            epochs, val_pct = convergence_epoch(finite), finite[-1].val_acc * 100.0
         else:
-            conv = ConvergenceResult(epoch=result.records[-1].task_index + 1 if result.records else 1,
-                                     degenerate=True)
-            val_pct = float("nan")
+            epochs, val_pct = result.records[-1].task_index + 1, float("nan")
         rows.append(ComparisonRow(
-            algorithm=cfg.label or cfg.optimizer,
+            algorithm=cfg.optimizer,
             training_time_s=elapsed,
-            convergence_epochs=conv.epoch,
+            convergence_epochs=epochs,
             validation_accuracy_pct=val_pct,
             diverged=result.diverged,
         ))

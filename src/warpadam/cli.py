@@ -43,6 +43,7 @@ from .config import (
     build_model_spec,
     build_run_config,
     build_task_source,
+    build_warp_policy,
     getint,
     getlist,
     has_task_section,
@@ -164,6 +165,7 @@ def cmd_meta_train(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
+    policy = build_warp_policy(cfg)
     outer_steps = getint(cfg, "meta.outer_steps", 200)
     if outer_steps < 0:
         raise UsageError(f"meta.outer_steps must be >= 0, got {outer_steps}")
@@ -176,7 +178,7 @@ def cmd_meta_train(args) -> int:
     n_way, k_shot, qpc = episode.n_way, episode.k_shot, episode.query_per_class
 
     rng, train_table, eval_table, model = _meta_setup(cfg, seed, n_way)
-    warps = init_warps([p.shape for p in model.params], cfg.get("warp.policy", "auto"))
+    warps = init_warps([p.shape for p in model.params], policy)
     state = AdamState.zeros(sum(w.n_params for w in warps))
 
     # the held-out set, sampled in order and evaluated in stacks that keep the
@@ -251,8 +253,7 @@ def cmd_compare(args) -> int:
     any_diverged = []
     for prefix, block_name in prefixes:
         task_source = build_task_source(cfg, prefix)
-        configs = [build_run_config(cfg, seed, optimizer=o, prefix=prefix, label=o,
-                                    task_source=task_source)
+        configs = [build_run_config(cfg, seed, optimizer=o, prefix=prefix, task_source=task_source)
                    for o in optimizers]
         rows = compare_optimizers(configs, model_spec)
         any_diverged += [r.algorithm for r in rows if r.diverged]

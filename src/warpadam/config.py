@@ -17,28 +17,30 @@ import math
 from .bench import EpisodeSpec, ModelSpec, RunConfig, SynthSpec
 from .optim import HyperParams
 from .tasks import load_table
-from .warp import MetaConfig, load_warps
+from .warp import FORMS, MetaConfig, load_warps
 
 
 class UsageError(ValueError):
     """Bad flags or config contents; maps to exit code 2."""
 
 
+# every key changes some command's output: the inner loop is WarpAdam, whose
+# only settings are Adam's four (weight decay and momentum belong to AdamW and
+# Momentum), and only meta-train reads an eval split
 _HYPER_KEYS = ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")
 _TASK_KEYS = (
-    "source", "table", "n_way", "k_shot", "query_per_class",
-    "train_alphabets", "eval_alphabets",
+    "source", "table", "n_way", "k_shot", "query_per_class", "train_alphabets",
     "synth.alphabets", "synth.classes", "synth.instances", "synth.dim", "synth.noise",
 )
 
 KNOWN_KEYS = frozenset(
     [f"hyper.{k}" for k in _HYPER_KEYS]
-    + [f"inner.{k}" for k in _HYPER_KEYS]
+    + [f"inner.{k}" for k in _HYPER_KEYS[:4]]
     + [f"tasks.{k}" for k in _TASK_KEYS]
     + [f"tasks2.{k}" for k in _TASK_KEYS]
     + [
-        "run.optimizer", "run.n_tasks", "run.steps_per_task", "run.eval_every",
-        "run.seed", "run.label",
+        "run.optimizer", "run.n_tasks", "run.steps_per_task", "run.eval_every", "run.seed",
+        "tasks.eval_alphabets",
         "model.hidden",
         "warp.policy", "warp.checkpoint",
         "meta.inner_steps", "meta.outer_eta", "meta.tod_lambda", "meta.first_order",
@@ -133,16 +135,10 @@ def getlist(cfg, key):
 
 
 def build_hyper(cfg: dict[str, str], prefix: str = "hyper.") -> HyperParams:
-    defaults = HyperParams()
+    """The settings under ``prefix`` that the config gives, over the defaults."""
+    given = {k: getfloat(cfg, prefix + k) for k in _HYPER_KEYS if prefix + k in cfg}
     try:
-        return HyperParams(
-            eta=getfloat(cfg, prefix + "eta", defaults.eta),
-            beta1=getfloat(cfg, prefix + "beta1", defaults.beta1),
-            beta2=getfloat(cfg, prefix + "beta2", defaults.beta2),
-            epsilon=getfloat(cfg, prefix + "epsilon", defaults.epsilon),
-            weight_decay=getfloat(cfg, prefix + "weight_decay", defaults.weight_decay),
-            momentum=getfloat(cfg, prefix + "momentum", defaults.momentum),
-        )
+        return HyperParams(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -186,6 +182,14 @@ def build_episode(cfg: dict[str, str], prefix: str = "tasks.",
     return EpisodeSpec(**sizes, alphabets=alphabets)
 
 
+def build_warp_policy(cfg: dict[str, str]) -> str:
+    """``warp.policy``: ``auto`` or a form of ``warp.FORMS``."""
+    policy = cfg.get("warp.policy", "auto")
+    if policy != "auto" and policy not in FORMS:
+        raise UsageError(f"warp.policy must be auto or one of {', '.join(FORMS)}, got {policy!r}")
+    return policy
+
+
 def build_model_spec(cfg: dict[str, str]) -> ModelSpec:
     return ModelSpec(hidden=getint(cfg, "model.hidden", ModelSpec().hidden))
 
@@ -211,8 +215,7 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks."):
 
 
 def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = None,
-                     prefix: str = "tasks.", label: str | None = None,
-                     task_source=None) -> RunConfig:
+                     prefix: str = "tasks.", task_source=None) -> RunConfig:
     """One run's config; ``task_source`` reuses a ``build_task_source`` result.
 
     Configs that share a ``task_source`` share one table object, as
@@ -240,8 +243,7 @@ def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = Non
             eval_every=getint(cfg, "run.eval_every", 10),
             seed=seed,
             warps=warps,
-            warp_policy=cfg.get("warp.policy", "auto"),
-            label=label or cfg.get("run.label"),
+            warp_policy=build_warp_policy(cfg),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -62,10 +62,8 @@ class MLP:
             self.params.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
             self.params.append(np.zeros(fan_out))
 
-    def param_tensors(self, arrays: Sequence[np.ndarray] | None = None,
-                      requires_grad: bool = True) -> list[Tensor]:
-        src = self.params if arrays is None else arrays
-        return [Tensor(a, requires_grad=requires_grad) for a in src]
+    def param_tensors(self) -> list[Tensor]:
+        return [Tensor(a, requires_grad=True) for a in self.params]
 
     def logits(self, params: Sequence[Tensor], x: np.ndarray) -> Tensor:
         h: Tensor = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))

@@ -76,7 +76,9 @@ class AdamState:
     back to back (the warp module's adaptation steps all its tensors at once).
 
     ``m`` doubles as the velocity buffer for the Momentum baseline; ``v_max``
-    is the AMSGrad running maximum of the bias-corrected second moment.
+    is the AMSGrad running maximum of the bias-corrected second moment,
+    created (as zeros) by AMSGrad's first step, so one fresh state serves
+    every optimizer.
     """
 
     m: np.ndarray
@@ -85,13 +87,8 @@ class AdamState:
     v_max: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, shape, amsgrad: bool = False) -> "AdamState":
-        return cls(
-            m=np.zeros(shape),
-            v=np.zeros(shape),
-            t=0,
-            v_max=np.zeros(shape) if amsgrad else None,
-        )
+    def zeros(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def bias_correct(m, v, t: int, beta1: float, beta2: float, out=None):

@@ -117,7 +117,6 @@ def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: 
         sup_ids += [(ai, ci, j) for j in idx[:k_shot].tolist()]
         qry_ids += [(ai, ci, j) for j in idx[k_shot:].tolist()]
 
-    # no commas: task_id must survive as a single CSV field
     task_id = f"{alphabet.name}|" + "+".join(alphabet.classes[ci].name for ci in chosen)
     labels = np.arange(n_way, dtype=np.int64)
     return Episode(
@@ -340,15 +339,3 @@ def load_table(path) -> ClassTable:
     if offset != len(blob):
         raise bad(f"{len(blob) - offset} trailing bytes after {n_alpha} alphabets")
     return ClassTable(alphabets=alphabets, dim=dim, skipped_classes=skipped)
-
-
-def dump_episode_csv(episode: Episode, path) -> None:
-    """Debug dump: one row per example (task_id, split, label, input values)."""
-    with open(path, "w", newline="\n") as f:
-        width = episode.support_x.shape[1] if episode.support_x.ndim == 2 else 1
-        f.write("task_id,split,label," + ",".join(f"x{i}" for i in range(width)) + "\n")
-        for split, xs, ys in (("support", episode.support_x, episode.support_y),
-                              ("query", episode.query_x, episode.query_y)):
-            for x, y in zip(xs, ys):
-                vals = ",".join(f"{v:.17g}" for v in np.atleast_1d(x))
-                f.write(f"{episode.task_id},{split},{int(y)},{vals}\n")

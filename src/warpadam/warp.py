@@ -38,10 +38,10 @@ shared by all E, receive the sum of the E per-episode hypergradients.
 Each episode's losses do not depend on the stack it is in, so
 ``stack_within_budget`` can size the stacks of an evaluation by memory alone.
 
-Array adaptation (``adapt``, ``adaptation_query_loss`` and the forward
-pass of ``adjoint_hypergrad``) keeps the parameters of all tensors
-in one flat buffer with one Adam state (``FlatParams``), so each inner step is
-one in-place ``optim.warpadam_core``; only the warps act tensor by tensor,
+Array adaptation (``adapt``, which ``adaptation_query_loss`` runs and
+which is the forward pass of ``adjoint_hypergrad``) keeps the parameters of
+all tensors in one flat buffer with one Adam state (``FlatParams``), so each
+inner step is one in-place ``optim.warpadam_core``; only the warps act tensor by tensor,
 each on its segment. ``bench.run_sequential_tasks`` steps its parameters the
 same way. There each warp is resolved once (``_FlatWarp``): an
 identity-valued warp costs a copy, with the product's bits, so WarpAdam at
@@ -290,6 +290,8 @@ class MetaConfig:
 
     ``cut`` is the first inner step that the hypergradient differentiates
     (Shaban et al. 2019's truncation point): 1, or K with ``first_order``.
+    ``adapt`` tapes from it and both hypergradients stop at it, so another
+    truncation point is another value of ``cut`` alone.
     ``node_budget`` caps the float64 entries that the tape of a full (not
     first-order) ``adjoint_hypergrad`` of one task batch may hold: four flat
     arrays ``(w, g, m, v)`` per inner step, each as long as the stacked
@@ -432,7 +434,7 @@ def stack_episodes(episodes: Sequence[Episode]) -> Episode:
     )
 
 
-# The float64 entries that one flat array of a stack's parameters (``_adapt``'s
+# The float64 entries that one flat array of a stack's parameters (``adapt``'s
 # w, g, m and v, and the temporaries of its steps) may hold: 16,384 entries
 # are 128 KiB, glibc's default mmap threshold, so these arrays come from the
 # heap rather than from one mmap each, and the memory an evaluation takes is
@@ -498,7 +500,7 @@ def _segment_apply(warp: WarpMatrix, shape: tuple[int, ...]):
 
 
 class _FlatWarp:
-    """The warps of an adaptation as one warp of its flat buffer (see ``_adapt``).
+    """The warps of an adaptation as one warp of its flat buffer (see ``adapt``).
 
     ``shapes`` are the tensors' shapes in the buffer, each starting with the
     stack axes ``lead``. Construction checks that each warp fits its tensor:
@@ -560,19 +562,21 @@ class FlatParams:
         self.arrays = _views(self.w, self.shapes)
 
 
-def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperParams,
-           tape=None, tape_from: int = 1) -> list[np.ndarray]:
-    """``steps`` array WarpAdam steps on the support loss; the adapted parameters.
+def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig,
+          tape=None) -> list[np.ndarray]:
+    """``cfg.inner_steps`` array WarpAdam steps, with ``cfg.inner_hyper``, on
+    the support loss; the adapted parameters.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
     ``AdamState`` over it, and each inner step is one in-place
     ``warpadam_core`` over every tensor. Returns per-tensor views of the
-    parameters, in their plain or stacked shapes.
+    parameters, in their plain or stacked shapes: for a stacked episode every
+    array carries one adapted copy per episode on axis 0.
 
     Given a ``tape`` (anything with ``append``), each step from step
-    ``tape_from`` (``MetaConfig.cut``) on appends the flat ``(w, g, m, v)``:
-    the parameters it started from, the gradient there, and the moments it
-    left, each an array of the tape's own. The steps before it copy nothing.
+    ``cfg.cut`` on appends the flat ``(w, g, m, v)``: the parameters it
+    started from, the gradient there, and the moments it left, each an array
+    of the tape's own. The steps before it copy nothing.
 
     The gradients come from ``model.loss_grads``. A warp that does not fit its
     tensor raises ``ShapeError`` before the first step.
@@ -580,12 +584,12 @@ def _adapt(model, warps: Sequence[WarpMatrix], episode, steps: int, h: HyperPara
     params = FlatParams(_start_arrays(model, episode))
     warp = _FlatWarp(warps, params.shapes, _stack_lead(episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
-    for t in range(1, steps + 1):
+    for t in range(1, cfg.inner_steps + 1):
         g = _flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
         check_step_inputs(state, w, g)
-        taped = tape is not None and t >= tape_from
+        taped = tape is not None and t >= cfg.cut
         w_start = w.copy() if taped else None
-        warpadam_core(state, w, g, h, buf, warp)
+        warpadam_core(state, w, g, cfg.inner_hyper, buf, warp)
         if taped:
             tape.append((w_start, g, state.m.copy(), state.v.copy()))
     return params.arrays
@@ -642,7 +646,7 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
 
     The model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
     ``losses``; one that lacks any of them raises ``TypeError`` naming it.
-    The forward pass is ``_adapt`` with a tape of each step's flat
+    The forward pass is ``adapt`` with a tape of each step's flat
     ``(w, g, m, v)``; the backward pass walks the steps from the last:
     ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped gradient
     ``P g``, each warp adds its ``factor_grads`` of ``<u_bar, P g>``, and the
@@ -667,7 +671,7 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
                 f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
                 f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
     tape = []
-    arrays = _adapt(model, warps, episode, steps, h, tape, cut)
+    arrays = adapt(model, warps, episode, cfg, tape)
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
     shapes = [a.shape for a in arrays]
     warp = _FlatWarp(warps, shapes, lead)
@@ -685,15 +689,6 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
             w_bar = w_bar + _flat(model.loss_hvp(_views(w, shapes), episode.support_x,
                                                  episode.support_y, g_bar))
     return [_flat(factors) for factors in totals], _per_episode(losses)
-
-
-def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig) -> list[np.ndarray]:
-    """K plain (non-differentiable) inner WarpAdam steps; returns adapted params.
-
-    For a stacked episode every array carries one adapted copy per episode on
-    axis 0.
-    """
-    return _adapt(model, warps, episode, cfg.inner_steps, cfg.inner_hyper)
 
 
 def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig):

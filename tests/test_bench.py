@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import warpadam.tensor as T
 from warpadam.bench import (
@@ -122,7 +120,7 @@ def _per_tensor_run(cfg, model_spec):
     table = resolve_table(cfg.synth, cfg.table, rng)
     model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
     arrays = model.clone_params()
-    states = [AdamState.zeros(a.shape, amsgrad=cfg.optimizer == "amsgrad") for a in arrays]
+    states = [AdamState.zeros(a.shape) for a in arrays]
     warps = init_warps([a.shape for a in arrays], cfg.warp_policy)
 
     def step(i, g):
@@ -242,39 +240,21 @@ def curve_from_accs(accs):
 
 
 def test_convergence_epoch_hand_scan():
-    res = convergence_epoch(curve_from_accs([0.5, 0.7, 0.79, 0.8, 0.8]), fraction=0.99)
-    assert res.epoch == 4 and not res.degenerate
+    # 0.79 is below 99% of the peak 0.8, so epoch 4 is the first to reach it
+    assert convergence_epoch(curve_from_accs([0.5, 0.7, 0.79, 0.8, 0.8])) == 4
 
 
 def test_convergence_epoch_constant_curve():
-    res = convergence_epoch(curve_from_accs([0.9, 0.9, 0.9]))
-    assert res.epoch == 1
-
-
-def test_convergence_epoch_fraction_one_hits_first_max():
-    res = convergence_epoch(curve_from_accs([0.1, 0.4, 0.8, 0.8]), fraction=1.0)
-    assert res.epoch == 3
+    assert convergence_epoch(curve_from_accs([0.9, 0.9, 0.9])) == 1
 
 
 def test_convergence_epoch_degenerate_zeros():
-    res = convergence_epoch(curve_from_accs([0.0, 0.0]))
-    assert res.degenerate and res.epoch == 2
+    assert convergence_epoch(curve_from_accs([0.0, 0.0])) == 2
 
 
 def test_convergence_epoch_validation():
     with pytest.raises(ValueError):
         convergence_epoch([])
-    with pytest.raises(ValueError):
-        convergence_epoch(curve_from_accs([0.5]), fraction=0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
-       st.floats(0.01, 1.0), st.floats(0.01, 1.0))
-def test_convergence_epoch_monotone_in_fraction(accs, f1, f2):
-    lo, hi = sorted((f1, f2))
-    curve = curve_from_accs(accs)
-    assert convergence_epoch(curve, lo).epoch <= convergence_epoch(curve, hi).epoch
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +269,8 @@ def test_compare_rows_match_config_order():
 
 
 def test_compare_identical_configs_identical_metrics():
-    cfgs = [tiny_cfg("adam", n_tasks=1, steps_per_task=5, label="a"),
-            tiny_cfg("adam", n_tasks=1, steps_per_task=5, label="b")]
+    cfgs = [tiny_cfg("adam", n_tasks=1, steps_per_task=5),
+            tiny_cfg("adam", n_tasks=1, steps_per_task=5)]
     r1, r2 = compare_optimizers(cfgs, SPEC)
     assert r1.convergence_epochs == r2.convergence_epochs
     assert r1.validation_accuracy_pct == r2.validation_accuracy_pct

@@ -73,6 +73,12 @@ def write_cfg(tmp_path, text, name="cfg.txt"):
     return str(p)
 
 
+def command_cfg(tmp_path, command):
+    """A small working config of ``run``, ``compare`` or ``meta-train``."""
+    text = {"run": SMALL_RUN, "compare": SMALL_RUN + COMPARE_EXTRA, "meta-train": SMALL_META}
+    return write_cfg(tmp_path, text[command])
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -146,7 +152,7 @@ _HYPER_KEYS = ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command, key", (
     [("run", "hyper." + k) for k in _HYPER_KEYS] + [("run", "tasks.synth.noise")]
-    + [("meta-train", "inner." + k) for k in _HYPER_KEYS]
+    + [("meta-train", "inner." + k) for k in _HYPER_KEYS[:4]]
     + [("meta-train", k) for k in ("meta.outer_eta", "meta.tod_lambda", "tasks.synth.noise")]
 ))
 def test_non_finite_float_is_usage_error_naming_the_key(tmp_path, capsys, command, key, value):
@@ -248,8 +254,37 @@ def test_negative_seed_is_usage_error_naming_its_source(tmp_path, capsys, monkey
 def test_run_that_fails_while_building_writes_no_output_directory(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.optimizer=adam", "run.optimizer=warpadam"))
     out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out), "--set", "warp.policy=bogus"]) == 2
-    assert capsys.readouterr().err == "error: unknown warp policy 'bogus'\n"
+    # the policy is valid, but the (8,) bias is not a matrix for kron factors
+    assert main(["run", "--config", cfg, "--out", str(out), "--set", "warp.policy=kron"]) == 2
+    assert capsys.readouterr().err == ("error: kron policy needs matrix-shaped tensors, "
+                                       "got shape (8,)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("run", []), ("run", ["run.optimizer=warpadam"]), ("compare", []), ("meta-train", []),
+], ids=["run-adam", "run-warpadam", "compare", "meta-train"])
+def test_bad_warp_policy_is_usage_error_naming_the_key(tmp_path, capsys, command, settings):
+    cfg = command_cfg(tmp_path, command)
+    out = tmp_path / "o"
+    sets = [a for kv in settings + ["warp.policy=bogus"] for a in ("--set", kv)]
+    assert main([command, "--config", cfg, "--out", str(out), *sets]) == 2
+    assert capsys.readouterr().err == ("usage error: warp.policy must be auto or one of identity, "
+                                       "diagonal, dense, kron, got 'bogus'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("meta-train", "inner.weight_decay"), ("meta-train", "inner.momentum"),
+    ("run", "run.label"), ("compare", "tasks2.eval_alphabets"),
+])
+def test_key_without_effect_is_unknown(tmp_path, capsys, command, key):
+    # WarpAdam's inner loop has Adam's four settings only; compare names each
+    # row after its optimizer; only meta-train reads an eval split, under tasks.
+    cfg = command_cfg(tmp_path, command)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", f"{key}=0.5"]) == 2
+    assert capsys.readouterr().err == f"usage error: unknown config keys: {key}\n"
     assert not out.exists()
 
 

@@ -127,7 +127,7 @@ META_KEYS = (
     "meta.tasks_per_outer_step", "meta.node_budget", "meta.eval_episodes", "meta.eval_every",
     "tasks.synth.alphabets", "tasks.synth.classes", "tasks.synth.instances", "tasks.synth.dim",
     "tasks.n_way", "tasks.k_shot", "tasks.query_per_class",
-    *(f"inner.{k}" for k in ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")),
+    *(f"inner.{k}" for k in ("eta", "beta1", "beta2", "epsilon")),
     "meta.outer_eta", "meta.tod_lambda", "tasks.synth.noise",
     "meta.first_order", "warp.policy",
 )

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from warpadam.tasks import (
     PgmError,
     SamplingError,
-    dump_episode_csv,
     import_image_classes,
     load_table,
     sample_episode,
@@ -314,16 +313,3 @@ def test_table_cache_rejects_garbage(tmp_path):
     p.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ValueError):
         load_table(p)
-
-
-def test_episode_csv_dump(tmp_path):
-    table = small_table()
-    ep = sample_episode(table, 2, 1, 2, np.random.default_rng(15))
-    path = tmp_path / "ep.csv"
-    dump_episode_csv(ep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("task_id,split,label,x0")
-    assert len(lines) == 1 + 2 + 4
-    assert all("," in ln for ln in lines[1:])
-    splits = {ln.split(",")[1] for ln in lines[1:]}
-    assert splits == {"support", "query"}

@@ -22,7 +22,6 @@ from warpadam.warp import (
     ResourceError,
     WarpMatrix,
     _FlatWarp,
-    _adapt,
     _flat,
     _start_arrays,
     _unrolled_warpadam,
@@ -635,7 +634,7 @@ def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
     model, warps, episode = _adapt_setup(form, stacked)
     h = HyperParams(eta=0.05, epsilon=0.1)
     tape = []
-    arrays = _adapt(model, warps, episode, 3, h, tape)
+    arrays = adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
     want_arrays, want_states = _per_tensor_adapt(model, warps, episode, 3, h)
     assert len(arrays) == len(model.params)
     for got, want in zip(arrays, want_arrays, strict=True):
@@ -653,9 +652,9 @@ def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
     original = warp_module.warpadam_core
     monkeypatch.setattr(warp_module, "warpadam_core",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
-    for steps in (0, 1, 3):
+    for steps in (1, 3):
         calls.clear()
-        _adapt(model, warps, episode, steps, HyperParams(eta=0.05))
+        adapt(model, warps, episode, MetaConfig(inner_steps=steps))
         assert len(calls) == steps
     assert len(model.params) == 4
 
@@ -664,14 +663,15 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
     tape = []
-    arrays = _adapt(model, warps, episode, 3, h, tape)
+    arrays = adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
     assert len(tape) == 3
     entries = [a for step in tape for a in step]
     for i, a in enumerate(entries):
         assert not any(np.shares_memory(a, b) for b in entries[i + 1:] + arrays)
     # step k starts from the parameters k steps left and leaves k+1 steps' moments
     for k, (w, g, m, v) in enumerate(tape):
-        start = _adapt(model, warps, episode, k, h)
+        start = (adapt(model, warps, episode, MetaConfig(inner_steps=k, inner_hyper=h)) if k
+                 else _start_arrays(model, episode))
         after = _per_tensor_adapt(model, warps, episode, k + 1, h)[1]
         assert np.array_equal(w, _flat(start))
         assert np.array_equal(g, _flat(model.loss_grads(start, episode.support_x,
@@ -680,17 +680,17 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
         assert np.array_equal(v, _flat(s.v for s in after))
 
 
-def test_adapt_tapes_only_the_steps_from_tape_from():
+def test_adapt_tapes_only_the_steps_from_cut():
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
     full, tail = [], []
-    want = _adapt(model, warps, episode, 4, h, full)
-    got = _adapt(model, warps, episode, 4, h, tail, tape_from=3)
-    assert len(full) == 4 and len(tail) == 2
+    want = adapt(model, warps, episode, MetaConfig(inner_steps=4, inner_hyper=h), full)
+    first_order = MetaConfig(inner_steps=4, inner_hyper=h, first_order=True)
+    got = adapt(model, warps, episode, first_order, tail)
+    assert first_order.cut == 4 and len(full) == 4 and len(tail) == 1
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
-    for step, want_step in zip(tail, full[2:]):
-        assert all(np.array_equal(a, b) for a, b in zip(step, want_step, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(tail[0], full[3], strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +825,15 @@ class FixedGrads:
 def test_adapt_checks_every_segment_of_the_flat_buffer():
     episode = quad_episode([0.0], [0.0])
     warps = [WarpMatrix.identity(3), WarpMatrix.diagonal(np.ones(2))]
-    h = HyperParams(eta=0.1)
+    cfg = MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=0.1))
     for bad in (np.nan, np.inf):
         model = FixedGrads([np.zeros(3), np.zeros(2)], [np.ones(3), np.array([1.0, bad])])
         with pytest.raises(NumericError, match="non-finite gradient passed to optimizer step"):
-            _adapt(model, warps, episode, 1, h)
+            adapt(model, warps, episode, cfg)
     # an update of -1 at step 1 carries the last tensor's largest entry past the float range
     model = FixedGrads([np.zeros(3), np.array([0.0, 1e308])], [np.ones(3), -np.ones(2)])
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="warpadam step overflowed"):
-        _adapt(model, warps, episode, 1, HyperParams(eta=1e308))
+        adapt(model, warps, episode, MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=1e308)))
 
 
 def test_adapt_rejects_a_warp_that_does_not_fit_its_tensor():
