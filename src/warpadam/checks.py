@@ -175,10 +175,8 @@ def check_tod_zero_cases() -> CheckResult:
 def check_hypergradient(perturb: float = 0.0) -> CheckResult:
     rng = np.random.default_rng(19)
     model = MLP([3, 4], rng)
-    episode = Episode(
-        support_x=rng.normal(size=(6, 3)), support_y=rng.integers(0, 4, size=6),
-        query_x=rng.normal(size=(8, 3)), query_y=rng.integers(0, 4, size=8),
-        n_way=4, k_shot=1, task_id="check")
+    episode = Episode(support_x=rng.normal(size=(6, 3)), support_y=rng.integers(0, 4, size=6),
+                      query_x=rng.normal(size=(8, 3)), query_y=rng.integers(0, 4, size=8))
     warps = [WarpMatrix.dense(np.eye(p.size) + 0.05 * rng.normal(size=(p.size, p.size)))
              for p in model.params]
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
@@ -208,10 +206,8 @@ def check_hypergradient_adjoint(perturb: float = 0.0) -> list[CheckResult]:
     hidden-layer MLP with kron, diagonal and dense warps."""
     rng = np.random.default_rng(29)
     model = MLP([4, 3, 3], rng)
-    episode = Episode(
-        support_x=rng.normal(size=(6, 4)), support_y=rng.integers(0, 3, size=6),
-        query_x=rng.normal(size=(8, 4)), query_y=rng.integers(0, 3, size=8),
-        n_way=3, k_shot=2, task_id="check")
+    episode = Episode(support_x=rng.normal(size=(6, 4)), support_y=rng.integers(0, 3, size=6),
+                      query_x=rng.normal(size=(8, 4)), query_y=rng.integers(0, 3, size=8))
     warps = [WarpMatrix.kronecker(np.eye(4) + 0.1 * rng.normal(size=(4, 4)),
                                   np.eye(3) + 0.1 * rng.normal(size=(3, 3))),
              WarpMatrix.diagonal(1.0 + 0.2 * rng.normal(size=3)),

@@ -44,6 +44,7 @@ from .config import (
     build_run_config,
     build_task_source,
     build_warp_policy,
+    check_checkpoint_read,
     getint,
     getlist,
     has_task_section,
@@ -134,6 +135,7 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     run_cfg = build_run_config(cfg, seed)
+    check_checkpoint_read(cfg, (run_cfg.optimizer,), f"run.optimizer={run_cfg.optimizer}")
     result = run_sequential_tasks(run_cfg, build_model_spec(cfg))
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
@@ -166,6 +168,7 @@ def cmd_meta_train(args) -> int:
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
     policy = build_warp_policy(cfg)
+    check_checkpoint_read(cfg, (), "meta-train")
     outer_steps = getint(cfg, "meta.outer_steps", 200)
     if outer_steps < 0:
         raise UsageError(f"meta.outer_steps must be >= 0, got {outer_steps}")
@@ -201,7 +204,6 @@ def cmd_meta_train(args) -> int:
     # a step that overflows (NumericError from adaptation, the outer update or
     # the evaluation) ends the run as a divergence that keeps the last finite
     # warps; it is detected by those checks, not by numpy warnings
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     diverged = None
     t = 0
@@ -225,6 +227,7 @@ def cmd_meta_train(args) -> int:
     except NumericError as exc:
         diverged = f"{exc} at outer step {t}"
 
+    os.makedirs(args.out, exist_ok=True)  # only to write: an exit 2 above leaves no --out
     with open(os.path.join(args.out, "meta_curve.csv"), "w", newline="\n") as f:
         f.write("outer_step,batch_query_loss,tod_value,eval_query_loss\n")
         for t, b, p, e in rows:
@@ -244,6 +247,7 @@ def cmd_compare(args) -> int:
     optimizers = getlist(cfg, "compare.optimizers")
     if optimizers is None or len(optimizers) < 2:
         raise UsageError("compare needs compare.optimizers with at least two entries")
+    check_checkpoint_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
     prefixes = [("tasks.", "tasks")]
     if has_task_section(cfg, "tasks2."):
         prefixes.append(("tasks2.", "tasks2"))
@@ -289,7 +293,10 @@ def cmd_import(args) -> int:
     root = args.root or cfg.get("import.root")
     if root is None:
         raise UsageError("import needs --root (or import.root in the config)")
-    side = args.side if args.side is not None else getint(cfg, "import.side", 28)
+    key = "import.side" if args.side is None else "--side"
+    side = getint(cfg, key, 28) if args.side is None else args.side
+    if side < 1:
+        raise UsageError(f"{key} must be positive, got {side}")
     table = import_image_classes(root, side)
     os.makedirs(args.out, exist_ok=True)
     save_table(os.path.join(args.out, "table.wtbl"), table)

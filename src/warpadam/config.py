@@ -191,7 +191,22 @@ def build_warp_policy(cfg: dict[str, str]) -> str:
 
 
 def build_model_spec(cfg: dict[str, str]) -> ModelSpec:
-    return ModelSpec(hidden=getint(cfg, "model.hidden", ModelSpec().hidden))
+    hidden = getint(cfg, "model.hidden", ModelSpec().hidden)
+    if hidden < 0:
+        raise UsageError(f"model.hidden must be >= 0 (0 gives a linear classifier), got {hidden}")
+    return ModelSpec(hidden=hidden)
+
+
+_NO_CHECKPOINT = (None, "", "identity")  # ``warp.checkpoint`` values that mean identity warps
+
+
+def check_checkpoint_read(cfg: dict[str, str], optimizers, who: str) -> None:
+    """A ``warp.checkpoint`` path is read only by the warpadam optimizer; one
+    given to a command that runs none is a ``UsageError`` naming the key."""
+    ckpt = cfg.get("warp.checkpoint")
+    if ckpt not in _NO_CHECKPOINT and "warpadam" not in optimizers:
+        raise UsageError(f"warp.checkpoint is read only by run and compare with the warpadam "
+                         f"optimizer, not by {who}, got {ckpt!r}")
 
 
 def has_task_section(cfg: dict[str, str], prefix: str) -> bool:
@@ -226,10 +241,8 @@ def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = Non
         raise UsageError("run.optimizer is required")
     synth, table = task_source or build_task_source(cfg, prefix)
 
-    warps = None
     ckpt = cfg.get("warp.checkpoint")
-    if optimizer == "warpadam" and ckpt not in (None, "", "identity"):
-        warps = load_warps(ckpt)
+    warps = load_warps(ckpt) if optimizer == "warpadam" and ckpt not in _NO_CHECKPOINT else None
 
     try:
         return RunConfig(

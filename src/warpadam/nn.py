@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (Tensor, _cross_entropy_data, _softmax_data, add, matmul,
+from .tensor import (Tensor, _cross_entropy_data, add, matmul,
                      softmax_cross_entropy, softmax_cross_entropy_grad, sum_to, tanh)
 
 
@@ -99,7 +99,7 @@ class MLP:
         """
         n_layers = len(arrays) // 2
         hs, biases = self._forward(arrays, x)
-        losses, g = softmax_cross_entropy_grad(hs.pop(), y)
+        losses, g, _ = softmax_cross_entropy_grad(hs.pop(), y)
         grads: list[np.ndarray] = [None] * len(arrays)
         for i in reversed(range(n_layers)):
             w, h = arrays[2 * i], hs[i]
@@ -132,8 +132,7 @@ class MLP:
             if i < n_layers - 1:
                 h = hs[i + 1]
                 r_hs.append((1.0 - h * h) * r_z)
-        g = softmax_cross_entropy_grad(z, y)[1]
-        p = _softmax_data(z, -1)
+        _, g, p = softmax_cross_entropy_grad(z, y)
         r_g = (1.0 / z.shape[-2]) * p * (r_z - np.sum(p * r_z, axis=-1, keepdims=True))
         out: list[np.ndarray] = [None] * len(arrays)
         for i in reversed(range(n_layers)):

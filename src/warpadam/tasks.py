@@ -15,7 +15,8 @@ do) and an importer for directory trees of binary PGM (P5) images.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,19 +63,13 @@ def split_table(table: ClassTable, train_names, eval_names) -> tuple[ClassTable,
     return table.restricted(train_names), table.restricted(eval_names)
 
 
-@dataclass
-class Episode:
+class Episode(NamedTuple):
     """One few-shot task: a support set for adaptation, a query set held out."""
 
     support_x: np.ndarray  # (n_way*k_shot, dim)
     support_y: np.ndarray  # int labels in 0..n_way-1
     query_x: np.ndarray
     query_y: np.ndarray
-    n_way: int
-    k_shot: int
-    task_id: str
-    support_ids: list[tuple[int, int, int]] = field(default_factory=list)
-    query_ids: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: int,
@@ -92,39 +87,27 @@ def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: 
     pool = table.restricted(alphabets) if alphabets is not None else table
     need = k_shot + query_per_class
 
-    candidates = []
-    for ai, alphabet in enumerate(pool.alphabets):
-        eligible = [ci for ci, c in enumerate(alphabet.classes) if len(c.instances) >= need]
+    candidates = []  # per alphabet with room for the episode, its eligible classes
+    for alphabet in pool.alphabets:
+        eligible = [c for c in alphabet.classes if len(c.instances) >= need]
         if len(eligible) >= n_way:
-            candidates.append((ai, eligible))
+            candidates.append(eligible)
     if not candidates:
         raise SamplingError(
             f"no alphabet offers {n_way} classes with >= {need} instances each "
             f"(k_shot={k_shot} + query_per_class={query_per_class})")
 
-    ai, eligible = candidates[rng.integers(len(candidates))]
-    alphabet = pool.alphabets[ai]
-    class_pick = rng.choice(len(eligible), size=n_way, replace=False)
-    chosen = [eligible[i] for i in class_pick]
-
-    sup_x, qry_x, sup_ids, qry_ids = [], [], [], []
-    for ci in chosen:
-        instances = alphabet.classes[ci].instances
-        idx = rng.choice(len(instances), size=need, replace=False)
-        rows = instances[idx]
+    eligible = candidates[rng.integers(len(candidates))]
+    sup_x, qry_x = [], []
+    for i in rng.choice(len(eligible), size=n_way, replace=False):
+        instances = eligible[i].instances
+        rows = instances[rng.choice(len(instances), size=need, replace=False)]
         sup_x.append(rows[:k_shot])
         qry_x.append(rows[k_shot:])
-        sup_ids += [(ai, ci, j) for j in idx[:k_shot].tolist()]
-        qry_ids += [(ai, ci, j) for j in idx[k_shot:].tolist()]
 
-    task_id = f"{alphabet.name}|" + "+".join(alphabet.classes[ci].name for ci in chosen)
     labels = np.arange(n_way, dtype=np.int64)
-    return Episode(
-        support_x=np.concatenate(sup_x), support_y=np.repeat(labels, k_shot),
-        query_x=np.concatenate(qry_x), query_y=np.repeat(labels, query_per_class),
-        n_way=n_way, k_shot=k_shot, task_id=task_id,
-        support_ids=sup_ids, query_ids=qry_ids,
-    )
+    return Episode(support_x=np.concatenate(sup_x), support_y=np.repeat(labels, k_shot),
+                   query_x=np.concatenate(qry_x), query_y=np.repeat(labels, query_per_class))
 
 
 def synth_proto_tasks(n_alphabets: int, classes_per_alphabet: int, instances_per_class: int,

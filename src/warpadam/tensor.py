@@ -330,8 +330,10 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(_softmax_data(a.data, axis), (a,), bwd, "softmax")
 
 
-def _cross_entropy_data(logits: np.ndarray, labels) -> np.ndarray:
-    """``softmax_cross_entropy``'s checked forward on arrays: the per-index means."""
+def _cross_entropy_parts(logits: np.ndarray, labels):
+    """``softmax_cross_entropy``'s checked forward on arrays: the per-index
+    means, the labels as int64, and ``exp`` of the shifted logits with its
+    sums over the classes, of which the softmax is the quotient."""
     labels = np.asarray(labels)
     if logits.ndim < 2:
         raise ShapeError(f"logits must be (..., batch, classes), got {logits.shape}")
@@ -340,29 +342,32 @@ def _cross_entropy_data(logits: np.ndarray, labels) -> np.ndarray:
         raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"labels out of range [0, {c})")
-    rows, cols = np.arange(labels.size), labels.reshape(-1).astype(np.int64)
+    labels = labels.astype(np.int64)
 
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted.reshape(-1, c)[rows, cols].reshape(labels.shape)
-    return np.mean(lse - picked, axis=-1)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = shifted.reshape(-1, c)[np.arange(labels.size), labels.reshape(-1)]
+    return np.mean(np.log(total[..., 0]) - picked.reshape(labels.shape), axis=-1), labels, e, total
 
 
-def _one_hot(labels, c: int) -> np.ndarray:
-    """The rows of the c x c identity that ``labels`` pick, shaped ``labels.shape + (c,)``."""
-    return np.eye(c)[np.asarray(labels).astype(np.int64)]
+def _cross_entropy_data(logits: np.ndarray, labels) -> np.ndarray:
+    """``softmax_cross_entropy``'s checked forward on arrays: the per-index means."""
+    return _cross_entropy_parts(logits, labels)[0]
 
 
-def softmax_cross_entropy_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax_cross_entropy`` of an array, and the gradient of its sum.
+def softmax_cross_entropy_grad(logits: np.ndarray,
+                               labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``softmax_cross_entropy`` of an array, the gradient of its sum, and
+    the softmax, from one check of the labels and one ``exp``.
 
     The array twin of the primitive and of its backward rule under a unit
-    upstream gradient: the same numpy operations in the same order, so both
-    results carry the bits the graph would give.
+    upstream gradient: the same numpy operations in the same order, so all
+    three carry the bits the graph would give.
     """
-    ce = _cross_entropy_data(logits, labels)
-    onehot = _one_hot(labels, logits.shape[-1])
-    return ce, (1.0 / logits.shape[-2]) * (_softmax_data(logits, -1) - onehot)
+    ce, labels, e, total = _cross_entropy_parts(logits, labels)
+    p = e / total
+    return ce, (1.0 / logits.shape[-2]) * (p - np.eye(logits.shape[-1])[labels]), p
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -372,8 +377,8 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     one mean over the n rows for each leading index (a scalar for 2-D logits).
     """
     logits = _as_tensor(logits)
-    ce = _cross_entropy_data(logits.data, labels)
-    onehot_t = Tensor(_one_hot(labels, logits.shape[-1]))
+    ce, labels, _, _ = _cross_entropy_parts(logits.data, labels)
+    onehot_t = Tensor(np.eye(logits.shape[-1])[labels])
     n = logits.shape[-2]
 
     def bwd(g):

@@ -411,27 +411,17 @@ def _unrolled_warpadam(model, episode, warps: Sequence[WarpMatrix],
 
 
 def stack_episodes(episodes: Sequence[Episode]) -> Episode:
-    """E episodes of one geometry as one episode whose arrays carry E on axis 0."""
+    """E episodes of one geometry (the shapes of their four arrays) as one
+    episode whose arrays carry E on axis 0."""
     if len(episodes) == 0:
         raise ValueError("need at least one episode to stack")
 
-    def geometry(ep):
-        return (np.shape(ep.support_x), np.shape(ep.support_y), np.shape(ep.query_x),
-                np.shape(ep.query_y), ep.n_way, ep.k_shot)
-
-    first = geometry(episodes[0])
-    for i, ep in enumerate(episodes):
-        if geometry(ep) != first:
-            raise ShapeError(f"episode {i} has geometry {geometry(ep)}, episode 0 has {first}; "
-                             "only episodes of one geometry stack")
-    return Episode(
-        support_x=np.stack([ep.support_x for ep in episodes]),
-        support_y=np.stack([ep.support_y for ep in episodes]),
-        query_x=np.stack([ep.query_x for ep in episodes]),
-        query_y=np.stack([ep.query_y for ep in episodes]),
-        n_way=episodes[0].n_way, k_shot=episodes[0].k_shot,
-        task_id="+".join(ep.task_id for ep in episodes),
-    )
+    shapes = [tuple(map(np.shape, ep)) for ep in episodes]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise ShapeError(f"episode {i} has array shapes {shape}, episode 0 has "
+                             f"{shapes[0]}; only episodes of one geometry stack")
+    return Episode(*map(np.stack, zip(*episodes)))
 
 
 # The float64 entries that one flat array of a stack's parameters (``adapt``'s
@@ -562,10 +552,18 @@ class FlatParams:
         self.arrays = _views(self.w, self.shapes)
 
 
-def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig,
-          tape=None) -> list[np.ndarray]:
+def _episode_warp(model, warps: Sequence[WarpMatrix], episode) -> _FlatWarp:
+    """The warps resolved once for ``adapt`` on ``episode``: one ``_FlatWarp``
+    over the model's parameters in the episode's plain or stacked shapes. A
+    warp that does not fit its tensor raises ``ShapeError``."""
+    lead = _stack_lead(episode)
+    return _FlatWarp(warps, [lead + np.shape(p) for p in model.params], lead)
+
+
+def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig, tape=None) -> list[np.ndarray]:
     """``cfg.inner_steps`` array WarpAdam steps, with ``cfg.inner_hyper``, on
-    the support loss; the adapted parameters.
+    the support loss, warped by ``warp`` (``_episode_warp``); the adapted
+    parameters.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
     ``AdamState`` over it, and each inner step is one in-place
@@ -578,11 +576,9 @@ def adapt(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig,
     started from, the gradient there, and the moments it left, each an array
     of the tape's own. The steps before it copy nothing.
 
-    The gradients come from ``model.loss_grads``. A warp that does not fit its
-    tensor raises ``ShapeError`` before the first step.
+    The gradients come from ``model.loss_grads``.
     """
     params = FlatParams(_start_arrays(model, episode))
-    warp = _FlatWarp(warps, params.shapes, _stack_lead(episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
     for t in range(1, cfg.inner_steps + 1):
         g = _flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
@@ -630,7 +626,7 @@ def hypergrad_P(episode, model, warps: Sequence[WarpMatrix],
     caps it.
     """
     _check_episode(episode)
-    _FlatWarp(warps, [np.shape(p) for p in model.params])  # raises on a warp that does not fit
+    _episode_warp(model, warps, episode)  # raises on a warp that does not fit
     leaves = [_warp_leaves(w) for w in warps]
     ws = _unrolled_warpadam(model, episode, warps, leaves, cfg.inner_steps, cfg.cut,
                             cfg.inner_hyper)
@@ -646,8 +642,9 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
 
     The model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
     ``losses``; one that lacks any of them raises ``TypeError`` naming it.
-    The forward pass is ``adapt`` with a tape of each step's flat
-    ``(w, g, m, v)``; the backward pass walks the steps from the last:
+    The warps are resolved once, with their transpose. The forward pass is
+    ``adapt`` with a tape of each step's flat ``(w, g, m, v)``; the backward
+    pass walks the steps from the last:
     ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped gradient
     ``P g``, each warp adds its ``factor_grads`` of ``<u_bar, P g>``, and the
     parameters' adjoint gains ``H(w) P^T u_bar``, with ``P^T`` applied as the
@@ -663,19 +660,17 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     """
     _check_model(model)
     _check_episode(episode)
-    h, steps, cut, lead = cfg.inner_hyper, cfg.inner_steps, cfg.cut, _stack_lead(episode)
-    if cut < steps:
-        entries = 4 * steps * math.prod(lead) * sum(np.size(p) for p in model.params)
-        if entries > cfg.node_budget:
-            raise ResourceError(
-                f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
-                f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
+    h, steps, cut = cfg.inner_hyper, cfg.inner_steps, cfg.cut
+    warp = _episode_warp(model, warps, episode)
+    entries = 4 * steps * warp.size  # four flat arrays of the stacked parameters per step
+    if cut < steps and entries > cfg.node_budget:
+        raise ResourceError(
+            f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
+            f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
+    warp_t = _FlatWarp([w.transposed() for w in warps], warp.shapes, _stack_lead(episode))
     tape = []
-    arrays = adapt(model, warps, episode, cfg, tape)
+    arrays = adapt(model, warp, episode, cfg, tape)
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
-    shapes = [a.shape for a in arrays]
-    warp = _FlatWarp(warps, shapes, lead)
-    warp_t = _FlatWarp([w.transposed() for w in warps], shapes, lead)
     w_bar, m_bar, v_bar = _flat(query_grads), 0.0, 0.0
     totals = None
     for t in range(steps, cut - 1, -1):
@@ -685,8 +680,8 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
         totals = step if totals is None else [tuple(map(np.add, acc, new))
                                               for acc, new in zip(totals, step)]
         if t > cut:
-            g_bar = _views(warp_t.apply(u_bar), shapes)
-            w_bar = w_bar + _flat(model.loss_hvp(_views(w, shapes), episode.support_x,
+            g_bar = _views(warp_t.apply(u_bar), warp.shapes)
+            w_bar = w_bar + _flat(model.loss_hvp(_views(w, warp.shapes), episode.support_x,
                                                  episode.support_y, g_bar))
     return [_flat(factors) for factors in totals], _per_episode(losses)
 
@@ -700,7 +695,7 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
     supplies the methods ``adjoint_hypergrad`` names.
     """
     _check_model(model)
-    arrays = adapt(model, warps, episode, cfg)
+    arrays = adapt(model, _episode_warp(model, warps, episode), episode, cfg)
     return _per_episode(model.losses(arrays, episode.query_x, episode.query_y))
 
 

@@ -274,6 +274,34 @@ def test_bad_warp_policy_is_usage_error_naming_the_key(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("run", []), ("compare", ["compare.optimizers=adam,sgd"]), ("meta-train", []),
+], ids=["run-adam", "compare-adam-sgd", "meta-train"])
+def test_checkpoint_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, capsys, command,
+                                                                     settings):
+    cfg = command_cfg(tmp_path, command)
+    out = tmp_path / "o"
+    sets = [a for kv in settings + ["warp.checkpoint=/nonexistent/warps.bin"]
+            for a in ("--set", kv)]
+    assert main([command, "--config", cfg, "--out", str(out), *sets]) == 2
+    who = {"run": "run.optimizer=adam", "compare": "compare.optimizers=adam,sgd"}.get(command,
+                                                                                     command)
+    assert capsys.readouterr().err == (
+        "usage error: warp.checkpoint is read only by run and compare with the warpadam "
+        f"optimizer, not by {who}, got '/nonexistent/warps.bin'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "meta-train"])
+def test_negative_hidden_size_is_usage_error_naming_the_key(tmp_path, capsys, command):
+    cfg = command_cfg(tmp_path, command)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", "model.hidden=-1"]) == 2
+    assert capsys.readouterr().err == ("usage error: model.hidden must be >= 0 (0 gives a "
+                                       "linear classifier), got -1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key", [
     ("meta-train", "inner.weight_decay"), ("meta-train", "inner.momentum"),
     ("run", "run.label"), ("compare", "tasks2.eval_alphabets"),
@@ -330,6 +358,16 @@ def test_meta_train_node_budget_is_exit_2_naming_the_budget(tmp_path, capsys):
                  "--set", "meta.node_budget=100"]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "budget of 100" in err
+
+
+def test_meta_train_that_stops_with_exit_2_writes_no_output_directory(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_META)
+    out = tmp_path / "o"
+    # the budget stops the first outer step, after the tables and the model are built
+    assert main(["meta-train", "--config", cfg, "--out", str(out),
+                 "--set", "meta.node_budget=10"]) == 2
+    assert "budget of 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["meta.eval_every=0", "meta.eval_every=-2",
@@ -680,6 +718,19 @@ def test_import_command(tmp_path):
 
 def test_import_requires_root(tmp_path):
     assert main(["import", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("args, key", [(["--side", "0"], "--side"),
+                                       (["--set", "import.side=-2"], "import.side")])
+def test_import_side_below_one_is_usage_error_naming_it(tmp_path, capsys, args, key):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    make_tree(tree, alphabets=1, chars=1, insts=1, side=5)
+    out = tmp_path / "o"
+    assert main(["import", "--root", str(tree), "--out", str(out), *args]) == 2
+    value = args[1].split("=")[-1]
+    assert capsys.readouterr().err == f"usage error: {key} must be positive, got {value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dirs", [[], ["alpha0/char0", "alpha0/char1", "alpha1"]])

@@ -1,0 +1,39 @@
+"""Checks on the source text of the package."""
+
+import ast
+import pathlib
+
+import warpadam
+
+# imported only so that perfbench's tracer can patch them (ROADMAP item 1)
+KEPT_FOR_THE_TRACER = {
+    "bench.grad",
+    "bench.warpadam_step",
+    "cli.load_table",
+    "cli.synth_proto_tasks",
+    "warp.warpadam_step",
+}
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """The names a module imports and never reads; ``__all__`` counts as reading."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = pathlib.Path(warpadam.__file__).parent
+    unused = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))}
+    assert sorted(unused - KEPT_FOR_THE_TRACER) == []
+    assert sorted(KEPT_FOR_THE_TRACER - unused) == []  # a kept name that is read needs no entry

@@ -31,6 +31,12 @@ def test_episode_counts_5way_1shot():
     assert ep.support_x.shape[1] == 8
 
 
+def test_an_episode_is_its_four_arrays():
+    ep = sample_episode(small_table(), 3, 2, 4, np.random.default_rng(1))
+    assert type(ep)._fields == ("support_x", "support_y", "query_x", "query_y")
+    assert [a.shape for a in ep] == [(6, 8), (6,), (12, 8), (12,)]
+
+
 def test_per_class_budget_of_twenty():
     table = small_table(instances=20)
     ep = sample_episode(table, 5, 1, 19, np.random.default_rng(2))
@@ -43,9 +49,8 @@ def test_same_seed_same_episode():
     table = small_table()
     e1 = sample_episode(table, 4, 2, 5, np.random.default_rng(3))
     e2 = sample_episode(table, 4, 2, 5, np.random.default_rng(3))
-    assert e1.task_id == e2.task_id
-    assert np.array_equal(e1.support_x, e2.support_x)
-    assert np.array_equal(e1.query_y, e2.query_y)
+    for a, b in zip(e1, e2, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_different_seeds_differ():
@@ -55,12 +60,21 @@ def test_different_seeds_differ():
     assert not np.array_equal(e1.support_x, e2.support_x)
 
 
+def _rows(x) -> set[bytes]:
+    return {row.tobytes() for row in x}
+
+
 def test_no_support_query_leak_over_many_episodes():
     table = small_table()
+    # every instance of the table is a distinct row, so a shared row is a shared instance
+    instances = [c.instances for a in table.alphabets for c in a.classes]
+    assert len(_rows(np.concatenate(instances))) == sum(map(len, instances))
     rng = np.random.default_rng(6)
     for _ in range(1000):
         ep = sample_episode(table, 4, 2, 3, rng)
-        assert not set(ep.support_ids) & set(ep.query_ids)
+        assert len(_rows(ep.support_x)) == len(ep.support_x)
+        assert len(_rows(ep.query_x)) == len(ep.query_x)
+        assert not _rows(ep.support_x) & _rows(ep.query_x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -85,20 +99,18 @@ def _row_by_row_episode(table, n_way, k_shot, query_per_class, rng):
     ai, eligible = candidates[rng.integers(len(candidates))]
     alphabet = table.alphabets[ai]
     chosen = [eligible[i] for i in rng.choice(len(eligible), size=n_way, replace=False)]
-    sup_x, sup_y, qry_x, qry_y, sup_ids, qry_ids = [], [], [], [], [], []
+    sup_x, sup_y, qry_x, qry_y = [], [], [], []
     for label, ci in enumerate(chosen):
         cls = alphabet.classes[ci]
         idx = rng.choice(len(cls.instances), size=need, replace=False)
         for j in idx[:k_shot]:
             sup_x.append(cls.instances[j])
             sup_y.append(label)
-            sup_ids.append((ai, ci, int(j)))
         for j in idx[k_shot:]:
             qry_x.append(cls.instances[j])
             qry_y.append(label)
-            qry_ids.append((ai, ci, int(j)))
     return (np.array(sup_x), np.array(sup_y, dtype=np.int64), np.array(qry_x),
-            np.array(qry_y, dtype=np.int64), sup_ids, qry_ids)
+            np.array(qry_y, dtype=np.int64))
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,12 +122,9 @@ def test_sampled_episode_is_the_row_by_row_episode(n_way, k_shot, qpc, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ep = sample_episode(table, n_way, k_shot, qpc, rng)
     want = _row_by_row_episode(table, n_way, k_shot, qpc, ref_rng)
-    for got, arr in zip((ep.support_x, ep.support_y, ep.query_x, ep.query_y), want):
+    for got, arr in zip(ep, want, strict=True):
         assert got.dtype == arr.dtype and got.shape == arr.shape
         assert got.tobytes() == arr.tobytes()
-    assert ep.support_ids == want[4] and ep.query_ids == want[5]
-    assert all(type(j) is int for ids in want[4:] for _, _, j in ids)
-    assert all(type(j) is int for ids in (ep.support_ids, ep.query_ids) for _, _, j in ids)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -128,8 +137,10 @@ def test_sampling_error_names_shortfall():
 def test_restriction_to_alphabet_pool():
     table = small_table()
     names = table.alphabet_names()
-    ep = sample_episode(table, 3, 1, 2, np.random.default_rng(8), alphabets=[names[1]])
-    assert ep.task_id.startswith(names[1] + "|")
+    pool = _rows(np.concatenate([c.instances for c in table.alphabets[1].classes]))
+    for seed in range(20):
+        ep = sample_episode(table, 3, 1, 2, np.random.default_rng(seed), alphabets=[names[1]])
+        assert _rows(ep.support_x) | _rows(ep.query_x) <= pool
     with pytest.raises(SamplingError):
         sample_episode(table, 3, 1, 2, np.random.default_rng(8), alphabets=["nope"])
 

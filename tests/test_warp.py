@@ -22,6 +22,7 @@ from warpadam.warp import (
     ResourceError,
     WarpMatrix,
     _FlatWarp,
+    _episode_warp,
     _flat,
     _start_arrays,
     _unrolled_warpadam,
@@ -45,10 +46,14 @@ from conftest import rel_err
 from test_optim import _signed_zeros
 
 
-def make_episode(sx, sy, qx, qy, n_way=1, k_shot=1):
+def make_episode(sx, sy, qx, qy):
     sx, qx = np.atleast_2d(sx), np.atleast_2d(qx)
-    return Episode(support_x=sx, support_y=np.asarray(sy), query_x=qx,
-                   query_y=np.asarray(qy), n_way=n_way, k_shot=k_shot, task_id="t")
+    return Episode(support_x=sx, support_y=np.asarray(sy), query_x=qx, query_y=np.asarray(qy))
+
+
+def _adapt(model, warps, episode, cfg, tape=None):
+    """``adapt`` with the warps resolved for the episode."""
+    return adapt(model, _episode_warp(model, warps, episode), episode, cfg, tape)
 
 
 class ScalarQuadratic:
@@ -79,8 +84,7 @@ def quad_episode(support_targets, query_targets):
     s = np.asarray(support_targets, dtype=np.float64)
     q = np.asarray(query_targets, dtype=np.float64)
     return Episode(support_x=np.zeros((s.size, 1)), support_y=s,
-                   query_x=np.zeros((q.size, 1)), query_y=q,
-                   n_way=1, k_shot=s.size, task_id="quad")
+                   query_x=np.zeros((q.size, 1)), query_y=q)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +265,7 @@ def _mlp_setup(seed=42, n=6, dim=3, classes=4):
     rng = np.random.default_rng(seed)
     model = MLP([dim, classes], rng)   # 12 + 4 = 16 parameters
     episode = make_episode(rng.normal(size=(n, dim)), rng.integers(0, classes, size=n),
-                           rng.normal(size=(n + 2, dim)), rng.integers(0, classes, size=n + 2),
-                           n_way=classes)
+                           rng.normal(size=(n + 2, dim)), rng.integers(0, classes, size=n + 2))
     warps = [WarpMatrix.dense(np.eye(p.size) + 0.05 * rng.normal(size=(p.size, p.size)))
              for p in model.params]
     return model, episode, warps
@@ -287,7 +290,7 @@ def test_hypergrad_diagonal_and_kron_match_fd():
     rng = np.random.default_rng(11)
     model = MLP([4, 3], rng)
     episode = make_episode(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5),
-                           rng.normal(size=(5, 4)), rng.integers(0, 3, size=5), n_way=3)
+                           rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
     warps = [WarpMatrix.kronecker(np.eye(4) + 0.1 * rng.normal(size=(4, 4)),
                                   np.eye(3) + 0.1 * rng.normal(size=(3, 3))),
              WarpMatrix.diagonal(1.0 + 0.2 * rng.normal(size=3))]
@@ -326,7 +329,7 @@ def test_unrolled_graph_matches_array_trajectory():
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05))
     leaves = [_warp_leaves(w) for w in warps]
     ws = _unrolled_warpadam(model, episode, warps, leaves, cfg.inner_steps, 1, cfg.inner_hyper)
-    arrays = adapt(model, warps, episode, cfg)
+    arrays = _adapt(model, warps, episode, cfg)
     for wt, arr in zip(ws, arrays):
         assert rel_err(wt.data, arr) < 1e-12
 
@@ -353,7 +356,7 @@ def test_hypergrad_graph_is_freed_without_the_cycle_collector(monkeypatch):
     rng = np.random.default_rng(9)
     model = MLP([3, 4, 2], rng)
     episode = make_episode(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4),
-                           rng.normal(size=(5, 3)), rng.integers(0, 2, size=5), n_way=2)
+                           rng.normal(size=(5, 3)), rng.integers(0, 2, size=5))
     warps = init_warps([p.shape for p in model.params], "dense")
     refs = []
 
@@ -472,10 +475,15 @@ def test_stacked_adaptation_query_loss_is_bitwise_per_episode(form):
 
 
 def _numbered_episodes(n):
-    """``n`` one-row episodes of one geometry, with task ids "0", "1", ... in order."""
+    """``n`` one-row episodes of one geometry, whose support rows hold 0, 1, ... in order."""
     return [Episode(support_x=np.full((1, 1), float(i)), support_y=np.zeros(1, dtype=int),
-                    query_x=np.full((1, 1), float(i)), query_y=np.zeros(1, dtype=int),
-                    n_way=1, k_shot=1, task_id=str(i)) for i in range(n)]
+                    query_x=np.full((1, 1), float(i)), query_y=np.zeros(1, dtype=int))
+            for i in range(n)]
+
+
+def _episode_numbers(stacks):
+    """The numbers of ``_numbered_episodes`` in ``stacks``, read stack by stack."""
+    return [int(x) for s in stacks for x in s.support_x.reshape(-1)]
 
 
 @pytest.mark.parametrize("n_params, min_stack, sizes", [
@@ -488,7 +496,7 @@ def _numbered_episodes(n):
 def test_stack_within_budget_sizes_and_order(n_params, min_stack, sizes):
     stacks = stack_within_budget(_numbered_episodes(20), n_params, min_stack)
     assert [len(s.support_y) for s in stacks] == sizes
-    assert "+".join(s.task_id for s in stacks) == "+".join(map(str, range(20)))
+    assert _episode_numbers(stacks) == list(range(20))
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +507,7 @@ def test_stack_within_budget_keeps_every_episode_in_order(n, n_params, min_stack
     lengths = [len(s.support_y) for s in stacks]
     assert all(length == size for length in lengths[:-1])
     assert all(1 <= length <= size for length in lengths)
-    assert "+".join(s.task_id for s in stacks) == "+".join(map(str, range(n)))
+    assert _episode_numbers(stacks) == list(range(n))
     if 0 < n * n_params <= STACK_ENTRY_BUDGET:
         assert len(stacks) == 1
 
@@ -531,7 +539,7 @@ def test_stacked_unrolled_graph_is_bitwise_adapt(form):
     model, episodes, warps = _stack_setup(form)
     episode = stack_episodes(episodes)
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
-    want = adapt(model, warps, episode, cfg)
+    want = _adapt(model, warps, episode, cfg)
     for cut in range(1, cfg.inner_steps + 1):
         ws = _unrolled_warpadam(model, episode, warps, [_warp_leaves(w) for w in warps],
                                 cfg.inner_steps, cut, cfg.inner_hyper)
@@ -598,7 +606,7 @@ def test_adaptation_takes_mlp_gradients_without_the_engine(monkeypatch):
     calls = []
     for owner, attr in ((T, "grad"), (warp_module, "grad"), (T, "toposort"), (MLP, "loss")):
         _counting(monkeypatch, owner, attr, calls)
-    fast = adapt(model, warps, episode, cfg)
+    fast = _adapt(model, warps, episode, cfg)
     assert calls == []
     monkeypatch.undo()
     # the reference loop takes the engine's gradients: the same bits
@@ -634,7 +642,7 @@ def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
     model, warps, episode = _adapt_setup(form, stacked)
     h = HyperParams(eta=0.05, epsilon=0.1)
     tape = []
-    arrays = adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
+    arrays = _adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
     want_arrays, want_states = _per_tensor_adapt(model, warps, episode, 3, h)
     assert len(arrays) == len(model.params)
     for got, want in zip(arrays, want_arrays, strict=True):
@@ -654,7 +662,7 @@ def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     for steps in (1, 3):
         calls.clear()
-        adapt(model, warps, episode, MetaConfig(inner_steps=steps))
+        _adapt(model, warps, episode, MetaConfig(inner_steps=steps))
         assert len(calls) == steps
     assert len(model.params) == 4
 
@@ -663,14 +671,14 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
     tape = []
-    arrays = adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
+    arrays = _adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
     assert len(tape) == 3
     entries = [a for step in tape for a in step]
     for i, a in enumerate(entries):
         assert not any(np.shares_memory(a, b) for b in entries[i + 1:] + arrays)
     # step k starts from the parameters k steps left and leaves k+1 steps' moments
     for k, (w, g, m, v) in enumerate(tape):
-        start = (adapt(model, warps, episode, MetaConfig(inner_steps=k, inner_hyper=h)) if k
+        start = (_adapt(model, warps, episode, MetaConfig(inner_steps=k, inner_hyper=h)) if k
                  else _start_arrays(model, episode))
         after = _per_tensor_adapt(model, warps, episode, k + 1, h)[1]
         assert np.array_equal(w, _flat(start))
@@ -684,9 +692,9 @@ def test_adapt_tapes_only_the_steps_from_cut():
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
     full, tail = [], []
-    want = adapt(model, warps, episode, MetaConfig(inner_steps=4, inner_hyper=h), full)
+    want = _adapt(model, warps, episode, MetaConfig(inner_steps=4, inner_hyper=h), full)
     first_order = MetaConfig(inner_steps=4, inner_hyper=h, first_order=True)
-    got = adapt(model, warps, episode, first_order, tail)
+    got = _adapt(model, warps, episode, first_order, tail)
     assert first_order.cut == 4 and len(full) == 4 and len(tail) == 1
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
@@ -829,11 +837,11 @@ def test_adapt_checks_every_segment_of_the_flat_buffer():
     for bad in (np.nan, np.inf):
         model = FixedGrads([np.zeros(3), np.zeros(2)], [np.ones(3), np.array([1.0, bad])])
         with pytest.raises(NumericError, match="non-finite gradient passed to optimizer step"):
-            adapt(model, warps, episode, cfg)
+            _adapt(model, warps, episode, cfg)
     # an update of -1 at step 1 carries the last tensor's largest entry past the float range
     model = FixedGrads([np.zeros(3), np.array([0.0, 1e308])], [np.ones(3), -np.ones(2)])
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="warpadam step overflowed"):
-        adapt(model, warps, episode, MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=1e308)))
+        _adapt(model, warps, episode, MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=1e308)))
 
 
 def test_adapt_rejects_a_warp_that_does_not_fit_its_tensor():
@@ -841,9 +849,9 @@ def test_adapt_rejects_a_warp_that_does_not_fit_its_tensor():
     cfg = MetaConfig(inner_steps=1)
     for bad in (WarpMatrix.identity(7), WarpMatrix.dense(np.eye(7))):
         with pytest.raises(ShapeError):
-            adapt(model, warps[:-1] + [bad], episode, cfg)
+            _adapt(model, warps[:-1] + [bad], episode, cfg)
     with pytest.raises(ShapeError):
-        adapt(model, warps[:-1], episode, cfg)
+        _adapt(model, warps[:-1], episode, cfg)
     # the first weight is (5, 4): a warp of one row's size would act on its
     # five rows as on a stack of five gradients, and kron factors of the
     # transposed rows would warp it as a (4, 5) matrix
@@ -854,10 +862,10 @@ def test_adapt_rejects_a_warp_that_does_not_fit_its_tensor():
                            r"warp 0 \(kron, dim 20, factors of 4 and 5 rows\)")):
             with pytest.raises(ShapeError, match=what + r" does not fit parameter tensor 0 of "
                                                  r"shape \(5, 4\)"):
-                adapt(model, [bad] + warps[1:], episode, cfg)
+                _adapt(model, [bad] + warps[1:], episode, cfg)
     bias = WarpMatrix.kronecker(np.eye(1), np.eye(4))  # of the size of the (4,) bias, not a matrix
     with pytest.raises(ShapeError, match=r"warp 1 .* shape \(4,\)"):
-        adapt(model, warps[:1] + [bias] + warps[2:], episode, cfg)
+        _adapt(model, warps[:1] + [bias] + warps[2:], episode, cfg)
 
 
 def test_apply_rejects_a_size_that_is_not_a_stack():
@@ -931,6 +939,17 @@ def test_adjoint_hypergrad_matches_the_engine(form, stacked, first_order):
 
 
 @pytest.mark.parametrize("first_order", [False, True])
+def test_adjoint_hypergrad_resolves_the_warps_once(monkeypatch, first_order):
+    model, warps, episode = _adapt_setup("kron", stacked=True)
+    built = []
+    original = _FlatWarp.__init__
+    monkeypatch.setattr(_FlatWarp, "__init__",
+                        lambda self, *a, **k: built.append(1) or original(self, *a, **k))
+    adjoint_hypergrad(episode, model, warps, MetaConfig(inner_steps=3, first_order=first_order))
+    assert len(built) == 2  # the warp and its transpose
+
+
+@pytest.mark.parametrize("first_order", [False, True])
 def test_adjoint_hypergrad_zero_radicand_matches_the_engine(first_order):
     # the first input feature is 0 everywhere, so the first row of the first
     # weight matrix never gets a gradient: with epsilon 0 its radicands stay 0
@@ -942,12 +961,11 @@ def test_adjoint_hypergrad_zero_radicand_matches_the_engine(first_order):
     sx, qx = rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 7, 4))
     sx[..., 0] = qx[..., 0] = 0.0
     episode = Episode(support_x=sx, support_y=rng.integers(0, 3, size=(2, 6)),
-                      query_x=qx, query_y=rng.integers(0, 3, size=(2, 7)),
-                      n_way=3, k_shot=2, task_id="zero")
+                      query_x=qx, query_y=rng.integers(0, 3, size=(2, 7)))
     warps = [WarpMatrix.diagonal(1.0 + 0.1 * rng.normal(size=p.size)) for p in model.params]
     cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.0),
                      first_order=first_order)
-    assert np.all(adapt(model, warps, episode, cfg)[0][:, 0] == model.params[0][0])
+    assert np.all(_adapt(model, warps, episode, cfg)[0][:, 0] == model.params[0][0])
     got, losses = adjoint_hypergrad(episode, model, warps, cfg)
     want, want_losses = hypergrad_P(episode, model, warps, cfg)
     for a, b in zip(got, want):
@@ -1122,7 +1140,7 @@ def test_meta_update_preserves_form_and_dim():
     rng = np.random.default_rng(8)
     model = MLP([4, 3], rng)
     episode = make_episode(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5),
-                           rng.normal(size=(5, 4)), rng.integers(0, 3, size=5), n_way=3)
+                           rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
     warps = [WarpMatrix.kronecker(np.eye(4), np.eye(3)), WarpMatrix.diagonal(np.ones(3))]
     state = _outer_state(warps)
     cfg = MetaConfig(inner_steps=2, inner_hyper=HyperParams(eta=0.1))
@@ -1139,7 +1157,7 @@ def test_meta_update_identity_form_unchanged():
     rng = np.random.default_rng(9)
     model = MLP([3, 2], rng)
     episode = make_episode(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4),
-                           rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), n_way=2)
+                           rng.normal(size=(4, 3)), rng.integers(0, 2, size=4))
     warps = [WarpMatrix.identity(6), WarpMatrix.identity(2)]
     new_warps, _, _ = meta_update_P(warps, [episode], model, MetaConfig(inner_steps=1),
                                     AdamState.zeros(0))
