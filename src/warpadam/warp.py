@@ -81,9 +81,9 @@ class Form(NamedTuple):
     ``apply(factors, g, lead)`` warps ``g``, one gradient or a stack of them on
     the axes ``lead``, and keeps its shape. ``apply`` uses operators only, so
     it runs on factor arrays and on graph leaves alike.
-    ``factor_grads(factors, u_bar, g, lead)`` is the gradient of
-    ``<u_bar, apply(factors, g, lead)>`` with respect to each factor, on
-    arrays: the engine's backward rules for ``apply``, so it has their bits.
+    ``factor_grads(factors, u_bar, g, lead)``, where ``lead`` is ``(T,)`` or
+    ``(T, E)`` for T steps, is d<u_bar, apply(factors, g, lead)>/d(factors)
+    on arrays; with T 1 it has the bits of the engine's backward of ``apply``.
     """
 
     tag: int
@@ -103,29 +103,33 @@ def _kron_apply(factors, g, lead):
     return (a @ g.reshape(lead + (a.shape[0], b.shape[0])) @ b.T).reshape(g.shape)
 
 
+def _sum_to(x, shape):  # a steps axis of 1 is dropped: its np.sum would make -0.0 +0.0
+    return T.sum_to(x[0] if len(x) == 1 else x, shape)
+
+
 def _kron_factor_grads(factors, u_bar, g, lead):
     a, b = factors
     shape = lead + (a.shape[0], b.shape[0])
     g, u_bar = g.reshape(shape), u_bar.reshape(shape)
-    a_bar = T.sum_to(u_bar @ b @ g.swapaxes(-1, -2), a.shape)
-    b_bar = T.sum_to((a @ g).swapaxes(-1, -2) @ u_bar, b.shape).swapaxes(-1, -2)
+    a_bar = _sum_to(u_bar @ b @ g.swapaxes(-1, -2), a.shape)
+    b_bar = _sum_to((a @ g).swapaxes(-1, -2) @ u_bar, b.shape).swapaxes(-1, -2)
     return a_bar, b_bar
 
 
 def _diagonal_factor_grads(factors, u_bar, g, lead):
     shape = lead + factors[0].shape
-    return (T.sum_to(u_bar.reshape(shape) * g.reshape(shape), factors[0].shape),)
+    return (_sum_to(u_bar.reshape(shape) * g.reshape(shape), factors[0].shape),)
 
 
 def _dense_factor_grads(factors, u_bar, g, lead):
-    # the engine's matmul backward sums the (E, d, d) stack of outer products
-    # over E in episode order; adding them one at a time into one (d, d) array
-    # is the same sum, without the stack. Starting from +0.0 gives matmul's
-    # signed zeros too: a product of -0.0 comes out +0.0.
+    # the engine's matmul backward sums the stack of outer products over E in
+    # episode order: one k=T product per episode, added into +0.0, is that sum
+    # with matmul's signed zeros at T 1. One product over all T * E rows is not.
     d = factors[0].shape[0]
+    u_bar, g = u_bar.reshape(lead[0], -1, d), g.reshape(lead[0], -1, d)
     total = np.zeros((d, d))
-    for u_e, g_e in zip(u_bar.reshape(-1, d), g.reshape(-1, d)):
-        total += np.multiply.outer(u_e, g_e)
+    for e in range(g.shape[1]):
+        total += u_bar[:, e].T @ g[:, e]
     return (total,)
 
 
@@ -203,9 +207,9 @@ class WarpMatrix:
         return WarpMatrix(self.form, self.dim, tuple(f.T for f in self.factors))
 
     def factor_grads(self, u_bar: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-        """d<u_bar, apply(g)>/d(factors), one array per factor; for a stack of
-        gradients, the sum over the stack."""
-        return FORMS[self.form].factor_grads(self.factors, u_bar, g, _stack_axes(self.dim, g.shape))
+        """d<u_bar, apply(g)>/d(factors), one array per factor, summed over a stack."""
+        lead = (1,) + _stack_axes(self.dim, g.shape)
+        return FORMS[self.form].factor_grads(self.factors, u_bar[None], g[None], lead)
 
     def materialize(self) -> np.ndarray:
         """The explicit d x d matrix (Kronecker product for the kron form)."""
@@ -233,11 +237,11 @@ def _flat(arrays) -> np.ndarray:
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive runs of ``flat`` as views shaped as ``shapes``; ``_flat`` undone."""
+    """Consecutive runs of ``flat`` (of its every row) as views shaped as ``shapes``."""
     out, pos = [], 0
     for shape in shapes:
         n = math.prod(shape)
-        out.append(flat[pos:pos + n].reshape(shape))
+        out.append(flat[..., pos:pos + n].reshape(flat.shape[:-1] + tuple(shape)))
         pos += n
     return out
 
@@ -293,11 +297,11 @@ class MetaConfig:
     ``adapt`` tapes from it and both hypergradients stop at it, so another
     truncation point is another value of ``cut`` alone.
     ``node_budget`` caps the float64 entries that the tape of a full (not
-    first-order) ``adjoint_hypergrad`` of one task batch may hold: four flat
-    arrays ``(w, g, m, v)`` per inner step, each as long as the stacked
-    parameters, so ``4 * inner_steps * tasks * parameters``. An oversized
-    tape stops with ``ResourceError`` before the first inner step. A
-    first-order hypergradient tapes one step and is not capped.
+    first-order) ``adjoint_hypergrad`` of one task batch may hold: a slab of
+    four planes ``(w, g, m, v)``, each a row of stacked parameters per step,
+    so ``4 * inner_steps * tasks * parameters``. An oversized tape stops
+    with ``ResourceError`` before the first inner step. A first-order
+    hypergradient tapes one step and is not capped.
     """
 
     inner_steps: int = 5
@@ -512,7 +516,7 @@ class _FlatWarp:
                 of_rows = f", factors of {rows[0]} and {rows[1]} rows" if rows != (0, 0) else ""
                 raise ShapeError(f"warp {i} ({warp.form}, dim {warp.dim}{of_rows}) does not fit "
                                  f"parameter tensor {i} of shape {shape}")
-        self.warps, self.shapes = warps, shapes
+        self.warps, self.shapes, self.lead = warps, shapes, lead
         ends = [0, *accumulate(math.prod(shape) for shape in shapes)]
         self.size = ends[-1]
         self._segments = [(slice(start, end), _segment_apply(warp, tuple(shape)))
@@ -527,8 +531,9 @@ class _FlatWarp:
         return out
 
     def factor_grads(self, u_bar: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-        """``WarpMatrix.factor_grads`` of each warp on its segments."""
-        return [warp.factor_grads(ub, seg) for warp, ub, seg in
+        """Each warp's form rule, once, on its segments of (T, size) planes."""
+        lead = u_bar.shape[:1] + self.lead
+        return [FORMS[warp.form].factor_grads(warp.factors, ub, seg, lead) for warp, ub, seg in
                 zip(self.warps, _views(u_bar, self.shapes), _views(g, self.shapes))]
 
 
@@ -571,10 +576,10 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig, tape=None) -> list[n
     parameters, in their plain or stacked shapes: for a stacked episode every
     array carries one adapted copy per episode on axis 0.
 
-    Given a ``tape`` (anything with ``append``), each step from step
-    ``cfg.cut`` on appends the flat ``(w, g, m, v)``: the parameters it
-    started from, the gradient there, and the moments it left, each an array
-    of the tape's own. The steps before it copy nothing.
+    Given a ``tape`` (a ``(4, K - cut + 1, warp.size)`` array), step ``t``
+    from ``cfg.cut`` on writes its flat ``(w, g, m, v)`` into row ``t - cut``
+    of the four planes, allocating nothing: the parameters it started from,
+    the gradient there, and the moments it left.
 
     The gradients come from ``model.loss_grads``.
     """
@@ -583,11 +588,12 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig, tape=None) -> list[n
     for t in range(1, cfg.inner_steps + 1):
         g = _flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
         check_step_inputs(state, w, g)
-        taped = tape is not None and t >= cfg.cut
-        w_start = w.copy() if taped else None
+        rows = tape[:, t - cfg.cut] if tape is not None and t >= cfg.cut else None
+        if rows is not None:
+            rows[0] = w
         warpadam_core(state, w, g, cfg.inner_hyper, buf, warp)
-        if taped:
-            tape.append((w_start, g, state.m.copy(), state.v.copy()))
+        if rows is not None:
+            rows[1], rows[2], rows[3] = g, state.m, state.v
     return params.arrays
 
 
@@ -643,47 +649,41 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     The model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
     ``losses``; one that lacks any of them raises ``TypeError`` naming it.
     The warps are resolved once, with their transpose. The forward pass is
-    ``adapt`` with a tape of each step's flat ``(w, g, m, v)``; the backward
-    pass walks the steps from the last:
-    ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped gradient
-    ``P g``, each warp adds its ``factor_grads`` of ``<u_bar, P g>``, and the
-    parameters' adjoint gains ``H(w) P^T u_bar``, with ``P^T`` applied as the
-    transposed warp and the Hessian product from ``loss_hvp`` (Maclaurin et
-    al. 2015; Pearlmutter 1994). The walk stops at step ``cfg.cut``, whose
-    start parameters count as independent of the warps, so Hessian products
-    are taken only after ``cut``; the tape holds four flat arrays per step
-    from ``cut`` on. With ``cut`` before the last step, a tape of all K steps
-    over ``cfg.node_budget`` float64 entries raises ``ResourceError`` before
-    the first step. First order (``cut`` K) tapes only the last step and has
-    the bits of ``hypergrad_P``'s result; the full result (``cut`` 1) matches
-    it to rounding: the sums run in another order.
+    ``adapt`` with one tape slab; the backward pass walks the steps from the
+    last: ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped
+    gradient ``P g``, the parameters' adjoint gains ``H(w) P^T u_bar`` (the
+    transposed warp, and ``loss_hvp``'s Hessian product; Maclaurin et al.
+    2015, Pearlmutter 1994), and ``u_bar`` overwrites the spent ``w``. Each
+    warp's ``factor_grads`` of ``<u_bar, P g>`` over all steps is then one
+    contraction of the ``w`` and ``g`` planes. The walk stops at step
+    ``cfg.cut``, whose start parameters count as independent of the warps,
+    so Hessian products are taken only after ``cut``. With ``cut`` before
+    the last step, a tape over ``cfg.node_budget`` float64 entries raises
+    ``ResourceError`` before the first step. First order (``cut`` K) has the
+    bits of ``hypergrad_P``'s result; the full result matches it to rounding.
     """
     _check_model(model)
     _check_episode(episode)
     h, steps, cut = cfg.inner_hyper, cfg.inner_steps, cfg.cut
     warp = _episode_warp(model, warps, episode)
-    entries = 4 * steps * warp.size  # four flat arrays of the stacked parameters per step
-    if cut < steps and entries > cfg.node_budget:
-        raise ResourceError(
-            f"adjoint tape of {steps} inner steps would hold {entries} float64 entries, "
-            f"over the budget of {cfg.node_budget}; reduce inner_steps or set first_order=True")
-    warp_t = _FlatWarp([w.transposed() for w in warps], warp.shapes, _stack_lead(episode))
-    tape = []
+    shape = (4, steps - cut + 1, warp.size)  # (w, g, m, v) planes of a row per taped step
+    if cut < steps and math.prod(shape) > cfg.node_budget:
+        raise ResourceError(f"adjoint tape would hold {math.prod(shape)} float64 entries, over "
+                            f"the budget of {cfg.node_budget}; reduce meta.inner_steps, set "
+                            "meta.first_order=true or raise meta.node_budget")
+    warp_t = _FlatWarp([w.transposed() for w in warps], warp.shapes, warp.lead)
+    tape = np.empty(shape)
     arrays = adapt(model, warp, episode, cfg, tape)
     losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
     w_bar, m_bar, v_bar = _flat(query_grads), 0.0, 0.0
-    totals = None
-    for t in range(steps, cut - 1, -1):
-        w, g, m, v = tape.pop()
+    for t, (w, g, m, v) in zip(range(steps, cut - 1, -1), tape.swapaxes(0, 1)[::-1]):
         u_bar, m_bar, v_bar = adam_adjoint(w_bar, m_bar, v_bar, warp.apply(g), m, v, t, h)
-        step = warp.factor_grads(u_bar, g)
-        totals = step if totals is None else [tuple(map(np.add, acc, new))
-                                              for acc, new in zip(totals, step)]
         if t > cut:
             g_bar = _views(warp_t.apply(u_bar), warp.shapes)
             w_bar = w_bar + _flat(model.loss_hvp(_views(w, warp.shapes), episode.support_x,
                                                  episode.support_y, g_bar))
-    return [_flat(factors) for factors in totals], _per_episode(losses)
+        w[...] = u_bar
+    return [_flat(factors) for factors in warp.factor_grads(tape[0], tape[1])], _per_episode(losses)
 
 
 def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: MetaConfig):

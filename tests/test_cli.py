@@ -358,6 +358,8 @@ def test_meta_train_node_budget_is_exit_2_naming_the_budget(tmp_path, capsys):
                  "--set", "meta.node_budget=100"]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "budget of 100" in err
+    for key in ("meta.inner_steps", "meta.first_order", "meta.node_budget"):
+        assert key in err
 
 
 def test_meta_train_that_stops_with_exit_2_writes_no_output_directory(tmp_path, capsys):

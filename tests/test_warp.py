@@ -1,6 +1,7 @@
 import gc
 import math
 import struct
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -54,6 +55,12 @@ def make_episode(sx, sy, qx, qy):
 def _adapt(model, warps, episode, cfg, tape=None):
     """``adapt`` with the warps resolved for the episode."""
     return adapt(model, _episode_warp(model, warps, episode), episode, cfg, tape)
+
+
+def _nan_tape(model, warps, episode, cfg):
+    """A tape for ``adapt`` of ``cfg`` on ``episode``, NaN until written."""
+    n = _episode_warp(model, warps, episode).size
+    return np.full((4, cfg.inner_steps - cfg.cut + 1, n), np.nan)
 
 
 class ScalarQuadratic:
@@ -640,18 +647,18 @@ def _adapt_setup(form, stacked):
 @pytest.mark.parametrize("form", [*FORMS, "auto"])
 def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
     model, warps, episode = _adapt_setup(form, stacked)
-    h = HyperParams(eta=0.05, epsilon=0.1)
-    tape = []
-    arrays = _adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
-    want_arrays, want_states = _per_tensor_adapt(model, warps, episode, 3, h)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    tape = _nan_tape(model, warps, episode, cfg)
+    arrays = _adapt(model, warps, episode, cfg, tape)
+    want_arrays, want_states = _per_tensor_adapt(model, warps, episode, 3, cfg.inner_hyper)
     assert len(arrays) == len(model.params)
     for got, want in zip(arrays, want_arrays, strict=True):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     # the last step's taped moments are the per-tensor states', flattened
-    assert len(tape) == 3 and all(st.t == 3 for st in want_states)
-    assert np.array_equal(tape[-1][2], _flat(st.m for st in want_states))
-    assert np.array_equal(tape[-1][3], _flat(st.v for st in want_states))
+    assert tape.shape[1] == 3 and all(st.t == 3 for st in want_states)
+    assert np.array_equal(tape[2, -1], _flat(st.m for st in want_states))
+    assert np.array_equal(tape[3, -1], _flat(st.v for st in want_states))
 
 
 def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
@@ -667,17 +674,23 @@ def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
     assert len(model.params) == 4
 
 
-def test_adapt_tape_holds_arrays_of_its_own_per_step():
+def test_adapt_tape_holds_arrays_of_its_own_per_step(monkeypatch):
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
-    tape = []
-    arrays = _adapt(model, warps, episode, MetaConfig(inner_steps=3, inner_hyper=h), tape)
-    assert len(tape) == 3
-    entries = [a for step in tape for a in step]
-    for i, a in enumerate(entries):
-        assert not any(np.shares_memory(a, b) for b in entries[i + 1:] + arrays)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=h)
+    tape = _nan_tape(model, warps, episode, cfg)
+    live = []  # every array a step reads or writes: parameters, gradient and moments
+    original = warp_module.warpadam_core
+
+    def core(state, w, g, *rest):
+        live.extend((w, g, state.m, state.v))
+        original(state, w, g, *rest)
+    monkeypatch.setattr(warp_module, "warpadam_core", core)
+    arrays = _adapt(model, warps, episode, cfg, tape)
+    assert len(live) == 4 * 3
+    assert not any(np.shares_memory(tape, a) for a in live + arrays)
     # step k starts from the parameters k steps left and leaves k+1 steps' moments
-    for k, (w, g, m, v) in enumerate(tape):
+    for k, (w, g, m, v) in enumerate(tape.swapaxes(0, 1)):
         start = (_adapt(model, warps, episode, MetaConfig(inner_steps=k, inner_hyper=h)) if k
                  else _start_arrays(model, episode))
         after = _per_tensor_adapt(model, warps, episode, k + 1, h)[1]
@@ -688,17 +701,35 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step():
         assert np.array_equal(v, _flat(s.v for s in after))
 
 
+def test_adapt_writes_its_tape_without_allocating_for_it():
+    model, warps, episode = _adapt_setup("auto", stacked=True)
+    cfg = MetaConfig(inner_steps=6, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    warp, tape = _episode_warp(model, warps, episode), _nan_tape(model, warps, episode, cfg)
+    peaks = []
+    for given in (None, tape):
+        tracemalloc.start()
+        try:
+            adapt(model, warp, episode, cfg, given)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a taped array of its own, kept per step as a list tape keeps it, adds a row per step
+    assert peaks[1] - peaks[0] < tape[0, 0].nbytes
+    assert not np.isnan(tape).any()
+
+
 def test_adapt_tapes_only_the_steps_from_cut():
     model, warps, episode = _adapt_setup("kron", stacked=True)
     h = HyperParams(eta=0.05, epsilon=0.1)
-    full, tail = [], []
-    want = _adapt(model, warps, episode, MetaConfig(inner_steps=4, inner_hyper=h), full)
+    full_order = MetaConfig(inner_steps=4, inner_hyper=h)
     first_order = MetaConfig(inner_steps=4, inner_hyper=h, first_order=True)
+    full, tail = (_nan_tape(model, warps, episode, cfg) for cfg in (full_order, first_order))
+    want = _adapt(model, warps, episode, full_order, full)
     got = _adapt(model, warps, episode, first_order, tail)
-    assert first_order.cut == 4 and len(full) == 4 and len(tail) == 1
+    assert first_order.cut == 4 and full.shape[1] == 4 and tail.shape[1] == 1
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
-    assert all(np.array_equal(a, b) for a, b in zip(tail[0], full[3], strict=True))
+    assert np.array_equal(tail[:, 0], full[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -947,6 +978,64 @@ def test_adjoint_hypergrad_resolves_the_warps_once(monkeypatch, first_order):
                         lambda self, *a, **k: built.append(1) or original(self, *a, **k))
     adjoint_hypergrad(episode, model, warps, MetaConfig(inner_steps=3, first_order=first_order))
     assert len(built) == 2  # the warp and its transpose
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("form", [*FORMS, "auto"])
+def test_adjoint_takes_each_warps_factor_gradient_once(monkeypatch, form, stacked, first_order):
+    model, warps, episode = _adapt_setup(form, stacked)
+    calls = []
+    for name, row in FORMS.items():
+        monkeypatch.setitem(FORMS, name, row._replace(
+            factor_grads=lambda *a, rule=row.factor_grads: calls.append(1) or rule(*a)))
+    for steps in (1, 4):
+        calls.clear()
+        cfg = MetaConfig(inner_steps=steps, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                         first_order=first_order)
+        adjoint_hypergrad(episode, model, warps, cfg)
+        assert len(calls) == len(warps)
+
+
+def test_adjoint_hypergrad_matches_the_engine_at_the_meta_full_shape():
+    # meta-full's shape: an [8,16,3] MLP whose auto warps are four dense ones,
+    # K=8 and a batch of 4 three-way one-shot episodes with 10 queries a class
+    rng = np.random.default_rng(61)
+    table = synth_proto_tasks(2, 5, 20, 8, 0.5, rng)
+    episode = stack_episodes([sample_episode(table, 3, 1, 10, rng) for _ in range(4)])
+    model = MLP([8, 16, 3], rng)
+    warps = [w.with_params(w.params() + 0.05 * rng.normal(size=w.n_params))
+             for w in init_warps([p.shape for p in model.params], "auto")]
+    assert [w.form for w in warps] == ["dense"] * 4
+    cfg = MetaConfig(inner_steps=8, inner_hyper=HyperParams(eta=0.1, epsilon=0.1))
+    got, losses = adjoint_hypergrad(episode, model, warps, cfg)
+    want, want_losses = hypergrad_P(episode, model, warps, cfg)
+    for a, b in zip(got, want, strict=True):
+        assert rel_err(a, b, floor=1e-300) < 1e-12
+    assert np.array_equal(losses, want_losses)
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_adjoint_tape_is_one_slab_of_the_budgets_size(monkeypatch, first_order):
+    model, warps, episode = _adapt_setup("auto", stacked=True)
+    tapes = []
+    original = warp_module.adapt
+    monkeypatch.setattr(warp_module, "adapt",
+                        lambda *a: tapes.append(a[-1]) or original(*a))
+    n = _episode_warp(model, warps, episode).size
+    for steps in (1, 3):
+        cfg = MetaConfig(inner_steps=steps, first_order=first_order)
+        tapes.clear()
+        adjoint_hypergrad(episode, model, warps, cfg)
+        (tape,) = tapes
+        assert type(tape) is np.ndarray and tape.dtype == np.float64
+        assert tape.shape == (4, steps - cfg.cut + 1, n)
+        if cfg.cut < steps:  # the budget counts the slab's entries
+            with pytest.raises(ResourceError, match=f"hold {tape.size} float64 entries"):
+                adjoint_hypergrad(episode, model, warps,
+                                  MetaConfig(inner_steps=steps, node_budget=tape.size - 1))
+            adjoint_hypergrad(episode, model, warps,
+                              MetaConfig(inner_steps=steps, node_budget=tape.size))
 
 
 @pytest.mark.parametrize("first_order", [False, True])
