@@ -148,8 +148,8 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
 
     The model is built fresh per run and carried across tasks; each task gets
     ``steps_per_task`` full-batch steps on its support set, with gradients from
-    ``MLP.loss_grads`` (bitwise the engine's ``grad``) and train/query
-    metrics recorded every ``eval_every`` steps and at the last step.
+    ``MLP.loss_grads`` (bitwise the engine's ``grad``) and train/query metrics
+    every ``eval_every`` steps and at the last step, on labels encoded once.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
     ``AdamState``, and each step is one in-place optimizer core over the
@@ -175,9 +175,10 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
         ep = sample_episode(table, cfg.episode.n_way, cfg.episode.k_shot,
                             cfg.episode.query_per_class, rng,
                             alphabets=cfg.episode.alphabets)
+        support_y, query_y = model.targets(ep.support_y), model.targets(ep.query_y)
         for s in range(1, cfg.steps_per_task + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, gs = model.loss_grads(arrays, ep.support_x, ep.support_y)
+                loss, gs = model.loss_grads(arrays, ep.support_x, support_y)
                 loss_val = float(loss)
             g = _flat(gs)
             if not (np.isfinite(loss_val) and np.all(np.isfinite(g))):
@@ -193,8 +194,8 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
                 return RunResult(records, diverged=True,
                                  note=f"optimizer overflow at task {task_index} step {s}: {exc}")
             if s % cfg.eval_every == 0 or s == cfg.steps_per_task:
-                train_loss, train_acc = _metrics(model, arrays, ep.support_x, ep.support_y)
-                val_loss, val_acc = _metrics(model, arrays, ep.query_x, ep.query_y)
+                train_loss, train_acc = _metrics(model, arrays, ep.support_x, support_y)
+                val_loss, val_acc = _metrics(model, arrays, ep.query_x, query_y)
                 records.append(CurveRecord(task_index, s, train_loss, train_acc,
                                            val_loss, val_acc, wall()))
                 if not (np.isfinite(train_loss) and np.isfinite(val_loss)):

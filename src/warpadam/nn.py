@@ -10,8 +10,9 @@ Meta-learning also calls it on a stack of E episodes: every parameter tensor
 is shaped ``(E,) + shape``, ``x`` and ``y`` carry E on axis 0, and the result
 has shape ``(E,)``, with entry e depending only on episode e.
 
-A meta-learned model (``warp.meta_update_P``) supplies ``params`` and three
-methods on parameter arrays, computed without a graph:
+A meta-learned model (``warp.meta_update_P``) supplies ``params``, ``targets``
+and three methods on parameter arrays, computed without a graph; ``targets(y)``
+prepares an episode's labels once, and the three take the result as ``y``:
 
 - ``loss_grads(arrays, x, y) -> (losses, grads)``: the values ``loss`` gives
   and the gradient of their sum with respect to each parameter array. The
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (Tensor, _cross_entropy_data, add, matmul,
+from .tensor import (Labels, Tensor, _cross_entropy_parts, add, as_labels, matmul,
                      softmax_cross_entropy, softmax_cross_entropy_grad, sum_to, tanh)
 
 
@@ -152,15 +153,19 @@ class MLP:
     def losses(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``loss`` on parameter arrays, from the numpy forward alone: the
         losses of ``loss_grads``, without its backward pass."""
-        return _cross_entropy_data(self._forward(arrays, x)[0][-1], y)
+        return _cross_entropy_parts(self._forward(arrays, x)[0][-1], y)[0]
 
     def loss_accuracy(self, arrays: Sequence[np.ndarray], x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, float]:
         """``loss`` on parameter arrays, and the fraction of rows whose largest
         logit is the label, from one numpy forward (the values of the engine's)."""
         logits = self._forward(arrays, x)[0][-1]
-        losses = _cross_entropy_data(logits, y)
-        return losses, float(np.mean(np.argmax(logits, axis=-1) == np.asarray(y)))
+        losses, labels, _, _ = _cross_entropy_parts(logits, y)
+        return losses, float(np.mean(np.argmax(logits, axis=-1) == labels.labels))
+
+    def targets(self, y) -> Labels:
+        """``y`` encoded once (``tensor.as_labels``), for the methods above."""
+        return as_labels(y, self.sizes[-1])
 
     def clone_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]

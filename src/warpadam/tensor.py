@@ -30,7 +30,7 @@ dropped. Graphs are built and walked single-threaded.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -330,63 +330,79 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(_softmax_data(a.data, axis), (a,), bwd, "softmax")
 
 
-def _cross_entropy_parts(logits: np.ndarray, labels):
-    """``softmax_cross_entropy``'s checked forward on arrays: the per-index
-    means, the labels as int64, and ``exp`` of the shifted logits with its
-    sums over the classes, of which the softmax is the quotient."""
+class Labels(NamedTuple):
+    """Class labels checked and indexed once, for every cross-entropy of an episode."""
+    shape: tuple[int, ...]  # of the logits they index: the labels' shape, then the classes
+    labels: np.ndarray      # int64
+    index: np.ndarray       # each label as an index into the flattened logits
+
+
+def encode_labels(labels, classes: int) -> Labels:
+    """Integer labels in ``[0, classes)`` as ``Labels``; others raise ``ValueError``."""
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"labels out of range [0, {classes})")
+    labels = labels.astype(np.int64)
+    index = np.arange(0, labels.size * classes, classes).reshape(labels.shape) + labels
+    return Labels(labels.shape + (classes,), labels, index)
+
+
+def as_labels(labels, classes: int) -> Labels:
+    """``labels`` as ``Labels``: an encoding as it is, raw labels encoded."""
+    return labels if isinstance(labels, Labels) else encode_labels(labels, classes)
+
+
+def _cross_entropy_parts(logits: np.ndarray, labels):
+    """``softmax_cross_entropy``'s checked forward on arrays, for raw or
+    encoded labels: the per-index means (``np.mean``'s sum and division), the
+    ``Labels``, and ``exp`` of the shifted logits with its sums over the
+    classes, of which the softmax is the quotient."""
     if logits.ndim < 2:
         raise ShapeError(f"logits must be (..., batch, classes), got {logits.shape}")
-    c = logits.shape[-1]
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"labels out of range [0, {c})")
-    labels = labels.astype(np.int64)
-
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    labels = as_labels(labels, logits.shape[-1])
+    if labels.shape != logits.shape:
+        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape[:-1]}")
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    picked = shifted.reshape(-1, c)[np.arange(labels.size), labels.reshape(-1)]
-    return np.mean(np.log(total[..., 0]) - picked.reshape(labels.shape), axis=-1), labels, e, total
-
-
-def _cross_entropy_data(logits: np.ndarray, labels) -> np.ndarray:
-    """``softmax_cross_entropy``'s checked forward on arrays: the per-index means."""
-    return _cross_entropy_parts(logits, labels)[0]
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    per_row = np.log(total[..., 0]) - shifted.take(labels.index)
+    return np.add.reduce(per_row, axis=-1) / logits.shape[-2], labels, e, total
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray,
                                labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``softmax_cross_entropy`` of an array, the gradient of its sum, and
-    the softmax, from one check of the labels and one ``exp``.
-
-    The array twin of the primitive and of its backward rule under a unit
-    upstream gradient: the same numpy operations in the same order, so all
-    three carry the bits the graph would give.
-    """
+    the softmax, from one ``exp``: the primitive and its backward rule under a
+    unit upstream gradient, with the graph's bits. The rule's
+    ``(1/n) * (p - onehot)`` is ``p`` minus 1.0 at each label, as ``p - 0.0``
+    is ``p``."""
     ce, labels, e, total = _cross_entropy_parts(logits, labels)
     p = e / total
-    return ce, (1.0 / logits.shape[-2]) * (p - np.eye(logits.shape[-1])[labels]), p
+    g = p.copy()
+    g.reshape(-1)[labels.index] -= 1.0
+    g *= 1.0 / logits.shape[-2]
+    return ce, g, p
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean cross-entropy of softmax(logits) over the last axis against integer labels.
 
-    ``logits`` is ``(..., n, c)`` and ``labels`` ``(..., n)``; the result holds
-    one mean over the n rows for each leading index (a scalar for 2-D logits).
+    ``logits`` is ``(..., n, c)`` and ``labels`` ``(..., n)`` (or ``Labels``);
+    the result holds one mean over the n rows per leading index (a scalar for 2-D logits).
     """
     logits = _as_tensor(logits)
     ce, labels, _, _ = _cross_entropy_parts(logits.data, labels)
-    onehot_t = Tensor(np.eye(logits.shape[-1])[labels])
     n = logits.shape[-2]
 
     def bwd(g):
-        p = softmax(logits, axis=-1)
+        p, onehot = softmax(logits, axis=-1), np.zeros(logits.shape)
+        onehot.reshape(-1)[labels.index] = 1.0
         per_row = mul(g, 1.0 / n)
         if per_row.ndim:  # one scale per leading index, broadcast over its (n, c) block
             per_row = reshape(per_row, per_row.shape + (1, 1))
-        return (mul(broadcast_to(per_row, logits.shape), sub(p, onehot_t)),)
+        return (mul(broadcast_to(per_row, logits.shape), sub(p, Tensor(onehot))),)
 
     return _node(ce, (logits,), bwd, "softmax_ce")
 

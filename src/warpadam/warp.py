@@ -22,7 +22,8 @@ step on every warp's entries at once. The unrolled step shares
 ``optim.adam_moments`` with the array optimizer, so the graph's trajectory
 has ``adapt``'s bits.
 
-A meta-learned model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
+A meta-learned model supplies ``params``, ``targets`` (an episode's labels,
+prepared once before its first step), ``loss_grads``, ``loss_hvp`` and
 ``losses`` (see ``nn``). ``meta_update_P`` takes its hypergradient from
 ``adjoint_hypergrad``, reverse mode through the array steps by hand, with
 the model's Hessian-vector product. ``hypergrad_P`` unrolls the steps as an
@@ -581,12 +582,14 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig, tape=None) -> list[n
     of the four planes, allocating nothing: the parameters it started from,
     the gradient there, and the moments it left.
 
-    The gradients come from ``model.loss_grads``.
+    The gradients come from ``model.loss_grads``, on the support labels
+    prepared once by ``model.targets``.
     """
+    support_y = model.targets(episode.support_y)
     params = FlatParams(_start_arrays(model, episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
     for t in range(1, cfg.inner_steps + 1):
-        g = _flat(model.loss_grads(params.arrays, episode.support_x, episode.support_y)[1])
+        g = _flat(model.loss_grads(params.arrays, episode.support_x, support_y)[1])
         check_step_inputs(state, w, g)
         rows = tape[:, t - cfg.cut] if tape is not None and t >= cfg.cut else None
         if rows is not None:
@@ -599,10 +602,10 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig, tape=None) -> list[n
 
 def _check_model(model) -> None:
     """``TypeError`` naming the first of a meta-learned model's methods it lacks."""
-    for name in ("params", "loss_grads", "loss_hvp", "losses"):
+    for name in ("params", "targets", "loss_grads", "loss_hvp", "losses"):
         if not hasattr(model, name):
             raise TypeError(f"{type(model).__name__} has no {name}: a meta-learned model "
-                            "supplies params, loss_grads, loss_hvp and losses")
+                            "supplies params, targets, loss_grads, loss_hvp and losses")
 
 
 def _check_episode(episode) -> None:
@@ -646,9 +649,10 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
                       cfg: MetaConfig) -> tuple[list[np.ndarray], float | np.ndarray]:
     """``hypergrad_P``'s hypergradients and losses, by reverse mode on arrays.
 
-    The model supplies ``params``, ``loss_grads``, ``loss_hvp`` and
-    ``losses``; one that lacks any of them raises ``TypeError`` naming it.
-    The warps are resolved once, with their transpose. The forward pass is
+    The model supplies ``params``, ``targets``, ``loss_grads``, ``loss_hvp``
+    and ``losses``; one that lacks any of them raises ``TypeError`` naming it.
+    The labels go through ``targets`` and the warps are resolved, with their
+    transpose, once, before the first step. The forward pass is
     ``adapt`` with one tape slab; the backward pass walks the steps from the
     last: ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped
     gradient ``P g``, the parameters' adjoint gains ``H(w) P^T u_bar`` (the
@@ -664,6 +668,8 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     """
     _check_model(model)
     _check_episode(episode)
+    episode = episode._replace(support_y=model.targets(episode.support_y),
+                               query_y=model.targets(episode.query_y))
     h, steps, cut = cfg.inner_hyper, cfg.inner_steps, cfg.cut
     warp = _episode_warp(model, warps, episode)
     shape = (4, steps - cut + 1, warp.size)  # (w, g, m, v) planes of a row per taped step
@@ -692,11 +698,13 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
     A float for an episode; for a stacked episode, the array of its E losses.
     The losses are ``model.losses``: the values of ``loss_grads``, from the
     forward pass alone, as no gradient of the query loss is needed. The model
-    supplies the methods ``adjoint_hypergrad`` names.
+    supplies the methods ``adjoint_hypergrad`` names; the query labels go
+    through ``targets`` before the first step.
     """
     _check_model(model)
+    query_y = model.targets(episode.query_y)
     arrays = adapt(model, _episode_warp(model, warps, episode), episode, cfg)
-    return _per_episode(model.losses(arrays, episode.query_x, episode.query_y))
+    return _per_episode(model.losses(arrays, episode.query_x, query_y))
 
 
 def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfig,
@@ -716,7 +724,7 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     differs from adding per-task results, so the full hypergradient can differ
     from that sum in the last bits; the first-order one does not. The
     hypergradient is ``adjoint_hypergrad``'s, so the model supplies
-    ``params``, ``loss_grads``, ``loss_hvp`` and ``losses``. Structural
+    ``params``, ``targets``, ``loss_grads``, ``loss_hvp`` and ``losses``. Structural
     forms are preserved; a warp without entries (the identity form) takes an
     empty step and comes back equal.
     """

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import warpadam.bench as bench
+import warpadam.optim as optim
 import warpadam.tensor as T
 from warpadam.bench import (
     OPTIMIZERS,
@@ -110,6 +112,38 @@ def test_run_takes_its_gradients_without_an_engine_backward_pass(monkeypatch):
         r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
         assert not r.diverged and r.records
     assert walks == []
+
+
+@pytest.mark.parametrize("field", ["support_y", "query_y"])
+def test_run_checks_a_tasks_labels_before_its_first_step(monkeypatch, field):
+    # a bad query label used to raise only at the task's first eval step
+    sample, steps = bench.sample_episode, []
+    core = optim.STEP_CORES["adam"]
+    monkeypatch.setitem(optim.STEP_CORES, "adam", lambda *args: steps.append(1) or core(*args))
+
+    def bad_labels(*args, **kwargs):
+        episode = sample(*args, **kwargs)
+        labels = getattr(episode, field).copy()
+        labels[-1] = 99
+        return episode._replace(**{field: labels})
+
+    run_sequential_tasks(tiny_cfg("adam", n_tasks=1), SPEC)
+    assert steps  # the wrapped core is the one that runs
+    steps.clear()
+    monkeypatch.setattr(bench, "sample_episode", bad_labels)
+    with pytest.raises(ValueError, match="out of range"):
+        run_sequential_tasks(tiny_cfg("adam"), SPEC)
+    assert steps == []
+
+
+def test_run_encodes_each_tasks_labels_once_whatever_the_steps(monkeypatch):
+    encoded = []
+    encode = T.encode_labels
+    monkeypatch.setattr(T, "encode_labels", lambda *args: encoded.append(1) or encode(*args))
+    for steps in (5, 50):
+        encoded.clear()
+        assert not run_sequential_tasks(tiny_cfg(n_tasks=2, steps_per_task=steps), SPEC).diverged
+        assert len(encoded) == 4  # support and query of each task
 
 
 def _per_tensor_run(cfg, model_spec):

@@ -423,6 +423,58 @@ def test_softmax_ce_contract_errors():
         T.softmax_cross_entropy(Tensor(np.ones((2, 3))), np.array([0, 3]))
 
 
+def test_cross_entropy_rejects_labels_that_are_not_integers():
+    # a float label used to pick a class by truncation (1.7 as 1), and a NaN
+    # one passed the range check to end in an IndexError
+    for labels in ([0.0, 1.7], [0, np.nan], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            T.softmax_cross_entropy_grad(np.zeros((2, 3)), labels)
+        with pytest.raises(ValueError, match="got dtype float64"):
+            T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), labels)
+    with pytest.raises(ValueError, match="got dtype bool"):
+        T.encode_labels(np.array([True, False]), 3)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_encoded_labels_give_the_bits_of_raw_labels(lead):
+    rng = np.random.default_rng(31)
+    logits, labels = rng.normal(size=lead + (5, 4)), rng.integers(0, 4, size=lead + (5,))
+    encoded = T.encode_labels(labels, 4)
+    assert T.as_labels(encoded, 4) is encoded
+    assert encoded.labels.dtype == np.int64 and encoded.shape == logits.shape
+    raw = T.softmax_cross_entropy_grad(logits, labels)
+    for got, want in zip(T.softmax_cross_entropy_grad(logits, encoded), raw, strict=True):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the gradient is the one-hot form of the backward rule, bit for bit
+    onehot = np.eye(4)[labels]
+    assert raw[1].tobytes() == ((1.0 / 5) * (raw[2] - onehot)).tobytes()
+    x = Tensor(logits, requires_grad=True)
+    (g,) = grad(T.tsum(T.softmax_cross_entropy(x, encoded)), [x])
+    assert g.data.tobytes() == raw[1].tobytes()
+    with pytest.raises(ShapeError):  # labels of 4 classes on logits of 3
+        T.softmax_cross_entropy_grad(logits[..., :3], encoded)
+
+
+def _bytes(result):
+    """The bytes of every array in a (nested) tuple or list of results."""
+    if isinstance(result, (tuple, list)):
+        return [b for item in result for b in _bytes(item)]
+    return [np.asarray(result).tobytes()]
+
+
+@pytest.mark.parametrize("stack", [None, 4])
+def test_mlp_methods_take_targets_in_place_of_labels(stack):
+    model, arrays, x, y = _mlp_case([16], stack)
+    targets = model.targets(y)
+    assert model.targets(targets) is targets
+    vecs = [np.ones_like(a) for a in arrays]
+    for method, args in ((model.loss_grads, ()), (model.loss_hvp, (vecs,)),
+                         (model.losses, ()), (model.loss_accuracy, ())):
+        assert _bytes(method(arrays, x, targets, *args)) == _bytes(method(arrays, x, y, *args))
+    with pytest.raises(ValueError, match="out of range"):
+        model.targets(np.full_like(y, 3))
+
+
 # ---------------------------------------------------------------------------
 # gradients of gradients (needed to differentiate unrolled trajectories)
 

@@ -69,6 +69,9 @@ class ScalarQuadratic:
     def __init__(self, w0):
         self.params = [np.array([float(w0)])]
 
+    def targets(self, y):
+        return y
+
     def loss(self, params, x, y):
         w = T.broadcast_to(params[0], np.shape(y))
         d = T.sub(w, Tensor(np.asarray(y, dtype=np.float64)))
@@ -348,6 +351,7 @@ class CountingModel:
     def __init__(self, model):
         self.model = model
         self.params, self.loss, self.loss_hvp = model.params, model.loss, model.loss_hvp
+        self.targets = model.targets
         self.calls = self.loss_calls = 0
 
     def loss_grads(self, arrays, x, y):
@@ -815,6 +819,7 @@ class SignedZeroGrads:
     def __init__(self, model):
         self.model = model
         self.params, self.loss_hvp, self.losses = model.params, model.loss_hvp, model.losses
+        self.targets = model.targets
 
     def loss(self, params, x, y):
         return self.model.loss([T.add(T.neg(n), T.mul(n, 0.0)) for n in map(T.neg, params)], x, y)
@@ -856,6 +861,9 @@ class FixedGrads:
 
     def __init__(self, params, grads):
         self.params, self.grads = params, grads
+
+    def targets(self, y):
+        return y
 
     def loss_grads(self, arrays, x, y):
         return None, [np.broadcast_to(g, a.shape) for g, a in zip(self.grads, arrays)]
@@ -1282,11 +1290,12 @@ def test_meta_update_rejects_empty_batch():
 
 
 @pytest.mark.parametrize("first_order", [False, True])
-@pytest.mark.parametrize("missing", ["loss_grads", "loss_hvp", "losses"])
+@pytest.mark.parametrize("missing", ["targets", "loss_grads", "loss_hvp", "losses"])
 def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_order):
     quad = ScalarQuadratic(0.2)
     model = SimpleNamespace(params=quad.params, loss=quad.loss,
-                            **{m: getattr(quad, m) for m in ("loss_grads", "loss_hvp", "losses")
+                            **{m: getattr(quad, m)
+                               for m in ("targets", "loss_grads", "loss_hvp", "losses")
                                if m != missing})
     cfg = MetaConfig(inner_steps=2, first_order=first_order)
     with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
@@ -1294,6 +1303,68 @@ def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_o
                       AdamState.zeros(1))
     with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
         adaptation_query_loss(model, [WarpMatrix.dense([[1.0]])], quad_episode([1.0], [1.2]), cfg)
+
+
+# ---------------------------------------------------------------------------
+# labels: checked and encoded once per episode, before the first inner step
+
+_META_CALLS = {
+    "adapt": lambda model, warps, episode, cfg: _adapt(model, warps, episode, cfg),
+    "adjoint_hypergrad": lambda model, warps, episode, cfg:
+        adjoint_hypergrad(episode, model, warps, cfg),
+    "adaptation_query_loss": adaptation_query_loss,
+}
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``; the list returned gets one entry per call."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("call, field", [
+    ("adapt", "support_y"),
+    ("adjoint_hypergrad", "support_y"), ("adjoint_hypergrad", "query_y"),
+    ("adaptation_query_loss", "support_y"), ("adaptation_query_loss", "query_y"),
+])
+def test_a_bad_label_raises_before_the_first_inner_step(monkeypatch, call, field, first_order):
+    # the query labels used to be checked only after all K inner steps
+    model, warps, episode = _adapt_setup("dense", stacked=True)
+    cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                     first_order=first_order)
+    cores = _count_calls(monkeypatch, warp_module, "warpadam_core")
+    labels = getattr(episode, field).copy()
+    labels[-1, -1] = model.sizes[-1]
+    with pytest.raises(ValueError, match="out of range"):
+        _META_CALLS[call](model, warps, episode._replace(**{field: labels}), cfg)
+    assert cores == []
+    with pytest.raises(ValueError, match="got dtype float64"):
+        _META_CALLS[call](model, warps, episode._replace(**{field: labels * 0.5}), cfg)
+    assert cores == []
+    _META_CALLS[call](model, warps, episode, cfg)
+    assert len(cores) == 4
+
+
+@pytest.mark.parametrize("call, encodings", [
+    ("adapt", 1), ("adjoint_hypergrad", 2), ("adaptation_query_loss", 2),
+])
+def test_labels_are_encoded_once_per_episode_whatever_k(monkeypatch, call, encodings):
+    model, warps, episode = _adapt_setup("dense", stacked=True)
+    encoded = _count_calls(monkeypatch, T, "encode_labels")
+    for steps in (2, 8):
+        for first_order in (False, True):
+            cfg = MetaConfig(inner_steps=steps, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
+                             first_order=first_order)
+            encoded.clear()
+            _META_CALLS[call](model, warps, episode, cfg)
+            assert len(encoded) == encodings
 
 
 # ---------------------------------------------------------------------------
