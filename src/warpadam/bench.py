@@ -178,7 +178,7 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
         support_y, query_y = model.targets(ep.support_y), model.targets(ep.query_y)
         for s in range(1, cfg.steps_per_task + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, gs = model.loss_grads(arrays, ep.support_x, support_y)
+                loss, gs, _ = model.loss_grads(arrays, ep.support_x, support_y)
                 loss_val = float(loss)
             g = _flat(gs)
             if not (np.isfinite(loss_val) and np.all(np.isfinite(g))):

@@ -123,7 +123,7 @@ def check_mlp_hvp(perturb: float = 0.0) -> CheckResult:
         y = rng.integers(0, 3, size=lead + (8,))
         for _ in range(5):
             vecs = [rng.normal(size=a.shape) for a in arrays]
-            hvp = model.loss_hvp(arrays, x, y, vecs)
+            hvp = model.loss_hvp(arrays, model.loss_grads(arrays, x, y)[2], vecs)
             plus = model.loss_grads([a + step * v for a, v in zip(arrays, vecs)], x, y)[1]
             minus = model.loss_grads([a - step * v for a, v in zip(arrays, vecs)], x, y)[1]
             fd = np.concatenate([((a - b) / (2.0 * step)).reshape(-1)

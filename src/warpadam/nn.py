@@ -12,13 +12,17 @@ has shape ``(E,)``, with entry e depending only on episode e.
 
 A meta-learned model (``warp.meta_update_P``) supplies ``params``, ``targets``
 and three methods on parameter arrays, computed without a graph; ``targets(y)``
-prepares an episode's labels once, and the three take the result as ``y``:
+prepares an episode's labels once, and the methods take the result as ``y``:
 
-- ``loss_grads(arrays, x, y) -> (losses, grads)``: the values ``loss`` gives
-  and the gradient of their sum with respect to each parameter array. The
-  adaptation takes its steps and the hypergradient's query losses from it;
-- ``loss_hvp(arrays, x, y, vecs)``: the Hessian of the losses' sum times the
-  arrays ``vecs``, one array per parameter, for ``warp.adjoint_hypergrad``;
+- ``loss_grads(arrays, x, y) -> (losses, grads, forward)``: the values
+  ``loss`` gives, the gradient of their sum with respect to each parameter
+  array, and a record of the forward pass. The adaptation takes its steps and
+  the hypergradient's query losses from it;
+- ``loss_hvp(arrays, forward, vecs)``: the Hessian of the losses' sum at
+  ``arrays`` times the arrays ``vecs``, one array per parameter, for
+  ``warp.adjoint_hypergrad``. ``forward`` is what ``loss_grads`` returned at
+  the same ``arrays``, so the forward pass is not run again. A record holds
+  no view of ``arrays``: a caller may overwrite them after ``loss_grads``;
 - ``losses(arrays, x, y)``: the losses of ``loss_grads``, bit for bit, from
   the forward pass alone, for ``warp.adaptation_query_loss``.
 
@@ -31,7 +35,7 @@ with it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +47,14 @@ def _bias_rows(b):
     """A bias (array or tensor) as the rows it adds: a stacked (E, c) bias as
     (E, 1, c), one bias row per episode."""
     return b.reshape(b.shape[0], 1, b.shape[1]) if b.ndim == 2 else b
+
+
+class Forward(NamedTuple):
+    """``MLP.loss_grads``'s record of its forward pass, for ``MLP.loss_hvp``:
+    arrays of its own or of the inputs, none a view of the parameters."""
+    inputs: list[np.ndarray]  # each layer's input: the inputs, then each tanh output
+    logit_grad: np.ndarray    # the gradient of the losses' sum at the logits
+    softmax: np.ndarray
 
 
 class MLP:
@@ -90,8 +102,9 @@ class MLP:
         return hs, biases
 
     def loss_grads(self, arrays: Sequence[np.ndarray], x: np.ndarray,
-                   y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``loss`` on parameter arrays, and the gradient of the losses' sum.
+                   y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], Forward]:
+        """``loss`` on parameter arrays, the gradient of the losses' sum, and
+        the ``Forward`` record that ``loss_hvp`` takes.
 
         Plain numpy, for plain and stacked episodes: the forward, then the
         backward rules of ``softmax_cross_entropy``, ``tanh``, ``matmul`` and
@@ -100,7 +113,8 @@ class MLP:
         """
         n_layers = len(arrays) // 2
         hs, biases = self._forward(arrays, x)
-        losses, g, _ = softmax_cross_entropy_grad(hs.pop(), y)
+        losses, g, p = softmax_cross_entropy_grad(hs.pop(), y)
+        forward = Forward(hs, g, p)
         grads: list[np.ndarray] = [None] * len(arrays)
         for i in reversed(range(n_layers)):
             w, h = arrays[2 * i], hs[i]
@@ -108,22 +122,22 @@ class MLP:
             grads[2 * i] = sum_to(h.swapaxes(-1, -2) @ g, w.shape)
             if i:  # back through the previous layer's tanh
                 g = sum_to(g @ w.swapaxes(-1, -2), h.shape) * (1.0 - h * h)
-        return losses, grads
+        return losses, grads, forward
 
-    def loss_hvp(self, arrays: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
+    def loss_hvp(self, arrays: Sequence[np.ndarray], forward: Forward,
                  vecs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The Hessian of the losses' sum at ``arrays``, times ``vecs``.
 
         The R-operator pass over ``loss_grads`` (Pearlmutter 1994): every
         forward and backward quantity of ``loss_grads`` is carried together
         with its directional derivative along ``vecs`` (``r_`` names), for
-        plain and stacked episodes and any depth. Returns one array per
-        parameter, shaped like it.
+        plain and stacked episodes and any depth. The forward quantities come
+        from ``forward``, ``loss_grads``' record at ``arrays``. Returns one
+        array per parameter, shaped like it.
         """
         n_layers = len(arrays) // 2
         ws, dws = arrays[0::2], vecs[0::2]
-        hs, biases = self._forward(arrays, x)
-        z = hs.pop()  # the logits; hs[i] is layer i's input, the tanh output of layer i - 1
+        hs, g, p = forward  # hs[i] is layer i's input, the tanh output of layer i - 1
         r_biases = [_bias_rows(db.reshape(b.shape)) for b, db in zip(arrays[1::2], vecs[1::2])]
         r_hs = [None]  # the input does not move along vecs
         for i in range(n_layers):
@@ -133,12 +147,11 @@ class MLP:
             if i < n_layers - 1:
                 h = hs[i + 1]
                 r_hs.append((1.0 - h * h) * r_z)
-        _, g, p = softmax_cross_entropy_grad(z, y)
-        r_g = (1.0 / z.shape[-2]) * p * (r_z - np.sum(p * r_z, axis=-1, keepdims=True))
+        r_g = (1.0 / p.shape[-2]) * p * (r_z - np.sum(p * r_z, axis=-1, keepdims=True))
         out: list[np.ndarray] = [None] * len(arrays)
         for i in reversed(range(n_layers)):
             w, h = ws[i], hs[i]
-            out[2 * i + 1] = sum_to(r_g, biases[i].shape).reshape(arrays[2 * i + 1].shape)
+            out[2 * i + 1] = sum_to(r_g, r_biases[i].shape).reshape(arrays[2 * i + 1].shape)
             r_gw = h.swapaxes(-1, -2) @ r_g
             if i:
                 r_gw += r_hs[i].swapaxes(-1, -2) @ g

@@ -234,9 +234,12 @@ def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, bu
 
 
 def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf,
-                  warp) -> None:
-    """WarpAdam's core; see ``warpadam_step``. ``warp`` needs only ``apply``."""
-    _descend(w, _adam_direction(state, warp.apply(g), h, buf), h, "warpadam step")
+                  warp, out=None) -> None:
+    """WarpAdam's core; see ``warpadam_step``. ``warp`` needs only ``apply``.
+    Given ``out``, an array of ``g``'s shape, the warped gradient ``P g`` is
+    written there (``warp.apply(g, out=out)``) rather than into a new array."""
+    warped = warp.apply(g) if out is None else warp.apply(g, out=out)
+    _descend(w, _adam_direction(state, warped, h, buf), h, "warpadam step")
 
 
 def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:

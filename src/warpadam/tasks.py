@@ -128,19 +128,23 @@ def synth_proto_tasks(n_alphabets: int, classes_per_alphabet: int, instances_per
             f"input_dim={input_dim} leaves no room for {classes_per_alphabet} "
             f"orthonormal class prototypes")
 
-    alphabets = []
-    for a in range(n_alphabets):
-        rotation, _ = np.linalg.qr(rng.normal(size=(input_dim, input_dim)))
-        protos, _ = np.linalg.qr(rng.normal(size=(input_dim, classes_per_alphabet)))
-        classes = []
-        for c in range(classes_per_alphabet):
-            with np.errstate(over="ignore", invalid="ignore"):
-                noise = noise_sigma * rng.normal(size=(instances_per_class, input_dim))
-                instances = (protos[:, c][None, :] + noise) @ rotation.T
-            if not np.isfinite(instances).all():
-                raise ValueError(f"noise_sigma={noise_sigma!r} makes non-finite instances")
-            classes.append(CharacterClass(name=f"char{c:02d}", instances=instances))
-        alphabets.append(Alphabet(name=f"alpha{a:02d}", classes=classes))
+    d, n_c, n_i = input_dim, classes_per_alphabet, instances_per_class
+    # one draw, alphabet after alphabet: its rotation, its prototypes, then
+    # each class's noise; one QR per factor and one product for the stack
+    normals = rng.normal(size=(n_alphabets, d * d + d * n_c + n_c * n_i * d))
+    rotations, _ = np.linalg.qr(normals[:, :d * d].reshape(-1, d, d))
+    protos, _ = np.linalg.qr(normals[:, d * d:d * (d + n_c)].reshape(-1, d, n_c))
+    noise = normals[:, d * (d + n_c):].reshape(-1, n_c, n_i, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise *= noise_sigma
+        noise += protos.swapaxes(-1, -2)[:, :, None, :]
+        instances = noise @ rotations.swapaxes(-1, -2)[:, None]
+    if not np.isfinite(instances).all():
+        raise ValueError(f"noise_sigma={noise_sigma!r} makes non-finite instances")
+    alphabets = [Alphabet(name=f"alpha{a:02d}",
+                          classes=[CharacterClass(name=f"char{c:02d}", instances=instances[a, c])
+                                   for c in range(n_c)])
+                 for a in range(n_alphabets)]
     return ClassTable(alphabets=alphabets, dim=input_dim)
 
 

@@ -299,8 +299,8 @@ class MetaConfig:
     truncation point is another value of ``cut`` alone.
     ``node_budget`` caps the float64 entries that the tape of a full (not
     first-order) ``adjoint_hypergrad`` of one task batch may hold: a slab of
-    four planes ``(w, g, m, v)``, each a row of stacked parameters per step,
-    so ``4 * inner_steps * tasks * parameters``. An oversized tape stops
+    five planes ``(w, g, m, v, P g)``, each a row of stacked parameters per
+    step, so ``5 * inner_steps * tasks * parameters``. An oversized tape stops
     with ``ResourceError`` before the first inner step. A first-order
     hypergradient tapes one step and is not capped.
     """
@@ -523,10 +523,12 @@ class _FlatWarp:
         self._segments = [(slice(start, end), _segment_apply(warp, tuple(shape)))
                           for start, end, warp, shape in zip(ends, ends[1:], warps, shapes)]
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
+    def apply(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``g`` warped segment by segment, into ``out`` (a new array without it)."""
         if g.shape != (self.size,):
             raise ShapeError(f"flat warp of {self.size} entries applied to shape {g.shape}")
-        out = np.empty_like(g)
+        if out is None:
+            out = np.empty_like(g)
         for segment, apply in self._segments:
             apply(g[segment], out[segment])
         return out
@@ -566,38 +568,48 @@ def _episode_warp(model, warps: Sequence[WarpMatrix], episode) -> _FlatWarp:
     return _FlatWarp(warps, [lead + np.shape(p) for p in model.params], lead)
 
 
-def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig, tape=None) -> list[np.ndarray]:
+def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
+          tape=None) -> tuple[list[np.ndarray], list]:
     """``cfg.inner_steps`` array WarpAdam steps, with ``cfg.inner_hyper``, on
     the support loss, warped by ``warp`` (``_episode_warp``); the adapted
-    parameters.
+    parameters, and the forward records of the taped steps after ``cut``.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
     ``AdamState`` over it, and each inner step is one in-place
-    ``warpadam_core`` over every tensor. Returns per-tensor views of the
-    parameters, in their plain or stacked shapes: for a stacked episode every
-    array carries one adapted copy per episode on axis 0.
+    ``warpadam_core`` over every tensor. The adapted parameters are per-tensor
+    views of that buffer, in their plain or stacked shapes: for a stacked
+    episode every array carries one adapted copy per episode on axis 0.
 
-    Given a ``tape`` (a ``(4, K - cut + 1, warp.size)`` array), step ``t``
-    from ``cfg.cut`` on writes its flat ``(w, g, m, v)`` into row ``t - cut``
-    of the four planes, allocating nothing: the parameters it started from,
-    the gradient there, and the moments it left.
+    Given a ``tape`` (a ``(5, K - cut + 1, warp.size)`` array), step ``t``
+    from ``cfg.cut`` on writes its flat ``(w, g, m, v, P g)`` into row
+    ``t - cut`` of the five planes, allocating nothing: the parameters it
+    started from, the gradient there, the moments it left, and the warped
+    gradient that its moments took, which the core writes there. An untaped
+    step has the core write ``P g`` into one work array instead.
 
     The gradients come from ``model.loss_grads``, on the support labels
-    prepared once by ``model.targets``.
+    prepared once by ``model.targets``. The forward record that it returns at
+    the start of each taped step after ``cut`` is kept, in step order, for
+    that step's Hessian product in ``adjoint_hypergrad``; without a tape the
+    list is empty.
     """
     support_y = model.targets(episode.support_y)
     params = FlatParams(_start_arrays(model, episode))
     w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
+    warped, forwards = np.empty_like(w), []
     for t in range(1, cfg.inner_steps + 1):
-        g = _flat(model.loss_grads(params.arrays, episode.support_x, support_y)[1])
+        _, grads, forward = model.loss_grads(params.arrays, episode.support_x, support_y)
+        g = _flat(grads)
         check_step_inputs(state, w, g)
         rows = tape[:, t - cfg.cut] if tape is not None and t >= cfg.cut else None
         if rows is not None:
-            rows[0] = w
-        warpadam_core(state, w, g, cfg.inner_hyper, buf, warp)
+            rows[0], rows[1], warped = w, g, rows[4]
+            if t > cfg.cut:
+                forwards.append(forward)
+        warpadam_core(state, w, g, cfg.inner_hyper, buf, warp, warped)
         if rows is not None:
-            rows[1], rows[2], rows[3] = g, state.m, state.v
-    return params.arrays
+            rows[2], rows[3] = state.m, state.v
+    return params.arrays, forwards
 
 
 def _check_model(model) -> None:
@@ -654,17 +666,18 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
     The labels go through ``targets`` and the warps are resolved, with their
     transpose, once, before the first step. The forward pass is
     ``adapt`` with one tape slab; the backward pass walks the steps from the
-    last: ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the warped
-    gradient ``P g``, the parameters' adjoint gains ``H(w) P^T u_bar`` (the
-    transposed warp, and ``loss_hvp``'s Hessian product; Maclaurin et al.
-    2015, Pearlmutter 1994), and ``u_bar`` overwrites the spent ``w``. Each
-    warp's ``factor_grads`` of ``<u_bar, P g>`` over all steps is then one
-    contraction of the ``w`` and ``g`` planes. The walk stops at step
-    ``cfg.cut``, whose start parameters count as independent of the warps,
-    so Hessian products are taken only after ``cut``. With ``cut`` before
-    the last step, a tape over ``cfg.node_budget`` float64 entries raises
-    ``ResourceError`` before the first step. First order (``cut`` K) has the
-    bits of ``hypergrad_P``'s result; the full result matches it to rounding.
+    last: ``optim.adam_adjoint`` gives the adjoint ``u_bar`` of the taped
+    warped gradient ``P g``, the parameters' adjoint gains ``H(w) P^T u_bar``
+    (the transposed warp, and ``loss_hvp``'s Hessian product on the forward
+    record that ``adapt`` kept; Maclaurin et al. 2015, Pearlmutter 1994), and
+    ``u_bar`` overwrites the spent ``w``. Each warp's ``factor_grads`` of
+    ``<u_bar, P g>`` over all steps is then one contraction of the ``w`` and
+    ``g`` planes. The walk stops at step ``cfg.cut``, whose start parameters
+    count as independent of the warps, so Hessian products are taken only
+    after ``cut``. With ``cut`` before the last step, a tape over
+    ``cfg.node_budget`` float64 entries raises ``ResourceError`` before the
+    first step. First order (``cut`` K) has the bits of ``hypergrad_P``'s
+    result; the full result matches it to rounding.
     """
     _check_model(model)
     _check_episode(episode)
@@ -672,22 +685,22 @@ def adjoint_hypergrad(episode, model, warps: Sequence[WarpMatrix],
                                query_y=model.targets(episode.query_y))
     h, steps, cut = cfg.inner_hyper, cfg.inner_steps, cfg.cut
     warp = _episode_warp(model, warps, episode)
-    shape = (4, steps - cut + 1, warp.size)  # (w, g, m, v) planes of a row per taped step
+    shape = (5, steps - cut + 1, warp.size)  # (w, g, m, v, P g) planes of a row per taped step
     if cut < steps and math.prod(shape) > cfg.node_budget:
         raise ResourceError(f"adjoint tape would hold {math.prod(shape)} float64 entries, over "
                             f"the budget of {cfg.node_budget}; reduce meta.inner_steps, set "
                             "meta.first_order=true or raise meta.node_budget")
     warp_t = _FlatWarp([w.transposed() for w in warps], warp.shapes, warp.lead)
     tape = np.empty(shape)
-    arrays = adapt(model, warp, episode, cfg, tape)
-    losses, query_grads = model.loss_grads(arrays, episode.query_x, episode.query_y)
+    arrays, forwards = adapt(model, warp, episode, cfg, tape)
+    losses, query_grads, _ = model.loss_grads(arrays, episode.query_x, episode.query_y)
     w_bar, m_bar, v_bar = _flat(query_grads), 0.0, 0.0
-    for t, (w, g, m, v) in zip(range(steps, cut - 1, -1), tape.swapaxes(0, 1)[::-1]):
-        u_bar, m_bar, v_bar = adam_adjoint(w_bar, m_bar, v_bar, warp.apply(g), m, v, t, h)
+    for t, (w, g, m, v, warped) in zip(range(steps, cut - 1, -1), tape.swapaxes(0, 1)[::-1]):
+        u_bar, m_bar, v_bar = adam_adjoint(w_bar, m_bar, v_bar, warped, m, v, t, h)
         if t > cut:
             g_bar = _views(warp_t.apply(u_bar), warp.shapes)
-            w_bar = w_bar + _flat(model.loss_hvp(_views(w, warp.shapes), episode.support_x,
-                                                 episode.support_y, g_bar))
+            w_bar = w_bar + _flat(model.loss_hvp(_views(w, warp.shapes), forwards[t - cut - 1],
+                                                 g_bar))
         w[...] = u_bar
     return [_flat(factors) for factors in warp.factor_grads(tape[0], tape[1])], _per_episode(losses)
 
@@ -703,7 +716,7 @@ def adaptation_query_loss(model, warps: Sequence[WarpMatrix], episode, cfg: Meta
     """
     _check_model(model)
     query_y = model.targets(episode.query_y)
-    arrays = adapt(model, _episode_warp(model, warps, episode), episode, cfg)
+    arrays = adapt(model, _episode_warp(model, warps, episode), episode, cfg)[0]
     return _per_episode(model.losses(arrays, episode.query_x, query_y))
 
 
@@ -726,18 +739,22 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     hypergradient is ``adjoint_hypergrad``'s, so the model supplies
     ``params``, ``targets``, ``loss_grads``, ``loss_hvp`` and ``losses``. Structural
     forms are preserved; a warp without entries (the identity form) takes an
-    empty step and comes back equal.
+    empty step and comes back equal. The new warps' factors are views of the
+    one array of stepped entries, which shares no memory with the inputs.
     """
     if len(task_batch) == 0:
         raise ValueError("task batch must be non-empty")
 
     totals, losses = adjoint_hypergrad(stack_episodes(task_batch), model, warps, cfg)
-    g = _flat(total / len(task_batch) + tod_penalty_grad(warp, cfg.tod_lambda)
-              for warp, total in zip(warps, totals))
-    state, entries = adam_step(outer_state, _flat(w.params() for w in warps), g,
-                               HyperParams(eta=cfg.outer_eta))
-    new_warps = [warp.with_params(view) for warp, view in
-                 zip(warps, _views(entries, [(w.n_params,) for w in warps]))]
+    factors = [f for warp in warps for f in warp.factors]
+    entries = _flat(factors)
+    g = np.empty_like(entries)
+    for warp, total, segment in zip(warps, totals, _views(g, [(w.n_params,) for w in warps])):
+        np.add(total / len(task_batch), tod_penalty_grad(warp, cfg.tod_lambda), out=segment)
+    state, entries = adam_step(outer_state, entries, g, HyperParams(eta=cfg.outer_eta))
+    views = iter(_views(entries, [f.shape for f in factors]))
+    new_warps = [WarpMatrix(warp.form, warp.dim, tuple(next(views) for _ in warp.factors))
+                 for warp in warps]
     return new_warps, state, losses
 
 

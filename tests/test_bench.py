@@ -174,7 +174,7 @@ def _per_tensor_run(cfg, model_spec):
                             cfg.episode.query_per_class, rng)
         for s in range(1, cfg.steps_per_task + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, gs = model.loss_grads(arrays, ep.support_x, ep.support_y)
+                loss, gs, _ = model.loss_grads(arrays, ep.support_x, ep.support_y)
             if not np.isfinite(float(loss)) or not all(np.all(np.isfinite(g)) for g in gs):
                 rows.append((ti, s, float(loss), nan, nan, nan))
                 return rows, f"non-finite loss/gradient at task {ti} step {s}"
@@ -213,12 +213,12 @@ def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
     calls = []
 
     def nan_in_the_last_tensor_at_step_3(self, arrays, x, y):
-        loss, grads = original(self, arrays, x, y)
+        loss, grads, forward = original(self, arrays, x, y)
         calls.append(1)
         if len(calls) == 3:
             grads[-1] = grads[-1].copy()
             grads[-1][-1] = np.nan
-        return loss, grads
+        return loss, grads, forward
 
     monkeypatch.setattr(MLP, "loss_grads", nan_in_the_last_tensor_at_step_3)
     for optimizer in ("adam", "warpadam"):

@@ -188,6 +188,34 @@ def test_synth_within_class_tighter_than_between():
     assert np.mean(within) < np.mean(between)
 
 
+def _per_alphabet_synth(n_alphabets, classes, instances, dim, noise_sigma, rng):
+    """The reference sampler: per alphabet, its rotation, its prototypes, and
+    each class's instances, drawn and multiplied one at a time."""
+    table = []
+    for _ in range(n_alphabets):
+        rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        protos, _ = np.linalg.qr(rng.normal(size=(dim, classes)))
+        table.append([(protos[:, c][None, :] + noise_sigma * rng.normal(size=(instances, dim)))
+                      @ rotation.T for c in range(classes)])
+    return table
+
+
+@pytest.mark.parametrize("shape", [(10, 5, 20, 8, 0.5), (10, 8, 20, 32, 0.5), (3, 4, 1, 4, 0.0),
+                                   (2, 3, 7, 3, 2.0), (1, 1, 1, 1, 0.3)])
+def test_synth_is_the_per_alphabet_sampler(shape):
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = synth_proto_tasks(*shape, rng)
+        want = _per_alphabet_synth(*shape, ref_rng)
+        assert [a.name for a in table.alphabets] == [f"alpha{a:02d}" for a in range(shape[0])]
+        for alphabet, classes in zip(table.alphabets, want, strict=True):
+            assert [c.name for c in alphabet.classes] == [f"char{c:02d}" for c in range(shape[1])]
+            for got, instances in zip(alphabet.classes, classes, strict=True):
+                assert got.instances.shape == instances.shape
+                assert got.instances.tobytes() == instances.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_synth_validations():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError, match="room"):

@@ -468,9 +468,12 @@ def test_mlp_methods_take_targets_in_place_of_labels(stack):
     targets = model.targets(y)
     assert model.targets(targets) is targets
     vecs = [np.ones_like(a) for a in arrays]
-    for method, args in ((model.loss_grads, ()), (model.loss_hvp, (vecs,)),
-                         (model.losses, ()), (model.loss_accuracy, ())):
-        assert _bytes(method(arrays, x, targets, *args)) == _bytes(method(arrays, x, y, *args))
+    for method in (model.loss_grads, model.losses, model.loss_accuracy):
+        assert _bytes(method(arrays, x, targets)) == _bytes(method(arrays, x, y))
+    # loss_hvp takes the labels as they went into loss_grads' forward record
+    hvps = [model.loss_hvp(arrays, model.loss_grads(arrays, x, labels)[2], vecs)
+            for labels in (targets, y)]
+    assert _bytes(hvps[0]) == _bytes(hvps[1])
     with pytest.raises(ValueError, match="out of range"):
         model.targets(np.full_like(y, 3))
 
@@ -566,7 +569,7 @@ def test_mlp_loss_grads_is_bitwise_the_engine(hidden, stack):
     params = [Tensor(a, requires_grad=True) for a in arrays]
     losses = model.loss(params, x, y)
     engine = grad(T.tsum(losses), params)
-    fast_losses, fast = model.loss_grads(arrays, x, y)
+    fast_losses, fast, _ = model.loss_grads(arrays, x, y)
     assert np.array_equal(fast_losses, losses.data)
     assert len(fast) == len(engine)
     for got, want in zip(fast, engine):

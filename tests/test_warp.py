@@ -19,6 +19,7 @@ from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
 from warpadam.tensor import NumericError, ShapeError, Tensor, finite_diff_grad, grad
 from warpadam.warp import (
     FORMS,
+    FlatParams,
     MetaConfig,
     ResourceError,
     WarpMatrix,
@@ -53,14 +54,14 @@ def make_episode(sx, sy, qx, qy):
 
 
 def _adapt(model, warps, episode, cfg, tape=None):
-    """``adapt`` with the warps resolved for the episode."""
-    return adapt(model, _episode_warp(model, warps, episode), episode, cfg, tape)
+    """``adapt``'s parameters, with the warps resolved for the episode."""
+    return adapt(model, _episode_warp(model, warps, episode), episode, cfg, tape)[0]
 
 
 def _nan_tape(model, warps, episode, cfg):
     """A tape for ``adapt`` of ``cfg`` on ``episode``, NaN until written."""
     n = _episode_warp(model, warps, episode).size
-    return np.full((4, cfg.inner_steps - cfg.cut + 1, n), np.nan)
+    return np.full((5, cfg.inner_steps - cfg.cut + 1, n), np.nan)
 
 
 class ScalarQuadratic:
@@ -84,9 +85,9 @@ class ScalarQuadratic:
 
     def loss_grads(self, arrays, x, y):
         d = arrays[0] - np.asarray(y, dtype=np.float64)
-        return self.losses(arrays, x, y), [np.mean(d, axis=-1, keepdims=True)]
+        return self.losses(arrays, x, y), [np.mean(d, axis=-1, keepdims=True)], None
 
-    def loss_hvp(self, arrays, x, y, vecs):
+    def loss_hvp(self, arrays, forward, vecs):
         return [1.0 * vecs[0]]  # each episode's loss has curvature 1 in its w
 
 
@@ -693,8 +694,10 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step(monkeypatch):
     arrays = _adapt(model, warps, episode, cfg, tape)
     assert len(live) == 4 * 3
     assert not any(np.shares_memory(tape, a) for a in live + arrays)
-    # step k starts from the parameters k steps left and leaves k+1 steps' moments
-    for k, (w, g, m, v) in enumerate(tape.swapaxes(0, 1)):
+    # step k starts from the parameters k steps left and leaves k+1 steps' moments,
+    # and its moments took the warp of its gradient
+    warp = _episode_warp(model, warps, episode)
+    for k, (w, g, m, v, warped) in enumerate(tape.swapaxes(0, 1)):
         start = (_adapt(model, warps, episode, MetaConfig(inner_steps=k, inner_hyper=h)) if k
                  else _start_arrays(model, episode))
         after = _per_tensor_adapt(model, warps, episode, k + 1, h)[1]
@@ -703,6 +706,7 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step(monkeypatch):
                                                         episode.support_y)[1]))
         assert np.array_equal(m, _flat(s.m for s in after))
         assert np.array_equal(v, _flat(s.v for s in after))
+        assert np.array_equal(warped, warp.apply(g))
 
 
 def test_adapt_writes_its_tape_without_allocating_for_it():
@@ -713,12 +717,15 @@ def test_adapt_writes_its_tape_without_allocating_for_it():
     for given in (None, tape):
         tracemalloc.start()
         try:
-            adapt(model, warp, episode, cfg, given)
+            forwards = adapt(model, warp, episode, cfg, given)[1]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    # the taped call keeps the forward records of its Hessian products on purpose
+    kept = sum(a.nbytes for f in forwards for a in (*f.inputs[1:], f.logit_grad, f.softmax))
+    assert len(forwards) == cfg.inner_steps - cfg.cut and kept > 0
     # a taped array of its own, kept per step as a list tape keeps it, adds a row per step
-    assert peaks[1] - peaks[0] < tape[0, 0].nbytes
+    assert peaks[1] - peaks[0] - kept < tape[0, 0].nbytes
     assert not np.isnan(tape).any()
 
 
@@ -825,8 +832,8 @@ class SignedZeroGrads:
         return self.model.loss([T.add(T.neg(n), T.mul(n, 0.0)) for n in map(T.neg, params)], x, y)
 
     def loss_grads(self, arrays, x, y):
-        losses, grads = self.model.loss_grads(arrays, x, y)
-        return losses, [np.where(g == 0, -0.0, g) for g in grads]
+        losses, grads, forward = self.model.loss_grads(arrays, x, y)
+        return losses, [np.where(g == 0, -0.0, g) for g in grads], forward
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -866,7 +873,7 @@ class FixedGrads:
         return y
 
     def loss_grads(self, arrays, x, y):
-        return None, [np.broadcast_to(g, a.shape) for g, a in zip(self.grads, arrays)]
+        return None, [np.broadcast_to(g, a.shape) for g, a in zip(self.grads, arrays)], None
 
 
 def test_adapt_checks_every_segment_of_the_flat_buffer():
@@ -1037,7 +1044,7 @@ def test_adjoint_tape_is_one_slab_of_the_budgets_size(monkeypatch, first_order):
         adjoint_hypergrad(episode, model, warps, cfg)
         (tape,) = tapes
         assert type(tape) is np.ndarray and tape.dtype == np.float64
-        assert tape.shape == (4, steps - cfg.cut + 1, n)
+        assert tape.shape == (5, steps - cfg.cut + 1, n)
         if cfg.cut < steps:  # the budget counts the slab's entries
             with pytest.raises(ResourceError, match=f"hold {tape.size} float64 entries"):
                 adjoint_hypergrad(episode, model, warps,
@@ -1076,7 +1083,7 @@ def test_adjoint_tape_over_the_budget_stops_before_the_first_step(monkeypatch):
     model, episodes, warps = _stack_setup("dense")
     episode = stack_episodes(episodes)
     h = HyperParams(eta=0.05, epsilon=0.1)
-    tape = 4 * 3 * len(episodes) * sum(p.size for p in model.params)
+    tape = 5 * 3 * len(episodes) * sum(p.size for p in model.params)
     want = adjoint_hypergrad(episode, model, warps, MetaConfig(inner_steps=3, inner_hyper=h))
     got = adjoint_hypergrad(episode, model, warps,
                             MetaConfig(inner_steps=3, inner_hyper=h, node_budget=tape))
@@ -1107,7 +1114,7 @@ def _mlp_hvp_setup(sizes, stacked, seed=33):
 @pytest.mark.parametrize("sizes", [[4, 3], [4, 5, 3], [4, 5, 6, 3]])
 def test_mlp_loss_hvp_is_the_engine_second_derivative(sizes, stacked):
     model, arrays, x, y, vecs = _mlp_hvp_setup(sizes, stacked)
-    got = model.loss_hvp(arrays, x, y, vecs)
+    got = model.loss_hvp(arrays, model.loss_grads(arrays, x, y)[2], vecs)
     for a, b, p in zip(got, _engine_hvp(model, arrays, x, y, vecs), arrays):
         assert a.shape == p.shape
         assert rel_err(a, b) < 1e-12
@@ -1139,12 +1146,12 @@ def _test_model_setup(name, stacked):
 @pytest.mark.parametrize("name", ["quadratic", "counting"])
 def test_test_models_loss_grads_and_loss_hvp_are_the_engines(name, stacked):
     model, arrays, x, y, vecs = _test_model_setup(name, stacked)
-    losses, grads = model.loss_grads(arrays, x, y)
+    losses, grads, forward = model.loss_grads(arrays, x, y)
     want = model.loss([Tensor(a) for a in arrays], x, y).data
     assert losses.shape == want.shape and losses.tobytes() == want.tobytes()
     for got, engine, a in zip(grads, _engine_grads(model, arrays, x, y), arrays, strict=True):
         assert got.shape == a.shape and rel_err(got, engine) < 1e-12
-    hvps = model.loss_hvp(arrays, x, y, vecs)
+    hvps = model.loss_hvp(arrays, forward, vecs)
     for got, engine, a in zip(hvps, _engine_hvp(model, arrays, x, y, vecs), arrays, strict=True):
         assert got.shape == a.shape and rel_err(got, engine) < 1e-12
 
@@ -1173,6 +1180,64 @@ def test_meta_update_on_an_mlp_takes_the_adjoint(monkeypatch, first_order):
     cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05), first_order=first_order)
     meta_update_P(warps, episodes, model, cfg, _outer_state(warps))
     assert calls == ([] if first_order else ["loss_hvp"] * (cfg.inner_steps - 1))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_full_adjoint_runs_each_forward_and_each_warp_once(monkeypatch, steps):
+    # K support forwards and one query forward: the Hessian products take the
+    # forward records of the adaptation, and the adjoint walk its taped P g
+    model, episodes, warps = _stack_setup("dense")
+    calls = []
+    _counting(monkeypatch, MLP, "_forward", calls)
+    _counting(monkeypatch, nn, "softmax_cross_entropy_grad", calls)
+    original = _FlatWarp.apply
+
+    def apply(self, *args, **kwargs):
+        calls.append("P" if self.warps is warps else "P^T")
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(_FlatWarp, "apply", apply)
+    cfg = MetaConfig(inner_steps=steps, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    adjoint_hypergrad(stack_episodes(episodes), model, warps, cfg)
+    assert calls.count("_forward") == steps + 1
+    assert calls.count("softmax_cross_entropy_grad") == steps + 1
+    assert calls.count("P") == steps and calls.count("P^T") == steps - 1
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_mlp_forward_record_outlives_the_parameters_it_was_taken_at(stacked):
+    model, arrays, x, y, vecs = _mlp_hvp_setup([4, 5, 6, 3], stacked)
+    params = FlatParams(arrays)  # a buffer of their own, as the adaptation steps
+    forward = model.loss_grads(params.arrays, x, y)[2]
+    held = [*forward.inputs, forward.logit_grad, forward.softmax]
+    want = [a.copy() for a in held]
+    params.w[...] = np.nan  # the next step overwrites the buffer in place
+    assert not any(np.shares_memory(a, params.w) for a in held)
+    assert [a.tobytes() for a in held] == [a.tobytes() for a in want]
+    got = model.loss_hvp(arrays, forward, vecs)
+    for a, b in zip(got, _engine_hvp(model, arrays, x, y, vecs), strict=True):
+        assert rel_err(a, b) < 1e-12
+
+
+def test_meta_update_new_warps_are_views_of_one_stepped_array_of_their_own():
+    model, episodes, warps = _stack_setup("kron")
+    state = _outer_state(warps)
+    new_warps, new_state, _ = meta_update_P(warps, episodes, model,
+                                            MetaConfig(inner_steps=2), state)
+    given = [f for w in warps for f in w.factors] + [state.m, state.v]
+    factors = [f for w in new_warps for f in w.factors]
+    assert len(factors) == len(given) - 2
+    for f in factors + [new_state.m, new_state.v]:
+        assert not any(np.shares_memory(f, a) for a in given)
+    # one array stepped by the outer Adam holds every new factor, without a copy per warp
+    owner = _owner(factors[0])
+    assert owner.size == len(state.m) and all(_owner(f) is owner for f in factors)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 # ---------------------------------------------------------------------------
