@@ -57,32 +57,23 @@ class EpisodeSpec:
     alphabets: tuple[str, ...] | None = None  # sampling pool; None = all
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    hidden: int = 64  # 0 gives a plain linear softmax classifier
-
-
 @dataclass
 class RunConfig:
-    optimizer: str
+    """Everything a run takes but its optimizer, so one config runs under each."""
+
     hyper: HyperParams = field(default_factory=HyperParams)
-    synth: SynthSpec | None = field(default_factory=SynthSpec)
-    table: ClassTable | None = None
+    source: SynthSpec | ClassTable = field(default_factory=SynthSpec)
     episode: EpisodeSpec = field(default_factory=EpisodeSpec)
+    hidden: int = 64  # 0 gives a plain linear softmax classifier
     n_tasks: int = 4
     steps_per_task: int = 50
     eval_every: int = 10
     seed: int = 0
-    warps: list[WarpMatrix] | None = None  # loaded checkpoint; None = identity init
-    warp_policy: str = "auto"
+    warps: str | list[WarpMatrix] = "auto"  # an ``init_warps`` policy, or a checkpoint's warps
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}")
         if self.n_tasks < 1 or self.steps_per_task < 1 or self.eval_every < 1:
             raise ValueError("n_tasks, steps_per_task and eval_every must all be >= 1")
-        if (self.synth is None) == (self.table is None):
-            raise ValueError("exactly one of synth or table must be given")
 
 
 @dataclass
@@ -111,27 +102,26 @@ REFERENCE_ROWS = (
 )
 
 
-def resolve_table(synth: SynthSpec | None, table: ClassTable | None,
-                  rng: np.random.Generator) -> ClassTable:
-    """The task table of a source: ``table`` itself, or ``synth`` drawn from ``rng``."""
-    if table is not None:
-        return table
-    return synth_proto_tasks(synth.alphabets, synth.classes_per_alphabet,
-                             synth.instances_per_class, synth.dim, synth.noise, rng)
+def resolve_table(source: SynthSpec | ClassTable, rng: np.random.Generator) -> ClassTable:
+    """The task table of a source: a table itself, or a synthetic one drawn from ``rng``."""
+    if isinstance(source, ClassTable):
+        return source
+    return synth_proto_tasks(source.alphabets, source.classes_per_alphabet,
+                             source.instances_per_class, source.dim, source.noise, rng)
 
 
-def build_model(model_spec: ModelSpec, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
-    sizes = [dim, n_way] if model_spec.hidden == 0 else [dim, model_spec.hidden, n_way]
+def build_model(hidden: int, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
+    sizes = [dim, n_way] if hidden == 0 else [dim, hidden, n_way]
     return MLP(sizes, rng)
 
 
-def _make_stepper(cfg: RunConfig, params: FlatParams):
-    """``step(state, w, g, buf)``: the config's optimizer core on the flat buffer."""
+def _make_stepper(cfg: RunConfig, optimizer: str, params: FlatParams):
+    """``step(state, w, g, buf)``: ``optimizer``'s core on the flat buffer."""
     h = cfg.hyper
-    if cfg.optimizer != "warpadam":
-        core = STEP_CORES[cfg.optimizer]
+    if optimizer != "warpadam":
+        core = STEP_CORES[optimizer]
         return lambda state, w, g, buf: core(state, w, g, h, buf)
-    warps = cfg.warps if cfg.warps is not None else init_warps(params.shapes, cfg.warp_policy)
+    warps = init_warps(params.shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
     warp = _FlatWarp(warps, params.shapes)
     return lambda state, w, g, buf: warpadam_core(state, w, g, h, buf, warp)
 
@@ -143,8 +133,8 @@ def _metrics(model: MLP, arrays, x, y) -> tuple[float, float]:
     return float(loss), acc
 
 
-def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) -> RunResult:
-    """Train one shared model over a sequence of sampled episodes.
+def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
+    """Train one shared model over a sequence of sampled episodes with ``optimizer``.
 
     The model is built fresh per run and carried across tasks; each task gets
     ``steps_per_task`` full-batch steps on its support set, with gradients from
@@ -156,14 +146,18 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
     buffer (WarpAdam's warps act per tensor on their segments); the curves
     have the bits of one pure step per tensor.
     """
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
     rng = np.random.default_rng(cfg.seed)
-    table = resolve_table(cfg.synth, cfg.table, rng)
-    model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
+    table = resolve_table(cfg.source, rng)
+    if cfg.episode.alphabets is not None:
+        table = table.restricted(cfg.episode.alphabets)
+    model = build_model(cfg.hidden, table.dim, cfg.episode.n_way, rng)
     params = FlatParams(model.params)
     w, arrays = params.w, params.arrays
     state = AdamState.zeros(w.shape)
     buf = step_buffers(w.shape)
-    step = _make_stepper(cfg, params)
+    step = _make_stepper(cfg, optimizer, params)
 
     records: list[CurveRecord] = []
     t0 = time.perf_counter()
@@ -173,8 +167,7 @@ def run_sequential_tasks(cfg: RunConfig, model_spec: ModelSpec = ModelSpec()) ->
 
     for task_index in range(cfg.n_tasks):
         ep = sample_episode(table, cfg.episode.n_way, cfg.episode.k_shot,
-                            cfg.episode.query_per_class, rng,
-                            alphabets=cfg.episode.alphabets)
+                            cfg.episode.query_per_class, rng)
         support_y, query_y = model.targets(ep.support_y), model.targets(ep.query_y)
         for s in range(1, cfg.steps_per_task + 1):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -218,32 +211,20 @@ def convergence_epoch(records: list[CurveRecord]) -> int:
     return next(r.task_index + 1 for r in records if r.val_acc >= 0.99 * peak)
 
 
-def _shared_fields_check(configs: list[RunConfig]) -> None:
-    base = configs[0]
-    for other in configs[1:]:
-        for name in ("seed", "synth", "episode", "n_tasks", "steps_per_task", "eval_every"):
-            if getattr(base, name) != getattr(other, name):
-                raise ValueError(f"compare configs must share {name}; "
-                                 f"{getattr(base, name)!r} != {getattr(other, name)!r}")
-        if base.table is not other.table:
-            raise ValueError("compare configs must share the same task table")
-
-
-def compare_optimizers(configs: list[RunConfig],
-                       model_spec: ModelSpec = ModelSpec()) -> list[ComparisonRow]:
-    """Run each config and fill the three comparison metrics, in config order.
+def compare_optimizers(cfg: RunConfig, optimizers) -> list[ComparisonRow]:
+    """Run ``cfg`` under each optimizer and fill the three comparison metrics,
+    in ``optimizers`` order.
 
     ``training_time_s`` is wall-clock and machine-dependent; the CSV footer
     repeats that caveat. A diverged run yields a flagged row instead of
     aborting the table.
     """
-    if not configs:
-        raise ValueError("compare_optimizers needs at least one config")
-    _shared_fields_check(configs)
+    if not optimizers:
+        raise ValueError("compare_optimizers needs at least one optimizer")
     rows = []
-    for cfg in configs:
+    for optimizer in optimizers:
         start = time.perf_counter()
-        result = run_sequential_tasks(cfg, model_spec)
+        result = run_sequential_tasks(cfg, optimizer)
         elapsed = time.perf_counter() - start
         # a run records at least one step, so a diverged run without a
         # finite accuracy converges at the epoch it stopped in
@@ -253,7 +234,7 @@ def compare_optimizers(configs: list[RunConfig],
         else:
             epochs, val_pct = result.records[-1].task_index + 1, float("nan")
         rows.append(ComparisonRow(
-            algorithm=cfg.optimizer,
+            algorithm=optimizer,
             training_time_s=elapsed,
             convergence_epochs=epochs,
             validation_accuracy_pct=val_pct,
@@ -301,8 +282,7 @@ def read_curve_csv(path) -> list[CurveRecord]:
 COMPARISON_HEADER = "algorithm,training_time_s,convergence_epochs,validation_accuracy_pct"
 
 
-def write_comparison_csv(path, blocks: list[tuple[str, list[ComparisonRow]]],
-                         extra_footers: list[str] | None = None) -> None:
+def write_comparison_csv(path, blocks: list[tuple[str, list[ComparisonRow]]]) -> None:
     """Comparison CSV: one header, blank-line-separated blocks, '#' footers."""
     with open(path, "w", newline="\n") as f:
         f.write(COMPARISON_HEADER + "\n")
@@ -319,8 +299,6 @@ def write_comparison_csv(path, blocks: list[tuple[str, list[ComparisonRow]]],
         f.write("# reference results from the published comparison (not asserted):\n")
         for name, secs, epochs, pct in REFERENCE_ROWS:
             f.write(f"#   {name}: {secs} s, {epochs} epochs, {pct}%\n")
-        for line in extra_footers or []:
-            f.write(f"# {line}\n")
 
 
 def format_value(v) -> str:

@@ -3,7 +3,7 @@
 Subcommands:
   run         train one optimizer over a task sequence, write the curve CSV
   meta-train  learn the warp matrices, write a checkpoint and meta-loss curve
-  compare     run several optimizers on shared task sources, write the table
+  compare     run one configuration under several optimizers, write the table
   check       run the gradient/hypergradient verification oracles
   import      build a class-table cache from a PGM directory tree
 
@@ -39,16 +39,18 @@ from .config import (
     UsageError,
     apply_overrides,
     build_episode,
+    build_hidden,
     build_meta,
-    build_model_spec,
     build_run_config,
     build_task_source,
     build_warp_policy,
-    check_checkpoint_read,
+    check_optimizer,
+    check_warp_keys_read,
     getint,
     getlist,
     has_task_section,
     load_config_file,
+    refuse_unread_warp_keys,
     validate_keys,
 )
 from .optim import AdamState
@@ -134,9 +136,9 @@ def _write_run_manifest(out_dir, cfg, command, seed, seed_source) -> None:
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
-    run_cfg = build_run_config(cfg, seed)
-    check_checkpoint_read(cfg, (run_cfg.optimizer,), f"run.optimizer={run_cfg.optimizer}")
-    result = run_sequential_tasks(run_cfg, build_model_spec(cfg))
+    optimizer = check_optimizer("run.optimizer", cfg.get("run.optimizer"))
+    check_warp_keys_read(cfg, (optimizer,), f"run.optimizer={optimizer}")
+    result = run_sequential_tasks(build_run_config(cfg, seed), optimizer)
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
     _write_run_manifest(args.out, cfg, "run", seed, seed_source)
@@ -149,7 +151,7 @@ def cmd_run(args) -> int:
 
 def _meta_setup(cfg, seed, n_way):
     rng = np.random.default_rng(seed)
-    table = resolve_table(*build_task_source(cfg), rng)  # the synthetic table is rng's first draw
+    table = resolve_table(build_task_source(cfg), rng)  # the synthetic table is rng's first draw
     train_names = getlist(cfg, "tasks.train_alphabets")
     eval_names = getlist(cfg, "tasks.eval_alphabets")
     if train_names is None or eval_names is None:
@@ -159,7 +161,7 @@ def _meta_setup(cfg, seed, n_way):
         train_table, eval_table = split_table(table, train_names, eval_names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    model = build_model(build_model_spec(cfg), table.dim, n_way, rng)
+    model = build_model(build_hidden(cfg), table.dim, n_way, rng)
     return rng, train_table, eval_table, model
 
 
@@ -168,7 +170,7 @@ def cmd_meta_train(args) -> int:
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
     policy = build_warp_policy(cfg)
-    check_checkpoint_read(cfg, (), "meta-train")
+    refuse_unread_warp_keys(cfg, ("warp.checkpoint",), "meta-train")
     outer_steps = getint(cfg, "meta.outer_steps", 200)
     if outer_steps < 0:
         raise UsageError(f"meta.outer_steps must be >= 0, got {outer_steps}")
@@ -247,21 +249,13 @@ def cmd_compare(args) -> int:
     optimizers = getlist(cfg, "compare.optimizers")
     if optimizers is None or len(optimizers) < 2:
         raise UsageError("compare needs compare.optimizers with at least two entries")
-    check_checkpoint_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
-    prefixes = [("tasks.", "tasks")]
-    if has_task_section(cfg, "tasks2."):
-        prefixes.append(("tasks2.", "tasks2"))
-    model_spec = build_model_spec(cfg)
-
-    blocks = []
-    any_diverged = []
-    for prefix, block_name in prefixes:
-        task_source = build_task_source(cfg, prefix)
-        configs = [build_run_config(cfg, seed, optimizer=o, prefix=prefix, task_source=task_source)
-                   for o in optimizers]
-        rows = compare_optimizers(configs, model_spec)
-        any_diverged += [r.algorithm for r in rows if r.diverged]
-        blocks.append((block_name, rows))
+    for optimizer in optimizers:
+        check_optimizer("compare.optimizers", optimizer)
+    check_warp_keys_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
+    names = ["tasks", "tasks2"] if has_task_section(cfg, "tasks2.") else ["tasks"]
+    blocks = [(name, compare_optimizers(build_run_config(cfg, seed, f"{name}."), optimizers))
+              for name in names]
+    any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]
 
     os.makedirs(args.out, exist_ok=True)
     write_comparison_csv(os.path.join(args.out, "compare.csv"), blocks)

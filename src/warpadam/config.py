@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 
-from .bench import EpisodeSpec, ModelSpec, RunConfig, SynthSpec
+from .bench import OPTIMIZERS, EpisodeSpec, RunConfig, SynthSpec
 from .optim import HyperParams
-from .tasks import load_table
+from .tasks import ClassTable, load_table
 from .warp import FORMS, MetaConfig, load_warps
 
 
@@ -190,73 +190,84 @@ def build_warp_policy(cfg: dict[str, str]) -> str:
     return policy
 
 
-def build_model_spec(cfg: dict[str, str]) -> ModelSpec:
-    hidden = getint(cfg, "model.hidden", ModelSpec().hidden)
+def build_hidden(cfg: dict[str, str]) -> int:
+    hidden = getint(cfg, "model.hidden", RunConfig.hidden)
     if hidden < 0:
         raise UsageError(f"model.hidden must be >= 0 (0 gives a linear classifier), got {hidden}")
-    return ModelSpec(hidden=hidden)
+    return hidden
+
+
+def check_optimizer(key: str, optimizer: str | None) -> str:
+    if optimizer is None:
+        raise UsageError(f"{key} is required")
+    if optimizer not in OPTIMIZERS:
+        raise UsageError(f"{key} must be one of {', '.join(OPTIMIZERS)}, got {optimizer!r}")
+    return optimizer
 
 
 _NO_CHECKPOINT = (None, "", "identity")  # ``warp.checkpoint`` values that mean identity warps
+_WARP_READERS = {
+    "warp.checkpoint": "run and compare with the warpadam optimizer",
+    "warp.policy": "meta-train, and by run and compare with the warpadam optimizer and no "
+                   "warp.checkpoint",
+}
 
 
-def check_checkpoint_read(cfg: dict[str, str], optimizers, who: str) -> None:
-    """A ``warp.checkpoint`` path is read only by the warpadam optimizer; one
-    given to a command that runs none is a ``UsageError`` naming the key."""
-    ckpt = cfg.get("warp.checkpoint")
-    if ckpt not in _NO_CHECKPOINT and "warpadam" not in optimizers:
-        raise UsageError(f"warp.checkpoint is read only by run and compare with the warpadam "
-                         f"optimizer, not by {who}, got {ckpt!r}")
+def refuse_unread_warp_keys(cfg: dict[str, str], keys, who: str) -> None:
+    """A ``UsageError`` naming each of ``keys`` that ``cfg`` sets, for ``who`` reads none."""
+    unread = [k for k in keys
+              if (cfg.get(k) not in _NO_CHECKPOINT if k == "warp.checkpoint" else k in cfg)]
+    if unread:
+        raise UsageError("; ".join(f"{k} is read only by {_WARP_READERS[k]}, not by {who}, "
+                                   f"got {cfg[k]!r}" for k in unread))
+
+
+def check_warp_keys_read(cfg: dict[str, str], optimizers, who: str) -> None:
+    """Refuses the warp keys that runs under ``optimizers`` do not read: only
+    warpadam reads them, and a checkpoint fixes the forms a policy would choose."""
+    build_warp_policy(cfg)  # a bad policy is reported as one
+    if "warpadam" not in optimizers:
+        refuse_unread_warp_keys(cfg, _WARP_READERS, who)
+    elif cfg.get("warp.checkpoint") not in _NO_CHECKPOINT:
+        refuse_unread_warp_keys(cfg, ("warp.policy",), f"{who} with a warp.checkpoint")
 
 
 def has_task_section(cfg: dict[str, str], prefix: str) -> bool:
     return any(k.startswith(prefix) for k in cfg)
 
 
-def build_task_source(cfg: dict[str, str], prefix: str = "tasks."):
-    """``(synth spec, None)`` or ``(None, loaded table)`` for one task block.
-
-    ``bench.resolve_table`` turns the pair into the block's table.
-    """
+def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec | ClassTable:
+    """A synth spec or a loaded table for one task block; ``bench.resolve_table``
+    turns it into the block's table."""
     source = cfg.get(prefix + "source", "synth")
     if source == "synth":
-        return build_synth(cfg, prefix), None
+        return build_synth(cfg, prefix)
     if source == "table":
         path = cfg.get(prefix + "table")
         if path is None:
             raise UsageError(f"{prefix}table is required when {prefix}source=table")
-        return None, load_table(path)
+        return load_table(path)
     raise UsageError(f"{prefix}source must be synth or table, got {source!r}")
 
 
-def build_run_config(cfg: dict[str, str], seed: int, optimizer: str | None = None,
-                     prefix: str = "tasks.", task_source=None) -> RunConfig:
-    """One run's config; ``task_source`` reuses a ``build_task_source`` result.
-
-    Configs that share a ``task_source`` share one table object, as
-    ``compare`` requires.
-    """
-    optimizer = optimizer or cfg.get("run.optimizer")
-    if optimizer is None:
-        raise UsageError("run.optimizer is required")
-    synth, table = task_source or build_task_source(cfg, prefix)
-
+def build_run_config(cfg: dict[str, str], seed: int, prefix: str = "tasks.") -> RunConfig:
+    """The run of the task block under ``prefix``, for any optimizer; the
+    warp keys are read as given (``check_warp_keys_read`` refuses unread ones)."""
+    d = RunConfig()
+    source = build_task_source(cfg, prefix)
     ckpt = cfg.get("warp.checkpoint")
-    warps = load_warps(ckpt) if optimizer == "warpadam" and ckpt not in _NO_CHECKPOINT else None
-
+    warps = build_warp_policy(cfg) if ckpt in _NO_CHECKPOINT else load_warps(ckpt)
     try:
         return RunConfig(
-            optimizer=optimizer,
             hyper=build_hyper(cfg),
-            synth=synth,
-            table=table,
+            source=source,
             episode=build_episode(cfg, prefix, alphabets=getlist(cfg, prefix + "train_alphabets")),
-            n_tasks=getint(cfg, "run.n_tasks", 4),
-            steps_per_task=getint(cfg, "run.steps_per_task", 50),
-            eval_every=getint(cfg, "run.eval_every", 10),
+            hidden=build_hidden(cfg),
+            n_tasks=getint(cfg, "run.n_tasks", d.n_tasks),
+            steps_per_task=getint(cfg, "run.steps_per_task", d.steps_per_task),
+            eval_every=getint(cfg, "run.eval_every", d.eval_every),
             seed=seed,
             warps=warps,
-            warp_policy=build_warp_policy(cfg),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

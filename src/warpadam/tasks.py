@@ -73,7 +73,7 @@ class Episode(NamedTuple):
 
 
 def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: int,
-                   rng: np.random.Generator, alphabets=None) -> Episode:
+                   rng: np.random.Generator) -> Episode:
     """Sample an n-way k-shot episode from one alphabet of the table.
 
     Classes and instances are drawn uniformly without replacement, so support
@@ -84,11 +84,10 @@ def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: 
         raise SamplingError(
             f"episode geometry must be positive: n_way={n_way} k_shot={k_shot} "
             f"query_per_class={query_per_class}")
-    pool = table.restricted(alphabets) if alphabets is not None else table
     need = k_shot + query_per_class
 
     candidates = []  # per alphabet with room for the episode, its eligible classes
-    for alphabet in pool.alphabets:
+    for alphabet in table.alphabets:
         eligible = [c for c in alphabet.classes if len(c.instances) >= need]
         if len(eligible) >= n_way:
             candidates.append(eligible)

@@ -9,7 +9,6 @@ from warpadam.bench import (
     ComparisonRow,
     CurveRecord,
     EpisodeSpec,
-    ModelSpec,
     RunConfig,
     SynthSpec,
     build_model,
@@ -24,17 +23,17 @@ from warpadam.bench import (
 )
 from warpadam.nn import MLP
 from warpadam.optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
-from warpadam.tasks import sample_episode
+from warpadam.tasks import ClassTable, SamplingError, sample_episode
 from warpadam.tensor import NumericError, Tensor
 from warpadam.warp import init_warps
 
 
-def tiny_cfg(optimizer="adam", **kw):
+def tiny_cfg(**kw):
     base = dict(
-        optimizer=optimizer,
         hyper=HyperParams(eta=0.01),
-        synth=SynthSpec(alphabets=2, classes_per_alphabet=5, instances_per_class=12, dim=8, noise=0.1),
+        source=SynthSpec(alphabets=2, classes_per_alphabet=5, instances_per_class=12, dim=8, noise=0.1),
         episode=EpisodeSpec(n_way=3, k_shot=2, query_per_class=3),
+        hidden=8,
         n_tasks=2,
         steps_per_task=15,
         eval_every=5,
@@ -42,9 +41,6 @@ def tiny_cfg(optimizer="adam", **kw):
     )
     base.update(kw)
     return RunConfig(**base)
-
-
-SPEC = ModelSpec(hidden=8)
 
 
 def strip_wall(records):
@@ -56,43 +52,43 @@ def strip_wall(records):
 # sequential runs
 
 def test_warpadam_identity_curve_equals_adam_curve():
-    ra = run_sequential_tasks(tiny_cfg("adam"), SPEC)
-    rw = run_sequential_tasks(tiny_cfg("warpadam", warp_policy="identity"), SPEC)
+    ra = run_sequential_tasks(tiny_cfg(), "adam")
+    rw = run_sequential_tasks(tiny_cfg(warps="identity"), "warpadam")
     assert strip_wall(ra.records) == strip_wall(rw.records)
 
 
 def test_single_task_indices_are_zero():
-    r = run_sequential_tasks(tiny_cfg(n_tasks=1), SPEC)
+    r = run_sequential_tasks(tiny_cfg(n_tasks=1), "adam")
     assert r.records and all(rec.task_index == 0 for rec in r.records)
 
 
 def test_records_strictly_increase_lexicographically():
-    r = run_sequential_tasks(tiny_cfg(n_tasks=3), SPEC)
+    r = run_sequential_tasks(tiny_cfg(n_tasks=3), "adam")
     keys = [(rec.task_index, rec.step) for rec in r.records]
     assert keys == sorted(set(keys))
 
 
 def test_full_run_determinism_modulo_wall():
-    r1 = run_sequential_tasks(tiny_cfg(), SPEC)
-    r2 = run_sequential_tasks(tiny_cfg(), SPEC)
+    r1 = run_sequential_tasks(tiny_cfg(), "adam")
+    r2 = run_sequential_tasks(tiny_cfg(), "adam")
     assert strip_wall(r1.records) == strip_wall(r2.records)
 
 
 def test_seed_sensitivity():
-    r1 = run_sequential_tasks(tiny_cfg(seed=7), SPEC)
-    r2 = run_sequential_tasks(tiny_cfg(seed=8), SPEC)
+    r1 = run_sequential_tasks(tiny_cfg(seed=7), "adam")
+    r2 = run_sequential_tasks(tiny_cfg(seed=8), "adam")
     assert strip_wall(r1.records) != strip_wall(r2.records)
 
 
 def test_low_learning_rate_run_completes():
     # the extreme-low-eta regime: the harness must produce plottable curves
-    r = run_sequential_tasks(tiny_cfg(hyper=HyperParams(eta=1e-5), n_tasks=3), SPEC)
+    r = run_sequential_tasks(tiny_cfg(hyper=HyperParams(eta=1e-5), n_tasks=3), "adam")
     assert not r.diverged
     assert len(r.records) == 3 * 3
 
 
 def test_divergence_is_flagged_not_raised():
-    r = run_sequential_tasks(tiny_cfg("sgd", hyper=HyperParams(eta=1e308)), SPEC)
+    r = run_sequential_tasks(tiny_cfg(hyper=HyperParams(eta=1e308)), "sgd")
     assert r.diverged
     assert r.note.startswith("non-finite loss/gradient") and "task" in r.note and "step" in r.note
     assert r.records  # the flagged record is emitted
@@ -109,7 +105,7 @@ def test_run_takes_its_gradients_without_an_engine_backward_pass(monkeypatch):
 
     monkeypatch.setattr(T, "toposort", counting_toposort)
     for opt in ("adam", "warpadam"):
-        r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
+        r = run_sequential_tasks(tiny_cfg(n_tasks=1, steps_per_task=5), opt)
         assert not r.diverged and r.records
     assert walks == []
 
@@ -127,12 +123,12 @@ def test_run_checks_a_tasks_labels_before_its_first_step(monkeypatch, field):
         labels[-1] = 99
         return episode._replace(**{field: labels})
 
-    run_sequential_tasks(tiny_cfg("adam", n_tasks=1), SPEC)
+    run_sequential_tasks(tiny_cfg(n_tasks=1), "adam")
     assert steps  # the wrapped core is the one that runs
     steps.clear()
     monkeypatch.setattr(bench, "sample_episode", bad_labels)
     with pytest.raises(ValueError, match="out of range"):
-        run_sequential_tasks(tiny_cfg("adam"), SPEC)
+        run_sequential_tasks(tiny_cfg(), "adam")
     assert steps == []
 
 
@@ -142,25 +138,26 @@ def test_run_encodes_each_tasks_labels_once_whatever_the_steps(monkeypatch):
     monkeypatch.setattr(T, "encode_labels", lambda *args: encoded.append(1) or encode(*args))
     for steps in (5, 50):
         encoded.clear()
-        assert not run_sequential_tasks(tiny_cfg(n_tasks=2, steps_per_task=steps), SPEC).diverged
+        assert not run_sequential_tasks(tiny_cfg(n_tasks=2, steps_per_task=steps), "adam").diverged
         assert len(encoded) == 4  # support and query of each task
 
 
-def _per_tensor_run(cfg, model_spec):
-    """The reference loop: one pure step per tensor per iteration, and each
-    metric from the engine's forward graph. Returns the records without
-    ``wall_ms`` and the divergence note."""
+def _per_tensor_run(cfg, optimizer):
+    """The reference loop: one pure step per tensor per iteration, each
+    episode drawn from the table restricted anew, and each metric from the
+    engine's forward graph. Returns the records without ``wall_ms`` and the
+    divergence note."""
     rng = np.random.default_rng(cfg.seed)
-    table = resolve_table(cfg.synth, cfg.table, rng)
-    model = build_model(model_spec, table.dim, cfg.episode.n_way, rng)
+    table = resolve_table(cfg.source, rng)
+    model = build_model(cfg.hidden, table.dim, cfg.episode.n_way, rng)
     arrays = model.clone_params()
     states = [AdamState.zeros(a.shape) for a in arrays]
-    warps = init_warps([a.shape for a in arrays], cfg.warp_policy)
+    warps = init_warps([a.shape for a in arrays], cfg.warps)
 
     def step(i, g):
-        if cfg.optimizer == "warpadam":
+        if optimizer == "warpadam":
             return warpadam_step(states[i], arrays[i], g, warps[i], cfg.hyper)
-        return STEP_FUNCS[cfg.optimizer](states[i], arrays[i], g, cfg.hyper)
+        return STEP_FUNCS[optimizer](states[i], arrays[i], g, cfg.hyper)
 
     def metrics(x, y):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -170,7 +167,8 @@ def _per_tensor_run(cfg, model_spec):
 
     rows, nan = [], float("nan")
     for ti in range(cfg.n_tasks):
-        ep = sample_episode(table, cfg.episode.n_way, cfg.episode.k_shot,
+        pool = table if cfg.episode.alphabets is None else table.restricted(cfg.episode.alphabets)
+        ep = sample_episode(pool, cfg.episode.n_way, cfg.episode.k_shot,
                             cfg.episode.query_per_class, rng)
         for s in range(1, cfg.steps_per_task + 1):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -200,12 +198,33 @@ def _bits(rows):
 def test_run_curves_are_bitwise_per_tensor_steps(optimizer):
     # a two-layer MLP: four tensors of three warp forms, stepped as one flat buffer
     hyper = HyperParams(eta=0.05, beta2=0.9, weight_decay=0.1)
-    cfg = tiny_cfg(optimizer, hyper=hyper, steps_per_task=12)
-    result = run_sequential_tasks(cfg, SPEC)
-    want_rows, want_note = _per_tensor_run(cfg, SPEC)
+    cfg = tiny_cfg(hyper=hyper, steps_per_task=12)
+    result = run_sequential_tasks(cfg, optimizer)
+    want_rows, want_note = _per_tensor_run(cfg, optimizer)
     assert _bits(strip_wall(result.records)) == _bits(want_rows)
     assert not result.diverged and result.note == want_note == ""
     assert len(want_rows) == 2 * 3
+
+
+def test_run_restricts_its_table_once_with_the_bits_of_a_restriction_per_episode(monkeypatch):
+    restrictions = []
+    restricted = ClassTable.restricted
+    monkeypatch.setattr(ClassTable, "restricted",
+                        lambda self, names: restrictions.append(names) or restricted(self, names))
+    cfg = tiny_cfg(source=SynthSpec(alphabets=3, classes_per_alphabet=4, instances_per_class=8,
+                                    dim=8, noise=0.1),
+                   episode=EpisodeSpec(n_way=3, k_shot=2, query_per_class=3,
+                                       alphabets=("alpha02", "alpha00")), n_tasks=4)
+    result = run_sequential_tasks(cfg, "warpadam")
+    assert restrictions == [("alpha02", "alpha00")]
+    want_rows, _ = _per_tensor_run(cfg, "warpadam")
+    assert _bits(strip_wall(result.records)) == _bits(want_rows)
+
+
+def test_an_unknown_alphabet_fails_before_the_model_is_built(monkeypatch):
+    monkeypatch.setattr(bench, "build_model", lambda *args: pytest.fail("model built"))
+    with pytest.raises(SamplingError, match=r"unknown alphabets requested: \['nope'\]"):
+        run_sequential_tasks(tiny_cfg(episode=EpisodeSpec(n_way=3, alphabets=("nope",))), "adam")
 
 
 def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
@@ -221,12 +240,12 @@ def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
         return loss, grads, forward
 
     monkeypatch.setattr(MLP, "loss_grads", nan_in_the_last_tensor_at_step_3)
+    cfg = tiny_cfg()
     for optimizer in ("adam", "warpadam"):
-        cfg = tiny_cfg(optimizer)
         calls.clear()
-        result = run_sequential_tasks(cfg, SPEC)
+        result = run_sequential_tasks(cfg, optimizer)
         calls.clear()
-        want_rows, want_note = _per_tensor_run(cfg, SPEC)
+        want_rows, want_note = _per_tensor_run(cfg, optimizer)
         assert result.diverged and result.note == want_note
         assert want_note == "non-finite loss/gradient at task 0 step 3"
         assert _bits(strip_wall(result.records)) == _bits(want_rows)
@@ -234,10 +253,10 @@ def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
 
     # a decay factor eta * weight_decay that overflows to inf sends every
     # parameter to a non-finite value at the first step
-    cfg = tiny_cfg("adamw", hyper=HyperParams(eta=1e10, weight_decay=1e300))
+    cfg = tiny_cfg(hyper=HyperParams(eta=1e10, weight_decay=1e300))
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_sequential_tasks(cfg, SPEC)
-        want_rows, want_note = _per_tensor_run(cfg, SPEC)
+        result = run_sequential_tasks(cfg, "adamw")
+        want_rows, want_note = _per_tensor_run(cfg, "adamw")
     assert result.diverged and result.note == want_note
     assert want_note == "optimizer overflow at task 0 step 1: adamw step overflowed to non-finite values"
     assert _bits(strip_wall(result.records)) == _bits(want_rows)
@@ -246,24 +265,22 @@ def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
 def test_run_takes_its_metrics_without_the_engine_forward(monkeypatch):
     monkeypatch.setattr(MLP, "loss", lambda *a, **k: pytest.fail("engine forward"))
     for opt in ("adam", "warpadam"):
-        r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
+        r = run_sequential_tasks(tiny_cfg(n_tasks=1, steps_per_task=5), opt)
         assert not r.diverged and len(r.records) == 1
 
 
 def test_every_optimizer_runs():
     for opt in ("sgd", "momentum", "amsgrad", "adamw", "radam", "adam", "warpadam"):
-        r = run_sequential_tasks(tiny_cfg(opt, n_tasks=1, steps_per_task=5), SPEC)
+        r = run_sequential_tasks(tiny_cfg(n_tasks=1, steps_per_task=5), opt)
         assert not r.diverged, opt
         assert r.records, opt
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        tiny_cfg("sgdx")
+    with pytest.raises(ValueError, match="unknown optimizer 'sgdx'"):
+        run_sequential_tasks(tiny_cfg(), "sgdx")
     with pytest.raises(ValueError):
         tiny_cfg(n_tasks=0)
-    with pytest.raises(ValueError):
-        RunConfig(optimizer="adam", synth=None, table=None)
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +312,22 @@ def test_convergence_epoch_validation():
 # comparison
 
 def test_compare_rows_match_config_order():
-    cfgs = [tiny_cfg("sgd", n_tasks=1, steps_per_task=5),
-            tiny_cfg("adam", n_tasks=1, steps_per_task=5),
-            tiny_cfg("radam", n_tasks=1, steps_per_task=5)]
-    rows = compare_optimizers(cfgs, SPEC)
+    rows = compare_optimizers(tiny_cfg(n_tasks=1, steps_per_task=5), ["sgd", "adam", "radam"])
     assert [r.algorithm for r in rows] == ["sgd", "adam", "radam"]
 
 
 def test_compare_identical_configs_identical_metrics():
-    cfgs = [tiny_cfg("adam", n_tasks=1, steps_per_task=5),
-            tiny_cfg("adam", n_tasks=1, steps_per_task=5)]
-    r1, r2 = compare_optimizers(cfgs, SPEC)
+    r1, r2 = compare_optimizers(tiny_cfg(n_tasks=1, steps_per_task=5), ["adam", "adam"])
     assert r1.convergence_epochs == r2.convergence_epochs
     assert r1.validation_accuracy_pct == r2.validation_accuracy_pct
 
 
 def test_compare_flags_divergence_without_aborting():
-    cfgs = [tiny_cfg("sgd", hyper=HyperParams(eta=1e308), n_tasks=1, steps_per_task=5),
-            tiny_cfg("adam", n_tasks=1, steps_per_task=5)]
-    rows = compare_optimizers(cfgs, SPEC)
+    # only adamw reads the weight decay, which sends it past the float range at step 2
+    cfg = tiny_cfg(hyper=HyperParams(eta=0.01, weight_decay=1e308), n_tasks=1, steps_per_task=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = compare_optimizers(cfg, ["adamw", "adam"])
     assert rows[0].diverged and not rows[1].diverged
-
-
-def test_compare_rejects_mismatched_task_source():
-    cfgs = [tiny_cfg("sgd"), tiny_cfg("adam", seed=99)]
-    with pytest.raises(ValueError, match="seed"):
-        compare_optimizers(cfgs, SPEC)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import warpadam
+import warpadam.bench as bench
 import warpadam.cli as cli
 import warpadam.tensor as T
 import warpadam.warp as warp_module
 from warpadam.cli import main
-from warpadam.bench import read_curve_csv
+from warpadam.bench import convergence_epoch, read_curve_csv
 from warpadam.config import apply_overrides, build_meta, parse_config_text, validate_keys
 from warpadam.nn import MLP
 from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
@@ -289,6 +290,49 @@ def test_checkpoint_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, c
     assert capsys.readouterr().err == (
         "usage error: warp.checkpoint is read only by run and compare with the warpadam "
         f"optimizer, not by {who}, got '/nonexistent/warps.bin'\n")
+    assert not out.exists()
+
+
+_POLICY_READERS = ("warp.policy is read only by meta-train, and by run and compare with the "
+                   "warpadam optimizer and no warp.checkpoint")
+
+
+@pytest.mark.parametrize("command, settings, line", [
+    ("run", ["warp.policy=kron"], f"{_POLICY_READERS}, not by run.optimizer=adam, got 'kron'"),
+    ("run", ["warp.checkpoint=/nonexistent/warps.bin", "warp.policy=kron"],
+     "warp.checkpoint is read only by run and compare with the warpadam optimizer, not by "
+     "run.optimizer=adam, got '/nonexistent/warps.bin'; "
+     f"{_POLICY_READERS}, not by run.optimizer=adam, got 'kron'"),
+    ("run", ["run.optimizer=warpadam", "warp.checkpoint=/nonexistent/warps.bin",
+             "warp.policy=kron"],
+     f"{_POLICY_READERS}, not by run.optimizer=warpadam with a warp.checkpoint, got 'kron'"),
+    ("compare", ["compare.optimizers=adam,sgd", "warp.policy=dense"],
+     f"{_POLICY_READERS}, not by compare.optimizers=adam,sgd, got 'dense'"),
+    ("compare", ["warp.checkpoint=/nonexistent/warps.bin", "warp.policy=auto"],
+     f"{_POLICY_READERS}, not by compare.optimizers=sgd,momentum,radam,adamw,warpadam with a "
+     "warp.checkpoint, got 'auto'"),
+], ids=["run-adam", "run-adam-both-keys", "run-warpadam-checkpoint", "compare-adam-sgd",
+        "compare-checkpoint"])
+def test_warp_policy_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, capsys, command,
+                                                                     settings, line):
+    # the checkpoint is refused before it is read, so a missing file is not reported
+    cfg = command_cfg(tmp_path, command)
+    out = tmp_path / "o"
+    sets = [a for kv in settings for a in ("--set", kv)]
+    assert main([command, "--config", cfg, "--out", str(out), *sets]) == 2
+    assert capsys.readouterr().err == f"usage error: {line}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "run.optimizer", "adamx"), ("compare", "compare.optimizers", "adam,adamx"),
+])
+def test_unknown_optimizer_is_usage_error_naming_the_key(tmp_path, capsys, command, key, value):
+    cfg = command_cfg(tmp_path, command)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == (f"usage error: {key} must be one of adam, adamw, amsgrad, "
+                                       "momentum, radam, sgd, warpadam, got 'adamx'\n")
     assert not out.exists()
 
 
@@ -664,6 +708,64 @@ def test_compare_on_imported_table(tmp_path):
     data = [ln for ln in (out / "compare.csv").read_text().splitlines()
             if ln and not ln.startswith("#")]
     assert [ln.split(",")[0] for ln in data[1:]] == ["adam", "warpadam"]
+
+
+def _save_sheared_warps(path, shapes):
+    """Dense warps off the identity, one per parameter shape."""
+    rng = np.random.default_rng(21)
+    save_warps(path, [WarpMatrix.dense(np.eye(n) + 0.05 * rng.normal(size=(n, n)))
+                      for n in (int(np.prod(shape)) for shape in shapes)])
+
+
+_COMPARED = ("sgd", "adam", "warpadam")
+
+
+@pytest.mark.parametrize("source", ["synth", "table"])
+def test_each_compare_row_is_the_run_of_its_optimizer(tmp_path, monkeypatch, source):
+    # compare runs one config under each optimizer, warpadam's from a
+    # checkpoint: each row's curve has the bits `run` writes for it
+    settings = ["run.n_tasks=2", "run.steps_per_task=6", "run.eval_every=3", "hyper.eta=0.05",
+                "model.hidden=4", "tasks.n_way=3", "tasks.k_shot=2", "tasks.query_per_class=2"]
+    if source == "synth":
+        settings += [ln for ln in SMALL_RUN.split() if ln.startswith("tasks.synth.")]
+        dim = 8
+    else:
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        make_tree(tree, alphabets=3, chars=4, insts=8, side=4)
+        assert main(["import", "--root", str(tree), "--side", "4", "--out", str(tmp_path)]) == 0
+        settings += ["tasks.source=table", f"tasks.table={tmp_path / 'table.wtbl'}",
+                     "tasks.train_alphabets=alpha2,alpha0"]
+        dim = 16
+    cfg = write_cfg(tmp_path, "\n".join(settings))
+    checkpoint = tmp_path / "warps.bin"
+    _save_sheared_warps(checkpoint, [(dim, 4), (4,), (4, 3), (3,)])
+
+    results = {}
+    run = bench.run_sequential_tasks
+    monkeypatch.setattr(bench, "run_sequential_tasks", lambda run_cfg, optimizer:
+                        results.setdefault(optimizer, run(run_cfg, optimizer)))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "4",
+                 "--set", f"compare.optimizers={','.join(_COMPARED)}",
+                 "--set", f"warp.checkpoint={checkpoint}"]) == 0
+    rows = [ln.split(",") for ln in (out / "compare.csv").read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    assert [row[0] for row in rows] == list(_COMPARED)
+
+    strip = lambda rs: [(r.task_index, r.step, r.train_loss, r.train_acc, r.val_loss, r.val_acc)
+                        for r in rs]
+    for (_, _, epochs, pct), optimizer in zip(rows, _COMPARED):
+        sets = ["run.optimizer=" + optimizer]
+        sets += [f"warp.checkpoint={checkpoint}"] if optimizer == "warpadam" else []
+        run_out = tmp_path / optimizer
+        assert main(["run", "--config", cfg, "--out", str(run_out), "--seed", "4",
+                     *(a for kv in sets for a in ("--set", kv))]) == 0
+        records = read_curve_csv(run_out / "curve.csv")
+        assert strip(records) == strip(results[optimizer].records), optimizer
+        assert (int(epochs), pct) == (convergence_epoch(records),
+                                      f"{records[-1].val_acc * 100.0:.17g}")
+    assert strip(results["warpadam"].records) != strip(results["adam"].records)
 
 
 def test_compare_single_optimizer_is_usage_error(tmp_path):

@@ -37,3 +37,21 @@ def test_no_module_imports_a_name_it_never_uses():
               for name in _unused_imports(ast.parse(path.read_text(), str(path)))}
     assert sorted(unused - KEPT_FOR_THE_TRACER) == []
     assert sorted(KEPT_FOR_THE_TRACER - unused) == []  # a kept name that is read needs no entry
+
+
+def _is_number(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_config_reads_every_default_from_its_dataclass():
+    # a run or meta-training default is written once, in RunConfig, MetaConfig and the like
+    path = pathlib.Path(warpadam.__file__).parent / "config.py"
+    literals = [
+        node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getint", "getfloat")
+        and any(_is_number(arg) for arg in node.args[2:]
+                + [k.value for k in node.keywords if k.arg == "default"])
+    ]
+    assert literals == [], f"config.py passes a number literal as a default on lines {literals}"

@@ -139,10 +139,10 @@ def test_restriction_to_alphabet_pool():
     names = table.alphabet_names()
     pool = _rows(np.concatenate([c.instances for c in table.alphabets[1].classes]))
     for seed in range(20):
-        ep = sample_episode(table, 3, 1, 2, np.random.default_rng(seed), alphabets=[names[1]])
+        ep = sample_episode(table.restricted([names[1]]), 3, 1, 2, np.random.default_rng(seed))
         assert _rows(ep.support_x) | _rows(ep.query_x) <= pool
     with pytest.raises(SamplingError):
-        sample_episode(table, 3, 1, 2, np.random.default_rng(8), alphabets=["nope"])
+        table.restricted(["nope"])
 
 
 def test_split_table_disjointness_enforced():
