@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import MLP
-from .optim import STEP_CORES, STEP_FUNCS, AdamState, HyperParams, step_buffers, warpadam_core
+from .optim import (STEP_CORES, STEP_FUNCS, AdamState, HyperParams, check_field, step_buffers,
+                    warpadam_core)
 # unused; perfbench's tracer patches bench.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import ClassTable, sample_episode, synth_proto_tasks
@@ -56,6 +57,11 @@ class EpisodeSpec:
     query_per_class: int = 15
     alphabets: tuple[str, ...] | None = None  # sampling pool; None = all
 
+    def __post_init__(self):
+        check_field(self, "n_way", self.n_way >= 1, "must be >= 1")
+        check_field(self, "k_shot", self.k_shot >= 1, "must be >= 1")
+        check_field(self, "query_per_class", self.query_per_class >= 1, "must be >= 1")
+
 
 @dataclass
 class RunConfig:
@@ -64,7 +70,7 @@ class RunConfig:
     hyper: HyperParams = field(default_factory=HyperParams)
     source: SynthSpec | ClassTable = field(default_factory=SynthSpec)
     episode: EpisodeSpec = field(default_factory=EpisodeSpec)
-    hidden: int = 64  # 0 gives a plain linear softmax classifier
+    hidden: int = 64
     n_tasks: int = 4
     steps_per_task: int = 50
     eval_every: int = 10
@@ -72,8 +78,10 @@ class RunConfig:
     warps: str | list[WarpMatrix] = "auto"  # an ``init_warps`` policy, or a checkpoint's warps
 
     def __post_init__(self):
-        if self.n_tasks < 1 or self.steps_per_task < 1 or self.eval_every < 1:
-            raise ValueError("n_tasks, steps_per_task and eval_every must all be >= 1")
+        check_field(self, "hidden", self.hidden >= 0, "must be >= 0 (0 gives a linear classifier)")
+        check_field(self, "n_tasks", self.n_tasks >= 1, "must be >= 1")
+        check_field(self, "steps_per_task", self.steps_per_task >= 1, "must be >= 1")
+        check_field(self, "eval_every", self.eval_every >= 1, "must be >= 1")
 
 
 @dataclass
@@ -113,6 +121,14 @@ def resolve_table(source: SynthSpec | ClassTable, rng: np.random.Generator) -> C
 def build_model(hidden: int, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
     sizes = [dim, n_way] if hidden == 0 else [dim, hidden, n_way]
     return MLP(sizes, rng)
+
+
+def check_warps_fit(cfg: RunConfig) -> None:
+    """Raises ``ShapeError`` if ``cfg`` holds a checkpoint's warps that do not
+    fit its model, as ``run_sequential_tasks`` would once it had drawn the table."""
+    if not isinstance(cfg.warps, str):
+        model = build_model(cfg.hidden, cfg.source.dim, cfg.episode.n_way, np.random.default_rng(0))
+        _FlatWarp(cfg.warps, [p.shape for p in model.params])
 
 
 def _make_stepper(cfg: RunConfig, optimizer: str, params: FlatParams):

@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .bench import (
+    RunConfig,
     build_model,
+    check_warps_fit,
     compare_optimizers,
     emit_csv,
     resolve_table,
@@ -36,14 +38,11 @@ from .bench import (
 )
 from .checks import run_all
 from .config import (
+    IMPORT_SIDE,
     UsageError,
     apply_overrides,
-    build_episode,
-    build_hidden,
     build_meta,
     build_run_config,
-    build_task_source,
-    build_warp_policy,
     check_optimizer,
     check_warp_keys_read,
     getint,
@@ -54,7 +53,7 @@ from .config import (
     validate_keys,
 )
 from .optim import AdamState
-from .tensor import NumericError
+from .tensor import NumericError, ShapeError
 from .tasks import import_image_classes, sample_episode, save_table, split_table
 # unused; perfbench's tracer patches cli.load_table and cli.synth_proto_tasks (ROADMAP item 1)
 from .tasks import load_table, synth_proto_tasks  # noqa: F401
@@ -93,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_import = sub.add_parser("import", help="cache a PGM directory tree as a class table")
     common(p_import)
     p_import.add_argument("--root", help="root of the <alphabet>/<character>/<image>.pgm tree")
-    p_import.add_argument("--side", type=int, help="resample images to side x side (default 28)")
+    p_import.add_argument("--side", type=int,
+                          help=f"resample images to side x side (default {IMPORT_SIDE})")
     return parser
 
 
@@ -149,19 +149,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _meta_setup(cfg, seed, n_way):
-    rng = np.random.default_rng(seed)
-    table = resolve_table(build_task_source(cfg), rng)  # the synthetic table is rng's first draw
-    train_names = getlist(cfg, "tasks.train_alphabets")
+def _meta_setup(cfg, run: RunConfig):
+    """The RNG, the train and held-out tables and the model that meta-train
+    draws for ``run``'s task block, the table first."""
+    rng = np.random.default_rng(run.seed)
+    table = resolve_table(run.source, rng)  # the synthetic table is rng's first draw
     eval_names = getlist(cfg, "tasks.eval_alphabets")
-    if train_names is None or eval_names is None:
+    if run.episode.alphabets is None or eval_names is None:
         raise UsageError("meta-train needs explicit tasks.train_alphabets and "
                          "tasks.eval_alphabets (disjoint)")
     try:
-        train_table, eval_table = split_table(table, train_names, eval_names)
+        train_table, eval_table = split_table(table, run.episode.alphabets, eval_names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    model = build_model(build_hidden(cfg), table.dim, n_way, rng)
+    model = build_model(run.hidden, table.dim, run.episode.n_way, rng)
     return rng, train_table, eval_table, model
 
 
@@ -169,21 +170,11 @@ def cmd_meta_train(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
-    policy = build_warp_policy(cfg)
     refuse_unread_warp_keys(cfg, ("warp.checkpoint",), "meta-train")
-    outer_steps = getint(cfg, "meta.outer_steps", 200)
-    if outer_steps < 0:
-        raise UsageError(f"meta.outer_steps must be >= 0, got {outer_steps}")
-    eval_episodes = getint(cfg, "meta.eval_episodes", 20)
-    eval_every = getint(cfg, "meta.eval_every", 10)
-    for key, value in (("meta.eval_episodes", eval_episodes), ("meta.eval_every", eval_every)):
-        if value < 1:
-            raise UsageError(f"{key} must be >= 1, got {value}")
-    episode = build_episode(cfg)
-    n_way, k_shot, qpc = episode.n_way, episode.k_shot, episode.query_per_class
-
-    rng, train_table, eval_table, model = _meta_setup(cfg, seed, n_way)
-    warps = init_warps([p.shape for p in model.params], policy)
+    run = build_run_config(cfg, seed)
+    n_way, k_shot, qpc = run.episode.n_way, run.episode.k_shot, run.episode.query_per_class
+    rng, train_table, eval_table, model = _meta_setup(cfg, run)
+    warps = init_warps([p.shape for p in model.params], run.warps)
     state = AdamState.zeros(sum(w.n_params for w in warps))
 
     # the held-out set, sampled in order and evaluated in stacks that keep the
@@ -193,7 +184,8 @@ def cmd_meta_train(args) -> int:
     eval_rng = np.random.default_rng([seed, 1])
     batch_size = meta.tasks_per_outer_step
     eval_stacks = stack_within_budget(
-        [sample_episode(eval_table, n_way, k_shot, qpc, eval_rng) for _ in range(eval_episodes)],
+        [sample_episode(eval_table, n_way, k_shot, qpc, eval_rng)
+         for _ in range(meta.eval_episodes)],
         sum(p.size for p in model.params), batch_size)
 
     def eval_loss(current):
@@ -211,10 +203,10 @@ def cmd_meta_train(args) -> int:
     t = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(outer_steps):
+            for t in range(meta.outer_steps):
                 batch = [sample_episode(train_table, n_way, k_shot, qpc, rng)
                          for _ in range(batch_size)]
-                held_out = eval_loss(warps) if t % eval_every == 0 else float("nan")
+                held_out = eval_loss(warps) if t % meta.eval_every == 0 else float("nan")
                 # the batch loss is the one the hypergradient's own adaptation reached
                 new_warps, new_state, losses = meta_update_P(warps, batch, model, meta, state)
                 batch_loss = float(np.mean(losses))
@@ -224,8 +216,8 @@ def cmd_meta_train(args) -> int:
                     break
                 warps, state = new_warps, new_state
             else:
-                t = outer_steps
-                rows.append((outer_steps, float("nan"), tod(warps), eval_loss(warps)))
+                t = meta.outer_steps
+                rows.append((t, float("nan"), tod(warps), eval_loss(warps)))
     except NumericError as exc:
         diverged = f"{exc} at outer step {t}"
 
@@ -239,7 +231,7 @@ def cmd_meta_train(args) -> int:
     if diverged:
         print(f"divergence: {diverged}", file=sys.stderr)
         return 3
-    print(f"meta-train complete: {outer_steps} outer steps -> {args.out}/warps.bin")
+    print(f"meta-train complete: {meta.outer_steps} outer steps -> {args.out}/warps.bin")
     return 0
 
 
@@ -253,8 +245,14 @@ def cmd_compare(args) -> int:
         check_optimizer("compare.optimizers", optimizer)
     check_warp_keys_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
     names = ["tasks", "tasks2"] if has_task_section(cfg, "tasks2.") else ["tasks"]
-    blocks = [(name, compare_optimizers(build_run_config(cfg, seed, f"{name}."), optimizers))
-              for name in names]
+    runs = [(name, build_run_config(cfg, seed, f"{name}.")) for name in names]
+    for name, run in runs:  # a checkpoint must fit every block before the first one runs
+        try:
+            check_warps_fit(run)
+        except ShapeError as exc:
+            raise ShapeError(f"warp.checkpoint {cfg['warp.checkpoint']} does not fit the model of "
+                             f"the {name} block: {exc}") from None
+    blocks = [(name, compare_optimizers(run, optimizers)) for name, run in runs]
     any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]
 
     os.makedirs(args.out, exist_ok=True)
@@ -288,7 +286,7 @@ def cmd_import(args) -> int:
     if root is None:
         raise UsageError("import needs --root (or import.root in the config)")
     key = "import.side" if args.side is None else "--side"
-    side = getint(cfg, key, 28) if args.side is None else args.side
+    side = getint(cfg, key, IMPORT_SIDE) if args.side is None else args.side
     if side < 1:
         raise UsageError(f"{key} must be positive, got {side}")
     table = import_image_classes(root, side)

@@ -7,15 +7,18 @@ itself a valid config file, so any run can be reproduced from its manifest.
 
 Unknown keys are rejected rather than ignored, except for the informational
 keys a manifest carries (``command``, ``library.version``, ``out``,
-``seed.source``).
+``seed.source``). A setting's default and range live in its settings
+dataclass; ``read_settings`` reads a section's keys into its fields, so a
+value out of range fails with a ``UsageError`` that names the key.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .bench import OPTIMIZERS, EpisodeSpec, RunConfig, SynthSpec
-from .optim import HyperParams
+from .optim import FieldError, HyperParams
 from .tasks import ClassTable, load_table
 from .warp import FORMS, MetaConfig, load_warps
 
@@ -24,32 +27,32 @@ class UsageError(ValueError):
     """Bad flags or config contents; maps to exit code 2."""
 
 
-# every key changes some command's output: the inner loop is WarpAdam, whose
-# only settings are Adam's four (weight decay and momentum belong to AdamW and
-# Momentum), and only meta-train reads an eval split
-_HYPER_KEYS = ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")
-_TASK_KEYS = (
-    "source", "table", "n_way", "k_shot", "query_per_class", "train_alphabets",
-    "synth.alphabets", "synth.classes", "synth.instances", "synth.dim", "synth.noise",
-)
+# Each table maps the fields of a settings dataclass to their config keys,
+# after the section's prefix. Every key changes some command's output: the
+# inner loop is WarpAdam, whose only settings are Adam's four (weight decay and
+# momentum belong to AdamW and Momentum).
+_HYPER = {k: k for k in ("eta", "beta1", "beta2", "epsilon", "weight_decay", "momentum")}
+_INNER = {k: k for k in ("eta", "beta1", "beta2", "epsilon")}
+_META = {k: k for k in ("inner_steps", "outer_eta", "tod_lambda", "first_order",
+                        "tasks_per_outer_step", "node_budget", "outer_steps", "eval_episodes",
+                        "eval_every")}
+_RUN = {"hidden": "model.hidden", "n_tasks": "run.n_tasks",
+        "steps_per_task": "run.steps_per_task", "eval_every": "run.eval_every"}
+_EPISODE = {k: k for k in ("n_way", "k_shot", "query_per_class")}
+_SYNTH = {"alphabets": "synth.alphabets", "classes_per_alphabet": "synth.classes",
+          "instances_per_class": "synth.instances", "dim": "synth.dim", "noise": "synth.noise"}
+_TASK_KEYS = ("source", "table", "train_alphabets", *_EPISODE.values(), *_SYNTH.values())
 
 KNOWN_KEYS = frozenset(
-    [f"hyper.{k}" for k in _HYPER_KEYS]
-    + [f"inner.{k}" for k in _HYPER_KEYS[:4]]
-    + [f"tasks.{k}" for k in _TASK_KEYS]
-    + [f"tasks2.{k}" for k in _TASK_KEYS]
-    + [
-        "run.optimizer", "run.n_tasks", "run.steps_per_task", "run.eval_every", "run.seed",
-        "tasks.eval_alphabets",
-        "model.hidden",
-        "warp.policy", "warp.checkpoint",
-        "meta.inner_steps", "meta.outer_eta", "meta.tod_lambda", "meta.first_order",
-        "meta.tasks_per_outer_step", "meta.node_budget", "meta.outer_steps",
-        "meta.eval_episodes", "meta.eval_every",
-        "compare.optimizers",
-        "import.root", "import.side",
-    ]
+    [prefix + key for prefix, keys in (("hyper.", _HYPER.values()), ("inner.", _INNER.values()),
+                                       ("meta.", _META.values()), ("", _RUN.values()),
+                                       ("tasks.", _TASK_KEYS), ("tasks2.", _TASK_KEYS))
+     for key in keys]
+    # the keys that no settings field holds; only meta-train reads an eval split
+    + ["run.optimizer", "run.seed", "tasks.eval_alphabets", "warp.policy", "warp.checkpoint",
+       "compare.optimizers", "import.root", "import.side"]
 )
+IMPORT_SIDE = 28  # ``import.side`` when neither it nor ``--side`` is given
 
 INFO_KEYS = frozenset([
     "command", "library.version", "out", "seed.source",
@@ -130,56 +133,31 @@ def getlist(cfg, key):
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-# ---------------------------------------------------------------------------
-# typed builders
+_GETTERS = {int: getint, float: getfloat, bool: getbool}
 
 
-def build_hyper(cfg: dict[str, str], prefix: str = "hyper.") -> HyperParams:
-    """The settings under ``prefix`` that the config gives, over the defaults."""
-    given = {k: getfloat(cfg, prefix + k) for k in _HYPER_KEYS if prefix + k in cfg}
+def read_settings(cls, cfg: dict[str, str], prefix: str, table: dict[str, str], **given):
+    """``cls`` from the values that ``cfg`` gives for the fields of ``table``
+    (field name to key, after ``prefix``), each converted by the type of the
+    field's default, over ``given`` and the defaults. A field out of its
+    range is a ``UsageError`` that names its key."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    keys = {name: prefix + key for name, key in table.items()}
+    read = {name: _GETTERS[type(defaults[name])](cfg, key)
+            for name, key in keys.items() if key in cfg}
     try:
-        return HyperParams(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        return cls(**given, **read)
+    except FieldError as exc:
+        raise UsageError(f"{keys[exc.field]} {exc.rule}, got {exc.value}") from None
 
 
 def build_meta(cfg: dict[str, str]) -> MetaConfig:
-    defaults = MetaConfig()
-    try:
-        return MetaConfig(
-            inner_steps=getint(cfg, "meta.inner_steps", defaults.inner_steps),
-            inner_hyper=build_hyper(cfg, prefix="inner."),
-            outer_eta=getfloat(cfg, "meta.outer_eta", defaults.outer_eta),
-            tod_lambda=getfloat(cfg, "meta.tod_lambda", defaults.tod_lambda),
-            first_order=getbool(cfg, "meta.first_order", defaults.first_order),
-            tasks_per_outer_step=getint(cfg, "meta.tasks_per_outer_step",
-                                        defaults.tasks_per_outer_step),
-            node_budget=getint(cfg, "meta.node_budget", defaults.node_budget),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return read_settings(MetaConfig, cfg, "meta.", _META,
+                         inner_hyper=read_settings(HyperParams, cfg, "inner.", _INNER))
 
 
 def build_synth(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec:
-    d = SynthSpec()
-    return SynthSpec(
-        alphabets=getint(cfg, prefix + "synth.alphabets", d.alphabets),
-        classes_per_alphabet=getint(cfg, prefix + "synth.classes", d.classes_per_alphabet),
-        instances_per_class=getint(cfg, prefix + "synth.instances", d.instances_per_class),
-        dim=getint(cfg, prefix + "synth.dim", d.dim),
-        noise=getfloat(cfg, prefix + "synth.noise", d.noise),
-    )
-
-
-def build_episode(cfg: dict[str, str], prefix: str = "tasks.",
-                  alphabets=None) -> EpisodeSpec:
-    d = EpisodeSpec()
-    sizes = {}
-    for name in ("n_way", "k_shot", "query_per_class"):
-        sizes[name] = getint(cfg, prefix + name, getattr(d, name))
-        if sizes[name] < 1:
-            raise UsageError(f"{prefix}{name} must be >= 1, got {sizes[name]}")
-    return EpisodeSpec(**sizes, alphabets=alphabets)
+    return read_settings(SynthSpec, cfg, prefix, _SYNTH)
 
 
 def build_warp_policy(cfg: dict[str, str]) -> str:
@@ -190,13 +168,6 @@ def build_warp_policy(cfg: dict[str, str]) -> str:
     return policy
 
 
-def build_hidden(cfg: dict[str, str]) -> int:
-    hidden = getint(cfg, "model.hidden", RunConfig.hidden)
-    if hidden < 0:
-        raise UsageError(f"model.hidden must be >= 0 (0 gives a linear classifier), got {hidden}")
-    return hidden
-
-
 def check_optimizer(key: str, optimizer: str | None) -> str:
     if optimizer is None:
         raise UsageError(f"{key} is required")
@@ -205,7 +176,6 @@ def check_optimizer(key: str, optimizer: str | None) -> str:
     return optimizer
 
 
-_NO_CHECKPOINT = (None, "", "identity")  # ``warp.checkpoint`` values that mean identity warps
 _WARP_READERS = {
     "warp.checkpoint": "run and compare with the warpadam optimizer",
     "warp.policy": "meta-train, and by run and compare with the warpadam optimizer and no "
@@ -215,8 +185,7 @@ _WARP_READERS = {
 
 def refuse_unread_warp_keys(cfg: dict[str, str], keys, who: str) -> None:
     """A ``UsageError`` naming each of ``keys`` that ``cfg`` sets, for ``who`` reads none."""
-    unread = [k for k in keys
-              if (cfg.get(k) not in _NO_CHECKPOINT if k == "warp.checkpoint" else k in cfg)]
+    unread = [k for k in keys if k in cfg]
     if unread:
         raise UsageError("; ".join(f"{k} is read only by {_WARP_READERS[k]}, not by {who}, "
                                    f"got {cfg[k]!r}" for k in unread))
@@ -228,7 +197,7 @@ def check_warp_keys_read(cfg: dict[str, str], optimizers, who: str) -> None:
     build_warp_policy(cfg)  # a bad policy is reported as one
     if "warpadam" not in optimizers:
         refuse_unread_warp_keys(cfg, _WARP_READERS, who)
-    elif cfg.get("warp.checkpoint") not in _NO_CHECKPOINT:
+    elif "warp.checkpoint" in cfg:
         refuse_unread_warp_keys(cfg, ("warp.policy",), f"{who} with a warp.checkpoint")
 
 
@@ -253,21 +222,11 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec 
 def build_run_config(cfg: dict[str, str], seed: int, prefix: str = "tasks.") -> RunConfig:
     """The run of the task block under ``prefix``, for any optimizer; the
     warp keys are read as given (``check_warp_keys_read`` refuses unread ones)."""
-    d = RunConfig()
     source = build_task_source(cfg, prefix)
     ckpt = cfg.get("warp.checkpoint")
-    warps = build_warp_policy(cfg) if ckpt in _NO_CHECKPOINT else load_warps(ckpt)
-    try:
-        return RunConfig(
-            hyper=build_hyper(cfg),
-            source=source,
-            episode=build_episode(cfg, prefix, alphabets=getlist(cfg, prefix + "train_alphabets")),
-            hidden=build_hidden(cfg),
-            n_tasks=getint(cfg, "run.n_tasks", d.n_tasks),
-            steps_per_task=getint(cfg, "run.steps_per_task", d.steps_per_task),
-            eval_every=getint(cfg, "run.eval_every", d.eval_every),
-            seed=seed,
-            warps=warps,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    warps = build_warp_policy(cfg) if ckpt is None else load_warps(ckpt)
+    hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER)
+    episode = read_settings(EpisodeSpec, cfg, prefix, _EPISODE,
+                            alphabets=getlist(cfg, prefix + "train_alphabets"))
+    return read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source, episode=episode,
+                         seed=seed, warps=warps)

@@ -44,6 +44,21 @@ import numpy as np
 from .tensor import NumericError, ShapeError
 
 
+class FieldError(ValueError):
+    """A settings field outside its range: ``field`` names it, ``rule`` states the range."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} {rule}, got {value}")
+        self.field, self.rule, self.value = field, rule, value
+
+
+def check_field(settings, field: str, ok: bool, rule: str) -> None:
+    """Raises ``FieldError`` for ``settings.field`` unless ``ok``; a settings
+    dataclass checks each of its fields with one call in ``__post_init__``."""
+    if not ok:
+        raise FieldError(field, rule, getattr(settings, field))
+
+
 @dataclass(frozen=True)
 class HyperParams:
     eta: float = 1e-3
@@ -54,18 +69,12 @@ class HyperParams:
     momentum: float = 0.9       # Momentum only
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        check_field(self, "eta", self.eta > 0, "must be positive")
+        check_field(self, "beta1", 0.0 <= self.beta1 < 1.0, "must be in [0, 1)")
+        check_field(self, "beta2", 0.0 <= self.beta2 < 1.0, "must be in [0, 1)")
+        check_field(self, "epsilon", self.epsilon >= 0, "must be non-negative")
+        check_field(self, "weight_decay", self.weight_decay >= 0, "must be non-negative")
+        check_field(self, "momentum", 0.0 <= self.momentum < 1.0, "must be in [0, 1)")
 
 
 @dataclass

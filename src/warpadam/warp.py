@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_step,
+from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_step, check_field,
                     check_step_inputs, step_buffers, warpadam_core)
 # unused; perfbench's tracer patches warp.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
@@ -303,6 +303,9 @@ class MetaConfig:
     step, so ``5 * inner_steps * tasks * parameters``. An oversized tape stops
     with ``ResourceError`` before the first inner step. A first-order
     hypergradient tapes one step and is not capped.
+    ``outer_steps``, ``eval_episodes`` and ``eval_every`` shape ``meta-train``'s
+    loop: the outer steps it takes, the held-out episodes it samples, and the
+    outer steps between two evaluations of them.
     """
 
     inner_steps: int = 5
@@ -312,18 +315,19 @@ class MetaConfig:
     first_order: bool = False
     tasks_per_outer_step: int = 4
     node_budget: int = 500_000
+    outer_steps: int = 200
+    eval_episodes: int = 20
+    eval_every: int = 10
 
     def __post_init__(self):
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
-        if not self.outer_eta > 0:
-            raise ValueError(f"outer_eta must be positive, got {self.outer_eta}")
-        if not self.tod_lambda >= 0:
-            raise ValueError(f"tod_lambda must be non-negative, got {self.tod_lambda}")
-        if self.tasks_per_outer_step < 1:
-            raise ValueError(f"tasks_per_outer_step must be >= 1, got {self.tasks_per_outer_step}")
-        if self.node_budget < 1:
-            raise ValueError(f"node_budget must be positive, got {self.node_budget}")
+        check_field(self, "inner_steps", self.inner_steps >= 1, "must be >= 1")
+        check_field(self, "outer_eta", self.outer_eta > 0, "must be positive")
+        check_field(self, "tod_lambda", self.tod_lambda >= 0, "must be non-negative")
+        check_field(self, "tasks_per_outer_step", self.tasks_per_outer_step >= 1, "must be >= 1")
+        check_field(self, "node_budget", self.node_budget >= 1, "must be positive")
+        check_field(self, "outer_steps", self.outer_steps >= 0, "must be >= 0")
+        check_field(self, "eval_episodes", self.eval_episodes >= 1, "must be >= 1")
+        check_field(self, "eval_every", self.eval_every >= 1, "must be >= 1")
 
     @property
     def cut(self) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,15 @@ def test_run_config_validation():
         run_sequential_tasks(tiny_cfg(), "sgdx")
     with pytest.raises(ValueError):
         tiny_cfg(n_tasks=0)
+    # each field is checked on its own, and the error names it
+    for field, value, rule in (("steps_per_task", 0, "must be >= 1"),
+                               ("hidden", -1, "must be >= 0 (0 gives a linear classifier)")):
+        line = rf"^{field} {re.escape(rule)}, got {value}$"
+        with pytest.raises(optim.FieldError, match=line) as exc:
+            tiny_cfg(**{field: value})
+        assert exc.value.field == field
+    with pytest.raises(optim.FieldError, match=r"^k_shot must be >= 1, got 0$"):
+        EpisodeSpec(k_shot=0)
 
 
 # ---------------------------------------------------------------------------

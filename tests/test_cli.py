@@ -16,7 +16,8 @@ import warpadam.tensor as T
 import warpadam.warp as warp_module
 from warpadam.cli import main
 from warpadam.bench import convergence_epoch, read_curve_csv
-from warpadam.config import apply_overrides, build_meta, parse_config_text, validate_keys
+from warpadam.config import (KNOWN_KEYS, apply_overrides, build_meta, build_run_config,
+                             parse_config_text, validate_keys)
 from warpadam.nn import MLP
 from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
 from warpadam.warp import (WarpMatrix, adaptation_query_loss, init_warps, load_warps, save_warps,
@@ -194,6 +195,80 @@ def test_episode_geometry_below_one_is_usage_error_naming_the_key(tmp_path, caps
     assert not out.exists()
 
 
+_HYPER_RANGES = (("eta", "0", "must be positive, got 0.0"),
+                 ("beta1", "1", "must be in [0, 1), got 1.0"),
+                 ("beta2", "1", "must be in [0, 1), got 1.0"),
+                 ("epsilon", "-1", "must be non-negative, got -1.0"),
+                 ("weight_decay", "-1", "must be non-negative, got -1.0"),
+                 ("momentum", "1", "must be in [0, 1), got 1.0"))
+
+# every range-checked key: an out-of-range value, and the rest of the line that names the key
+OUT_OF_RANGE = {
+    **{f"hyper.{k}": (value, rest) for k, value, rest in _HYPER_RANGES},
+    **{f"inner.{k}": (value, rest) for k, value, rest in _HYPER_RANGES[:4]},
+    "meta.inner_steps": ("0", "must be >= 1, got 0"),
+    "meta.outer_eta": ("0", "must be positive, got 0.0"),
+    "meta.tod_lambda": ("-1", "must be non-negative, got -1.0"),
+    "meta.tasks_per_outer_step": ("0", "must be >= 1, got 0"),
+    "meta.node_budget": ("0", "must be positive, got 0"),
+    "meta.outer_steps": ("-1", "must be >= 0, got -1"),
+    "meta.eval_episodes": ("0", "must be >= 1, got 0"),
+    "meta.eval_every": ("0", "must be >= 1, got 0"),
+    **{f"run.{k}": ("0", "must be >= 1, got 0")
+       for k in ("n_tasks", "steps_per_task", "eval_every")},
+    "model.hidden": ("-1", "must be >= 0 (0 gives a linear classifier), got -1"),
+    **{f"{block}.{k}": ("0", "must be >= 1, got 0") for block in ("tasks", "tasks2")
+       for k in ("n_way", "k_shot", "query_per_class")},
+}
+# the sections of the range-checked keys that each command reads
+_RANGE_READERS = {"run": ("hyper.", "run.", "model.", "tasks."),
+                  "compare": ("hyper.", "run.", "model.", "tasks.", "tasks2."),
+                  "meta-train": ("inner.", "meta.", "model.", "tasks.")}
+
+
+def test_the_range_checked_keys_are_28_known_keys():
+    assert len(OUT_OF_RANGE) == 28 and set(OUT_OF_RANGE) <= KNOWN_KEYS
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, sections in
+                                          _RANGE_READERS.items() for key in OUT_OF_RANGE
+                                          if key.startswith(sections)])
+def test_every_out_of_range_value_is_usage_error_naming_its_key(tmp_path, capsys, command, key):
+    value, rest = OUT_OF_RANGE[key]
+    out = tmp_path / "o"
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(out),
+                 "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"usage error: {key} {rest}\n"
+    assert not out.exists()
+
+
+def test_known_keys_are_the_53_keys():
+    assert sorted(KNOWN_KEYS) == [
+        "compare.optimizers",
+        "hyper.beta1", "hyper.beta2", "hyper.epsilon", "hyper.eta", "hyper.momentum",
+        "hyper.weight_decay",
+        "import.root", "import.side",
+        "inner.beta1", "inner.beta2", "inner.epsilon", "inner.eta",
+        "meta.eval_episodes", "meta.eval_every", "meta.first_order", "meta.inner_steps",
+        "meta.node_budget", "meta.outer_eta", "meta.outer_steps", "meta.tasks_per_outer_step",
+        "meta.tod_lambda",
+        "model.hidden",
+        "run.eval_every", "run.n_tasks", "run.optimizer", "run.seed", "run.steps_per_task",
+        "tasks.eval_alphabets", "tasks.k_shot", "tasks.n_way", "tasks.query_per_class",
+        "tasks.source", "tasks.synth.alphabets", "tasks.synth.classes", "tasks.synth.dim",
+        "tasks.synth.instances", "tasks.synth.noise", "tasks.table", "tasks.train_alphabets",
+        "tasks2.k_shot", "tasks2.n_way", "tasks2.query_per_class", "tasks2.source",
+        "tasks2.synth.alphabets", "tasks2.synth.classes", "tasks2.synth.dim",
+        "tasks2.synth.instances", "tasks2.synth.noise", "tasks2.table", "tasks2.train_alphabets",
+        "warp.checkpoint", "warp.policy",
+    ]
+
+
+def test_meta_train_loop_defaults_come_from_meta_config():
+    meta = build_meta({})
+    assert (meta.outer_steps, meta.eval_episodes, meta.eval_every) == (200, 20, 10)
+
+
 def readme_config() -> str:
     """The meta-training config block of the README."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -290,6 +365,29 @@ def test_checkpoint_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, c
     assert capsys.readouterr().err == (
         "usage error: warp.checkpoint is read only by run and compare with the warpadam "
         f"optimizer, not by {who}, got '/nonexistent/warps.bin'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, settings, line", [
+    # a file named like the old "no checkpoint" value is read, and rejected
+    ("run", ["run.optimizer=warpadam", "warp.checkpoint=identity"],
+     "error: bad magic (not a warp checkpoint) in warp checkpoint identity"),
+    ("run", ["warp.checkpoint=identity"],
+     "usage error: warp.checkpoint is read only by run and compare with the warpadam optimizer, "
+     "not by run.optimizer=adam, got 'identity'"),
+    ("meta-train", ["warp.checkpoint="],
+     "usage error: warp.checkpoint is read only by run and compare with the warpadam optimizer, "
+     "not by meta-train, got ''"),
+], ids=["run-warpadam", "run-adam", "meta-train-empty"])
+def test_checkpoint_is_a_path_and_nothing_else(tmp_path, capsys, monkeypatch, command, settings,
+                                               line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "identity").write_bytes(b"not a checkpoint")
+    out = tmp_path / "o"
+    sets = [a for kv in settings for a in ("--set", kv)]
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(out),
+                 *sets]) == 2
+    assert capsys.readouterr().err == f"{line}\n"
     assert not out.exists()
 
 
@@ -447,7 +545,7 @@ def test_meta_train_eval_column_is_the_mean_of_unstacked_losses(tmp_path, settin
     assert main(["meta-train", "--config", write_cfg(tmp_path, SMALL_META), "--out", str(out),
                  *(a for kv in settings for a in ("--set", kv))]) == 0
     cfg = apply_overrides(parse_config_text(SMALL_META), settings)
-    _, _, eval_table, model = cli._meta_setup(cfg, 5, 3)
+    _, _, eval_table, model = cli._meta_setup(cfg, build_run_config(cfg, 5))
     meta = build_meta(cfg)
     eval_rng = np.random.default_rng([5, 1])  # SMALL_META's seed and episode geometry
     episodes = [sample_episode(eval_table, 3, 1, 3, eval_rng) for _ in range(5)]
@@ -688,6 +786,24 @@ def test_compare_two_blocks_and_columns(tmp_path):
     names = [ln.split(",")[0] for ln in data[1:]]
     assert names == ["sgd", "momentum", "radam", "adamw", "warpadam"] * 2
     assert len(text.split("\n\n")) == 2
+
+
+def test_compare_fits_the_checkpoint_to_every_block_before_running_one(tmp_path, capsys,
+                                                                        monkeypatch):
+    # dense warps of the README block's [8, 4, 3] model; tasks2 has the default dim 16
+    checkpoint = tmp_path / "warps.bin"
+    save_warps(checkpoint, init_warps([(8, 4), (4,), (4, 3), (3,)], "dense"))
+    ran = []
+    monkeypatch.setattr(cli, "compare_optimizers", lambda cfg, optimizers: ran.append(cfg) or [])
+    out = tmp_path / "o"
+    assert main(["compare", "--config", write_cfg(tmp_path, readme_config()), "--out", str(out),
+                 "--set", "model.hidden=4", "--set", "compare.optimizers=sgd,adam,warpadam",
+                 "--set", f"warp.checkpoint={checkpoint}",
+                 "--set", "tasks2.synth.alphabets=3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: warp.checkpoint {checkpoint} does not fit the model of the tasks2 block: "
+        "warp 0 (dense, dim 32) does not fit parameter tensor 0 of shape (16, 4)\n")
+    assert ran == [] and not out.exists()
 
 
 def test_compare_on_imported_table(tmp_path):

@@ -46,12 +46,15 @@ def _is_number(node: ast.expr) -> bool:
 
 
 def test_config_reads_every_default_from_its_dataclass():
-    # a run or meta-training default is written once, in RunConfig, MetaConfig and the like
-    path = pathlib.Path(warpadam.__file__).parent / "config.py"
-    literals = [
-        node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getint", "getfloat")
-        and any(_is_number(arg) for arg in node.args[2:]
-                + [k.value for k in node.keywords if k.arg == "default"])
-    ]
-    assert literals == [], f"config.py passes a number literal as a default on lines {literals}"
+    # a setting's default is written once: in RunConfig, MetaConfig and the like, or as a
+    # named constant beside the table of keys
+    for name in ("config.py", "cli.py"):
+        path = pathlib.Path(warpadam.__file__).parent / name
+        literals = [
+            node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getint", "getfloat")
+            and any(_is_number(arg) for arg in node.args[2:]
+                    + [k.value for k in node.keywords if k.arg == "default"])
+        ]
+        assert literals == [], f"{name} passes a number literal as a default on lines {literals}"
