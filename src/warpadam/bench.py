@@ -21,7 +21,7 @@ from .optim import (STEP_CORES, STEP_FUNCS, AdamState, HyperParams, check_field,
                     warpadam_core)
 # unused; perfbench's tracer patches bench.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
-from .tasks import ClassTable, sample_episode, synth_proto_tasks
+from .tasks import ClassTable, EpisodeSpec, SynthSpec, sample_episode, synth_proto_tasks
 from .tensor import NumericError
 # unused; perfbench's tracer patches bench.grad (ROADMAP item 1)
 from .tensor import grad  # noqa: F401
@@ -39,28 +39,6 @@ class CurveRecord:
     val_loss: float
     val_acc: float
     wall_ms: int
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    alphabets: int = 6
-    classes_per_alphabet: int = 8
-    instances_per_class: int = 20
-    dim: int = 16
-    noise: float = 0.1
-
-
-@dataclass(frozen=True)
-class EpisodeSpec:
-    n_way: int = 5
-    k_shot: int = 1
-    query_per_class: int = 15
-    alphabets: tuple[str, ...] | None = None  # sampling pool; None = all
-
-    def __post_init__(self):
-        check_field(self, "n_way", self.n_way >= 1, "must be >= 1")
-        check_field(self, "k_shot", self.k_shot >= 1, "must be >= 1")
-        check_field(self, "query_per_class", self.query_per_class >= 1, "must be >= 1")
 
 
 @dataclass
@@ -121,14 +99,6 @@ def resolve_table(source: SynthSpec | ClassTable, rng: np.random.Generator) -> C
 def build_model(hidden: int, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
     sizes = [dim, n_way] if hidden == 0 else [dim, hidden, n_way]
     return MLP(sizes, rng)
-
-
-def check_warps_fit(cfg: RunConfig) -> None:
-    """Raises ``ShapeError`` if ``cfg`` holds a checkpoint's warps that do not
-    fit its model, as ``run_sequential_tasks`` would once it had drawn the table."""
-    if not isinstance(cfg.warps, str):
-        model = build_model(cfg.hidden, cfg.source.dim, cfg.episode.n_way, np.random.default_rng(0))
-        _FlatWarp(cfg.warps, [p.shape for p in model.params])
 
 
 def _make_stepper(cfg: RunConfig, optimizer: str, params: FlatParams):

@@ -28,7 +28,6 @@ from . import __version__
 from .bench import (
     RunConfig,
     build_model,
-    check_warps_fit,
     compare_optimizers,
     emit_csv,
     resolve_table,
@@ -47,13 +46,12 @@ from .config import (
     check_warp_keys_read,
     getint,
     getlist,
-    has_task_section,
     load_config_file,
     refuse_unread_warp_keys,
     validate_keys,
 )
 from .optim import AdamState
-from .tensor import NumericError, ShapeError
+from .tensor import NumericError
 from .tasks import import_image_classes, sample_episode, save_table, split_table
 # unused; perfbench's tracer patches cli.load_table and cli.synth_proto_tasks (ROADMAP item 1)
 from .tasks import load_table, synth_proto_tasks  # noqa: F401
@@ -73,24 +71,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"warpadam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
                        help="override a config value (repeatable)")
-        p.add_argument("--seed", type=int, help="seed override (beats file and WARP_SEED)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
+        return p
 
-    common(sub.add_parser("run", help="train one optimizer over a task sequence"))
-    common(sub.add_parser("meta-train", help="learn the warp matrices"))
-    common(sub.add_parser("compare", help="compare optimizers on shared task sources"))
+    for name, text in (("run", "train one optimizer over a task sequence"),
+                       ("meta-train", "learn the warp matrices"),
+                       ("compare", "compare optimizers on shared task sources")):
+        common(sub.add_parser(name, help=text)).add_argument(
+            "--seed", type=int, help="seed override (beats file and WARP_SEED)")
 
     p_check = sub.add_parser("check", help="run the verification oracles")
     p_check.add_argument("--perturb", type=float, default=0.0,
                          help="bias added to analytic gradients (negative control; nonzero must fail)")
 
-    p_import = sub.add_parser("import", help="cache a PGM directory tree as a class table")
-    common(p_import)
+    p_import = common(sub.add_parser("import", help="cache a PGM directory tree as a class table"))
     p_import.add_argument("--root", help="root of the <alphabet>/<character>/<image>.pgm tree")
     p_import.add_argument("--side", type=int,
                           help=f"resample images to side x side (default {IMPORT_SIDE})")
@@ -244,14 +242,8 @@ def cmd_compare(args) -> int:
     for optimizer in optimizers:
         check_optimizer("compare.optimizers", optimizer)
     check_warp_keys_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
-    names = ["tasks", "tasks2"] if has_task_section(cfg, "tasks2.") else ["tasks"]
+    names = ["tasks", "tasks2"] if any(k.startswith("tasks2.") for k in cfg) else ["tasks"]
     runs = [(name, build_run_config(cfg, seed, f"{name}.")) for name in names]
-    for name, run in runs:  # a checkpoint must fit every block before the first one runs
-        try:
-            check_warps_fit(run)
-        except ShapeError as exc:
-            raise ShapeError(f"warp.checkpoint {cfg['warp.checkpoint']} does not fit the model of "
-                             f"the {name} block: {exc}") from None
     blocks = [(name, compare_optimizers(run, optimizers)) for name, run in runs]
     any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]
 

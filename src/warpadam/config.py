@@ -17,10 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-from .bench import OPTIMIZERS, EpisodeSpec, RunConfig, SynthSpec
+import numpy as np
+
+from .bench import OPTIMIZERS, RunConfig, build_model
 from .optim import FieldError, HyperParams
-from .tasks import ClassTable, load_table
-from .warp import FORMS, MetaConfig, load_warps
+from .tasks import ClassTable, EpisodeSpec, SynthSpec, load_table
+from .tensor import ShapeError
+from .warp import FORMS, MetaConfig, _FlatWarp, load_warps, policy_forms
 
 
 class UsageError(ValueError):
@@ -201,10 +204,6 @@ def check_warp_keys_read(cfg: dict[str, str], optimizers, who: str) -> None:
         refuse_unread_warp_keys(cfg, ("warp.policy",), f"{who} with a warp.checkpoint")
 
 
-def has_task_section(cfg: dict[str, str], prefix: str) -> bool:
-    return any(k.startswith(prefix) for k in cfg)
-
-
 def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec | ClassTable:
     """A synth spec or a loaded table for one task block; ``bench.resolve_table``
     turns it into the block's table."""
@@ -221,12 +220,26 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec 
 
 def build_run_config(cfg: dict[str, str], seed: int, prefix: str = "tasks.") -> RunConfig:
     """The run of the task block under ``prefix``, for any optimizer; the
-    warp keys are read as given (``check_warp_keys_read`` refuses unread ones)."""
+    warp keys are read as given (``check_warp_keys_read`` refuses unread ones),
+    and a policy or checkpoint that does not fit the block's model is a
+    ``ShapeError`` naming its key and the block."""
     source = build_task_source(cfg, prefix)
     ckpt = cfg.get("warp.checkpoint")
     warps = build_warp_policy(cfg) if ckpt is None else load_warps(ckpt)
     hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER)
     episode = read_settings(EpisodeSpec, cfg, prefix, _EPISODE,
                             alphabets=getlist(cfg, prefix + "train_alphabets"))
-    return read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source, episode=episode,
-                         seed=seed, warps=warps)
+    run = read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source, episode=episode,
+                        seed=seed, warps=warps)
+    model = build_model(run.hidden, source.dim, episode.n_way, np.random.default_rng(0))
+    shapes = [p.shape for p in model.params]
+    try:
+        if ckpt is None:
+            policy_forms(shapes, warps)
+        else:
+            _FlatWarp(warps, shapes)
+    except ShapeError as exc:
+        key = "warp.policy" if ckpt is None else "warp.checkpoint"
+        raise ShapeError(f"{key} {cfg.get(key, warps)} does not fit the model of the "
+                         f"{prefix[:-1]} block: {exc}") from None
+    return run

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .optim import check_field
+
 
 class SamplingError(ValueError):
     """The table cannot supply the requested episode geometry."""
@@ -55,6 +57,35 @@ class ClassTable:
         return ClassTable(alphabets=keep, dim=self.dim, skipped_classes=self.skipped_classes)
 
 
+@dataclass(frozen=True)
+class SynthSpec:
+    alphabets: int = 6
+    classes_per_alphabet: int = 8
+    instances_per_class: int = 20
+    dim: int = 16
+    noise: float = 0.1
+
+    def __post_init__(self):
+        for name in ("alphabets", "classes_per_alphabet", "instances_per_class", "dim"):
+            check_field(self, name, getattr(self, name) >= 1, "must be >= 1")
+        check_field(self, "noise", self.noise >= 0, "must be non-negative")
+        check_field(self, "dim", self.dim >= self.classes_per_alphabet,
+                    f"must be >= the {self.classes_per_alphabet} orthonormal class prototypes")
+
+
+@dataclass(frozen=True)
+class EpisodeSpec:
+    n_way: int = 5
+    k_shot: int = 1
+    query_per_class: int = 15
+    alphabets: tuple[str, ...] | None = None  # sampling pool; None = all
+
+    def __post_init__(self):
+        check_field(self, "n_way", self.n_way >= 1, "must be >= 1")
+        check_field(self, "k_shot", self.k_shot >= 1, "must be >= 1")
+        check_field(self, "query_per_class", self.query_per_class >= 1, "must be >= 1")
+
+
 def split_table(table: ClassTable, train_names, eval_names) -> tuple[ClassTable, ClassTable]:
     """Explicit train/eval alphabet split; the two sets must be disjoint."""
     overlap = set(train_names) & set(eval_names)
@@ -78,12 +109,9 @@ def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: 
 
     Classes and instances are drawn uniformly without replacement, so support
     and query instances can never overlap. The same generator state always
-    produces the same episode.
+    produces the same episode. A size below 1 raises ``FieldError``.
     """
-    if n_way < 1 or k_shot < 1 or query_per_class < 1:
-        raise SamplingError(
-            f"episode geometry must be positive: n_way={n_way} k_shot={k_shot} "
-            f"query_per_class={query_per_class}")
+    EpisodeSpec(n_way, k_shot, query_per_class)
     need = k_shot + query_per_class
 
     candidates = []  # per alphabet with room for the episode, its eligible classes
@@ -116,17 +144,10 @@ def synth_proto_tasks(n_alphabets: int, classes_per_alphabet: int, instances_per
     Per alphabet: a random orthogonal rotation (the shared "style") and one
     orthonormal prototype per class; instances are rotation @ (prototype +
     sigma * gaussian). Zero noise collapses each class to a single point; a
-    noise so large that an instance overflows raises ``ValueError``.
+    noise so large that an instance overflows raises ``ValueError``, a size
+    out of range a ``FieldError`` that names its ``SynthSpec`` field.
     """
-    if min(n_alphabets, classes_per_alphabet, instances_per_class, input_dim) < 1:
-        raise ValueError("all counts must be positive")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    if input_dim < classes_per_alphabet:
-        raise ValueError(
-            f"input_dim={input_dim} leaves no room for {classes_per_alphabet} "
-            f"orthonormal class prototypes")
-
+    SynthSpec(n_alphabets, classes_per_alphabet, instances_per_class, input_dim, noise_sigma)
     d, n_c, n_i = input_dim, classes_per_alphabet, instances_per_class
     # one draw, alphabet after alphabet: its rotation, its prototypes, then
     # each class's noise; one QR per factor and one product for the stack

@@ -10,9 +10,7 @@ from warpadam.bench import (
     OPTIMIZERS,
     ComparisonRow,
     CurveRecord,
-    EpisodeSpec,
     RunConfig,
-    SynthSpec,
     build_model,
     compare_optimizers,
     convergence_epoch,
@@ -25,7 +23,7 @@ from warpadam.bench import (
 )
 from warpadam.nn import MLP
 from warpadam.optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
-from warpadam.tasks import ClassTable, SamplingError, sample_episode
+from warpadam.tasks import ClassTable, EpisodeSpec, SamplingError, SynthSpec, sample_episode
 from warpadam.tensor import NumericError, Tensor
 from warpadam.warp import init_warps
 

@@ -218,7 +218,10 @@ OUT_OF_RANGE = {
        for k in ("n_tasks", "steps_per_task", "eval_every")},
     "model.hidden": ("-1", "must be >= 0 (0 gives a linear classifier), got -1"),
     **{f"{block}.{k}": ("0", "must be >= 1, got 0") for block in ("tasks", "tasks2")
-       for k in ("n_way", "k_shot", "query_per_class")},
+       for k in ("n_way", "k_shot", "query_per_class", "synth.alphabets", "synth.classes",
+                 "synth.instances", "synth.dim")},
+    **{f"{block}.synth.noise": ("-1", "must be non-negative, got -1.0")
+       for block in ("tasks", "tasks2")},
 }
 # the sections of the range-checked keys that each command reads
 _RANGE_READERS = {"run": ("hyper.", "run.", "model.", "tasks."),
@@ -226,8 +229,8 @@ _RANGE_READERS = {"run": ("hyper.", "run.", "model.", "tasks."),
                   "meta-train": ("inner.", "meta.", "model.", "tasks.")}
 
 
-def test_the_range_checked_keys_are_28_known_keys():
-    assert len(OUT_OF_RANGE) == 28 and set(OUT_OF_RANGE) <= KNOWN_KEYS
+def test_the_range_checked_keys_are_38_known_keys():
+    assert len(OUT_OF_RANGE) == 38 and set(OUT_OF_RANGE) <= KNOWN_KEYS
 
 
 @pytest.mark.parametrize("command, key", [(command, key) for command, sections in
@@ -239,6 +242,19 @@ def test_every_out_of_range_value_is_usage_error_naming_its_key(tmp_path, capsys
     assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(out),
                  "--set", f"{key}={value}"]) == 2
     assert capsys.readouterr().err == f"usage error: {key} {rest}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, classes", [("run", "tasks.synth.dim", 5),
+                                                   ("compare", "tasks2.synth.dim", 4),
+                                                   ("meta-train", "tasks.synth.dim", 4)])
+def test_synth_dim_below_the_class_count_is_usage_error_naming_the_key(tmp_path, capsys, command,
+                                                                       key, classes):
+    out = tmp_path / "o"
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(out),
+                 "--set", f"{key}=3"]) == 2
+    assert capsys.readouterr().err == (f"usage error: {key} must be >= the {classes} orthonormal "
+                                       "class prototypes, got 3\n")
     assert not out.exists()
 
 
@@ -332,7 +348,8 @@ def test_run_that_fails_while_building_writes_no_output_directory(tmp_path, caps
     out = tmp_path / "o"
     # the policy is valid, but the (8,) bias is not a matrix for kron factors
     assert main(["run", "--config", cfg, "--out", str(out), "--set", "warp.policy=kron"]) == 2
-    assert capsys.readouterr().err == ("error: kron policy needs matrix-shaped tensors, "
+    assert capsys.readouterr().err == ("error: warp.policy kron does not fit the model of the "
+                                       "tasks block: kron policy needs matrix-shaped tensors, "
                                        "got shape (8,)\n")
     assert not out.exists()
 
@@ -682,8 +699,9 @@ def test_run_rejects_a_checkpoint_whose_warps_do_not_fit_the_model(tmp_path, cap
     assert main(["run", "--config", write_cfg(tmp_path, readme_config()), "--out", str(out),
                  "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={checkpoint}",
                  "--set", "run.n_tasks=1", "--set", "run.steps_per_task=2"]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
-    assert not (out / "curve.csv").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: warp.checkpoint {checkpoint} does not fit the model of the tasks block: {line}"]
+    assert not out.exists()
 
 
 def _spoil_checkpoint(data: bytearray, how: str) -> bytes:
@@ -806,6 +824,30 @@ def test_compare_fits_the_checkpoint_to_every_block_before_running_one(tmp_path,
     assert ran == [] and not out.exists()
 
 
+@pytest.mark.parametrize("settings, line", [
+    (["tasks2.synth.noise=-1"], "usage error: tasks2.synth.noise must be non-negative, got -1.0"),
+    (["warp.checkpoint=CKPT"],
+     "error: warp.checkpoint CKPT does not fit the model of the tasks2 block: "
+     "warp 0 (dense, dim 64) does not fit parameter tensor 0 of shape (6, 8)"),
+    (["warp.policy=kron"],
+     "error: warp.policy kron does not fit the model of the tasks block: "
+     "kron policy needs matrix-shaped tensors, got shape (8,)"),
+], ids=["tasks2-range", "tasks2-checkpoint", "kron-policy"])
+def test_compare_checks_every_block_before_running_any_optimizer(tmp_path, capsys, monkeypatch,
+                                                                 settings, line):
+    # the tasks block's model is [8, 8, 3], which the checkpoint fits; tasks2's is [6, 8, 3]
+    checkpoint = tmp_path / "warps.bin"
+    save_warps(checkpoint, init_warps([(8, 8), (8,), (8, 3), (3,)]))
+    runs = []
+    monkeypatch.setattr(bench, "run_sequential_tasks", lambda cfg, opt: runs.append(opt))
+    out = tmp_path / "o"
+    sets = [a for kv in settings for a in ("--set", kv.replace("CKPT", str(checkpoint)))]
+    assert main(["compare", "--config", command_cfg(tmp_path, "compare"), "--out", str(out),
+                 *sets]) == 2
+    assert capsys.readouterr().err == line.replace("CKPT", str(checkpoint)) + "\n"
+    assert runs == [] and not out.exists()
+
+
 def test_compare_on_imported_table(tmp_path):
     tree = tmp_path / "tree"
     tree.mkdir()
@@ -921,6 +963,18 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.strip() == f"warpadam {warpadam.__version__}"
+
+
+def test_import_takes_no_seed(tmp_path, capsys):
+    # import draws nothing, so a seed would be recorded nowhere and change nothing
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    make_tree(tree, alphabets=1, chars=1, insts=1, side=4)
+    out = tmp_path / "o"
+    assert main(["import", "--root", str(tree), "--side", "4", "--seed", "5",
+                 "--out", str(out)]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_command(tmp_path):

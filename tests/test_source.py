@@ -1,7 +1,10 @@
 """Checks on the source text of the package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import warpadam
 
@@ -58,3 +61,14 @@ def test_config_reads_every_default_from_its_dataclass():
                     + [k.value for k in node.keywords if k.arg == "default"])
         ]
         assert literals == [], f"{name} passes a number literal as a default on lines {literals}"
+
+
+def test_the_benchmark_tracer_installs():
+    # perfbench/child.py's tracer patches functions by name in several modules; a name it
+    # patches that is gone makes every --trace 1 run fail
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import child; child.install_tracing(child.Tracer())"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

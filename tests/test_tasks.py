@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpadam.optim import FieldError
 from warpadam.tasks import (
     PgmError,
     SamplingError,
@@ -217,13 +220,18 @@ def test_synth_is_the_per_alphabet_sampler(shape):
 
 
 def test_synth_validations():
+    # each size is checked by SynthSpec, and the error names its field
     rng = np.random.default_rng(12)
-    with pytest.raises(ValueError, match="room"):
-        synth_proto_tasks(2, 10, 5, 4, 0.1, rng)
-    with pytest.raises(ValueError):
-        synth_proto_tasks(0, 2, 5, 4, 0.1, rng)
-    with pytest.raises(ValueError):
-        synth_proto_tasks(1, 2, 5, 4, -0.5, rng)
+    for args, field, line in (
+            ((2, 10, 5, 4, 0.1), "dim", "dim must be >= the 10 orthonormal class prototypes, "
+                                        "got 4"),
+            ((0, 2, 5, 4, 0.1), "alphabets", "alphabets must be >= 1, got 0"),
+            ((1, 2, 5, 4, -0.5), "noise", "noise must be non-negative, got -0.5")):
+        with pytest.raises(FieldError, match=f"^{re.escape(line)}$") as exc:
+            synth_proto_tasks(*args, rng)
+        assert exc.value.field == field
+    with pytest.raises(FieldError, match=r"^k_shot must be >= 1, got 0$"):
+        sample_episode(small_table(), 3, 0, 2, rng)
 
 
 # ---------------------------------------------------------------------------
