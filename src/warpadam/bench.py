@@ -96,9 +96,12 @@ def resolve_table(source: SynthSpec | ClassTable, rng: np.random.Generator) -> C
                              source.instances_per_class, source.dim, source.noise, rng)
 
 
+def model_sizes(hidden: int, dim: int, n_way: int) -> list[int]:  # hidden 0: linear
+    return [dim, n_way] if hidden == 0 else [dim, hidden, n_way]
+
+
 def build_model(hidden: int, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
-    sizes = [dim, n_way] if hidden == 0 else [dim, hidden, n_way]
-    return MLP(sizes, rng)
+    return MLP(model_sizes(hidden, dim, n_way), rng)
 
 
 def _make_stepper(cfg: RunConfig, optimizer: str, params: FlatParams):

@@ -41,7 +41,7 @@ from .config import (
     UsageError,
     apply_overrides,
     build_meta,
-    build_run_config,
+    build_run_configs,
     check_optimizer,
     check_warp_keys_read,
     getint,
@@ -136,7 +136,8 @@ def cmd_run(args) -> int:
     seed, seed_source = _resolve_seed(args, cfg)
     optimizer = check_optimizer("run.optimizer", cfg.get("run.optimizer"))
     check_warp_keys_read(cfg, (optimizer,), f"run.optimizer={optimizer}")
-    result = run_sequential_tasks(build_run_config(cfg, seed), optimizer)
+    (run,) = build_run_configs(cfg, seed)
+    result = run_sequential_tasks(run, optimizer)
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
     _write_run_manifest(args.out, cfg, "run", seed, seed_source)
@@ -169,7 +170,7 @@ def cmd_meta_train(args) -> int:
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
     refuse_unread_warp_keys(cfg, ("warp.checkpoint",), "meta-train")
-    run = build_run_config(cfg, seed)
+    (run,) = build_run_configs(cfg, seed)
     n_way, k_shot, qpc = run.episode.n_way, run.episode.k_shot, run.episode.query_per_class
     rng, train_table, eval_table, model = _meta_setup(cfg, run)
     warps = init_warps([p.shape for p in model.params], run.warps)
@@ -243,8 +244,8 @@ def cmd_compare(args) -> int:
         check_optimizer("compare.optimizers", optimizer)
     check_warp_keys_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
     names = ["tasks", "tasks2"] if any(k.startswith("tasks2.") for k in cfg) else ["tasks"]
-    runs = [(name, build_run_config(cfg, seed, f"{name}.")) for name in names]
-    blocks = [(name, compare_optimizers(run, optimizers)) for name, run in runs]
+    runs = build_run_configs(cfg, seed, names)
+    blocks = [(name, compare_optimizers(run, optimizers)) for name, run in zip(names, runs)]
     any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]
 
     os.makedirs(args.out, exist_ok=True)

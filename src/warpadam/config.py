@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-import numpy as np
-
-from .bench import OPTIMIZERS, RunConfig, build_model
+from .bench import OPTIMIZERS, RunConfig, model_sizes
+from .nn import mlp_shapes
 from .optim import FieldError, HyperParams
 from .tasks import ClassTable, EpisodeSpec, SynthSpec, load_table
 from .tensor import ShapeError
@@ -218,28 +217,30 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec 
     raise UsageError(f"{prefix}source must be synth or table, got {source!r}")
 
 
-def build_run_config(cfg: dict[str, str], seed: int, prefix: str = "tasks.") -> RunConfig:
-    """The run of the task block under ``prefix``, for any optimizer; the
-    warp keys are read as given (``check_warp_keys_read`` refuses unread ones),
-    and a policy or checkpoint that does not fit the block's model is a
+def build_run_configs(cfg: dict[str, str], seed: int, blocks=("tasks",)) -> list[RunConfig]:
+    """The run of each task block of ``blocks``, for any optimizer, with the
+    warp keys read once as given (``check_warp_keys_read`` refuses unread
+    ones); a policy or checkpoint that does not fit a block's model is a
     ``ShapeError`` naming its key and the block."""
-    source = build_task_source(cfg, prefix)
     ckpt = cfg.get("warp.checkpoint")
     warps = build_warp_policy(cfg) if ckpt is None else load_warps(ckpt)
     hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER)
-    episode = read_settings(EpisodeSpec, cfg, prefix, _EPISODE,
-                            alphabets=getlist(cfg, prefix + "train_alphabets"))
-    run = read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source, episode=episode,
-                        seed=seed, warps=warps)
-    model = build_model(run.hidden, source.dim, episode.n_way, np.random.default_rng(0))
-    shapes = [p.shape for p in model.params]
-    try:
-        if ckpt is None:
-            policy_forms(shapes, warps)
-        else:
-            _FlatWarp(warps, shapes)
-    except ShapeError as exc:
-        key = "warp.policy" if ckpt is None else "warp.checkpoint"
-        raise ShapeError(f"{key} {cfg.get(key, warps)} does not fit the model of the "
-                         f"{prefix[:-1]} block: {exc}") from None
-    return run
+    runs = []
+    for block in blocks:
+        prefix = f"{block}."
+        source = build_task_source(cfg, prefix)
+        episode = read_settings(EpisodeSpec, cfg, prefix, _EPISODE,
+                                alphabets=getlist(cfg, prefix + "train_alphabets"))
+        runs.append(read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source,
+                                  episode=episode, seed=seed, warps=warps))
+        shapes = mlp_shapes(model_sizes(runs[-1].hidden, source.dim, episode.n_way))
+        try:
+            if ckpt is None:
+                policy_forms(shapes, warps)
+            else:
+                _FlatWarp(warps, shapes)
+        except ShapeError as exc:
+            key = "warp.policy" if ckpt is None else "warp.checkpoint"
+            raise ShapeError(f"{key} {cfg.get(key, warps)} does not fit the model of the "
+                             f"{block} block: {exc}") from None
+    return runs

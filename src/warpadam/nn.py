@@ -57,6 +57,16 @@ class Forward(NamedTuple):
     softmax: np.ndarray
 
 
+def mlp_shapes(sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    """The parameter shapes of an ``MLP`` of layer ``sizes``, in its order:
+    each layer's (fan_in, fan_out) weight, then its (fan_out,) bias."""
+    sizes = [int(s) for s in sizes]
+    if len(sizes) < 2 or any(s <= 0 for s in sizes):
+        raise ValueError(f"need at least input and output sizes, all positive: {sizes}")
+    return [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
+
+
 class MLP:
     """Fully connected tanh classifier: sizes[0] -> ... -> sizes[-1] logits.
 
@@ -66,14 +76,9 @@ class MLP:
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
-        sizes = [int(s) for s in sizes]
-        if len(sizes) < 2 or any(s <= 0 for s in sizes):
-            raise ValueError(f"need at least input and output sizes, all positive: {sizes}")
-        self.sizes = sizes
-        self.params: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            self.params.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
-            self.params.append(np.zeros(fan_out))
+        self.sizes = [int(s) for s in sizes]
+        self.params = [rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape) if len(shape) == 2
+                       else np.zeros(shape) for shape in mlp_shapes(sizes)]
 
     def param_tensors(self) -> list[Tensor]:
         return [Tensor(a, requires_grad=True) for a in self.params]

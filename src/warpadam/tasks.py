@@ -264,7 +264,55 @@ def import_image_classes(root_path, image_side: int) -> ClassTable:
 
 
 # ---------------------------------------------------------------------------
-# binary table cache (deterministic bytes, unlike zip-based containers)
+# binary files (deterministic bytes, unlike zip-based containers): one reader
+# for warp checkpoints and table caches, and the table cache's format
+
+
+class Blob:
+    """The bytes of one file of ``kind``, read front to back after its
+    ``magic`` and u32 ``version``. Each read checks its bounds first; each
+    broken rule raises ``bad``'s one-line ``ValueError``, naming the path once.
+    """
+
+    def __init__(self, path, kind: str, magic: bytes, version: int):
+        with open(path, "rb") as f:
+            self.data = memoryview(f.read())
+        self.path, self.kind, self.offset = path, kind, len(magic)
+        if self.data[:len(magic)] != magic:
+            raise self.bad(f"bad magic (not a {kind})")
+        if (found := self.uint(4, "file header")) != version:
+            raise self.bad(f"unsupported version {found}")
+
+    def bad(self, what: str) -> ValueError:
+        return ValueError(f"{what} in {self.kind} {self.path}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.data) - self.offset:
+            raise self.bad(f"{what} cut short")
+        self.offset += n
+        return self.data[self.offset - n:self.offset]
+
+    def uint(self, n: int, what: str) -> int:
+        return int.from_bytes(self.take(n, what), "little")
+
+    def text(self, what: str) -> str:
+        """A UTF-8 string after its u16 byte length."""
+        try:
+            return bytes(self.take(self.uint(2, f"{what} length"), what)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.bad(f"{what} is not UTF-8") from None
+
+    def floats(self, n: int, where: str) -> np.ndarray:
+        """``n`` finite little-endian float64 entries, as a fresh array."""
+        data = np.frombuffer(self.take(8 * n, f"{where}: {n} entries"), "<f8").astype(np.float64)
+        if not np.isfinite(data).all():
+            raise self.bad(f"{where}: {n} entries are not all finite")
+        return data
+
+    def end(self, what: str) -> None:
+        if self.offset != len(self.data):
+            raise self.bad(f"{len(self.data) - self.offset} trailing bytes after {what}")
+
 
 _TBL_MAGIC = b"WTBL"
 _TBL_VERSION = 1
@@ -293,56 +341,23 @@ def save_table(path, table: ClassTable) -> None:
 
 
 def load_table(path) -> ClassTable:
-    """The class table of a cache file; a malformed file raises ``ValueError``
-    naming ``path``, and nothing past the file's end is ever read."""
-    with open(path, "rb") as f:
-        blob = memoryview(f.read())
-
-    def bad(what: str) -> ValueError:
-        return ValueError(f"{what} in class-table cache {path}")
-
-    def take(n: int, what: str) -> memoryview:
-        nonlocal offset
-        if n > len(blob) - offset:
-            raise bad(f"{what} runs past the end of the file")
-        offset += n
-        return blob[offset - n:offset]
-
-    def uint(n: int, what: str) -> int:
-        return int.from_bytes(take(n, what), "little")
-
-    def text(what: str) -> str:
-        raw = take(uint(2, f"{what} length"), what)
-        try:
-            return bytes(raw).decode("utf-8")
-        except UnicodeDecodeError:
-            raise bad(f"{what} is not UTF-8") from None
-
-    if blob[:4] != _TBL_MAGIC:
-        raise bad("bad magic (not a class-table cache)")
-    offset = 4
-    version = uint(4, "file header")
-    if version != _TBL_VERSION:
-        raise bad(f"unsupported version {version}")
-    dim = uint(8, "file header")
-    skipped = uint(4, "file header")
-    n_alpha = uint(4, "file header")
-    if not 1 <= dim <= len(blob) // 8:
-        raise bad(f"instance dim {dim} is not positive or larger than the file")
+    """The class table of a cache file, read by ``Blob``."""
+    blob = Blob(path, "class-table cache", _TBL_MAGIC, _TBL_VERSION)
+    dim = blob.uint(8, "file header")
+    skipped = blob.uint(4, "file header")
+    n_alpha = blob.uint(4, "file header")
+    if not 1 <= dim <= len(blob.data) // 8:
+        raise blob.bad(f"instance dim {dim} is not positive or larger than the file")
     alphabets = []
     for a in range(n_alpha):
-        a_name = text(f"alphabet {a} name")
+        a_name = blob.text(f"alphabet {a}: name")
         classes = []
-        for c in range(uint(4, f"alphabet {a} class count")):
+        for c in range(blob.uint(4, f"alphabet {a}: class count")):
             where = f"alphabet {a} class {c}"
-            c_name = text(f"{where} name")
-            n_inst = uint(4, f"{where} instance count")
-            raw = take(n_inst * dim * 8, f"{where}: {n_inst} instances of dim {dim}")
-            data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n_inst, dim)
-            if not np.isfinite(data).all():
-                raise bad(f"{where}: non-finite entries")
+            c_name = blob.text(f"{where}: name")
+            n_inst = blob.uint(4, f"{where}: instance count")
+            data = blob.floats(n_inst * dim, where).reshape(n_inst, dim)
             classes.append(CharacterClass(name=c_name, instances=data))
         alphabets.append(Alphabet(name=a_name, classes=classes))
-    if offset != len(blob):
-        raise bad(f"{len(blob) - offset} trailing bytes after {n_alpha} alphabets")
+    blob.end(f"{n_alpha} alphabets")
     return ClassTable(alphabets=alphabets, dim=dim, skipped_classes=skipped)

@@ -66,7 +66,7 @@ from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_ste
                     check_step_inputs, step_buffers, warpadam_core)
 # unused; perfbench's tracer patches warp.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
-from .tasks import Episode
+from .tasks import Blob, Episode
 from .tensor import ShapeError, Tensor, grad
 
 
@@ -771,7 +771,6 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
 
 _MAGIC = b"WARP"
 _VERSION = 1
-_HEADER = struct.Struct("<BQQQ")
 
 
 def _factor_dims(factors) -> tuple[int, int]:
@@ -785,51 +784,26 @@ def save_warps(path, warps: Sequence[WarpMatrix]) -> None:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, len(warps)))
         for w in warps:
-            f.write(_HEADER.pack(FORMS[w.form].tag, w.dim, *_factor_dims(w.factors)))
+            f.write(struct.pack("<BQQQ", FORMS[w.form].tag, w.dim, *_factor_dims(w.factors)))
             f.write(w.params().astype("<f8").tobytes())
 
 
 def load_warps(path) -> list[WarpMatrix]:
-    """The warps of a checkpoint file; a malformed file raises ``ValueError``
-    naming ``path``, and nothing past the file's end is ever read."""
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    def bad(what: str) -> ValueError:
-        return ValueError(f"{what} in warp checkpoint {path}")
-
-    if blob[:4] != _MAGIC:
-        raise bad("bad magic (not a warp checkpoint)")
-    if len(blob) < 12:
-        raise bad("file header cut short")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise bad(f"unsupported version {version}")
-    offset = 12
+    """The warps of a checkpoint file, read by ``tasks.Blob``."""
+    blob = Blob(path, "warp checkpoint", _MAGIC, _VERSION)
+    count = blob.uint(4, "file header")
     warps = []
     for i in range(count):
-        if len(blob) - offset < _HEADER.size:
-            raise bad(f"warp {i} of {count}: header cut short")
-        tag, dim, fa, fb = _HEADER.unpack_from(blob, offset)
-        offset += _HEADER.size
-        if tag not in _FORM_BY_TAG:
-            raise bad(f"warp {i}: unknown form tag {tag}")
-        form = _FORM_BY_TAG[tag]
-        try:
+        tag, dim, fa, fb = (blob.uint(n, f"warp {i}: header") for n in (1, 8, 8, 8))
+        if (form := _FORM_BY_TAG.get(tag)) is None:
+            raise blob.bad(f"warp {i}: unknown form tag {tag}")
+        try:  # the reader's own errors are not ShapeErrors, so none is named twice
             shapes = FORMS[form].shapes(dim, fa, fb)
-            n = sum(math.prod(shape) for shape in shapes)
-            if n * 8 > len(blob) - offset:
-                raise ValueError(f"{n} entries run past the end of the file")
-            entries = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).astype(np.float64)
-            if not np.all(np.isfinite(entries)):
-                raise ValueError("non-finite entries")
-            warp = WarpMatrix(form, dim, _split(entries, shapes))
-            if _factor_dims(warp.factors) != (fa, fb):
-                raise ValueError(f"factor dims {fa}, {fb} do not fit the {form} form")
-        except ValueError as exc:
-            raise bad(f"warp {i}: {exc}") from None
-        offset += n * 8
-        warps.append(warp)
-    if offset != len(blob):
-        raise bad(f"{len(blob) - offset} trailing bytes after {count} warps")
+            entries = blob.floats(sum(math.prod(shape) for shape in shapes), f"warp {i}")
+            warps.append(WarpMatrix(form, dim, _split(entries, shapes)))
+            if _factor_dims(warps[-1].factors) != (fa, fb):
+                raise ShapeError(f"factor dims {fa}, {fb} do not fit the {form} form")
+        except ShapeError as exc:
+            raise blob.bad(f"warp {i}: {exc}") from None
+    blob.end(f"{count} warps")
     return warps

@@ -12,12 +12,13 @@ import pytest
 import warpadam
 import warpadam.bench as bench
 import warpadam.cli as cli
+import warpadam.config as config
 import warpadam.tensor as T
 import warpadam.warp as warp_module
 from warpadam.cli import main
 from warpadam.bench import convergence_epoch, read_curve_csv
-from warpadam.config import (KNOWN_KEYS, apply_overrides, build_meta, build_run_config,
-                             parse_config_text, validate_keys)
+from warpadam.config import (KNOWN_KEYS, apply_overrides, build_meta, build_run_configs,
+                             load_config_file, parse_config_text, validate_keys)
 from warpadam.nn import MLP
 from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
 from warpadam.warp import (WarpMatrix, adaptation_query_loss, init_warps, load_warps, save_warps,
@@ -562,7 +563,7 @@ def test_meta_train_eval_column_is_the_mean_of_unstacked_losses(tmp_path, settin
     assert main(["meta-train", "--config", write_cfg(tmp_path, SMALL_META), "--out", str(out),
                  *(a for kv in settings for a in ("--set", kv))]) == 0
     cfg = apply_overrides(parse_config_text(SMALL_META), settings)
-    _, _, eval_table, model = cli._meta_setup(cfg, build_run_config(cfg, 5))
+    _, _, eval_table, model = cli._meta_setup(cfg, build_run_configs(cfg, 5)[0])
     meta = build_meta(cfg)
     eval_rng = np.random.default_rng([5, 1])  # SMALL_META's seed and episode geometry
     episodes = [sample_episode(eval_table, 3, 1, 3, eval_rng) for _ in range(5)]
@@ -707,9 +708,16 @@ def test_run_rejects_a_checkpoint_whose_warps_do_not_fit_the_model(tmp_path, cap
 def _spoil_checkpoint(data: bytearray, how: str) -> bytes:
     """A valid checkpoint of dense warps, spoiled one way."""
     first_entries = 12 + 25
+    cuts = {"empty": 0, "cut_in_file_header": 10}
+    if how in cuts:
+        return bytes(data[:cuts[how]])
     if how == "cut_in_header":
         second_header = first_entries + 8 * struct.unpack_from("<Q", data, 13)[0] ** 2
         return bytes(data[:second_header + 10])
+    if how == "bad_magic":
+        data[3] ^= 1
+    if how == "version_2":
+        struct.pack_into("<I", data, 4, 2)
     if how == "trailing_bytes":
         return bytes(data) + b"\x00\x00\x00"
     if how == "nan_entry":
@@ -719,7 +727,19 @@ def _spoil_checkpoint(data: bytearray, how: str) -> bytes:
     return bytes(data)
 
 
-@pytest.mark.parametrize("how", ["cut_in_header", "trailing_bytes", "nan_entry", "dim_past_end"])
+SPOILED_CHECKPOINT_LINES = {
+    "empty": "bad magic (not a warp checkpoint)",
+    "bad_magic": "bad magic (not a warp checkpoint)",
+    "version_2": "unsupported version 2",
+    "cut_in_file_header": "file header cut short",
+    "cut_in_header": "warp 1: header cut short",
+    "trailing_bytes": "3 trailing bytes after 4 warps",
+    "nan_entry": "warp 0: 4096 entries are not all finite",
+    "dim_past_end": f"warp 0: {2 ** 80} entries cut short",
+}
+
+
+@pytest.mark.parametrize("how", SPOILED_CHECKPOINT_LINES)
 def test_run_rejects_a_malformed_checkpoint_naming_it(tmp_path, capsys, how):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     good = tmp_path / "good.bin"
@@ -729,19 +749,25 @@ def test_run_rejects_a_malformed_checkpoint_naming_it(tmp_path, capsys, how):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={bad}"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and str(bad) in err
+    line = SPOILED_CHECKPOINT_LINES[how]
+    assert capsys.readouterr().err == f"error: {line} in warp checkpoint {bad}\n"
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--set", "run.optimizer=warpadam", "--set", f"warp.checkpoint={good}"]) == 0
 
 
 def _spoil_table(data: bytearray, how: str) -> bytes:
-    """A valid table cache (alphabet names of 7 bytes, class names of 6), spoiled one way."""
+    """A valid table cache (alphabet names of 7 bytes, class names of 6, dim 3), spoiled one
+    way; a cut past the file header leaves at least 24 bytes, so the dim fits the file and
+    the cut is reported where it falls."""
     first_entries = 24 + 2 + 7 + 4 + 2 + 6 + 4
-    cuts = {"cut_in_header": 8, "cut_in_a_name": 28, "cut_in_a_count": 35,
+    cuts = {"empty": 0, "cut_in_header": 8, "cut_in_a_name": 28, "cut_in_a_count": 35,
             "entries_past_end": first_entries + 8}
     if how in cuts:
         return bytes(data[:cuts[how]])
+    if how == "bad_magic":
+        data[3] ^= 1
+    if how == "version_2":
+        struct.pack_into("<I", data, 4, 2)
     if how == "trailing_bytes":
         return bytes(data) + b"\x00"
     if how == "zero_dim":
@@ -753,13 +779,26 @@ def _spoil_table(data: bytearray, how: str) -> bytes:
     return bytes(data)
 
 
-@pytest.mark.parametrize("how", ["cut_in_header", "zero_dim", "cut_in_a_name", "cut_in_a_count",
-                                 "name_not_utf8", "entries_past_end", "trailing_bytes",
-                                 "nan_entry"])
+SPOILED_TABLE_LINES = {
+    "empty": "bad magic (not a class-table cache)",
+    "bad_magic": "bad magic (not a class-table cache)",
+    "version_2": "unsupported version 2",
+    "cut_in_header": "file header cut short",
+    "zero_dim": "instance dim 0 is not positive or larger than the file",
+    "cut_in_a_name": "alphabet 0: name cut short",
+    "cut_in_a_count": "alphabet 0: class count cut short",
+    "name_not_utf8": "alphabet 0: name is not UTF-8",
+    "entries_past_end": "alphabet 0 class 0: 36 entries cut short",
+    "trailing_bytes": "1 trailing bytes after 2 alphabets",
+    "nan_entry": "alphabet 0 class 0: 36 entries are not all finite",
+}
+
+
+@pytest.mark.parametrize("how", SPOILED_TABLE_LINES)
 def test_run_rejects_a_malformed_table_naming_it(tmp_path, capsys, how):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     good = tmp_path / "good.wtbl"
-    save_table(good, synth_proto_tasks(2, 5, 12, 8, 0.1, np.random.default_rng(4)))
+    save_table(good, synth_proto_tasks(2, 3, 12, 3, 0.1, np.random.default_rng(4)))
     bad = tmp_path / f"{how}.wtbl"
     bad.write_bytes(_spoil_table(bytearray(good.read_bytes()), how))
 
@@ -768,8 +807,8 @@ def test_run_rejects_a_malformed_table_naming_it(tmp_path, capsys, how):
                      "--set", "tasks.source=table", "--set", f"tasks.table={table}"])
 
     assert run(bad) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and str(bad) in err
+    line = SPOILED_TABLE_LINES[how]
+    assert capsys.readouterr().err == f"error: {line} in class-table cache {bad}\n"
     assert run(good) == 0
 
 
@@ -822,6 +861,30 @@ def test_compare_fits_the_checkpoint_to_every_block_before_running_one(tmp_path,
         f"error: warp.checkpoint {checkpoint} does not fit the model of the tasks2 block: "
         "warp 0 (dense, dim 32) does not fit parameter tensor 0 of shape (16, 4)\n")
     assert ran == [] and not out.exists()
+
+
+def test_compare_reads_the_checkpoint_once_for_both_blocks(tmp_path, monkeypatch):
+    # both blocks' models are [8, 8, 3], which the checkpoint fits
+    checkpoint = tmp_path / "warps.bin"
+    save_warps(checkpoint, init_warps([(8, 8), (8,), (8, 3), (3,)]))
+    loads, blocks = [], []
+    _counting(monkeypatch, config, "load_warps", loads)
+    monkeypatch.setattr(cli, "compare_optimizers", lambda cfg, optimizers: blocks.append(cfg) or [])
+    assert main(["compare", "--config", command_cfg(tmp_path, "compare"),
+                 "--out", str(tmp_path / "o"), "--set", "tasks2.synth.dim=8",
+                 "--set", f"warp.checkpoint={checkpoint}"]) == 0
+    assert loads == ["load_warps"]
+    assert len(blocks) == 2 and blocks[0].warps is blocks[1].warps
+
+
+def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
+    checkpoint = tmp_path / "warps.bin"
+    save_warps(checkpoint, init_warps([(8, 8), (8,), (8, 3), (3,)]))
+    monkeypatch.setattr(MLP, "__init__", lambda *args: pytest.fail("a model was built"))
+    cfg = {**load_config_file(command_cfg(tmp_path, "compare")), "tasks2.synth.dim": "8"}
+    for warp_keys in ({}, {"warp.checkpoint": str(checkpoint)}):
+        runs = build_run_configs({**cfg, **warp_keys}, 5, ("tasks", "tasks2"))
+        assert [run.episode.n_way for run in runs] == [3, 3]
 
 
 @pytest.mark.parametrize("settings, line", [
