@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,11 +44,10 @@ from .config import (
     build_meta,
     build_run_configs,
     check_optimizer,
-    check_warp_keys_read,
+    check_pool,
     getint,
     getlist,
     load_config_file,
-    refuse_unread_warp_keys,
     validate_keys,
 )
 from .optim import AdamState
@@ -135,8 +135,7 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     optimizer = check_optimizer("run.optimizer", cfg.get("run.optimizer"))
-    check_warp_keys_read(cfg, (optimizer,), f"run.optimizer={optimizer}")
-    (run,) = build_run_configs(cfg, seed)
+    (run,) = build_run_configs(cfg, seed, optimizers=(optimizer,), who=f"run.optimizer={optimizer}")
     result = run_sequential_tasks(run, optimizer)
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
@@ -151,12 +150,14 @@ def cmd_run(args) -> int:
 def _meta_setup(cfg, run: RunConfig):
     """The RNG, the train and held-out tables and the model that meta-train
     draws for ``run``'s task block, the table first."""
-    rng = np.random.default_rng(run.seed)
-    table = resolve_table(run.source, rng)  # the synthetic table is rng's first draw
     eval_names = getlist(cfg, "tasks.eval_alphabets")
     if run.episode.alphabets is None or eval_names is None:
         raise UsageError("meta-train needs explicit tasks.train_alphabets and "
                          "tasks.eval_alphabets (disjoint)")
+    check_pool("tasks", run.source, replace(run.episode, alphabets=eval_names),
+               "tasks.eval_alphabets")
+    rng = np.random.default_rng(run.seed)
+    table = resolve_table(run.source, rng)  # the synthetic table is rng's first draw
     try:
         train_table, eval_table = split_table(table, run.episode.alphabets, eval_names)
     except ValueError as exc:
@@ -169,7 +170,6 @@ def cmd_meta_train(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
-    refuse_unread_warp_keys(cfg, ("warp.checkpoint",), "meta-train")
     (run,) = build_run_configs(cfg, seed)
     n_way, k_shot, qpc = run.episode.n_way, run.episode.k_shot, run.episode.query_per_class
     rng, train_table, eval_table, model = _meta_setup(cfg, run)
@@ -242,9 +242,9 @@ def cmd_compare(args) -> int:
         raise UsageError("compare needs compare.optimizers with at least two entries")
     for optimizer in optimizers:
         check_optimizer("compare.optimizers", optimizer)
-    check_warp_keys_read(cfg, optimizers, f"compare.optimizers={','.join(optimizers)}")
     names = ["tasks", "tasks2"] if any(k.startswith("tasks2.") for k in cfg) else ["tasks"]
-    runs = build_run_configs(cfg, seed, names)
+    runs = build_run_configs(cfg, seed, names, optimizers,
+                             f"compare.optimizers={','.join(optimizers)}")
     blocks = [(name, compare_optimizers(run, optimizers)) for name, run in zip(names, runs)]
     any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]
 

@@ -20,7 +20,8 @@ from dataclasses import fields
 from .bench import OPTIMIZERS, RunConfig, model_sizes
 from .nn import mlp_shapes
 from .optim import FieldError, HyperParams
-from .tasks import ClassTable, EpisodeSpec, SynthSpec, load_table
+from .tasks import (ClassTable, EpisodeSpec, SamplingError, SynthSpec, episode_pools, load_table,
+                    pool_sizes)
 from .tensor import ShapeError
 from .warp import FORMS, MetaConfig, _FlatWarp, load_warps, policy_forms
 
@@ -162,14 +163,6 @@ def build_synth(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec:
     return read_settings(SynthSpec, cfg, prefix, _SYNTH)
 
 
-def build_warp_policy(cfg: dict[str, str]) -> str:
-    """``warp.policy``: ``auto`` or a form of ``warp.FORMS``."""
-    policy = cfg.get("warp.policy", "auto")
-    if policy != "auto" and policy not in FORMS:
-        raise UsageError(f"warp.policy must be auto or one of {', '.join(FORMS)}, got {policy!r}")
-    return policy
-
-
 def check_optimizer(key: str, optimizer: str | None) -> str:
     if optimizer is None:
         raise UsageError(f"{key} is required")
@@ -178,6 +171,7 @@ def check_optimizer(key: str, optimizer: str | None) -> str:
     return optimizer
 
 
+# each warp key and the runs that read it: a run reads the first of its keys that is set
 _WARP_READERS = {
     "warp.checkpoint": "run and compare with the warpadam optimizer",
     "warp.policy": "meta-train, and by run and compare with the warpadam optimizer and no "
@@ -185,22 +179,27 @@ _WARP_READERS = {
 }
 
 
-def refuse_unread_warp_keys(cfg: dict[str, str], keys, who: str) -> None:
-    """A ``UsageError`` naming each of ``keys`` that ``cfg`` sets, for ``who`` reads none."""
-    unread = [k for k in keys if k in cfg]
+def _read_warps(cfg: dict[str, str], optimizers, who: str) -> tuple[str, str | list]:
+    """The warp key that runs under ``optimizers`` read and what it gives.
+    Warpadam reads ``warp.checkpoint``, else ``warp.policy``; meta-train
+    (``optimizers`` None) reads the policy; other runs read neither. With no
+    key read, the key is ``warp.policy`` and gives ``auto``. Each other warp key
+    that is set is a ``UsageError`` naming ``who``, and a bad policy is one even
+    where it is unread."""
+    policy = cfg.get("warp.policy", "auto")
+    if policy != "auto" and policy not in FORMS:
+        raise UsageError(f"warp.policy must be auto or one of {', '.join(FORMS)}, got {policy!r}")
+    sources = (("warp.policy",) if optimizers is None
+               else tuple(_WARP_READERS) if "warpadam" in optimizers else ())
+    read = next((k for k in sources if k in cfg), None)
+    unread = [k for k in _WARP_READERS if k in cfg and k != read]
     if unread:
-        raise UsageError("; ".join(f"{k} is read only by {_WARP_READERS[k]}, not by {who}, "
-                                   f"got {cfg[k]!r}" for k in unread))
-
-
-def check_warp_keys_read(cfg: dict[str, str], optimizers, who: str) -> None:
-    """Refuses the warp keys that runs under ``optimizers`` do not read: only
-    warpadam reads them, and a checkpoint fixes the forms a policy would choose."""
-    build_warp_policy(cfg)  # a bad policy is reported as one
-    if "warpadam" not in optimizers:
-        refuse_unread_warp_keys(cfg, _WARP_READERS, who)
-    elif "warp.checkpoint" in cfg:
-        refuse_unread_warp_keys(cfg, ("warp.policy",), f"{who} with a warp.checkpoint")
+        raise UsageError("; ".join(
+            f"{k} is read only by {_WARP_READERS[k]}, not by {who}"
+            f"{f' with a {read}' if k in sources else ''}, got {cfg[k]!r}" for k in unread))
+    if read == "warp.checkpoint":
+        return read, load_warps(cfg[read])
+    return "warp.policy", policy
 
 
 def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec | ClassTable:
@@ -217,13 +216,33 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec 
     raise UsageError(f"{prefix}source must be synth or table, got {source!r}")
 
 
-def build_run_configs(cfg: dict[str, str], seed: int, blocks=("tasks",)) -> list[RunConfig]:
-    """The run of each task block of ``blocks``, for any optimizer, with the
-    warp keys read once as given (``check_warp_keys_read`` refuses unread
-    ones); a policy or checkpoint that does not fit a block's model is a
-    ``ShapeError`` naming its key and the block."""
-    ckpt = cfg.get("warp.checkpoint")
-    warps = build_warp_policy(cfg) if ckpt is None else load_warps(ckpt)
+def check_pool(block: str, source: SynthSpec | ClassTable, episode: EpisodeSpec,
+               alphabets_key: str) -> None:
+    """Refuses an ``episode`` that ``source``'s table cannot supply, drawing
+    no table: a ``UsageError`` that names the keys at fault and the block."""
+    try:
+        sizes = pool_sizes(source, episode)
+    except SamplingError as exc:
+        raise UsageError(f"{alphabets_key} does not fit the source of the {block} block: "
+                         f"{exc}") from None
+    try:
+        episode_pools(sizes, episode)
+    except SamplingError as exc:
+        keys = [f"{block}.{key}" for key in _EPISODE.values()]
+        if episode.alphabets is not None:
+            keys.append(alphabets_key)
+        raise UsageError(f"{', '.join(keys[:-1])} and {keys[-1]} do not fit the source of the "
+                         f"{block} block: {exc}") from None
+
+
+def build_run_configs(cfg: dict[str, str], seed: int, blocks=("tasks",), optimizers=None,
+                      who: str = "meta-train") -> list[RunConfig]:
+    """The run of each task block of ``blocks`` under ``optimizers`` (None for
+    meta-train), with the warp keys read once by ``_read_warps``. Before any
+    run, each block's source is checked to supply its episodes (``check_pool``),
+    and the warp key read to fit its model: a misfit is a ``ShapeError``
+    naming the key and the block."""
+    key, warps = _read_warps(cfg, optimizers, who)
     hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER)
     runs = []
     for block in blocks:
@@ -233,14 +252,14 @@ def build_run_configs(cfg: dict[str, str], seed: int, blocks=("tasks",)) -> list
                                 alphabets=getlist(cfg, prefix + "train_alphabets"))
         runs.append(read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source,
                                   episode=episode, seed=seed, warps=warps))
+        check_pool(block, source, episode, prefix + "train_alphabets")
         shapes = mlp_shapes(model_sizes(runs[-1].hidden, source.dim, episode.n_way))
         try:
-            if ckpt is None:
+            if isinstance(warps, str):
                 policy_forms(shapes, warps)
             else:
                 _FlatWarp(warps, shapes)
         except ShapeError as exc:
-            key = "warp.policy" if ckpt is None else "warp.checkpoint"
             raise ShapeError(f"{key} {cfg.get(key, warps)} does not fit the model of the "
                              f"{block} block: {exc}") from None
     return runs

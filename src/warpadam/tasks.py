@@ -27,6 +27,18 @@ class SamplingError(ValueError):
     """The table cannot supply the requested episode geometry."""
 
 
+def _check_alphabets(names, has) -> None:
+    """Refuses each of the alphabet ``names`` that ``has`` is false for."""
+    missing = sorted({name for name in names if not has(name)})
+    if missing:
+        raise SamplingError(f"unknown alphabets requested: {missing}")
+
+
+def _synth_alphabet(a: int) -> str:
+    """The name of alphabet ``a`` of a synthetic table."""
+    return f"alpha{a:02d}"
+
+
 @dataclass
 class CharacterClass:
     name: str
@@ -48,11 +60,13 @@ class ClassTable:
     def alphabet_names(self) -> list[str]:
         return [a.name for a in self.alphabets]
 
+    def class_sizes(self) -> list[list[int]]:
+        """The instance count of each class of each alphabet."""
+        return [[len(c.instances) for c in a.classes] for a in self.alphabets]
+
     def restricted(self, names) -> "ClassTable":
+        _check_alphabets(names, set(self.alphabet_names()).__contains__)
         wanted = set(names)
-        missing = wanted - set(self.alphabet_names())
-        if missing:
-            raise SamplingError(f"unknown alphabets requested: {sorted(missing)}")
         keep = [a for a in self.alphabets if a.name in wanted]
         return ClassTable(alphabets=keep, dim=self.dim, skipped_classes=self.skipped_classes)
 
@@ -103,6 +117,39 @@ class Episode(NamedTuple):
     query_y: np.ndarray
 
 
+def pool_sizes(source: SynthSpec | ClassTable, episode: EpisodeSpec) -> list[list[int]]:
+    """The ``ClassTable.class_sizes`` of the alphabets that ``episode`` samples
+    from ``source``'s table, drawing no synthetic table: its alphabets are
+    alike, so one stands for all, with no more classes than an episode takes.
+    An alphabet the table lacks is a ``SamplingError``."""
+    names = episode.alphabets
+    if isinstance(source, ClassTable):
+        return (source if names is None else source.restricted(names)).class_sizes()
+
+    def has(name):  # no name has more digits than the count; int() is kept off longer ones
+        digits = name.removeprefix("alpha")
+        return (digits.isdecimal() and len(digits) <= len(str(source.alphabets)) + 1
+                and int(digits) < source.alphabets and _synth_alphabet(int(digits)) == name)
+
+    _check_alphabets(names or (), has)
+    alike = [source.instances_per_class] * min(source.classes_per_alphabet, episode.n_way)
+    return [alike] if names != () else []
+
+
+def episode_pools(sizes: list[list[int]], episode: EpisodeSpec) -> list[tuple[int, list[int]]]:
+    """Each alphabet of ``sizes`` (``ClassTable.class_sizes``) with room for
+    ``episode``, as its index and those of its classes that hold k_shot +
+    query_per_class instances, at least n_way of them. None is a ``SamplingError``."""
+    need = episode.k_shot + episode.query_per_class
+    pools = [(a, eligible) for a, classes in enumerate(sizes)
+             if len(eligible := [c for c, n in enumerate(classes) if n >= need]) >= episode.n_way]
+    if not pools:
+        raise SamplingError(
+            f"no alphabet offers {episode.n_way} classes with >= {need} instances each "
+            f"(k_shot={episode.k_shot} + query_per_class={episode.query_per_class})")
+    return pools
+
+
 def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: int,
                    rng: np.random.Generator) -> Episode:
     """Sample an n-way k-shot episode from one alphabet of the table.
@@ -111,23 +158,13 @@ def sample_episode(table: ClassTable, n_way: int, k_shot: int, query_per_class: 
     and query instances can never overlap. The same generator state always
     produces the same episode. A size below 1 raises ``FieldError``.
     """
-    EpisodeSpec(n_way, k_shot, query_per_class)
+    pools = episode_pools(table.class_sizes(), EpisodeSpec(n_way, k_shot, query_per_class))
+    a, eligible = pools[rng.integers(len(pools))]
+    classes = table.alphabets[a].classes
     need = k_shot + query_per_class
-
-    candidates = []  # per alphabet with room for the episode, its eligible classes
-    for alphabet in table.alphabets:
-        eligible = [c for c in alphabet.classes if len(c.instances) >= need]
-        if len(eligible) >= n_way:
-            candidates.append(eligible)
-    if not candidates:
-        raise SamplingError(
-            f"no alphabet offers {n_way} classes with >= {need} instances each "
-            f"(k_shot={k_shot} + query_per_class={query_per_class})")
-
-    eligible = candidates[rng.integers(len(candidates))]
     sup_x, qry_x = [], []
     for i in rng.choice(len(eligible), size=n_way, replace=False):
-        instances = eligible[i].instances
+        instances = classes[eligible[i]].instances
         rows = instances[rng.choice(len(instances), size=need, replace=False)]
         sup_x.append(rows[:k_shot])
         qry_x.append(rows[k_shot:])
@@ -161,7 +198,7 @@ def synth_proto_tasks(n_alphabets: int, classes_per_alphabet: int, instances_per
         instances = noise @ rotations.swapaxes(-1, -2)[:, None]
     if not np.isfinite(instances).all():
         raise ValueError(f"noise_sigma={noise_sigma!r} makes non-finite instances")
-    alphabets = [Alphabet(name=f"alpha{a:02d}",
+    alphabets = [Alphabet(name=_synth_alphabet(a),
                           classes=[CharacterClass(name=f"char{c:02d}", instances=instances[a, c])
                                    for c in range(n_c)])
                  for a in range(n_alphabets)]
@@ -346,8 +383,9 @@ def load_table(path) -> ClassTable:
     dim = blob.uint(8, "file header")
     skipped = blob.uint(4, "file header")
     n_alpha = blob.uint(4, "file header")
-    if not 1 <= dim <= len(blob.data) // 8:
-        raise blob.bad(f"instance dim {dim} is not positive or larger than the file")
+    bad_dim = blob.bad(f"instance dim {dim} is not positive or larger than the file")
+    if dim < 1:
+        raise bad_dim
     alphabets = []
     for a in range(n_alpha):
         a_name = blob.text(f"alphabet {a}: name")
@@ -360,4 +398,6 @@ def load_table(path) -> ClassTable:
             classes.append(CharacterClass(name=c_name, instances=data))
         alphabets.append(Alphabet(name=a_name, classes=classes))
     blob.end(f"{n_alpha} alphabets")
+    if dim > len(blob.data) // 8:  # no instance row backs it: the table has none
+        raise bad_dim
     return ClassTable(alphabets=alphabets, dim=dim, skipped_classes=skipped)

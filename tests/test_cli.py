@@ -370,7 +370,9 @@ def test_bad_warp_policy_is_usage_error_naming_the_key(tmp_path, capsys, command
 
 @pytest.mark.parametrize("command, settings", [
     ("run", []), ("compare", ["compare.optimizers=adam,sgd"]), ("meta-train", []),
-], ids=["run-adam", "compare-adam-sgd", "meta-train"])
+    # meta-train reads the policy, so only the checkpoint is named
+    ("meta-train", ["warp.policy=diagonal"]),
+], ids=["run-adam", "compare-adam-sgd", "meta-train", "meta-train-both-keys"])
 def test_checkpoint_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, capsys, command,
                                                                      settings):
     cfg = command_cfg(tmp_path, command)
@@ -427,8 +429,13 @@ _POLICY_READERS = ("warp.policy is read only by meta-train, and by run and compa
     ("compare", ["warp.checkpoint=/nonexistent/warps.bin", "warp.policy=auto"],
      f"{_POLICY_READERS}, not by compare.optimizers=sgd,momentum,radam,adamw,warpadam with a "
      "warp.checkpoint, got 'auto'"),
+    ("compare", ["compare.optimizers=adam,sgd", "warp.checkpoint=/nonexistent/warps.bin",
+                 "warp.policy=dense"],
+     "warp.checkpoint is read only by run and compare with the warpadam optimizer, not by "
+     "compare.optimizers=adam,sgd, got '/nonexistent/warps.bin'; "
+     f"{_POLICY_READERS}, not by compare.optimizers=adam,sgd, got 'dense'"),
 ], ids=["run-adam", "run-adam-both-keys", "run-warpadam-checkpoint", "compare-adam-sgd",
-        "compare-checkpoint"])
+        "compare-checkpoint", "compare-adam-sgd-both-keys"])
 def test_warp_policy_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, capsys, command,
                                                                      settings, line):
     # the checkpoint is refused before it is read, so a missing file is not reported
@@ -438,6 +445,13 @@ def test_warp_policy_that_nothing_reads_is_usage_error_naming_the_key(tmp_path, 
     assert main([command, "--config", cfg, "--out", str(out), *sets]) == 2
     assert capsys.readouterr().err == f"usage error: {line}\n"
     assert not out.exists()
+
+
+def test_compare_with_warpadam_reads_a_policy_given_alone(tmp_path, capsys):
+    assert main(["compare", "--config", command_cfg(tmp_path, "compare"),
+                 "--out", str(tmp_path / "o"), "--set", "compare.optimizers=adam,warpadam",
+                 "--set", "warp.policy=diagonal"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -659,6 +673,17 @@ def test_meta_train_requires_explicit_split(tmp_path):
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_meta_train_names_the_eval_alphabets_its_source_lacks(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_META)
+    out = tmp_path / "o"
+    assert main(["meta-train", "--config", cfg, "--out", str(out),
+                 "--set", "tasks.eval_alphabets=alpha04"]) == 2
+    assert capsys.readouterr().err == ("usage error: tasks.eval_alphabets does not fit the source "
+                                       "of the tasks block: unknown alphabets requested: "
+                                       "['alpha04']\n")
+    assert not out.exists()
+
+
 def test_meta_train_rejects_overlapping_split(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_META.replace(
         "tasks.eval_alphabets=alpha03", "tasks.eval_alphabets=alpha00"))
@@ -756,9 +781,9 @@ def test_run_rejects_a_malformed_checkpoint_naming_it(tmp_path, capsys, how):
 
 
 def _spoil_table(data: bytearray, how: str) -> bytes:
-    """A valid table cache (alphabet names of 7 bytes, class names of 6, dim 3), spoiled one
-    way; a cut past the file header leaves at least 24 bytes, so the dim fits the file and
-    the cut is reported where it falls."""
+    """A valid table cache (alphabet names of 7 bytes, class names of 6), spoiled one way;
+    the offsets do not depend on the dim."""
+    how = how.removesuffix("_dim8")
     first_entries = 24 + 2 + 7 + 4 + 2 + 6 + 4
     cuts = {"empty": 0, "cut_in_header": 8, "cut_in_a_name": 28, "cut_in_a_count": 35,
             "entries_past_end": first_entries + 8}
@@ -791,6 +816,10 @@ SPOILED_TABLE_LINES = {
     "entries_past_end": "alphabet 0 class 0: 36 entries cut short",
     "trailing_bytes": "1 trailing bytes after 2 alphabets",
     "nan_entry": "alphabet 0 class 0: 36 entries are not all finite",
+    # a dim-8 cache cut before 64 bytes is reported where it is cut, not as a bad dim
+    "cut_in_a_name_dim8": "alphabet 0: name cut short",
+    "cut_in_a_count_dim8": "alphabet 0: class count cut short",
+    "entries_past_end_dim8": "alphabet 0 class 0: 96 entries cut short",
 }
 
 
@@ -798,7 +827,8 @@ SPOILED_TABLE_LINES = {
 def test_run_rejects_a_malformed_table_naming_it(tmp_path, capsys, how):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     good = tmp_path / "good.wtbl"
-    save_table(good, synth_proto_tasks(2, 3, 12, 3, 0.1, np.random.default_rng(4)))
+    dim = 8 if how.endswith("_dim8") else 3
+    save_table(good, synth_proto_tasks(2, 3, 12, dim, 0.1, np.random.default_rng(4)))
     bad = tmp_path / f"{how}.wtbl"
     bad.write_bytes(_spoil_table(bytearray(good.read_bytes()), how))
 
@@ -883,7 +913,8 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
     monkeypatch.setattr(MLP, "__init__", lambda *args: pytest.fail("a model was built"))
     cfg = {**load_config_file(command_cfg(tmp_path, "compare")), "tasks2.synth.dim": "8"}
     for warp_keys in ({}, {"warp.checkpoint": str(checkpoint)}):
-        runs = build_run_configs({**cfg, **warp_keys}, 5, ("tasks", "tasks2"))
+        runs = build_run_configs({**cfg, **warp_keys}, 5, ("tasks", "tasks2"), ("warpadam",),
+                                 "compare.optimizers=warpadam")
         assert [run.episode.n_way for run in runs] == [3, 3]
 
 
@@ -895,7 +926,15 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
     (["warp.policy=kron"],
      "error: warp.policy kron does not fit the model of the tasks block: "
      "kron policy needs matrix-shaped tensors, got shape (8,)"),
-], ids=["tasks2-range", "tasks2-checkpoint", "kron-policy"])
+    (["tasks2.n_way=5"],
+     "usage error: tasks2.n_way, tasks2.k_shot and tasks2.query_per_class do not fit the source "
+     "of the tasks2 block: no alphabet offers 5 classes with >= 3 instances each "
+     "(k_shot=1 + query_per_class=2)"),
+    (["tasks2.train_alphabets=alpha07"],
+     "usage error: tasks2.train_alphabets does not fit the source of the tasks2 block: "
+     "unknown alphabets requested: ['alpha07']"),
+], ids=["tasks2-range", "tasks2-checkpoint", "kron-policy", "tasks2-geometry",
+        "tasks2-alphabets"])
 def test_compare_checks_every_block_before_running_any_optimizer(tmp_path, capsys, monkeypatch,
                                                                  settings, line):
     # the tasks block's model is [8, 8, 3], which the checkpoint fits; tasks2's is [6, 8, 3]

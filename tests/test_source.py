@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -61,6 +62,16 @@ def test_config_reads_every_default_from_its_dataclass():
                     + [k.value for k in node.keywords if k.arg == "default"])
         ]
         assert literals == [], f"{name} passes a number literal as a default on lines {literals}"
+
+
+def test_only_config_names_the_warp_keys():
+    # which run reads warp.checkpoint or warp.policy is one rule, in config.py
+    package = pathlib.Path(warpadam.__file__).parent
+    naming = [f"{path.name}:{lineno}" for path in sorted(package.glob("*.py"))
+              if path.name != "config.py"
+              for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+              if re.search(r"\bwarp\.(checkpoint|policy)\b", line)]
+    assert naming == []
 
 
 def test_the_benchmark_tracer_installs():

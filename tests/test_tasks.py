@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 
 from warpadam.optim import FieldError
 from warpadam.tasks import (
+    Alphabet,
+    CharacterClass,
+    ClassTable,
+    EpisodeSpec,
     PgmError,
     SamplingError,
+    SynthSpec,
+    episode_pools,
     import_image_classes,
     load_table,
+    pool_sizes,
     sample_episode,
     save_table,
     split_table,
@@ -146,6 +153,35 @@ def test_restriction_to_alphabet_pool():
         assert _rows(ep.support_x) | _rows(ep.query_x) <= pool
     with pytest.raises(SamplingError):
         table.restricted(["nope"])
+
+
+def _sampling_error(fn):
+    try:
+        fn()
+    except SamplingError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(alphabets=st.integers(1, 12), classes=st.integers(1, 5), instances=st.integers(1, 6),
+       n_way=st.integers(1, 6), k_shot=st.integers(1, 3), qpc=st.integers(1, 3),
+       names=st.none() | st.lists(st.sampled_from(
+           ["alpha00", "alpha03", "alpha11", "alpha7", "alpha007", "alpha٣", "beta", ""]),
+           max_size=3))
+def test_a_source_is_checked_with_the_rules_that_sampling_its_table_applies(
+        alphabets, classes, instances, n_way, k_shot, qpc, names):
+    # the check of a synth spec draws no table, yet fails exactly where sampling
+    # the drawn table would, with the same line
+    spec = SynthSpec(alphabets, classes, instances, dim=classes)
+    table = synth_proto_tasks(alphabets, classes, instances, classes, 0.1,
+                              np.random.default_rng(0))
+    episode = EpisodeSpec(n_way, k_shot, qpc, alphabets=None if names is None else tuple(names))
+    drawn = _sampling_error(lambda: sample_episode(
+        table if names is None else table.restricted(names), n_way, k_shot, qpc,
+        np.random.default_rng(1)))
+    for source in (spec, table):
+        assert _sampling_error(lambda: episode_pools(pool_sizes(source, episode), episode)) == drawn
 
 
 def test_split_table_disjointness_enforced():
@@ -353,6 +389,16 @@ def test_table_cache_roundtrip_and_deterministic_bytes(tmp_path):
             assert np.array_equal(c1.instances, c2.instances)
     save_table(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_table_cache_refuses_a_dim_that_no_instance_backs(tmp_path):
+    # a class of no instances reads no entry, so only the file length bounds the dim
+    p = tmp_path / "t.wtbl"
+    empty = CharacterClass("char00", np.empty((0, 2**40)))
+    save_table(p, ClassTable([Alphabet("alpha00", [empty])], dim=2**40))
+    with pytest.raises(ValueError, match=re.escape(
+            f"instance dim {2**40} is not positive or larger than the file in class-table cache")):
+        load_table(p)
 
 
 def test_table_cache_rejects_garbage(tmp_path):
