@@ -88,20 +88,25 @@ REFERENCE_ROWS = (
 )
 
 
-def resolve_table(source: SynthSpec | ClassTable, rng: np.random.Generator) -> ClassTable:
-    """The task table of a source: a table itself, or a synthetic one drawn from ``rng``."""
-    if isinstance(source, ClassTable):
-        return source
-    return synth_proto_tasks(source.alphabets, source.classes_per_alphabet,
-                             source.instances_per_class, source.dim, source.noise, rng)
-
-
 def model_sizes(hidden: int, dim: int, n_way: int) -> list[int]:  # hidden 0: linear
     return [dim, n_way] if hidden == 0 else [dim, hidden, n_way]
 
 
-def build_model(hidden: int, dim: int, n_way: int, rng: np.random.Generator) -> MLP:
-    return MLP(model_sizes(hidden, dim, n_way), rng)
+def draw_run(*pools: RunConfig) -> tuple[np.random.Generator, list[ClassTable], MLP]:
+    """The generator seeded by the first run of ``pools``, runs of one task
+    block, and what they draw from it in the order that replay depends on:
+    the table (a synthetic one is the first draw), its restriction to each
+    run's alphabets, then the model. An unknown alphabet fails before the
+    model is drawn."""
+    cfg = pools[0]
+    rng = np.random.default_rng(cfg.seed)
+    table = cfg.source
+    if isinstance(table, SynthSpec):
+        table = synth_proto_tasks(table.alphabets, table.classes_per_alphabet,
+                                  table.instances_per_class, table.dim, table.noise, rng)
+    tables = [table if run.episode.alphabets is None else table.restricted(run.episode.alphabets)
+              for run in pools]
+    return rng, tables, MLP(model_sizes(cfg.hidden, table.dim, cfg.episode.n_way), rng)
 
 
 def _make_stepper(cfg: RunConfig, optimizer: str, params: FlatParams):
@@ -137,11 +142,7 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
-    rng = np.random.default_rng(cfg.seed)
-    table = resolve_table(cfg.source, rng)
-    if cfg.episode.alphabets is not None:
-        table = table.restricted(cfg.episode.alphabets)
-    model = build_model(cfg.hidden, table.dim, cfg.episode.n_way, rng)
+    rng, (table,), model = draw_run(cfg)
     params = FlatParams(model.params)
     w, arrays = params.w, params.arrays
     state = AdamState.zeros(w.shape)

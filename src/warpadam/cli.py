@@ -21,17 +21,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .bench import (
     RunConfig,
-    build_model,
     compare_optimizers,
+    draw_run,
     emit_csv,
-    resolve_table,
     run_sequential_tasks,
     write_comparison_csv,
     write_manifest,
@@ -44,7 +42,6 @@ from .config import (
     build_meta,
     build_run_configs,
     check_optimizer,
-    check_pool,
     getint,
     getlist,
     load_config_file,
@@ -52,7 +49,7 @@ from .config import (
 )
 from .optim import AdamState
 from .tensor import NumericError
-from .tasks import import_image_classes, sample_episode, save_table, split_table
+from .tasks import import_image_classes, sample_episode, save_table
 # unused; perfbench's tracer patches cli.load_table and cli.synth_proto_tasks (ROADMAP item 1)
 from .tasks import load_table, synth_proto_tasks  # noqa: F401
 from .warp import (
@@ -115,7 +112,7 @@ def _resolve_seed(args, cfg) -> tuple[int, str]:
         except ValueError:
             raise UsageError(f"WARP_SEED must be an integer, got {env!r}") from None
     else:
-        return 0, "default"
+        return RunConfig.seed, "default"
     if seed < 0:
         raise UsageError(f"{name} must be a non-negative integer, got {seed}")
     return seed, source
@@ -135,7 +132,8 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     optimizer = check_optimizer("run.optimizer", cfg.get("run.optimizer"))
-    (run,) = build_run_configs(cfg, seed, optimizers=(optimizer,), who=f"run.optimizer={optimizer}")
+    (run,) = build_run_configs(cfg, seed, ("tasks.train_alphabets",), (optimizer,),
+                               f"run.optimizer={optimizer}")
     result = run_sequential_tasks(run, optimizer)
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
@@ -147,32 +145,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _meta_setup(cfg, run: RunConfig):
-    """The RNG, the train and held-out tables and the model that meta-train
-    draws for ``run``'s task block, the table first."""
-    eval_names = getlist(cfg, "tasks.eval_alphabets")
-    if run.episode.alphabets is None or eval_names is None:
-        raise UsageError("meta-train needs explicit tasks.train_alphabets and "
-                         "tasks.eval_alphabets (disjoint)")
-    check_pool("tasks", run.source, replace(run.episode, alphabets=eval_names),
-               "tasks.eval_alphabets")
-    rng = np.random.default_rng(run.seed)
-    table = resolve_table(run.source, rng)  # the synthetic table is rng's first draw
-    try:
-        train_table, eval_table = split_table(table, run.episode.alphabets, eval_names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    model = build_model(run.hidden, table.dim, run.episode.n_way, rng)
-    return rng, train_table, eval_table, model
-
-
 def cmd_meta_train(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     meta = build_meta(cfg)
-    (run,) = build_run_configs(cfg, seed)
+    run, held_out = build_run_configs(cfg, seed, ("tasks.train_alphabets", "tasks.eval_alphabets"))
     n_way, k_shot, qpc = run.episode.n_way, run.episode.k_shot, run.episode.query_per_class
-    rng, train_table, eval_table, model = _meta_setup(cfg, run)
+    rng, (train_table, eval_table), model = draw_run(run, held_out)
     warps = init_warps([p.shape for p in model.params], run.warps)
     state = AdamState.zeros(sum(w.n_params for w in warps))
 
@@ -243,7 +222,7 @@ def cmd_compare(args) -> int:
     for optimizer in optimizers:
         check_optimizer("compare.optimizers", optimizer)
     names = ["tasks", "tasks2"] if any(k.startswith("tasks2.") for k in cfg) else ["tasks"]
-    runs = build_run_configs(cfg, seed, names, optimizers,
+    runs = build_run_configs(cfg, seed, [f"{name}.train_alphabets" for name in names], optimizers,
                              f"compare.optimizers={','.join(optimizers)}")
     blocks = [(name, compare_optimizers(run, optimizers)) for name, run in zip(names, runs)]
     any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]

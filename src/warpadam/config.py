@@ -15,7 +15,8 @@ value out of range fails with a ``UsageError`` that names the key.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import combinations
 
 from .bench import OPTIMIZERS, RunConfig, model_sizes
 from .nn import mlp_shapes
@@ -133,7 +134,10 @@ def getlist(cfg, key):
     raw = cfg.get(key)
     if raw is None or raw == "":
         return None
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
+    entries = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not entries:
+        raise UsageError(f"config key {key} must name at least one entry, got {raw!r}")
+    return entries
 
 
 _GETTERS = {int: getint, float: getfloat, bool: getbool}
@@ -203,7 +207,7 @@ def _read_warps(cfg: dict[str, str], optimizers, who: str) -> tuple[str, str | l
 
 
 def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec | ClassTable:
-    """A synth spec or a loaded table for one task block; ``bench.resolve_table``
+    """A synth spec or a loaded table for one task block; ``bench.draw_run``
     turns it into the block's table."""
     source = cfg.get(prefix + "source", "synth")
     if source == "synth":
@@ -235,25 +239,33 @@ def check_pool(block: str, source: SynthSpec | ClassTable, episode: EpisodeSpec,
                          f"{block} block: {exc}") from None
 
 
-def build_run_configs(cfg: dict[str, str], seed: int, blocks=("tasks",), optimizers=None,
+def build_run_configs(cfg: dict[str, str], seed: int, pools, optimizers=None,
                       who: str = "meta-train") -> list[RunConfig]:
-    """The run of each task block of ``blocks`` under ``optimizers`` (None for
-    meta-train), with the warp keys read once by ``_read_warps``. Before any
-    run, each block's source is checked to supply its episodes (``check_pool``),
-    and the warp key read to fit its model: a misfit is a ``ShapeError``
-    naming the key and the block."""
+    """The run of each alphabet pool key of ``pools`` (``<block>.<key>``)
+    under ``optimizers`` (None for meta-train), grouped by task block, with the
+    warp keys read once by ``_read_warps``. The pools of one block share its
+    source and settings, and two of them must each list alphabets and share
+    none. Before any run, each pool is checked to supply its episodes
+    (``check_pool``), and each block's model to fit the warp key read: a misfit
+    is a ``ShapeError`` naming the key and the block."""
     key, warps = _read_warps(cfg, optimizers, who)
     hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER)
     runs = []
-    for block in blocks:
+    for block in dict.fromkeys(pool.split(".")[0] for pool in pools):
         prefix = f"{block}."
+        lists = {pool: getlist(cfg, pool) for pool in pools if pool.startswith(prefix)}
+        for a, b in combinations(lists, 2):
+            unset = [pool for pool in (a, b) if lists[pool] is None]
+            if unset or (shared := sorted(set(lists[a]) & set(lists[b]))):
+                fault = f"{unset[0]} is unset" if unset else f"both list {shared}"
+                raise UsageError(f"{a} and {b} must each list alphabets and share none: {fault}")
         source = build_task_source(cfg, prefix)
-        episode = read_settings(EpisodeSpec, cfg, prefix, _EPISODE,
-                                alphabets=getlist(cfg, prefix + "train_alphabets"))
-        runs.append(read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source,
-                                  episode=episode, seed=seed, warps=warps))
-        check_pool(block, source, episode, prefix + "train_alphabets")
-        shapes = mlp_shapes(model_sizes(runs[-1].hidden, source.dim, episode.n_way))
+        run = read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source, seed=seed,
+                            warps=warps, episode=read_settings(EpisodeSpec, cfg, prefix, _EPISODE))
+        for pool, names in lists.items():
+            runs.append(replace(run, episode=replace(run.episode, alphabets=names)))
+            check_pool(block, source, runs[-1].episode, pool)
+        shapes = mlp_shapes(model_sizes(run.hidden, source.dim, run.episode.n_way))
         try:
             if isinstance(warps, str):
                 policy_forms(shapes, warps)

@@ -100,14 +100,6 @@ class EpisodeSpec:
         check_field(self, "query_per_class", self.query_per_class >= 1, "must be >= 1")
 
 
-def split_table(table: ClassTable, train_names, eval_names) -> tuple[ClassTable, ClassTable]:
-    """Explicit train/eval alphabet split; the two sets must be disjoint."""
-    overlap = set(train_names) & set(eval_names)
-    if overlap:
-        raise ValueError(f"train and eval alphabet sets overlap: {sorted(overlap)}")
-    return table.restricted(train_names), table.restricted(eval_names)
-
-
 class Episode(NamedTuple):
     """One few-shot task: a support set for adaptation, a query set held out."""
 

@@ -22,7 +22,7 @@ from warpadam.optim import (
     radam_rho,
     warpadam_step,
 )
-from warpadam.tasks import sample_episode, split_table, synth_proto_tasks
+from warpadam.tasks import sample_episode, synth_proto_tasks
 from warpadam.tensor import Tensor, finite_diff_grad, grad
 from warpadam.warp import (
     MetaConfig,
@@ -212,7 +212,7 @@ def _a5_run_seed(seed, outer_steps=200):
     rng = np.random.default_rng(seed)
     table = synth_proto_tasks(10, 5, 20, 8, 0.5, rng)
     names = table.alphabet_names()
-    train_t, eval_t = split_table(table, names[:8], names[8:])
+    train_t, eval_t = table.restricted(names[:8]), table.restricted(names[8:])
     model = MLP([8, 3], rng)
     cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.1, epsilon=0.1),
                      outer_eta=3e-3, tod_lambda=1e-3, tasks_per_outer_step=4)
@@ -259,7 +259,7 @@ def test_a6_tod_effect():
         rng = np.random.default_rng(seed)
         table = synth_proto_tasks(10, 5, 20, 8, 0.5, rng)
         names = table.alphabet_names()
-        train_t, _ = split_table(table, names[:8], names[8:])
+        train_t = table.restricted(names[:8])
         model = MLP([8, 3], rng)
         cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.1, epsilon=0.1),
                          outer_eta=3e-3, tod_lambda=lam, tasks_per_outer_step=4)

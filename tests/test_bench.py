@@ -11,19 +11,19 @@ from warpadam.bench import (
     ComparisonRow,
     CurveRecord,
     RunConfig,
-    build_model,
     compare_optimizers,
     convergence_epoch,
     emit_csv,
+    model_sizes,
     read_curve_csv,
-    resolve_table,
     run_sequential_tasks,
     write_comparison_csv,
     write_manifest,
 )
 from warpadam.nn import MLP
 from warpadam.optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
-from warpadam.tasks import ClassTable, EpisodeSpec, SamplingError, SynthSpec, sample_episode
+from warpadam.tasks import (ClassTable, EpisodeSpec, SamplingError, SynthSpec, sample_episode,
+                           synth_proto_tasks)
 from warpadam.tensor import NumericError, Tensor
 from warpadam.warp import init_warps
 
@@ -148,8 +148,10 @@ def _per_tensor_run(cfg, optimizer):
     engine's forward graph. Returns the records without ``wall_ms`` and the
     divergence note."""
     rng = np.random.default_rng(cfg.seed)
-    table = resolve_table(cfg.source, rng)
-    model = build_model(cfg.hidden, table.dim, cfg.episode.n_way, rng)
+    s = cfg.source
+    table = synth_proto_tasks(s.alphabets, s.classes_per_alphabet, s.instances_per_class, s.dim,
+                              s.noise, rng)
+    model = MLP(model_sizes(cfg.hidden, table.dim, cfg.episode.n_way), rng)
     arrays = model.clone_params()
     states = [AdamState.zeros(a.shape) for a in arrays]
     warps = init_warps([a.shape for a in arrays], cfg.warps)
@@ -222,7 +224,7 @@ def test_run_restricts_its_table_once_with_the_bits_of_a_restriction_per_episode
 
 
 def test_an_unknown_alphabet_fails_before_the_model_is_built(monkeypatch):
-    monkeypatch.setattr(bench, "build_model", lambda *args: pytest.fail("model built"))
+    monkeypatch.setattr(bench, "MLP", lambda *args: pytest.fail("model built"))
     with pytest.raises(SamplingError, match=r"unknown alphabets requested: \['nope'\]"):
         run_sequential_tasks(tiny_cfg(episode=EpisodeSpec(n_way=3, alphabets=("nope",))), "adam")
 

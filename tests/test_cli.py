@@ -76,6 +76,9 @@ def write_cfg(tmp_path, text, name="cfg.txt"):
     return str(p)
 
 
+META_POOLS = ("tasks.train_alphabets", "tasks.eval_alphabets")  # meta-train's two pools
+
+
 def command_cfg(tmp_path, command):
     """A small working config of ``run``, ``compare`` or ``meta-train``."""
     text = {"run": SMALL_RUN, "compare": SMALL_RUN + COMPARE_EXTRA, "meta-train": SMALL_META}
@@ -194,6 +197,28 @@ def test_episode_geometry_below_one_is_usage_error_naming_the_key(tmp_path, caps
     assert main([command, "--config", cfg, "--out", str(out), "--set", f"{key}={value}"]) == 2
     assert capsys.readouterr().err == f"usage error: {key} must be >= 1, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [",", ", ,"])
+@pytest.mark.parametrize("command, key", [
+    ("run", "tasks.train_alphabets"), ("compare", "tasks.train_alphabets"),
+    ("compare", "tasks2.train_alphabets"), ("compare", "compare.optimizers"),
+    ("meta-train", "tasks.train_alphabets"), ("meta-train", "tasks.eval_alphabets"),
+])
+def test_a_list_that_names_no_entry_is_usage_error_naming_the_key(tmp_path, capsys, command, key,
+                                                                  value):
+    out = tmp_path / "o"
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(out),
+                 "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == (f"usage error: config key {key} must name at least one "
+                                       f"entry, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_empty_alphabet_list_is_unset(tmp_path, command):
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(tmp_path / "o"),
+                 "--set", "tasks.train_alphabets="]) == 0
 
 
 _HYPER_RANGES = (("eta", "0", "must be positive, got 0.0"),
@@ -324,6 +349,12 @@ def test_seed_precedence_flag_file_env(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(out_flag), "--seed", "4"]) == 0
     assert "run.seed=4" in (out_flag / "manifest.txt").read_text()
     assert "seed.source=flag" in (out_flag / "manifest.txt").read_text()
+
+    monkeypatch.delenv("WARP_SEED")
+    out_default = tmp_path / "default"
+    assert main(["run", "--config", cfg, "--out", str(out_default)]) == 0
+    assert "run.seed=0" in (out_default / "manifest.txt").read_text()
+    assert "seed.source=default" in (out_default / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("source, name", [("flag", "--seed"), ("file", "run.seed"),
@@ -577,7 +608,7 @@ def test_meta_train_eval_column_is_the_mean_of_unstacked_losses(tmp_path, settin
     assert main(["meta-train", "--config", write_cfg(tmp_path, SMALL_META), "--out", str(out),
                  *(a for kv in settings for a in ("--set", kv))]) == 0
     cfg = apply_overrides(parse_config_text(SMALL_META), settings)
-    _, _, eval_table, model = cli._meta_setup(cfg, build_run_configs(cfg, 5)[0])
+    _, (_, eval_table), model = bench.draw_run(*build_run_configs(cfg, 5, META_POOLS))
     meta = build_meta(cfg)
     eval_rng = np.random.default_rng([5, 1])  # SMALL_META's seed and episode geometry
     episodes = [sample_episode(eval_table, 3, 1, 3, eval_rng) for _ in range(5)]
@@ -668,9 +699,14 @@ def test_cli_creates_no_tensor(tmp_path, monkeypatch, command, text, setting):
     assert created == [1]
 
 
-def test_meta_train_requires_explicit_split(tmp_path):
+def test_meta_train_requires_explicit_split(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_META.replace("tasks.eval_alphabets=alpha03", ""))
-    assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["meta-train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: tasks.train_alphabets and tasks.eval_alphabets must each list alphabets "
+        "and share none: tasks.eval_alphabets is unset\n")
+    assert not out.exists()
 
 
 def test_meta_train_names_the_eval_alphabets_its_source_lacks(tmp_path, capsys):
@@ -684,10 +720,26 @@ def test_meta_train_names_the_eval_alphabets_its_source_lacks(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_meta_train_rejects_overlapping_split(tmp_path):
+def test_meta_train_rejects_overlapping_split(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_META.replace(
-        "tasks.eval_alphabets=alpha03", "tasks.eval_alphabets=alpha00"))
-    assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        "tasks.eval_alphabets=alpha03", "tasks.eval_alphabets=alpha03,alpha00"))
+    out = tmp_path / "o"
+    assert main(["meta-train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: tasks.train_alphabets and tasks.eval_alphabets must each list alphabets "
+        "and share none: both list ['alpha00']\n")
+    assert not out.exists()
+
+
+def test_meta_train_reads_a_table_source_once_for_both_pools(tmp_path, monkeypatch):
+    table = synth_proto_tasks(4, 4, 10, 6, 0.4, np.random.default_rng(0))
+    save_table(tmp_path / "table.wtbl", table)
+    loads = []
+    _counting(monkeypatch, config, "load_table", loads)
+    assert main(["meta-train", "--config", write_cfg(tmp_path, SMALL_META),
+                 "--out", str(tmp_path / "o"), "--set", "tasks.source=table",
+                 "--set", f"tasks.table={tmp_path / 'table.wtbl'}"]) == 0
+    assert loads == ["load_table"]
 
 
 def test_meta_trained_checkpoint_feeds_run(tmp_path):
@@ -913,7 +965,8 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
     monkeypatch.setattr(MLP, "__init__", lambda *args: pytest.fail("a model was built"))
     cfg = {**load_config_file(command_cfg(tmp_path, "compare")), "tasks2.synth.dim": "8"}
     for warp_keys in ({}, {"warp.checkpoint": str(checkpoint)}):
-        runs = build_run_configs({**cfg, **warp_keys}, 5, ("tasks", "tasks2"), ("warpadam",),
+        runs = build_run_configs({**cfg, **warp_keys}, 5,
+                                 ("tasks.train_alphabets", "tasks2.train_alphabets"), ("warpadam",),
                                  "compare.optimizers=warpadam")
         assert [run.episode.n_way for run in runs] == [3, 3]
 

@@ -74,12 +74,23 @@ def test_only_config_names_the_warp_keys():
     assert naming == []
 
 
+def _run_with_the_benchmark(code: str) -> None:
+    """Runs ``code`` in a fresh interpreter with ``src`` and ``perfbench`` on the path."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_the_benchmark_tracer_installs():
     # perfbench/child.py's tracer patches functions by name in several modules; a name it
     # patches that is gone makes every --trace 1 run fail
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import child; child.install_tracing(child.Tracer())"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    _run_with_the_benchmark("import child; child.install_tracing(child.Tracer())")
+
+
+def test_the_benchmark_k_sweep_runs():
+    # perfbench/child.py's k_sweep calls config.build_synth, getint and build_meta,
+    # tasks.synth_proto_tasks and sample_episode, warp.init_warps and hypergrad_P by name and
+    # position; a change to any of them makes every --trace 1 run fail
+    _run_with_the_benchmark("import child; child.SWEEP_KS = (1, 2); child.k_sweep(1)")

@@ -20,7 +20,6 @@ from warpadam.tasks import (
     pool_sizes,
     sample_episode,
     save_table,
-    split_table,
     synth_proto_tasks,
 )
 
@@ -182,16 +181,6 @@ def test_a_source_is_checked_with_the_rules_that_sampling_its_table_applies(
         np.random.default_rng(1)))
     for source in (spec, table):
         assert _sampling_error(lambda: episode_pools(pool_sizes(source, episode), episode)) == drawn
-
-
-def test_split_table_disjointness_enforced():
-    table = small_table()
-    names = table.alphabet_names()
-    train, evalt = split_table(table, names[:2], names[2:])
-    assert train.alphabet_names() == names[:2]
-    assert evalt.alphabet_names() == names[2:]
-    with pytest.raises(ValueError, match="overlap"):
-        split_table(table, names[:2], names[1:])
 
 
 # ---------------------------------------------------------------------------
