@@ -118,13 +118,10 @@ def _resolve_seed(args, cfg) -> tuple[int, str]:
     return seed, source
 
 
-def _write_run_manifest(out_dir, cfg, command, seed, seed_source) -> None:
-    manifest = dict(cfg)
-    manifest["run.seed"] = seed
-    manifest["seed.source"] = seed_source
-    manifest["command"] = command
-    manifest["library.version"] = __version__
-    manifest["out"] = str(out_dir)
+def _write_manifest(out_dir, cfg, command, values: dict) -> None:
+    """``cfg`` as ``out_dir``/manifest.txt, with ``values`` and the command's keys over it."""
+    manifest = {**cfg, **values, "command": command, "library.version": __version__,
+                "out": str(out_dir)}
     write_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
 
 
@@ -132,12 +129,11 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
     optimizer = check_optimizer("run.optimizer", cfg.get("run.optimizer"))
-    (run,) = build_run_configs(cfg, seed, ("tasks.train_alphabets",), (optimizer,),
-                               f"run.optimizer={optimizer}")
+    (run,) = build_run_configs(cfg, seed, ("tasks.train_alphabets",), (optimizer,))
     result = run_sequential_tasks(run, optimizer)
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
-    _write_run_manifest(args.out, cfg, "run", seed, seed_source)
+    _write_manifest(args.out, cfg, "run", {"run.seed": seed, "seed.source": seed_source})
     if result.diverged:
         print(f"divergence: {result.note}", file=sys.stderr)
         return 3
@@ -205,7 +201,7 @@ def cmd_meta_train(args) -> int:
         for t, b, p, e in rows:
             f.write(f"{t},{b:.17g},{p:.17g},{e:.17g}\n")
     save_warps(os.path.join(args.out, "warps.bin"), warps)
-    _write_run_manifest(args.out, cfg, "meta-train", seed, seed_source)
+    _write_manifest(args.out, cfg, "meta-train", {"run.seed": seed, "seed.source": seed_source})
     if diverged:
         print(f"divergence: {diverged}", file=sys.stderr)
         return 3
@@ -222,14 +218,13 @@ def cmd_compare(args) -> int:
     for optimizer in optimizers:
         check_optimizer("compare.optimizers", optimizer)
     names = ["tasks", "tasks2"] if any(k.startswith("tasks2.") for k in cfg) else ["tasks"]
-    runs = build_run_configs(cfg, seed, [f"{name}.train_alphabets" for name in names], optimizers,
-                             f"compare.optimizers={','.join(optimizers)}")
+    runs = build_run_configs(cfg, seed, [f"{name}.train_alphabets" for name in names], optimizers)
     blocks = [(name, compare_optimizers(run, optimizers)) for name, run in zip(names, runs)]
     any_diverged = [r.algorithm for _, rows in blocks for r in rows if r.diverged]
 
     os.makedirs(args.out, exist_ok=True)
     write_comparison_csv(os.path.join(args.out, "compare.csv"), blocks)
-    _write_run_manifest(args.out, cfg, "compare", seed, seed_source)
+    _write_manifest(args.out, cfg, "compare", {"run.seed": seed, "seed.source": seed_source})
     msg = f"compare complete: {sum(len(r) for _, r in blocks)} rows -> {args.out}/compare.csv"
     if any_diverged:
         msg += f" (diverged: {', '.join(any_diverged)})"
@@ -264,15 +259,12 @@ def cmd_import(args) -> int:
     table = import_image_classes(root, side)
     os.makedirs(args.out, exist_ok=True)
     save_table(os.path.join(args.out, "table.wtbl"), table)
-    manifest = dict(cfg)
-    manifest.update({
+    _write_manifest(args.out, cfg, "import", {
         "import.root": str(root), "import.side": side,
-        "command": "import", "library.version": __version__, "out": str(args.out),
         "imported.alphabets": len(table.alphabets),
         "imported.classes": sum(len(a.classes) for a in table.alphabets),
         "imported.skipped_classes": table.skipped_classes,
     })
-    write_manifest(os.path.join(args.out, "manifest.txt"), manifest)
     print(f"imported {len(table.alphabets)} alphabets "
           f"({table.skipped_classes} empty classes skipped) -> {args.out}/table.wtbl")
     return 0

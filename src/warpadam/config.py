@@ -183,13 +183,13 @@ _WARP_READERS = {
 }
 
 
-def _read_warps(cfg: dict[str, str], optimizers, who: str) -> tuple[str, str | list]:
+def _read_warps(cfg: dict[str, str], optimizers) -> tuple[str, str | list]:
     """The warp key that runs under ``optimizers`` read and what it gives.
     Warpadam reads ``warp.checkpoint``, else ``warp.policy``; meta-train
     (``optimizers`` None) reads the policy; other runs read neither. With no
     key read, the key is ``warp.policy`` and gives ``auto``. Each other warp key
-    that is set is a ``UsageError`` naming ``who``, and a bad policy is one even
-    where it is unread."""
+    that is set is a ``UsageError`` naming the runs, and a bad policy is one
+    even where it is unread."""
     policy = cfg.get("warp.policy", "auto")
     if policy != "auto" and policy not in FORMS:
         raise UsageError(f"warp.policy must be auto or one of {', '.join(FORMS)}, got {policy!r}")
@@ -198,6 +198,8 @@ def _read_warps(cfg: dict[str, str], optimizers, who: str) -> tuple[str, str | l
     read = next((k for k in sources if k in cfg), None)
     unread = [k for k in _WARP_READERS if k in cfg and k != read]
     if unread:
+        who = ("meta-train" if optimizers is None else f"run.optimizer={optimizers[0]}"
+               if len(optimizers) == 1 else f"compare.optimizers={','.join(optimizers)}")
         raise UsageError("; ".join(
             f"{k} is read only by {_WARP_READERS[k]}, not by {who}"
             f"{f' with a {read}' if k in sources else ''}, got {cfg[k]!r}" for k in unread))
@@ -220,10 +222,10 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec 
     raise UsageError(f"{prefix}source must be synth or table, got {source!r}")
 
 
-def check_pool(block: str, source: SynthSpec | ClassTable, episode: EpisodeSpec,
-               alphabets_key: str) -> None:
+def check_pool(source: SynthSpec | ClassTable, episode: EpisodeSpec, alphabets_key: str) -> None:
     """Refuses an ``episode`` that ``source``'s table cannot supply, drawing
     no table: a ``UsageError`` that names the keys at fault and the block."""
+    block = alphabets_key.split(".")[0]
     try:
         sizes = pool_sizes(source, episode)
     except SamplingError as exc:
@@ -239,17 +241,18 @@ def check_pool(block: str, source: SynthSpec | ClassTable, episode: EpisodeSpec,
                          f"{block} block: {exc}") from None
 
 
-def build_run_configs(cfg: dict[str, str], seed: int, pools, optimizers=None,
-                      who: str = "meta-train") -> list[RunConfig]:
+def build_run_configs(cfg: dict[str, str], seed: int, pools, optimizers=None) -> list[RunConfig]:
     """The run of each alphabet pool key of ``pools`` (``<block>.<key>``)
-    under ``optimizers`` (None for meta-train), grouped by task block, with the
-    warp keys read once by ``_read_warps``. The pools of one block share its
-    source and settings, and two of them must each list alphabets and share
-    none. Before any run, each pool is checked to supply its episodes
-    (``check_pool``), and each block's model to fit the warp key read: a misfit
-    is a ``ShapeError`` naming the key and the block."""
-    key, warps = _read_warps(cfg, optimizers, who)
-    hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER)
+    under ``optimizers`` (None for meta-train, which reads no ``hyper.`` or
+    ``run.`` key), grouped by task block, with the warp keys read once by
+    ``_read_warps``. The pools of one block share its source and settings, and
+    two of them must each list alphabets and share none. Before any run, each
+    pool is checked to supply its episodes (``check_pool``), and each block's
+    model to fit the warp key read: a misfit is a ``ShapeError`` naming the key
+    and the block."""
+    key, warps = _read_warps(cfg, optimizers)
+    hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER if optimizers else {})
+    run_keys = _RUN if optimizers else {"hidden": _RUN["hidden"]}
     runs = []
     for block in dict.fromkeys(pool.split(".")[0] for pool in pools):
         prefix = f"{block}."
@@ -260,11 +263,11 @@ def build_run_configs(cfg: dict[str, str], seed: int, pools, optimizers=None,
                 fault = f"{unset[0]} is unset" if unset else f"both list {shared}"
                 raise UsageError(f"{a} and {b} must each list alphabets and share none: {fault}")
         source = build_task_source(cfg, prefix)
-        run = read_settings(RunConfig, cfg, "", _RUN, hyper=hyper, source=source, seed=seed,
+        run = read_settings(RunConfig, cfg, "", run_keys, hyper=hyper, source=source, seed=seed,
                             warps=warps, episode=read_settings(EpisodeSpec, cfg, prefix, _EPISODE))
         for pool, names in lists.items():
             runs.append(replace(run, episode=replace(run.episode, alphabets=names)))
-            check_pool(block, source, runs[-1].episode, pool)
+            check_pool(source, runs[-1].episode, pool)
         shapes = mlp_shapes(model_sizes(run.hidden, source.dim, run.episode.n_way))
         try:
             if isinstance(warps, str):

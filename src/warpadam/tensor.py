@@ -51,14 +51,13 @@ class Tensor:
     leaf does. Operations never mutate operands.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_bwd", "_op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_parents", "_bwd", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _bwd=None, _op=""):
+    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = _parents
         self._bwd: Callable | None = _bwd
-        self._op = _op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,21 +74,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self):
-        tag = f" op={self._op}" if self._op else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
     # operator sugar; everything funnels into the module-level primitives
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -98,12 +88,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -116,9 +100,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     @property
     def T(self):
         return transpose(self)
@@ -128,10 +109,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     """Create an op output; it joins the graph only if some input requires grad."""
     if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd, _op=op)
+        return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd)
     return Tensor(data)
 
 
@@ -163,7 +144,7 @@ def add(a, b) -> Tensor:
     def bwd(g):
         return sum_to(g, a.shape), sum_to(g, b.shape)
 
-    return _node(a.data + b.data, (a, b), bwd, "add")
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -172,7 +153,7 @@ def sub(a, b) -> Tensor:
     def bwd(g):
         return sum_to(g, a.shape), sum_to(neg(g), b.shape)
 
-    return _node(a.data - b.data, (a, b), bwd, "sub")
+    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -181,7 +162,7 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return sum_to(mul(g, b), a.shape), sum_to(mul(g, a), b.shape)
 
-    return _node(a.data * b.data, (a, b), bwd, "mul")
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
@@ -192,7 +173,7 @@ def div(a, b) -> Tensor:
         gb = sum_to(neg(div(mul(g, a), mul(b, b))), b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _node(a.data / b.data, (a, b), bwd, "div")
+    return _node(a.data / b.data, (a, b), bwd)
 
 
 def neg(a) -> Tensor:
@@ -201,7 +182,7 @@ def neg(a) -> Tensor:
     def bwd(g):
         return (neg(g),)
 
-    return _node(-a.data, (a,), bwd, "neg")
+    return _node(-a.data, (a,), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -220,7 +201,7 @@ def matmul(a, b) -> Tensor:
         return (sum_to(matmul(g, transpose(b)), a.shape),
                 sum_to(matmul(transpose(a), g), b.shape))
 
-    return _node(out, (a, b), bwd, "matmul")
+    return _node(out, (a, b), bwd)
 
 
 def transpose(a) -> Tensor:
@@ -232,7 +213,7 @@ def transpose(a) -> Tensor:
     def bwd(g):
         return (transpose(g),)
 
-    return _node(a.data.swapaxes(-1, -2), (a,), bwd, "transpose")
+    return _node(a.data.swapaxes(-1, -2), (a,), bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -244,7 +225,7 @@ def reshape(a, shape) -> Tensor:
     def bwd(g):
         return (reshape(g, a.shape),)
 
-    return _node(a.data.reshape(shape), (a,), bwd, "reshape")
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -254,7 +235,7 @@ def broadcast_to(a, shape) -> Tensor:
     def bwd(g):
         return (sum_to(g, a.shape),)
 
-    return _node(np.broadcast_to(a.data, shape).copy(), (a,), bwd, "broadcast")
+    return _node(np.broadcast_to(a.data, shape).copy(), (a,), bwd)
 
 
 def _normalize_axis(axis, ndim) -> tuple[int, ...]:
@@ -275,7 +256,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims or not a.ndim else reshape(g, kept)
         return (broadcast_to(gg, a.shape),)
 
-    return _node(out, (a,), bwd, "sum")
+    return _node(out, (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -292,7 +273,7 @@ def tanh(a) -> Tensor:
         out = tanh(a)
         return (mul(g, sub(1.0, mul(out, out))),)
 
-    return _node(np.tanh(a.data), (a,), bwd, "tanh")
+    return _node(np.tanh(a.data), (a,), bwd)
 
 
 def relu(a) -> Tensor:
@@ -302,7 +283,7 @@ def relu(a) -> Tensor:
     def bwd(g):
         return (mul(g, mask),)
 
-    return _node(np.maximum(a.data, 0.0), (a,), bwd, "relu")
+    return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def sqrt(a) -> Tensor:
@@ -311,7 +292,7 @@ def sqrt(a) -> Tensor:
     def bwd(g):
         return (div(g, mul(sqrt(a), 2.0)),)
 
-    return _node(np.sqrt(a.data), (a,), bwd, "sqrt")
+    return _node(np.sqrt(a.data), (a,), bwd)
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
@@ -327,7 +308,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         inner = tsum(mul(g, out), axis=axis, keepdims=True)
         return (mul(out, sub(g, broadcast_to(inner, out.shape))),)
 
-    return _node(_softmax_data(a.data, axis), (a,), bwd, "softmax")
+    return _node(_softmax_data(a.data, axis), (a,), bwd)
 
 
 class Labels(NamedTuple):
@@ -404,7 +385,7 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
             per_row = reshape(per_row, per_row.shape + (1, 1))
         return (mul(broadcast_to(per_row, logits.shape), sub(p, Tensor(onehot))),)
 
-    return _node(ce, (logits,), bwd, "softmax_ce")
+    return _node(ce, (logits,), bwd)
 
 
 def mean_squared_error(pred, target) -> Tensor:

@@ -207,11 +207,6 @@ class WarpMatrix:
         (A (x) B)^T = A^T (x) B^T."""
         return WarpMatrix(self.form, self.dim, tuple(f.T for f in self.factors))
 
-    def factor_grads(self, u_bar: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-        """d<u_bar, apply(g)>/d(factors), one array per factor, summed over a stack."""
-        lead = (1,) + _stack_axes(self.dim, g.shape)
-        return FORMS[self.form].factor_grads(self.factors, u_bar[None], g[None], lead)
-
     def materialize(self) -> np.ndarray:
         """The explicit d x d matrix (Kronecker product for the kron form)."""
         return self.apply(np.eye(self.dim)).T  # row i of the stack is P @ e_i

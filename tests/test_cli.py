@@ -271,6 +271,16 @@ def test_every_out_of_range_value_is_usage_error_naming_its_key(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key", [(command, key) for command, sections in
+                                          _RANGE_READERS.items() for key in OUT_OF_RANGE
+                                          if not key.startswith(sections)])
+def test_an_out_of_range_value_of_an_unread_key_is_not_checked(tmp_path, command, key):
+    # a command range-checks only the sections it reads: meta-train reads no hyper.* and
+    # no run.* key, and run no tasks2.* key
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out",
+                 str(tmp_path / "o"), "--set", f"{key}={OUT_OF_RANGE[key][0]}"]) == 0
+
+
 @pytest.mark.parametrize("command, key, classes", [("run", "tasks.synth.dim", 5),
                                                    ("compare", "tasks2.synth.dim", 4),
                                                    ("meta-train", "tasks.synth.dim", 4)])
@@ -966,8 +976,7 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
     cfg = {**load_config_file(command_cfg(tmp_path, "compare")), "tasks2.synth.dim": "8"}
     for warp_keys in ({}, {"warp.checkpoint": str(checkpoint)}):
         runs = build_run_configs({**cfg, **warp_keys}, 5,
-                                 ("tasks.train_alphabets", "tasks2.train_alphabets"), ("warpadam",),
-                                 "compare.optimizers=warpadam")
+                                 ("tasks.train_alphabets", "tasks2.train_alphabets"), ("warpadam",))
         assert [run.episode.n_way for run in runs] == [3, 3]
 
 

@@ -1,6 +1,7 @@
 """Checks on the source text of the package."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import warpadam
+
+from test_tasks import make_tree
 
 # imported only so that perfbench's tracer can patch them (ROADMAP item 1)
 KEPT_FOR_THE_TRACER = {
@@ -74,13 +77,15 @@ def test_only_config_names_the_warp_keys():
     assert naming == []
 
 
-def _run_with_the_benchmark(code: str) -> None:
-    """Runs ``code`` in a fresh interpreter with ``src`` and ``perfbench`` on the path."""
+def _run_with_the_benchmark(code: str) -> str:
+    """Runs ``code`` in a fresh interpreter with ``src`` and ``perfbench`` on the path;
+    returns its standard output."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_the_benchmark_tracer_installs():
@@ -94,3 +99,41 @@ def test_the_benchmark_k_sweep_runs():
     # tasks.synth_proto_tasks and sample_episode, warp.init_warps and hypergrad_P by name and
     # position; a change to any of them makes every --trace 1 run fail
     _run_with_the_benchmark("import child; child.SWEEP_KS = (1, 2); child.k_sweep(1)")
+
+
+# the spans that perfbench/child.py's tracer records on the CLI paths today: the per-layer
+# metrics of any other wrapped function read 0
+LIVE_SPANS = [
+    "bench.emit_csv", "bench.run_sequential_tasks", "optim.adam_step", "tasks.import_image_classes",
+    "tasks.load_table", "tasks.sample_episode", "tasks.synth_proto_tasks",
+    "warp.adaptation_query_loss", "warp.meta_update_P", "warp.save_warps",
+]
+
+
+def test_the_benchmark_tracer_sees_the_live_functions(tmp_path):
+    # the tracer patches each function by module and name, so a call moved to another module
+    # reads 0 without any error; a tiny import, meta-train, and run on the table under adam and
+    # warpadam must record exactly LIVE_SPANS
+    make_tree(tmp_path / "pgm", alphabets=2, chars=3, insts=4)
+    meta = ["model.hidden=0", "meta.inner_steps=2", "meta.outer_steps=1",
+            "meta.tasks_per_outer_step=2", "meta.eval_episodes=2", "tasks.synth.alphabets=4",
+            "tasks.synth.classes=3", "tasks.synth.instances=4", "tasks.synth.dim=4",
+            "tasks.n_way=2", "tasks.k_shot=1", "tasks.query_per_class=2",
+            "tasks.train_alphabets=alpha00,alpha01", "tasks.eval_alphabets=alpha02,alpha03"]
+    run = ["model.hidden=0", "run.n_tasks=1", "run.steps_per_task=2", "run.eval_every=1",
+           "tasks.source=table", f"tasks.table={tmp_path / 'table' / 'table.wtbl'}",
+           "tasks.n_way=2", "tasks.k_shot=1", "tasks.query_per_class=2"]
+    calls = [["import", "--root", tmp_path / "pgm", "--side", 4, "--out", tmp_path / "table"],
+             ["meta-train", *(a for s in meta for a in ("--set", s)), "--out", tmp_path / "meta"]]
+    calls += [["run", *(a for s in run + [f"run.optimizer={o}"] for a in ("--set", s)),
+               "--out", tmp_path / o] for o in ("adam", "warpadam")]
+    calls = [[str(a) for a in argv] for argv in calls]
+    out = _run_with_the_benchmark(f"""
+import child, json
+from warpadam.cli import main
+tracer = child.Tracer()
+child.install_tracing(tracer)
+assert [main(argv) for argv in {calls!r}] == [0] * {len(calls)}
+print(json.dumps(sorted({{span[0] for span in tracer.spans}})))
+""")
+    assert json.loads(out.splitlines()[-1]) == LIVE_SPANS

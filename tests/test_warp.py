@@ -542,8 +542,11 @@ def test_factor_grads_are_the_engine_backward_of_apply(form, stacked):
     u_bar[..., 0, :] = 0.0  # zero adjoints: their products with g are signed zeros
     leaves = _warp_leaves(warp)
     want = grad(T.tsum(T.mul(warp.apply(Tensor(g), leaves), Tensor(u_bar))), list(leaves))
-    for got, w in zip(warp.factor_grads(u_bar, g), want, strict=True):
-        assert got.tobytes() == w.data.tobytes()
+    # the path adjoint_hypergrad runs: the flat warp's rule on (T, size) planes, at T 1
+    flat = _FlatWarp([warp], [g.shape], g.shape[:-2])
+    (got,) = flat.factor_grads(u_bar.reshape(1, -1), g.reshape(1, -1))
+    for factor, w in zip(got, want, strict=True):
+        assert factor.tobytes() == w.data.tobytes()
 
 
 @pytest.mark.parametrize("form", FORMS)
