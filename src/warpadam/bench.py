@@ -5,20 +5,25 @@ recording train (support) and validation (query) metrics at a fixed cadence.
 Identical configs (including the seed) reproduce identical curves except for
 ``wall_ms``, which is wall-clock and never comparable across machines.
 
-Divergence policy: a non-finite loss or gradient halts the run with a flagged
-record and a report; values are never clamped, so instability stays visible.
+Divergence policy: a run halts at its first non-finite value. Its last
+record is that step's, NaN in each metric the step did not reach, and its
+note names the fault and where: ``non-finite loss/gradient at task i step s``,
+``optimizer overflow at task i step s: <the core's NumericError>`` or
+``non-finite evaluation at task i step s``. Values are never clamped, so
+instability stays visible; these checks report it, and numpy's overflow
+warnings, which would only repeat it on stderr, are silenced.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .nn import MLP
-from .optim import (STEP_CORES, STEP_FUNCS, AdamState, HyperParams, check_field, step_buffers,
-                    warpadam_core)
+from .optim import STEP_CORES, AdamState, HyperParams, check_field, step_buffers, warpadam_core
 # unused; perfbench's tracer patches bench.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import ClassTable, EpisodeSpec, SynthSpec, sample_episode, synth_proto_tasks
@@ -27,7 +32,7 @@ from .tensor import NumericError
 from .tensor import grad  # noqa: F401
 from .warp import FlatParams, WarpMatrix, _flat, _FlatWarp, init_warps
 
-OPTIMIZERS = tuple(sorted(STEP_FUNCS)) + ("warpadam",)
+OPTIMIZERS = tuple(sorted(STEP_CORES)) + ("warpadam",)
 
 
 @dataclass
@@ -109,24 +114,6 @@ def draw_run(*pools: RunConfig) -> tuple[np.random.Generator, list[ClassTable], 
     return rng, tables, MLP(model_sizes(cfg.hidden, table.dim, cfg.episode.n_way), rng)
 
 
-def _make_stepper(cfg: RunConfig, optimizer: str, params: FlatParams):
-    """``step(state, w, g, buf)``: ``optimizer``'s core on the flat buffer."""
-    h = cfg.hyper
-    if optimizer != "warpadam":
-        core = STEP_CORES[optimizer]
-        return lambda state, w, g, buf: core(state, w, g, h, buf)
-    warps = init_warps(params.shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
-    warp = _FlatWarp(warps, params.shapes)
-    return lambda state, w, g, buf: warpadam_core(state, w, g, h, buf, warp)
-
-
-def _metrics(model: MLP, arrays, x, y) -> tuple[float, float]:
-    # divergence is detected via isfinite checks, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, acc = model.loss_accuracy(arrays, x, y)
-    return float(loss), acc
-
-
 def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
     """Train one shared model over a sequence of sampled episodes with ``optimizer``.
 
@@ -144,46 +131,49 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
     rng, (table,), model = draw_run(cfg)
     params = FlatParams(model.params)
-    w, arrays = params.w, params.arrays
+    w, arrays, h = params.w, params.arrays, cfg.hyper
     state = AdamState.zeros(w.shape)
     buf = step_buffers(w.shape)
-    step = _make_stepper(cfg, optimizer, params)
+    if optimizer == "warpadam":
+        warps = init_warps(params.shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
+        core = partial(warpadam_core, warp=_FlatWarp(warps, params.shapes))
+    else:
+        core = STEP_CORES[optimizer]
 
     records: list[CurveRecord] = []
     t0 = time.perf_counter()
+    nan = float("nan")
 
     def wall() -> int:
         return int((time.perf_counter() - t0) * 1000)
 
-    for task_index in range(cfg.n_tasks):
-        ep = sample_episode(table, cfg.episode.n_way, cfg.episode.k_shot,
-                            cfg.episode.query_per_class, rng)
-        support_y, query_y = model.targets(ep.support_y), model.targets(ep.query_y)
-        for s in range(1, cfg.steps_per_task + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
+    def stop(what: str, metrics: tuple, detail: str = "") -> RunResult:
+        """The diverged run: the record of this step, and the note naming it."""
+        records.append(CurveRecord(task_index, s, *metrics, wall()))
+        return RunResult(records, diverged=True,
+                         note=f"{what} at task {task_index} step {s}{detail}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for task_index in range(cfg.n_tasks):
+            ep = sample_episode(table, cfg.episode.n_way, cfg.episode.k_shot,
+                                cfg.episode.query_per_class, rng)
+            support_y, query_y = model.targets(ep.support_y), model.targets(ep.query_y)
+            for s in range(1, cfg.steps_per_task + 1):
                 loss, gs, _ = model.loss_grads(arrays, ep.support_x, support_y)
-                loss_val = float(loss)
-            g = _flat(gs)
-            if not (np.isfinite(loss_val) and np.all(np.isfinite(g))):
-                records.append(CurveRecord(task_index, s, loss_val, float("nan"),
-                                           float("nan"), float("nan"), wall()))
-                return RunResult(records, diverged=True,
-                                 note=f"non-finite loss/gradient at task {task_index} step {s}")
-            try:
-                step(state, w, g, buf)
-            except NumericError as exc:
-                records.append(CurveRecord(task_index, s, loss_val, float("nan"),
-                                           float("nan"), float("nan"), wall()))
-                return RunResult(records, diverged=True,
-                                 note=f"optimizer overflow at task {task_index} step {s}: {exc}")
-            if s % cfg.eval_every == 0 or s == cfg.steps_per_task:
-                train_loss, train_acc = _metrics(model, arrays, ep.support_x, support_y)
-                val_loss, val_acc = _metrics(model, arrays, ep.query_x, query_y)
-                records.append(CurveRecord(task_index, s, train_loss, train_acc,
-                                           val_loss, val_acc, wall()))
-                if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-                    return RunResult(records, diverged=True,
-                                     note=f"non-finite evaluation at task {task_index} step {s}")
+                g = _flat(gs)
+                if not (np.isfinite(loss) and np.all(np.isfinite(g))):
+                    return stop("non-finite loss/gradient", (float(loss), nan, nan, nan))
+                try:
+                    core(state, w, g, h, buf)
+                except NumericError as exc:
+                    return stop("optimizer overflow", (float(loss), nan, nan, nan), f": {exc}")
+                if s % cfg.eval_every == 0 or s == cfg.steps_per_task:
+                    train_loss, train_acc = model.loss_accuracy(arrays, ep.support_x, support_y)
+                    val_loss, val_acc = model.loss_accuracy(arrays, ep.query_x, query_y)
+                    metrics = (float(train_loss), train_acc, float(val_loss), val_acc)
+                    if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                        return stop("non-finite evaluation", metrics)
+                    records.append(CurveRecord(task_index, s, *metrics, wall()))
     return RunResult(records)
 
 

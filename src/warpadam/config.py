@@ -1,9 +1,10 @@
 """Flat key=value run configuration.
 
 Configs are text files of ``section.key=value`` lines (``#`` comments and
-blank lines allowed). Command-line ``--set key=value`` pairs override file
-values; the effective configuration is echoed into the run manifest, which is
-itself a valid config file, so any run can be reproduced from its manifest.
+blank lines allowed), each key on one line only. Command-line ``--set
+key=value`` pairs override file values; the effective configuration is
+echoed into the run manifest, which is itself a valid config file, so any run
+can be reproduced from its manifest.
 
 Unknown keys are rejected rather than ignored, except for the informational
 keys a manifest carries (``command``, ``library.version``, ``out``,
@@ -66,14 +67,17 @@ INFO_KEYS = frozenset([
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     cfg: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise UsageError(f"{source}:{lineno}: {key} is set again, first on line {lines[key]}")
+        cfg[key], lines[key] = value, lineno
     return cfg
 
 
@@ -213,6 +217,9 @@ def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec 
     turns it into the block's table."""
     source = cfg.get(prefix + "source", "synth")
     if source == "synth":
+        if prefix + "table" in cfg:
+            raise UsageError(f"{prefix}table is read only with {prefix}source=table, "
+                             f"got {prefix}source=synth")
         return build_synth(cfg, prefix)
     if source == "table":
         path = cfg.get(prefix + "table")

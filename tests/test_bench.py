@@ -256,8 +256,8 @@ def test_run_divergence_notes_are_those_of_per_tensor_steps(monkeypatch):
     # a decay factor eta * weight_decay that overflows to inf sends every
     # parameter to a non-finite value at the first step
     cfg = tiny_cfg(hyper=HyperParams(eta=1e10, weight_decay=1e300))
+    result = run_sequential_tasks(cfg, "adamw")
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_sequential_tasks(cfg, "adamw")
         want_rows, want_note = _per_tensor_run(cfg, "adamw")
     assert result.diverged and result.note == want_note
     assert want_note == "optimizer overflow at task 0 step 1: adamw step overflowed to non-finite values"
@@ -336,8 +336,7 @@ def test_compare_identical_configs_identical_metrics():
 def test_compare_flags_divergence_without_aborting():
     # only adamw reads the weight decay, which sends it past the float range at step 2
     cfg = tiny_cfg(hyper=HyperParams(eta=0.01, weight_decay=1e308), n_tasks=1, steps_per_task=5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = compare_optimizers(cfg, ["adamw", "adam"])
+    rows = compare_optimizers(cfg, ["adamw", "adam"])
     assert rows[0].diverged and not rows[1].diverged
 
 

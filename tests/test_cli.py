@@ -81,7 +81,7 @@ META_POOLS = ("tasks.train_alphabets", "tasks.eval_alphabets")  # meta-train's t
 
 def command_cfg(tmp_path, command):
     """A small working config of ``run``, ``compare`` or ``meta-train``."""
-    text = {"run": SMALL_RUN, "compare": SMALL_RUN + COMPARE_EXTRA, "meta-train": SMALL_META}
+    text = {"run": SMALL_RUN, "compare": SMALL_COMPARE, "meta-train": SMALL_META}
     return write_cfg(tmp_path, text[command])
 
 
@@ -137,6 +137,44 @@ def test_run_divergence_exits_3(tmp_path):
     assert (out / "curve.csv").exists()
 
 
+# every optimizer diverges within five steps; adamw's decay overflows at its first
+DIVERGING = ("hyper.eta=1e308", "hyper.weight_decay=10", "run.n_tasks=1", "run.steps_per_task=5")
+
+
+@pytest.mark.parametrize("optimizer", bench.OPTIMIZERS)
+def test_a_diverging_run_writes_one_stderr_line_and_no_numpy_warning(tmp_path, capsys, optimizer):
+    argv = ["run", "--config", write_cfg(tmp_path, SMALL_RUN), "--out", str(tmp_path / "o"),
+            "--set", f"run.optimizer={optimizer}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+        assert main(argv + [a for kv in DIVERGING for a in ("--set", kv)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("divergence: "), err
+
+
+def test_a_diverging_compare_writes_nothing_to_stderr_and_flags_its_rows(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["compare", "--config", write_cfg(tmp_path, SMALL_RUN), "--out", str(out),
+            "--set", f"compare.optimizers={','.join(bench.OPTIMIZERS)}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [a for kv in DIVERGING for a in ("--set", kv)]) == 0
+    assert capsys.readouterr().err == ""
+    flagged = [line for line in (out / "compare.csv").read_text().splitlines()
+               if line.startswith("# diverged: ")]
+    assert flagged == [f"# diverged: {optimizer}" for optimizer in bench.OPTIMIZERS]
+
+
+def test_a_key_set_twice_in_one_file_is_usage_error_naming_both_lines(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN + "# again\nrun.seed = 4\n")
+    first = SMALL_RUN.splitlines().index("run.seed=3") + 1
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"usage error: {cfg}:{len(SMALL_RUN.splitlines()) + 2}: "
+                                       f"run.seed is set again, first on line {first}\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_RUN + "\nbogus.key=1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -172,6 +210,8 @@ def test_non_finite_float_is_usage_error_naming_the_key(tmp_path, capsys, comman
 @pytest.mark.parametrize("settings, message", [
     (["tasks.source=bogus"], "tasks.source must be synth or table, got 'bogus'"),
     (["tasks.source=table"], "tasks.table is required when tasks.source=table"),
+    (["tasks.table=/nonexistent.wtbl"],
+     "tasks.table is read only with tasks.source=table, got tasks.source=synth"),
 ])
 def test_every_command_resolves_the_task_source_alike(tmp_path, capsys, settings, message):
     for command, text in (("run", SMALL_RUN),
@@ -191,7 +231,7 @@ def test_every_command_resolves_the_task_source_alike(tmp_path, capsys, settings
 ))
 def test_episode_geometry_below_one_is_usage_error_naming_the_key(tmp_path, capsys, command,
                                                                  key, value):
-    text = {"run": SMALL_RUN, "compare": SMALL_RUN + COMPARE_EXTRA, "meta-train": SMALL_META}
+    text = {"run": SMALL_RUN, "compare": SMALL_COMPARE, "meta-train": SMALL_META}
     cfg = write_cfg(tmp_path, text[command])
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--set", f"{key}={value}"]) == 2
@@ -907,11 +947,13 @@ def test_run_rejects_a_malformed_table_naming_it(tmp_path, capsys, how):
 # ---------------------------------------------------------------------------
 # compare
 
-COMPARE_EXTRA = """
-compare.optimizers=sgd,momentum,radam,adamw,warpadam
+# SMALL_RUN, shortened, with a second task block
+SMALL_COMPARE = SMALL_RUN.replace("run.n_tasks=2\nrun.steps_per_task=10\nrun.eval_every=5\n", """\
 run.n_tasks=1
 run.steps_per_task=6
 run.eval_every=3
+""") + """
+compare.optimizers=sgd,momentum,radam,adamw,warpadam
 tasks2.synth.alphabets=2
 tasks2.synth.classes=4
 tasks2.synth.instances=10
@@ -924,7 +966,7 @@ tasks2.query_per_class=2
 
 
 def test_compare_two_blocks_and_columns(tmp_path):
-    cfg = write_cfg(tmp_path, SMALL_RUN + COMPARE_EXTRA)
+    cfg = write_cfg(tmp_path, SMALL_COMPARE)
     out = tmp_path / "out"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "compare.csv").read_text()
@@ -995,8 +1037,10 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
     (["tasks2.train_alphabets=alpha07"],
      "usage error: tasks2.train_alphabets does not fit the source of the tasks2 block: "
      "unknown alphabets requested: ['alpha07']"),
+    (["tasks2.table=/nonexistent.wtbl"],
+     "usage error: tasks2.table is read only with tasks2.source=table, got tasks2.source=synth"),
 ], ids=["tasks2-range", "tasks2-checkpoint", "kron-policy", "tasks2-geometry",
-        "tasks2-alphabets"])
+        "tasks2-alphabets", "tasks2-table"])
 def test_compare_checks_every_block_before_running_any_optimizer(tmp_path, capsys, monkeypatch,
                                                                  settings, line):
     # the tasks block's model is [8, 8, 3], which the checkpoint fits; tasks2's is [6, 8, 3]
