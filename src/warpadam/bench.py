@@ -224,7 +224,7 @@ def compare_optimizers(cfg: RunConfig, optimizers) -> list[ComparisonRow]:
 
 
 # ---------------------------------------------------------------------------
-# CSV and manifest formats
+# CSV formats
 
 
 def _fmt(x: float) -> str:
@@ -279,18 +279,3 @@ def write_comparison_csv(path, blocks: list[tuple[str, list[ComparisonRow]]]) ->
         f.write("# reference results from the published comparison (not asserted):\n")
         for name, secs, epochs, pct in REFERENCE_ROWS:
             f.write(f"#   {name}: {secs} s, {epochs} epochs, {pct}%\n")
-
-
-def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt(v)
-    return str(v)
-
-
-def write_manifest(path, values: dict) -> None:
-    """key=value lines, sorted, LF-only: enough to re-run the command exactly."""
-    with open(path, "w", newline="\n") as f:
-        for k in sorted(values):
-            f.write(f"{k}={format_value(values[k])}\n")

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import MLP
+from .nn import MLP, mlp_shapes
 from .optim import AdamState, HyperParams, adam_step, warpadam_step
 from .tasks import Episode
 from .tensor import Tensor, finite_diff_grad, grad
-from .warp import (MetaConfig, WarpMatrix, adaptation_query_loss, adjoint_hypergrad, hypergrad_P,
-                   tod_penalty)
+from .warp import (MetaConfig, WarpMatrix, _flat, _views, adaptation_query_loss, adjoint_hypergrad,
+                   hypergrad_P, tod_penalty)
 
 
 @dataclass
@@ -98,15 +98,10 @@ def check_mlp_gradient(perturb: float = 0.0) -> list[CheckResult]:
     fast = model.loss_grads(model.params, x, y)[1]
 
     def loss_of_flat(flat):
-        arrays, pos = [], 0
-        for p in model.params:
-            arrays.append(flat[pos:pos + p.size].reshape(p.shape))
-            pos += p.size
-        return model.loss([Tensor(a) for a in arrays], x, y).item()
+        return model.loss([Tensor(a) for a in _views(flat, mlp_shapes(model.sizes))], x, y).item()
 
-    flat0 = np.concatenate([p.reshape(-1) for p in model.params])
-    fd = finite_diff_grad(loss_of_flat, flat0, h=1e-5)
-    return [CheckResult(name, _rel(np.concatenate([g.reshape(-1) for g in gs]) + perturb, fd), 1e-5)
+    fd = finite_diff_grad(loss_of_flat, _flat(model.params), h=1e-5)
+    return [CheckResult(name, _rel(_flat(gs) + perturb, fd), 1e-5)
             for name, gs in (("grad.mlp_cross_entropy", engine), ("grad.mlp_loss_grads", fast))]
 
 

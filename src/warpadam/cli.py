@@ -10,10 +10,9 @@ Subcommands:
 Exit codes: 0 ok, 1 check failure, 2 usage, input or resource error (a bad
 config value, an unreadable file, an exceeded node budget, an allocation that
 failed), 3 divergence.
-Every output directory gets a ``manifest.txt`` of key=value lines that is
-itself a valid ``--config`` file, sufficient to re-run the command
-bit-identically (modulo wall-clock fields). ``WARP_SEED`` in the environment
-seeds a run only when neither the flags nor the config file set one.
+Every output directory gets a manifest (``config.write_manifest``), a valid
+``--config`` file that re-runs the command bit-identically (modulo wall-clock
+fields). ``WARP_SEED`` seeds a run only when neither flags nor config set one.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .bench import (
     emit_csv,
     run_sequential_tasks,
     write_comparison_csv,
-    write_manifest,
 )
 from .checks import run_all
 from .config import (
@@ -41,11 +39,13 @@ from .config import (
     apply_overrides,
     build_meta,
     build_run_configs,
+    check_line,
     check_optimizer,
     getint,
     getlist,
     load_config_file,
     validate_keys,
+    write_manifest,
 )
 from .optim import AdamState
 from .tensor import NumericError
@@ -93,8 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> dict[str, str]:
-    cfg = load_config_file(args.config) if args.config else {}
-    cfg = apply_overrides(cfg, args.set)
+    """The checked config of ``args``. First, before any work, ``--out`` must hold no
+    line break, and the nearest of it and its ancestors that exists must be a directory."""
+    path = check_line("--out", args.out)
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise UsageError(f"--out must name a directory, but {path} is not one, got {args.out!r}")
+    cfg = apply_overrides(load_config_file(args.config) if args.config else {}, args.set)
     validate_keys(cfg)
     return cfg
 
@@ -118,13 +124,6 @@ def _resolve_seed(args, cfg) -> tuple[int, str]:
     return seed, source
 
 
-def _write_manifest(out_dir, cfg, command, values: dict) -> None:
-    """``cfg`` as ``out_dir``/manifest.txt, with ``values`` and the command's keys over it."""
-    manifest = {**cfg, **values, "command": command, "library.version": __version__,
-                "out": str(out_dir)}
-    write_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
-
-
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seed, seed_source = _resolve_seed(args, cfg)
@@ -133,7 +132,7 @@ def cmd_run(args) -> int:
     result = run_sequential_tasks(run, optimizer)
     os.makedirs(args.out, exist_ok=True)
     emit_csv(result.records, os.path.join(args.out, "curve.csv"))
-    _write_manifest(args.out, cfg, "run", {"run.seed": seed, "seed.source": seed_source})
+    write_manifest(args.out, cfg, "run", {"run.seed": seed, "seed.source": seed_source})
     if result.diverged:
         print(f"divergence: {result.note}", file=sys.stderr)
         return 3
@@ -201,7 +200,7 @@ def cmd_meta_train(args) -> int:
         for t, b, p, e in rows:
             f.write(f"{t},{b:.17g},{p:.17g},{e:.17g}\n")
     save_warps(os.path.join(args.out, "warps.bin"), warps)
-    _write_manifest(args.out, cfg, "meta-train", {"run.seed": seed, "seed.source": seed_source})
+    write_manifest(args.out, cfg, "meta-train", {"run.seed": seed, "seed.source": seed_source})
     if diverged:
         print(f"divergence: {diverged}", file=sys.stderr)
         return 3
@@ -224,7 +223,7 @@ def cmd_compare(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_comparison_csv(os.path.join(args.out, "compare.csv"), blocks)
-    _write_manifest(args.out, cfg, "compare", {"run.seed": seed, "seed.source": seed_source})
+    write_manifest(args.out, cfg, "compare", {"run.seed": seed, "seed.source": seed_source})
     msg = f"compare complete: {sum(len(r) for _, r in blocks)} rows -> {args.out}/compare.csv"
     if any_diverged:
         msg += f" (diverged: {', '.join(any_diverged)})"
@@ -249,7 +248,7 @@ def cmd_check(args) -> int:
 
 def cmd_import(args) -> int:
     cfg = _effective_config(args)
-    root = args.root or cfg.get("import.root")
+    root = check_line("--root", args.root) if args.root else cfg.get("import.root")
     if root is None:
         raise UsageError("import needs --root (or import.root in the config)")
     key = "import.side" if args.side is None else "--side"
@@ -259,7 +258,7 @@ def cmd_import(args) -> int:
     table = import_image_classes(root, side)
     os.makedirs(args.out, exist_ok=True)
     save_table(os.path.join(args.out, "table.wtbl"), table)
-    _write_manifest(args.out, cfg, "import", {
+    write_manifest(args.out, cfg, "import", {
         "import.root": str(root), "import.side": side,
         "imported.alphabets": len(table.alphabets),
         "imported.classes": sum(len(a.classes) for a in table.alphabets),

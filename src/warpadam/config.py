@@ -1,10 +1,10 @@
-"""Flat key=value run configuration.
+"""Flat key=value run configuration, read from config files and written as manifests.
 
-Configs are text files of ``section.key=value`` lines (``#`` comments and
-blank lines allowed), each key on one line only. Command-line ``--set
-key=value`` pairs override file values; the effective configuration is
-echoed into the run manifest, which is itself a valid config file, so any run
-can be reproduced from its manifest.
+Configs are ``section.key=value`` lines (``#`` comments and blank lines allowed),
+each key on one line only; ``--set key=value`` pairs override file values. Each
+has a key before its first ``=``, and neither it, nor ``--out`` or ``--root``, holds
+a break that ``str.splitlines`` finds (``check_line``). ``write_manifest`` echoes the
+effective configuration into the run manifest, a valid config file, so any run replays.
 
 Unknown keys are rejected rather than ignored, except for the informational
 keys a manifest carries (``command``, ``library.version``, ``out``,
@@ -16,9 +16,11 @@ value out of range fails with a ``UsageError`` that names the key.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import fields, replace
 from itertools import combinations
 
+from . import __version__
 from .bench import OPTIMIZERS, RunConfig, model_sizes
 from .nn import mlp_shapes
 from .optim import FieldError, HyperParams
@@ -65,16 +67,28 @@ INFO_KEYS = frozenset([
 ])
 
 
+def check_line(name: str, value: str) -> str:
+    """``value``, for a manifest line: refused, naming ``name``, if it holds a line break."""
+    if len(f"{value}.".splitlines()) > 1:
+        raise UsageError(f"{name} must hold no line break, got {value!r}")
+    return value
+
+
+def _split_pair(text: str, where: str) -> tuple[str, str]:
+    """The stripped key and value of a ``key=value`` pair, refused naming ``where``."""
+    key, eq, value = (part.strip() for part in text.partition("="))
+    if not eq or not key:
+        raise UsageError(f"{where}: expected key=value, got {text!r}")
+    return check_line(f"{where}: the key", key), check_line(f"{where}: {key}", value)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     cfg: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        if raw.strip()[:1] in ("", "#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = _split_pair(raw, f"{source}:{lineno}")
         if key in lines:
             raise UsageError(f"{source}:{lineno}: {key} is set again, first on line {lines[key]}")
         cfg[key], lines[key] = value, lineno
@@ -87,13 +101,16 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def apply_overrides(cfg: dict[str, str], pairs) -> dict[str, str]:
-    out = dict(cfg)
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return {**cfg, **dict(_split_pair(pair, "--set") for pair in pairs or ())}
+
+
+def write_manifest(out_dir, cfg: dict[str, str], command: str, values: dict) -> None:
+    """``cfg``, with ``values`` (strings and ints) and the command's keys over it, as
+    ``out_dir``/manifest.txt: sorted ``key=value`` lines, LF-only, a config file."""
+    manifest = {**cfg, **values, "command": command, "library.version": __version__,
+                "out": str(out_dir)}
+    with open(os.path.join(out_dir, "manifest.txt"), "w", newline="\n") as f:
+        f.writelines(f"{key}={manifest[key]}\n" for key in sorted(manifest))
 
 
 def validate_keys(cfg: dict[str, str]) -> None:
@@ -141,6 +158,9 @@ def getlist(cfg, key):
     entries = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not entries:
         raise UsageError(f"config key {key} must name at least one entry, got {raw!r}")
+    twice = next((entry for i, entry in enumerate(entries) if entry in entries[:i]), None)
+    if twice is not None:
+        raise UsageError(f"config key {key} names {twice} twice, got {raw!r}")
     return entries
 
 

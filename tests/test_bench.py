@@ -6,6 +6,7 @@ import pytest
 import warpadam.bench as bench
 import warpadam.optim as optim
 import warpadam.tensor as T
+from warpadam import __version__
 from warpadam.bench import (
     OPTIMIZERS,
     ComparisonRow,
@@ -18,8 +19,8 @@ from warpadam.bench import (
     read_curve_csv,
     run_sequential_tasks,
     write_comparison_csv,
-    write_manifest,
 )
+from warpadam.config import write_manifest
 from warpadam.nn import MLP
 from warpadam.optim import STEP_FUNCS, AdamState, HyperParams, warpadam_step
 from warpadam.tasks import (ClassTable, EpisodeSpec, SamplingError, SynthSpec, sample_episode,
@@ -396,6 +397,8 @@ def test_comparison_csv_shape_and_footer(tmp_path):
 
 
 def test_manifest_format(tmp_path):
-    path = tmp_path / "manifest.txt"
-    write_manifest(path, {"b.key": 2, "a.key": 0.5, "c.flag": True, "d.name": "x"})
-    assert path.read_text() == "a.key=0.5\nb.key=2\nc.flag=true\nd.name=x\n"
+    # sorted key=value lines, LF-only; the values and the command's keys go over the config
+    write_manifest(tmp_path, {"b.key": "x", "a.key": "0.5"}, "run", {"c.key": 2, "a.key": "y"})
+    assert (tmp_path / "manifest.txt").read_bytes() == (
+        f"a.key=y\nb.key=x\nc.key=2\ncommand=run\nlibrary.version={__version__}\n"
+        f"out={tmp_path}\n").encode()

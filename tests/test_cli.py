@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import warpadam
 import warpadam.bench as bench
@@ -17,8 +19,9 @@ import warpadam.tensor as T
 import warpadam.warp as warp_module
 from warpadam.cli import main
 from warpadam.bench import convergence_epoch, read_curve_csv
-from warpadam.config import (KNOWN_KEYS, apply_overrides, build_meta, build_run_configs,
-                             load_config_file, parse_config_text, validate_keys)
+from warpadam.config import (KNOWN_KEYS, UsageError, apply_overrides, build_meta,
+                             build_run_configs, load_config_file, parse_config_text, validate_keys,
+                             write_manifest)
 from warpadam.nn import MLP
 from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
 from warpadam.warp import (WarpMatrix, adaptation_query_loss, init_warps, load_warps, save_warps,
@@ -259,6 +262,115 @@ def test_a_list_that_names_no_entry_is_usage_error_naming_the_key(tmp_path, caps
 def test_an_empty_alphabet_list_is_unset(tmp_path, command):
     assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(tmp_path / "o"),
                  "--set", "tasks.train_alphabets="]) == 0
+
+
+@pytest.mark.parametrize("command, key, value, twice", [
+    ("run", "tasks.train_alphabets", "alpha00,alpha00", "alpha00"),
+    ("compare", "compare.optimizers", "adam, sgd,adam", "adam"),
+    ("meta-train", "tasks.train_alphabets", "alpha00,alpha01,alpha00", "alpha00"),
+    ("meta-train", "tasks.eval_alphabets", "alpha03,alpha03", "alpha03"),
+])
+def test_a_list_that_names_an_entry_twice_is_usage_error_naming_it(tmp_path, capsys, command, key,
+                                                                   value, twice):
+    out = tmp_path / "o"
+    assert main([command, "--config", command_cfg(tmp_path, command), "--out", str(out),
+                 "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == (f"usage error: config key {key} names {twice} twice, "
+                                       f"got {value!r}\n")
+    assert not out.exists()
+
+
+# every break that str.splitlines, which reads a manifest back, finds in a line
+LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), st.text(), max_size=8))
+@example({"tasks.table": "p\x1cq", "run.optimizer": " adam\n"})
+def test_every_config_that_set_accepts_replays_from_its_manifest(tmp_path_factory, values):
+    cfg = {}
+    for key, value in values.items():
+        try:
+            cfg = apply_overrides(cfg, [f"{key}={value}"])
+        except UsageError:
+            assert any(b in value.strip() for b in LINE_BREAKS)
+    out = tmp_path_factory.mktemp("manifest")
+    write_manifest(out, cfg, "run", {})
+    assert load_config_file(out / "manifest.txt") == {
+        **cfg, "command": "run", "library.version": warpadam.__version__, "out": str(out)}
+
+
+def test_a_config_line_without_a_key_is_usage_error_naming_the_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN + "=5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"usage error: {cfg}:{len(SMALL_RUN.splitlines()) + 1}: "
+                                       f"expected key=value, got '=5'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", ["=5", " = 5"])
+def test_a_set_pair_without_a_key_is_usage_error(tmp_path, capsys, pair):
+    out = tmp_path / "o"
+    assert main(["run", "--config", command_cfg(tmp_path, "run"), "--out", str(out),
+                 "--set", pair]) == 2
+    assert capsys.readouterr().err == f"usage error: --set: expected key=value, got {pair!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+@pytest.mark.parametrize("pair, name, got", [("tasks.table=p{}q", "tasks.table", "p{}q"),
+                                             ("run.{}seed=3", "the key", "run.{}seed")])
+def test_a_line_break_in_a_set_pair_is_usage_error_naming_it(tmp_path, capsys, brk, pair, name,
+                                                             got):
+    out = tmp_path / "o"
+    assert main(["run", "--config", command_cfg(tmp_path, "run"), "--out", str(out),
+                 "--set", pair.format(brk)]) == 2
+    assert capsys.readouterr().err == (f"usage error: --set: {name} must hold no line break, "
+                                       f"got {got.format(brk)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\x1c", "\u2028"])
+@pytest.mark.parametrize("command", ["run", "compare", "meta-train", "import"])
+def test_a_line_break_in_out_is_usage_error_naming_it(tmp_path, capsys, command, brk):
+    out = tmp_path / f"o{brk}x"
+    args = (["--root", str(tmp_path)] if command == "import"
+            else ["--config", command_cfg(tmp_path, command)])
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"usage error: --out must hold no line break, "
+                                       f"got {str(out)!r}\n")
+    assert not out.exists()
+
+
+def test_a_line_break_in_root_is_usage_error_naming_it(tmp_path, capsys):
+    # a root the import reads, whose manifest line import.root would not replay
+    tree = tmp_path / "p\x1cq"
+    tree.mkdir()
+    make_tree(tree, alphabets=1, chars=1, insts=1, side=4)
+    out = tmp_path / "o"
+    assert main(["import", "--root", str(tree), "--side", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"usage error: --root must hold no line break, "
+                                       f"got {str(tree)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub", "sub/dir", ".."])
+@pytest.mark.parametrize("command", ["run", "compare", "meta-train", "import"])
+def test_an_out_that_cannot_be_a_directory_is_usage_error_before_any_work(tmp_path, capsys,
+                                                                         monkeypatch, command,
+                                                                         under):
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    out = os.path.join(file, under) if under else str(file)
+    args = (["--root", str(tmp_path)] if command == "import"
+            else ["--config", command_cfg(tmp_path, command)])
+    for name in ("build_run_configs", "import_image_classes"):
+        monkeypatch.setattr(cli, name, None)  # any work would fail with a TypeError
+    assert main([command, *args, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"usage error: --out must name a directory, but {file} is "
+                                       f"not one, got {out!r}\n")
+    assert file.read_text() == "kept\n"
 
 
 _HYPER_RANGES = (("eta", "0", "must be positive, got 0.0"),

@@ -77,6 +77,15 @@ def test_only_config_names_the_warp_keys():
     assert naming == []
 
 
+def test_only_config_names_the_manifest_file():
+    # the manifest is read and written under one line rule, in config.py
+    package = pathlib.Path(warpadam.__file__).parent
+    naming = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Constant) and node.value == "manifest.txt"]
+    assert len(naming) == 1 and naming[0].startswith("config.py:")
+
+
 def _run_with_the_benchmark(code: str) -> str:
     """Runs ``code`` in a fresh interpreter with ``src`` and ``perfbench`` on the path;
     returns its standard output."""
