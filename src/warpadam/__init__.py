@@ -14,8 +14,8 @@ The package is organized as:
   Adam family shares one moment update, ``adam_moments``.
 - ``warp``: the warp matrix, one ``FORMS`` row per structural form, the
   off-diagonal (TOD) penalty, unrolled hypergradients truncated at one step
-  (``MetaConfig.cut``), and the outer loop that learns the warps with one
-  Adam state over all their entries.
+  (``MetaConfig.cut``), and the one outer loop that learns the warps,
+  ``meta_train``, with one Adam state over all their entries.
 - ``tasks``: episodic few-shot task sources (synthetic families and a PGM
   image-directory importer).
 - ``bench``: sequential-task training curves, optimizer comparison tables,

@@ -47,20 +47,12 @@ from .config import (
     validate_keys,
     write_manifest,
 )
-from .optim import AdamState
-from .tensor import NumericError
 from .tasks import import_image_classes, sample_episode, save_table
 # unused; perfbench's tracer patches cli.load_table and cli.synth_proto_tasks (ROADMAP item 1)
 from .tasks import load_table, synth_proto_tasks  # noqa: F401
-from .warp import (
-    ResourceError,
-    adaptation_query_loss,
-    init_warps,
-    meta_update_P,
-    save_warps,
-    stack_within_budget,
-    tod_penalty,
-)
+from .warp import ResourceError, init_warps, meta_train, save_warps
+# unused; perfbench's tracer patches cli.meta_update_P, cli.adaptation_query_loss (ROADMAP item 1)
+from .warp import adaptation_query_loss, meta_update_P  # noqa: F401
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> dict[str, str]:
-    """The checked config of ``args``. First, before any work, ``--out`` must hold no
-    line break, and the nearest of it and its ancestors that exists must be a directory."""
+    """The checked config of ``args``. First, before any work, ``--out`` must pass
+    ``check_line``, and the nearest of it and its ancestors that exists must be a directory."""
     path = check_line("--out", args.out)
     while path and not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -147,52 +139,13 @@ def cmd_meta_train(args) -> int:
     run, held_out = build_run_configs(cfg, seed, ("tasks.train_alphabets", "tasks.eval_alphabets"))
     n_way, k_shot, qpc = run.episode.n_way, run.episode.k_shot, run.episode.query_per_class
     rng, (train_table, eval_table), model = draw_run(run, held_out)
-    warps = init_warps([p.shape for p in model.params], run.warps)
-    state = AdamState.zeros(sum(w.n_params for w in warps))
-
-    # the held-out set, sampled in order and evaluated in stacks that keep the
-    # stacked parameters within warp.STACK_ENTRY_BUDGET entries but hold no
-    # fewer episodes than a task batch: an evaluation's memory is bounded by
-    # that constant or by the task batch's own stack
-    eval_rng = np.random.default_rng([seed, 1])
-    batch_size = meta.tasks_per_outer_step
-    eval_stacks = stack_within_budget(
+    eval_rng = np.random.default_rng([seed, 1])  # the held-out set, sampled in order
+    rows, warps, diverged = meta_train(
+        model, init_warps([p.shape for p in model.params], run.warps), meta,
+        lambda: [sample_episode(train_table, n_way, k_shot, qpc, rng)
+                 for _ in range(meta.tasks_per_outer_step)],
         [sample_episode(eval_table, n_way, k_shot, qpc, eval_rng)
-         for _ in range(meta.eval_episodes)],
-        sum(p.size for p in model.params), batch_size)
-
-    def eval_loss(current):
-        return float(np.mean(np.concatenate([adaptation_query_loss(model, current, stack, meta)
-                                             for stack in eval_stacks])))
-
-    def tod(current):
-        return sum(tod_penalty(w, meta.tod_lambda) for w in current)
-
-    # a step that overflows (NumericError from adaptation, the outer update or
-    # the evaluation) ends the run as a divergence that keeps the last finite
-    # warps; it is detected by those checks, not by numpy warnings
-    rows = []
-    diverged = None
-    t = 0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(meta.outer_steps):
-                batch = [sample_episode(train_table, n_way, k_shot, qpc, rng)
-                         for _ in range(batch_size)]
-                held_out = eval_loss(warps) if t % meta.eval_every == 0 else float("nan")
-                # the batch loss is the one the hypergradient's own adaptation reached
-                new_warps, new_state, losses = meta_update_P(warps, batch, model, meta, state)
-                batch_loss = float(np.mean(losses))
-                rows.append((t, batch_loss, tod(warps), held_out))
-                if not np.isfinite(batch_loss):
-                    diverged = f"non-finite meta objective at outer step {t}"
-                    break
-                warps, state = new_warps, new_state
-            else:
-                t = meta.outer_steps
-                rows.append((t, float("nan"), tod(warps), eval_loss(warps)))
-    except NumericError as exc:
-        diverged = f"{exc} at outer step {t}"
+         for _ in range(meta.eval_episodes)])
 
     os.makedirs(args.out, exist_ok=True)  # only to write: an exit 2 above leaves no --out
     with open(os.path.join(args.out, "meta_curve.csv"), "w", newline="\n") as f:

@@ -1,10 +1,11 @@
 """Flat key=value run configuration, read from config files and written as manifests.
 
-Configs are ``section.key=value`` lines (``#`` comments and blank lines allowed),
-each key on one line only; ``--set key=value`` pairs override file values. Each
-has a key before its first ``=``, and neither it, nor ``--out`` or ``--root``, holds
-a break that ``str.splitlines`` finds (``check_line``). ``write_manifest`` echoes the
-effective configuration into the run manifest, a valid config file, so any run replays.
+Configs are UTF-8 ``section.key=value`` lines (``#`` comments and blank lines
+allowed), each key on one line only; ``--set key=value`` pairs override file values.
+Each has a key before its first ``=``, and neither it, nor ``--out`` or ``--root``,
+holds a break that ``str.splitlines`` finds, text that UTF-8 cannot encode or edge
+whitespace (``check_line``). ``write_manifest`` echoes the effective configuration
+into the run manifest, a valid config file, so any run replays.
 
 Unknown keys are rejected rather than ignored, except for the informational
 keys a manifest carries (``command``, ``library.version``, ``out``,
@@ -68,9 +69,16 @@ INFO_KEYS = frozenset([
 
 
 def check_line(name: str, value: str) -> str:
-    """``value``, for a manifest line: refused, naming ``name``, if it holds a line break."""
+    """``value``, for a manifest line: refused, naming ``name``, if it holds a line
+    break, text that UTF-8 cannot encode, or whitespace at an end, which the reader strips."""
     if len(f"{value}.".splitlines()) > 1:
         raise UsageError(f"{name} must hold no line break, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise UsageError(f"{name} must be text that UTF-8 can encode, got {value!r}") from None
+    if value != value.strip():
+        raise UsageError(f"{name} must not start or end with whitespace, got {value!r}")
     return value
 
 
@@ -96,8 +104,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_config_file(path) -> dict[str, str]:
-    with open(path, "r") as f:
-        return parse_config_text(f.read(), source=str(path))
+    """The config file at ``path``, read as UTF-8: a byte that is not refused naming its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(f"{data[:exc.start].decode('utf-8')}.".splitlines())
+        raise UsageError(f"{path}:{line}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(cfg: dict[str, str], pairs) -> dict[str, str]:
@@ -109,7 +124,7 @@ def write_manifest(out_dir, cfg: dict[str, str], command: str, values: dict) -> 
     ``out_dir``/manifest.txt: sorted ``key=value`` lines, LF-only, a config file."""
     manifest = {**cfg, **values, "command": command, "library.version": __version__,
                 "out": str(out_dir)}
-    with open(os.path.join(out_dir, "manifest.txt"), "w", newline="\n") as f:
+    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8", newline="\n") as f:
         f.writelines(f"{key}={manifest[key]}\n" for key in sorted(manifest))
 
 

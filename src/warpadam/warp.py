@@ -18,9 +18,9 @@ form, so a new form is one new row.
 Warps are learned by differentiating a query loss through K unrolled WarpAdam
 steps on a support loss (the hypergradient), averaging over a task batch,
 adding the gradient of the off-diagonal (TOD) penalty, and taking one Adam
-step on every warp's entries at once. The unrolled step shares
-``optim.adam_moments`` with the array optimizer, so the graph's trajectory
-has ``adapt``'s bits.
+step on every warp's entries at once (``meta_update_P``), in the one outer
+loop, ``meta_train``. The unrolled step shares ``optim.adam_moments`` with
+the array optimizer, so the graph's trajectory has ``adapt``'s bits.
 
 A meta-learned model supplies ``params``, ``targets`` (an episode's labels,
 prepared once before its first step), ``loss_grads``, ``loss_hvp`` and
@@ -67,7 +67,7 @@ from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_ste
 # unused; perfbench's tracer patches warp.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import Blob, Episode
-from .tensor import ShapeError, Tensor, grad
+from .tensor import NumericError, ShapeError, Tensor, grad
 
 
 class ResourceError(RuntimeError):
@@ -298,9 +298,9 @@ class MetaConfig:
     step, so ``5 * inner_steps * tasks * parameters``. An oversized tape stops
     with ``ResourceError`` before the first inner step. A first-order
     hypergradient tapes one step and is not capped.
-    ``outer_steps``, ``eval_episodes`` and ``eval_every`` shape ``meta-train``'s
-    loop: the outer steps it takes, the held-out episodes it samples, and the
-    outer steps between two evaluations of them.
+    ``outer_steps`` and ``eval_every`` shape ``meta_train``'s loop: the outer
+    steps it takes and the steps between two held-out evaluations;
+    ``eval_episodes`` is the held-out episodes ``meta-train`` samples for it.
     """
 
     inner_steps: int = 5
@@ -757,6 +757,53 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     new_warps = [WarpMatrix(warp.form, warp.dim, tuple(next(views) for _ in warp.factors))
                  for warp in warps]
     return new_warps, state, losses
+
+
+def held_out_losses(model, warps: Sequence[WarpMatrix], stacks, cfg: MetaConfig) -> np.ndarray:
+    """The query losses of the held-out ``stacks`` (``stack_within_budget``),
+    one per episode in order, each ``adaptation_query_loss``'s bits."""
+    return _flat(adaptation_query_loss(model, warps, stack, cfg) for stack in stacks)
+
+
+def meta_train(model, warps: Sequence[WarpMatrix], cfg: MetaConfig,
+               next_batch: Callable[[], Sequence[Episode]], held_out: Sequence[Episode]):
+    """``cfg.outer_steps`` steps of ``meta_update_P`` from ``warps`` and a fresh
+    outer Adam state, on the batches ``next_batch()`` returns. The mean query
+    loss of ``held_out`` (stacked once, NaN without episodes) is taken before
+    every ``cfg.eval_every``-th step and after the last. Returns ``(rows,
+    warps, note)``: ``meta_curve.csv``'s rows, the last finite warps, and
+    ``None`` or the divergence (a ``NumericError`` or a non-finite batch loss)
+    that ended the loop.
+    """
+    stacks = stack_within_budget(held_out, sum(p.size for p in model.params),
+                                 cfg.tasks_per_outer_step)
+    del held_out  # the stacks hold copies: the episodes are freed if the caller keeps none
+    state = AdamState.zeros(sum(w.n_params for w in warps))
+
+    def evaluate(current):
+        return float(np.mean(held_out_losses(model, current, stacks, cfg))) if stacks else np.nan
+
+    def tod(current):
+        return sum(tod_penalty(w, cfg.tod_lambda) for w in current)
+
+    rows, note = [], None
+    try:  # overflow is caught by the checks that raise NumericError, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(cfg.outer_steps):
+                batch = next_batch()
+                held = evaluate(warps) if t % cfg.eval_every == 0 else np.nan
+                # the batch loss is the one the hypergradient's own adaptation reached
+                new_warps, new_state, losses = meta_update_P(warps, batch, model, cfg, state)
+                batch_loss = float(np.mean(losses))
+                rows.append((t, batch_loss, tod(warps), held))
+                if not np.isfinite(batch_loss):
+                    raise NumericError("non-finite meta objective")
+                warps, state = new_warps, new_state
+            t = cfg.outer_steps
+            rows.append((t, np.nan, tod(warps), evaluate(warps)))
+    except NumericError as exc:
+        note = f"{exc} at outer step {t}"
+    return rows, warps, note
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from warpadam.warp import (
     adaptation_query_loss,
     hypergrad_P,
     init_warps,
-    meta_update_P,
+    meta_train,
 )
 
 from conftest import rel_err
@@ -215,19 +215,18 @@ def _a5_run_seed(seed, outer_steps=200):
     train_t, eval_t = table.restricted(names[:8]), table.restricted(names[8:])
     model = MLP([8, 3], rng)
     cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.1, epsilon=0.1),
-                     outer_eta=3e-3, tod_lambda=1e-3, tasks_per_outer_step=4)
+                     outer_eta=3e-3, tod_lambda=1e-3, tasks_per_outer_step=4,
+                     outer_steps=outer_steps, eval_every=outer_steps)
     warps = init_warps([p.shape for p in model.params], "dense")
-    state = AdamState.zeros(sum(w.n_params for w in warps))
-    ident = init_warps([p.shape for p in model.params], "dense")
 
     eval_rng = np.random.default_rng(seed + 10_000)
     eval_set = [sample_episode(eval_t, 3, 1, 10, eval_rng) for _ in range(40)]
-    baseline = np.mean([adaptation_query_loss(model, ident, ep, cfg) for ep in eval_set])
-    for _ in range(outer_steps):
-        batch = [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)]
-        warps, state, _ = meta_update_P(warps, batch, model, cfg, state)
-    learned = np.mean([adaptation_query_loss(model, warps, ep, cfg) for ep in eval_set])
-    return baseline, learned
+    # the held-out loss at the identity warps (row 0) and at the learned ones (the last row)
+    rows, _, note = meta_train(model, warps, cfg,
+                               lambda: [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)],
+                               eval_set)
+    assert note is None, note
+    return rows[0][3], rows[-1][3]
 
 
 def test_a5_meta_learning_efficacy():
@@ -262,12 +261,13 @@ def test_a6_tod_effect():
         train_t = table.restricted(names[:8])
         model = MLP([8, 3], rng)
         cfg = MetaConfig(inner_steps=5, inner_hyper=HyperParams(eta=0.1, epsilon=0.1),
-                         outer_eta=3e-3, tod_lambda=lam, tasks_per_outer_step=4)
+                         outer_eta=3e-3, tod_lambda=lam, tasks_per_outer_step=4,
+                         outer_steps=outer_steps)
         warps = init_warps([p.shape for p in model.params], "dense")
-        state = AdamState.zeros(sum(w.n_params for w in warps))
-        for _ in range(outer_steps):
-            batch = [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)]
-            warps, state, _ = meta_update_P(warps, batch, model, cfg, state)
+        _, warps, note = meta_train(
+            model, warps, cfg, lambda: [sample_episode(train_t, 3, 1, 10, rng) for _ in range(4)],
+            [])
+        assert note is None, note
         return _offdiag_norm(warps)
 
     norms = [train_with_lambda(lam) for lam in (0.0, 1e-3, 1e-1)]

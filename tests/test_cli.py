@@ -20,8 +20,8 @@ import warpadam.warp as warp_module
 from warpadam.cli import main
 from warpadam.bench import convergence_epoch, read_curve_csv
 from warpadam.config import (KNOWN_KEYS, UsageError, apply_overrides, build_meta,
-                             build_run_configs, load_config_file, parse_config_text, validate_keys,
-                             write_manifest)
+                             build_run_configs, check_line, load_config_file, parse_config_text,
+                             validate_keys, write_manifest)
 from warpadam.nn import MLP
 from warpadam.tasks import load_table, sample_episode, save_table, synth_proto_tasks
 from warpadam.warp import (WarpMatrix, adaptation_query_loss, init_warps, load_warps, save_warps,
@@ -284,20 +284,46 @@ def test_a_list_that_names_an_entry_twice_is_usage_error_naming_it(tmp_path, cap
 LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def _replays(text: str) -> bool:
+    """Whether a manifest line carries ``text`` whole: it holds no line break and
+    nothing that UTF-8 cannot encode, and has no whitespace at an end to strip."""
+    return (text == text.strip() and not any(b in text for b in LINE_BREAKS)
+            and not any("\ud800" <= c <= "\udfff" for c in text))
+
+
+_TEXT = st.characters(exclude_categories=())  # surrogates too: argv bytes that are not UTF-8
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), st.text(), max_size=8))
-@example({"tasks.table": "p\x1cq", "run.optimizer": " adam\n"})
-def test_every_config_that_set_accepts_replays_from_its_manifest(tmp_path_factory, values):
+@given(st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), st.text(_TEXT), max_size=8),
+       st.text(st.characters(exclude_categories=(), exclude_characters="/\x00"), min_size=1,
+               max_size=20).filter(lambda name: name not in (".", "..")),
+       st.text(_TEXT))
+@example({"tasks.table": "p\x1cq", "run.optimizer": " adam\n"}, "o", "tree")
+@example({"tasks.table": "t\udcff"}, "o\udcff", " tree")
+@example({}, " o", "tree\udcff")
+@example({}, "o\t", "tree ")
+def test_every_config_that_set_accepts_replays_from_its_manifest(tmp_path_factory, values, out,
+                                                                 root):
     cfg = {}
     for key, value in values.items():
         try:
             cfg = apply_overrides(cfg, [f"{key}={value}"])
         except UsageError:
-            assert any(b in value.strip() for b in LINE_BREAKS)
-    out = tmp_path_factory.mktemp("manifest")
-    write_manifest(out, cfg, "run", {})
-    assert load_config_file(out / "manifest.txt") == {
-        **cfg, "command": "run", "library.version": warpadam.__version__, "out": str(out)}
+            assert not _replays(value.strip())
+    flags = {}
+    for flag, text in (("--out", out), ("--root", root)):
+        try:
+            flags[flag] = check_line(flag, text)
+        except UsageError:
+            assert not _replays(text)
+    out_dir = tmp_path_factory.mktemp("manifest") / flags.get("--out", "o")
+    out_dir.mkdir()
+    recorded = {"import.root": flags["--root"]} if "--root" in flags else {}
+    write_manifest(out_dir, cfg, "import", recorded)
+    assert load_config_file(out_dir / "manifest.txt") == {
+        **cfg, **recorded, "command": "import", "library.version": warpadam.__version__,
+        "out": str(out_dir)}
 
 
 def test_a_config_line_without_a_key_is_usage_error_naming_the_line(tmp_path, capsys):
@@ -331,28 +357,97 @@ def test_a_line_break_in_a_set_pair_is_usage_error_naming_it(tmp_path, capsys, b
     assert not out.exists()
 
 
-@pytest.mark.parametrize("brk", ["\n", "\x1c", "\u2028"])
+_UNREPLAYABLE = [*((f"o{brk}x", "hold no line break") for brk in ("\n", "\x1c", "\u2028")),
+                 ("o\udcff", "be text that UTF-8 can encode"),  # argv byte 0xff
+                 ("o ", "not start or end with whitespace"),
+                 (" o", "not start or end with whitespace")]
+
+
+@pytest.mark.parametrize("name, rule", _UNREPLAYABLE)
 @pytest.mark.parametrize("command", ["run", "compare", "meta-train", "import"])
-def test_a_line_break_in_out_is_usage_error_naming_it(tmp_path, capsys, command, brk):
-    out = tmp_path / f"o{brk}x"
+def test_an_out_a_manifest_cannot_replay_is_usage_error_before_any_work(tmp_path, capsys,
+                                                                        monkeypatch, command,
+                                                                        name, rule):
+    # `run --out $'o\xff'` used to take every step and then fail to write its manifest
+    monkeypatch.chdir(tmp_path)
     args = (["--root", str(tmp_path)] if command == "import"
             else ["--config", command_cfg(tmp_path, command)])
-    assert main([command, *args, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"usage error: --out must hold no line break, "
-                                       f"got {str(out)!r}\n")
-    assert not out.exists()
+    for attr in ("build_run_configs", "import_image_classes"):
+        monkeypatch.setattr(cli, attr, None)  # any work would fail with a TypeError
+    assert main([command, *args, "--out", name]) == 2
+    assert capsys.readouterr().err == f"usage error: --out must {rule}, got {name!r}\n"
+    assert not os.path.lexists(name)
 
 
-def test_a_line_break_in_root_is_usage_error_naming_it(tmp_path, capsys):
-    # a root the import reads, whose manifest line import.root would not replay
-    tree = tmp_path / "p\x1cq"
-    tree.mkdir()
-    make_tree(tree, alphabets=1, chars=1, insts=1, side=4)
+@pytest.mark.parametrize("name, rule", [("p\x1cq", "hold no line break"),
+                                        ("p\udcffq", "be text that UTF-8 can encode"),
+                                        (" tree", "not start or end with whitespace"),
+                                        ("tree\t", "not start or end with whitespace")])
+def test_a_root_a_manifest_cannot_replay_is_usage_error_naming_it(tmp_path, capsys, monkeypatch,
+                                                                   name, rule):
+    # a root the import reads, whose manifest line import.root would not replay:
+    # `import --root " tree"` used to exit 0 and record import.root= tree, which
+    # the reader strips, so the replay found no tree
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).mkdir()
+    make_tree(tmp_path / name, alphabets=1, chars=1, insts=1, side=4)
+    assert main(["import", "--root", name, "--side", "4", "--out", "o"]) == 2
+    assert capsys.readouterr().err == f"usage error: --root must {rule}, got {name!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_set_value_utf8_cannot_encode_is_usage_error_naming_it(tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["import", "--root", str(tree), "--side", "4", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"usage error: --root must hold no line break, "
-                                       f"got {str(tree)!r}\n")
+    assert main(["run", "--config", command_cfg(tmp_path, "run"), "--out", str(out),
+                 "--set", "tasks.table=t\udcff"]) == 2
+    assert capsys.readouterr().err == ("usage error: --set: tasks.table must be text that UTF-8 "
+                                       "can encode, got 't\\udcff'\n")
     assert not out.exists()
+
+
+def _run_python(args, **env):
+    """``python args`` with ``src`` on the path and ``env`` over the environment."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def test_an_out_argument_that_is_not_utf8_is_refused_before_any_work(tmp_path):
+    # the argv bytes themselves, as a shell passes $'o\xff'
+    done = _run_python(["-m", "warpadam", "run", "--config", command_cfg(tmp_path, "run"),
+                        "--out", os.fsencode(tmp_path) + b"/o\xff"])
+    assert done.returncode == 2
+    assert done.stderr.decode().startswith("usage error: --out must be text that UTF-8 can encode")
+    assert os.listdir(tmp_path) == ["cfg.txt"]
+
+
+@pytest.mark.parametrize("text, line, at", [
+    (b"run.optimizer=adam\xff\n", 1, 18),
+    (b"# a comment\r\nrun.optimizer=adam\n\nrun.seed=\xc3\n", 4, 42),
+])
+def test_a_config_file_that_is_not_utf8_is_usage_error_naming_its_line(tmp_path, capsys, text,
+                                                                       line, at):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {cfg}:{line}: byte {at} is not UTF-8 (")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_the_manifest_is_utf8_under_any_locale(tmp_path):
+    # an ASCII locale, with neither UTF-8 mode nor locale coercion: open()'s own
+    # default encoding could not write or read a non-ASCII value
+    code = ("import sys; from warpadam.config import load_config_file, write_manifest; "
+            "write_manifest(sys.argv[1], {'tasks.table': 't\\u00e9'}, 'run', {}); "
+            "assert load_config_file(sys.argv[1] + '/manifest.txt')['tasks.table'] == 't\\u00e9'")
+    done = _run_python(["-c", code, str(tmp_path)], LC_ALL="C", LANG="C", PYTHONUTF8="0",
+                       PYTHONCOERCECLOCALE="0")
+    assert done.returncode == 0, done.stderr.decode()
+    assert "tasks.table=t\u00e9\n".encode("utf-8") in (tmp_path / "manifest.txt").read_bytes()
 
 
 @pytest.mark.parametrize("under", ["", "sub", "sub/dir", ".."])
@@ -822,8 +917,8 @@ def test_meta_train_adapts_only_the_held_out_set(tmp_path, monkeypatch):
     # serves only the held-out stacks: 5 episodes of a 21-parameter model fit
     # one stack, evaluated at step 0 and after the last step
     calls = []
-    original = cli.adaptation_query_loss
-    monkeypatch.setattr(cli, "adaptation_query_loss",
+    original = warp_module.adaptation_query_loss
+    monkeypatch.setattr(warp_module, "adaptation_query_loss",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     cfg = write_cfg(tmp_path, SMALL_META)
     assert main(["meta-train", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -1276,13 +1371,9 @@ def test_check_covers_the_fast_mlp_gradient(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-m", "warpadam", "--version"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _run_python(["-m", "warpadam", "--version"])
     assert done.returncode == 0
-    assert done.stdout.strip() == f"warpadam {warpadam.__version__}"
+    assert done.stdout.decode().strip() == f"warpadam {warpadam.__version__}"
 
 
 def test_import_takes_no_seed(tmp_path, capsys):

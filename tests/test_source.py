@@ -16,7 +16,9 @@ from test_tasks import make_tree
 KEPT_FOR_THE_TRACER = {
     "bench.grad",
     "bench.warpadam_step",
+    "cli.adaptation_query_loss",
     "cli.load_table",
+    "cli.meta_update_P",
     "cli.synth_proto_tasks",
     "warp.warpadam_step",
 }
@@ -75,6 +77,16 @@ def test_only_config_names_the_warp_keys():
               for lineno, line in enumerate(path.read_text().splitlines(), start=1)
               if re.search(r"\bwarp\.(checkpoint|policy)\b", line)]
     assert naming == []
+
+
+def test_only_warp_calls_meta_update_P():
+    # the outer loop of meta-learning is written once, as warp.meta_train
+    package = pathlib.Path(warpadam.__file__).parent
+    calling = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and "meta_update_P" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(calling) == 1 and calling[0].startswith("warp.py:")
 
 
 def test_only_config_names_the_manifest_file():

@@ -2,6 +2,7 @@ import gc
 import math
 import struct
 import tracemalloc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -32,9 +33,11 @@ from warpadam.warp import (
     adapt,
     adaptation_query_loss,
     adjoint_hypergrad,
+    held_out_losses,
     hypergrad_P,
     init_warps,
     load_warps,
+    meta_train,
     meta_update_P,
     save_warps,
     STACK_ENTRY_BUDGET,
@@ -1371,6 +1374,93 @@ def test_meta_update_needs_a_model_with_loss_grads_and_loss_hvp(missing, first_o
                       AdamState.zeros(1))
     with pytest.raises(TypeError, match=f"SimpleNamespace has no {missing}"):
         adaptation_query_loss(model, [WarpMatrix.dense([[1.0]])], quad_episode([1.0], [1.2]), cfg)
+
+
+# ---------------------------------------------------------------------------
+# the meta-training loop
+
+def _loop_setup(seed=41):
+    """A linear MLP, its identity dense warps, a sampler of two-episode task
+    batches and five held-out episodes, drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    table = synth_proto_tasks(4, 4, 8, 5, 0.5, rng)
+    model = MLP([5, 3], rng)
+    warps = init_warps([p.shape for p in model.params], "dense")
+    held_out = [sample_episode(table, 3, 1, 3, rng) for _ in range(5)]
+    return model, warps, lambda: [sample_episode(table, 3, 1, 3, rng) for _ in range(2)], held_out
+
+
+def _loop_cfg(**fields):
+    return MetaConfig(**{"inner_steps": 2, "inner_hyper": HyperParams(eta=0.1, epsilon=0.1),
+                         "outer_eta": 3e-3, "tod_lambda": 1e-2, "tasks_per_outer_step": 2,
+                         **fields})
+
+
+def _mean_loss(model, warps, episodes, cfg):
+    return float(np.mean([adaptation_query_loss(model, warps, ep, cfg) for ep in episodes]))
+
+
+def test_meta_train_evaluates_every_eval_every_steps_and_after_the_last():
+    # 7 outer steps are not a multiple of eval_every 3: evaluations at 0, 3 and 6, then at 7
+    model, start, next_batch, held_out = _loop_setup()
+    cfg = _loop_cfg(outer_steps=7, eval_every=3)
+    rows, learned, note = meta_train(model, start, cfg, next_batch, held_out)
+    assert note is None
+    assert [row[0] for row in rows] == list(range(8))
+    assert [t for t, _, _, held in rows if not np.isnan(held)] == [0, 3, 6, 7]
+    assert rows[0][3] == _mean_loss(model, start, held_out, cfg)
+    assert rows[-1][3] == _mean_loss(model, learned, held_out, cfg)
+    assert np.isnan(rows[-1][1])
+    # the same steps by hand, on the same batches: the loop adds nothing to meta_update_P
+    model, warps, next_batch, _ = _loop_setup()
+    state = AdamState.zeros(sum(w.n_params for w in warps))
+    for t in range(7):
+        penalty = sum(tod_penalty(w, cfg.tod_lambda) for w in warps)
+        warps, state, losses = meta_update_P(warps, next_batch(), model, cfg, state)
+        assert rows[t][1:3] == (float(np.mean(losses)), penalty)
+    assert [w.params().tobytes() for w in learned] == [w.params().tobytes() for w in warps]
+
+
+def test_meta_train_without_held_out_episodes_gives_a_nan_column_and_no_warning():
+    model, warps, next_batch, _ = _loop_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, _, note = meta_train(model, warps, _loop_cfg(outer_steps=3, eval_every=1),
+                                   next_batch, [])
+    assert note is None and len(rows) == 4
+    assert all(np.isnan(held) for _, _, _, held in rows)
+
+
+@pytest.mark.parametrize("fields, steps_taken", [
+    ({"inner_hyper": HyperParams(eta=1e200)}, 0),  # the first adaptation overflows
+    ({"outer_eta": 1e300}, 1),  # the first outer step's warps overflow the next adaptation
+])
+def test_meta_train_stops_at_an_overflow_keeping_the_rows_and_warps_before_it(fields,
+                                                                              steps_taken):
+    model, start, next_batch, held_out = _loop_setup()
+    cfg = _loop_cfg(outer_steps=3, eval_every=1, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, warps, note = meta_train(model, start, cfg, next_batch, held_out)
+    assert note == f"second moment overflowed to non-finite values at outer step {steps_taken}"
+    assert [row[0] for row in rows] == list(range(steps_taken))
+    _, _, next_batch, _ = _loop_setup()  # the same batches again
+    want, state = start, AdamState.zeros(sum(w.n_params for w in start))
+    for _ in range(steps_taken):
+        want, state, _ = meta_update_P(want, next_batch(), model, cfg, state)
+    assert [w.params().tobytes() for w in warps] == [w.params().tobytes() for w in want]
+    assert all(np.all(np.isfinite(w.params())) for w in warps)
+
+
+@pytest.mark.parametrize("form", [*FORMS, "auto"])
+def test_held_out_losses_are_the_unstacked_losses_bit_for_bit(form):
+    model, episodes, warps = _form_setup(form, n_episodes=7)
+    cfg = MetaConfig(inner_steps=3, inner_hyper=HyperParams(eta=0.05, epsilon=0.1))
+    singles = np.array([adaptation_query_loss(model, warps, ep, cfg) for ep in episodes])
+    for size in (1, 3, 7):  # an n_params of the budget itself leaves stacks of min_stack
+        stacks = stack_within_budget(episodes, STACK_ENTRY_BUDGET, size)
+        assert held_out_losses(model, warps, stacks, cfg).tobytes() == singles.tobytes()
+    assert held_out_losses(model, warps, [], cfg).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
