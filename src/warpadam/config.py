@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import fields, replace
 from itertools import combinations
 
@@ -76,7 +77,13 @@ def check_line(name: str, value: str) -> str:
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise UsageError(f"{name} must be text that UTF-8 can encode, got {value!r}") from None
+        try:  # argv bytes that are UTF-8, which the locale's encoding could not decode
+            text = os.fsencode(value).decode("utf-8")
+        except UnicodeError:
+            raise UsageError(f"{name} must be text that UTF-8 can encode, got {value!r}") from None
+        raise UsageError(f"{name} is the UTF-8 text {text!r}, which the locale's encoding "
+                         f"({sys.getfilesystemencoding()}) cannot carry: use a UTF-8 locale "
+                         f"or set PYTHONUTF8=1") from None
     if value != value.strip():
         raise UsageError(f"{name} must not start or end with whitespace, got {value!r}")
     return value

@@ -2,8 +2,8 @@
 
 The primitive set is the minimal closure needed for multi-layer perceptrons
 and unrolled optimizer updates: matmul, elementwise arithmetic with scalar and
-numpy-style broadcasting, tanh, relu, sqrt, softmax / softmax-cross-entropy,
-mean-squared-error, reshape, transpose, and sum/mean reductions.
+numpy-style broadcasting, tanh, sqrt, softmax / softmax-cross-entropy,
+reshape, transpose, and sum reductions.
 
 ``matmul``, ``transpose`` and ``softmax_cross_entropy`` act on the last two
 axes and carry any leading axes along, so a stack of E independent problems
@@ -259,13 +259,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    axes = _normalize_axis(axis, a.ndim)
-    n = int(np.prod([a.shape[i] for i in axes], dtype=np.int64)) if a.ndim else 1
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
 
@@ -274,16 +267,6 @@ def tanh(a) -> Tensor:
         return (mul(g, sub(1.0, mul(out, out))),)
 
     return _node(np.tanh(a.data), (a,), bwd)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = Tensor((a.data > 0).astype(np.float64))
-
-    def bwd(g):
-        return (mul(g, mask),)
-
-    return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def sqrt(a) -> Tensor:
@@ -386,15 +369,6 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         return (mul(broadcast_to(per_row, logits.shape), sub(p, Tensor(onehot))),)
 
     return _node(ce, (logits,), bwd)
-
-
-def mean_squared_error(pred, target) -> Tensor:
-    """Mean of squared differences over all elements."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse operands must share a shape, got {pred.shape} vs {target.shape}")
-    d = sub(pred, target)
-    return tmean(mul(d, d))
 
 
 # ---------------------------------------------------------------------------

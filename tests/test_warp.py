@@ -79,7 +79,7 @@ class ScalarQuadratic:
     def loss(self, params, x, y):
         w = T.broadcast_to(params[0], np.shape(y))
         d = T.sub(w, Tensor(np.asarray(y, dtype=np.float64)))
-        return T.mul(T.tmean(T.mul(d, d), axis=-1), 0.5)
+        return T.mul(T.mul(T.tsum(T.mul(d, d), axis=-1), 1.0 / np.shape(y)[-1]), 0.5)
 
     def losses(self, arrays, x, y):
         # the losses in the engine's operation order, so they have its bits
