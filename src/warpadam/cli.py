@@ -13,11 +13,18 @@ failed), 3 divergence.
 Every output directory gets a manifest (``config.write_manifest``), a valid
 ``--config`` file that re-runs the command bit-identically (modulo wall-clock
 fields). ``WARP_SEED`` seeds a run only when neither flags nor config set one.
+
+On glibc, ``main`` first pins the allocator's mmap and trim thresholds for the
+whole process (``_pin_heap_thresholds``), so the arrays of a few hundred KiB
+that each optimizer step makes and frees stay on the heap instead of being
+page-faulted in again on every call. Library use does not go through it, and
+no output bit depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -53,6 +60,27 @@ from .tasks import load_table, synth_proto_tasks  # noqa: F401
 from .warp import ResourceError, init_warps, meta_train, save_warps
 # unused; perfbench's tracer patches cli.meta_update_P, cli.adaptation_query_loss (ROADMAP item 1)
 from .warp import adaptation_query_loss, meta_update_P  # noqa: F401
+
+
+# glibc serves an allocation at or above its mmap threshold with an mmap of its own,
+# and gives the heap top back to the system once more than its trim threshold there
+# is free. Both start at 128 KiB and follow the sizes of freed mmaps, so the arrays
+# of a few hundred KiB that every step makes are page-faulted in again on most calls,
+# at a cost set by the allocation history. These are where glibc's own dynamic rule
+# for the pair ends: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and twice it.
+MMAP_THRESHOLD = 32 * 1024 * 1024
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+@functools.cache
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process; off glibc, nothing."""
+    import ctypes  # here, not at the top: only a process that runs main needs it
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if hasattr(libc, "gnu_get_libc_version"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+        libc.mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,6 +260,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _pin_heap_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

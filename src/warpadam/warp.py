@@ -430,11 +430,9 @@ def stack_episodes(episodes: Sequence[Episode]) -> Episode:
     return Episode(*map(np.stack, zip(*episodes)))
 
 
-# The float64 entries that one flat array of a stack's parameters (``adapt``'s
-# w, g, m and v, and the temporaries of its steps) may hold: 16,384 entries
-# are 128 KiB, glibc's default mmap threshold, so these arrays come from the
-# heap rather than from one mmap each, and the memory an evaluation takes is
-# bounded by a constant.
+# The float64 entries (128 KiB) that one flat array of a stack's parameters
+# (``adapt``'s w, g, m and v, and the temporaries of its steps) may hold, so
+# that the memory an evaluation takes is bounded by a constant.
 STACK_ENTRY_BUDGET = 16384
 
 

@@ -1,4 +1,5 @@
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -411,6 +412,40 @@ def _run_python(args, **env):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]), **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+def test_main_keeps_step_sized_arrays_on_the_heap():
+    # four 512 KiB arrays, made and freed 100 times, are one mmap each under glibc's default
+    # thresholds, and building the parser does not lift those far enough: about 48,000 page
+    # faults. Once main has pinned the thresholds they come from the heap: almost none.
+    code = """
+import resource
+import numpy as np
+from warpadam.cli import main
+
+def faults():
+    arrays = [np.ones(65536) for _ in range(4)]
+    del arrays
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(100):
+        arrays = [np.ones(65536) for _ in range(4)]
+        del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+before = faults()
+main(["--version"])
+print(before, faults())
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()  # no allocator setting of the caller's
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    done = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.splitlines()[-1].split())
+    assert before > 10_000
+    assert after <= before // 100
 
 
 def test_an_out_argument_that_is_not_utf8_is_refused_before_any_work(tmp_path):

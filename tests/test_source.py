@@ -98,6 +98,21 @@ def test_only_config_names_the_manifest_file():
     assert len(naming) == 1 and naming[0].startswith("config.py:")
 
 
+def test_only_cli_sets_the_allocator():
+    # mallopt changes the whole process; only the command, which owns its process, calls it
+    package = pathlib.Path(warpadam.__file__).parent
+    naming = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(module.split(".")[0] == "ctypes" for module in modules):
+                naming.add((path.name, "ctypes"))
+            if "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                naming.add((path.name, "mallopt"))
+    assert naming == {("cli.py", "ctypes"), ("cli.py", "mallopt")}
+
+
 def _run_with_the_benchmark(code: str) -> str:
     """Runs ``code`` in a fresh interpreter with ``src`` and ``perfbench`` on the path;
     returns its standard output."""
