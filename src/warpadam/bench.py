@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .nn import MLP
-from .optim import STEP_CORES, AdamState, HyperParams, check_field, step_buffers, warpadam_core
+from .optim import STEP_CORES, AdamState, HyperParams, check_field, warpadam_core
 # unused; perfbench's tracer patches bench.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import ClassTable, EpisodeSpec, SynthSpec, sample_episode, synth_proto_tasks
@@ -133,7 +133,6 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
     params = FlatParams(model.params)
     w, arrays, h = params.w, params.arrays, cfg.hyper
     state = AdamState.zeros(w.shape)
-    buf = step_buffers(w.shape)
     if optimizer == "warpadam":
         warps = init_warps(params.shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
         core = partial(warpadam_core, warp=_FlatWarp(warps, params.shapes))
@@ -164,7 +163,7 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
                 if not (np.isfinite(loss) and np.all(np.isfinite(g))):
                     return stop("non-finite loss/gradient", (float(loss), nan, nan, nan))
                 try:
-                    core(state, w, g, h, buf)
+                    core(state, w, g, h)
                 except NumericError as exc:
                     return stop("optimizer overflow", (float(loss), nan, nan, nan), f": {exc}")
                 if s % cfg.eval_every == 0 or s == cfg.steps_per_task:

@@ -1,12 +1,12 @@
 """Optimizer steps: in-place cores, and pure steps with one uniform interface.
 
 Each optimizer's math is written once, as an in-place core
-``core(state, w, g, h, buf)``: it updates the caller's parameters ``w`` and
-``state`` (moments, ``v_max`` and step count) in place, taking its
-temporaries from ``buf``, the two work arrays of ``step_buffers``, which a
-loop allocates once. ``STEP_CORES`` holds every core but WarpAdam's (which
-also takes a warp) by optimizer kind. A loop that owns its arrays, such as
-one over a flat buffer of every parameter tensor, steps them with a core.
+``core(state, w, g, h)``: it updates the caller's parameters ``w`` and
+``state`` (moments, ``v_max`` and step count) in place, and its temporaries
+are new arrays of its own. ``STEP_CORES`` holds every core but WarpAdam's
+(which also takes a warp) by optimizer kind. A loop that owns its arrays,
+such as one over a flat buffer of every parameter tensor, steps them with a
+core.
 
 Each public step is a pure wrapper: it checks and copies its inputs and runs
 the core on the copies, so it maps ``(state, w, g) -> (state', w')`` without
@@ -100,35 +100,28 @@ class AdamState:
         return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
-def bias_correct(m, v, t: int, beta1: float, beta2: float, out=None):
-    """Undo the zero-initialization bias of the moment estimates.
-
-    ``out`` takes two arrays to write ``m_hat`` and ``v_hat`` into; without
-    it (and on autodiff tensors) the results are new.
-    """
+def bias_correct(m, v, t: int, beta1: float, beta2: float):
+    """Undo the zero-initialization bias of the moment estimates."""
     if t < 1:
         raise ValueError(f"bias correction needs t >= 1, got t={t}")
-    c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-    if out is None:
-        return m / c1, v / c2
-    return np.divide(m, c1, out=out[0]), np.divide(v, c2, out=out[1])
+    return m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
 
 
-def adam_moments(m, v, g, t: int, h: HyperParams, out=None):
+def adam_moments(m, v, g, t: int, h: HyperParams):
     """Step ``t`` of the moment update: ``(m, v, m_hat, v_hat)``.
 
     ``m``, ``v`` and ``g`` are arrays, or autodiff tensors for a
     differentiable step; the same operations run on either. On arrays the
     augmented assignments update ``m`` and ``v`` in place (the caller owns
-    them), and ``out`` (see ``bias_correct``) takes the corrected moments.
-    Tensors have no in-place operations, so there ``m *= b`` builds the node
-    ``b * m`` builds and the inputs stay as they were.
+    them), and the corrected moments are new. Tensors have no in-place
+    operations, so there ``m *= b`` builds the node ``b * m`` builds and the
+    inputs stay as they were.
     """
     m *= h.beta1
     m += (1.0 - h.beta1) * g
     v *= h.beta2
     v += (1.0 - h.beta2) * (g * g)
-    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2, out)
+    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
     return m, v, m_hat, v_hat
 
 
@@ -147,39 +140,25 @@ def adam_adjoint(w_bar, m_bar, v_bar, g, m, v, t: int, h: HyperParams):
     of ``grad`` through one graph step. Where ``v_hat + epsilon`` is 0 the
     ratio is the constant 0 of the 0/0 := 0 rule, and its adjoints are 0.
     Those entries are masked only when there are any (as in the graph step):
-    a mask of ones would change no bit. Each rule writes over a temporary
-    that is no longer needed, so a call allocates six arrays.
+    a mask of ones would change no bit.
     """
-    m_hat, radicand = bias_correct(m, v, t, h.beta1, h.beta2)
-    radicand += h.epsilon
+    m_hat, v_hat = bias_correct(m, v, t, h.beta1, h.beta2)
+    radicand = v_hat + h.epsilon
     keep = None
     if not radicand.min(initial=math.inf) > 0:  # only with epsilon 0
-        keep = np.where(radicand == 0, 0.0, 1.0)
-        m_hat *= keep
-        radicand += 1.0 - keep  # sqrt sees 1 where the radicand is 0
-    root = np.sqrt(radicand, out=radicand)
-    ratio_bar = np.negative(w_bar)
-    ratio_bar *= h.eta
-    m_bar_in, m_bar = m_bar, ratio_bar / root
+        keep = radicand != 0
+        m_hat, radicand = m_hat * keep, radicand + ~keep  # sqrt sees 1 where the radicand is 0
+    root = np.sqrt(radicand)
+    ratio_bar = -w_bar * h.eta
+    m_hat_bar = ratio_bar / root
     if keep is not None:
-        m_bar *= keep
-    m_bar /= 1.0 - h.beta1 ** t
-    m_bar += m_bar_in
-    root_bar = np.multiply(ratio_bar, m_hat, out=ratio_bar)
-    root_bar /= np.multiply(root, root, out=m_hat)
-    np.negative(root_bar, out=root_bar)
-    root_bar /= np.multiply(root, 2.0, out=root)
-    root_bar /= 1.0 - h.beta2 ** t
-    root_bar += v_bar
-    v_bar = root_bar
-    square_bar = np.multiply(v_bar, 1.0 - h.beta2)  # from g * g, once per factor
-    square_bar *= g
-    g_bar = np.multiply(m_bar, 1.0 - h.beta1)
-    g_bar += square_bar
-    g_bar += square_bar
-    m_bar *= h.beta1
-    v_bar *= h.beta2
-    return g_bar, m_bar, v_bar
+        m_hat_bar = m_hat_bar * keep
+    root_bar = -((ratio_bar * m_hat) / (root * root))
+    m_bar = m_hat_bar / (1.0 - h.beta1 ** t) + m_bar
+    v_bar = root_bar / (root * 2.0) / (1.0 - h.beta2 ** t) + v_bar
+    square_bar = v_bar * (1.0 - h.beta2) * g  # from g * g, once per factor
+    g_bar = m_bar * (1.0 - h.beta1) + square_bar + square_bar
+    return g_bar, m_bar * h.beta1, v_bar * h.beta2
 
 
 def check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
@@ -193,20 +172,12 @@ def check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
         raise NumericError("non-finite gradient passed to optimizer step")
 
 
-def step_buffers(shape) -> tuple[np.ndarray, np.ndarray]:
-    """The two work arrays of an in-place core, for parameters of ``shape``."""
-    return np.empty(shape), np.empty(shape)
-
-
 def _safe_ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    # num / denom, written into num, with 0/0 := 0; a zero denominator only
-    # occurs with eps=0 and zero history, so the mask is built only then
+    # num / denom with 0/0 := 0; a zero denominator only occurs with eps=0
+    # and zero history, so the mask is built only then
     if denom.min(initial=math.inf) > 0:
-        return np.divide(num, denom, out=num)
-    positive = denom > 0
-    np.divide(num, denom, out=num, where=positive)
-    num[~positive] = 0.0
-    return num
+        return num / denom
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 
 def _finite_or_raise(w: np.ndarray, what: str) -> None:
@@ -214,71 +185,67 @@ def _finite_or_raise(w: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} overflowed to non-finite values")
 
 
-def _adam_direction(state: AdamState, g_used, h: HyperParams, buf) -> np.ndarray:
-    """Shared moment update, in place; returns the update ratio, in ``buf[0]``."""
+def _adam_direction(state: AdamState, g_used, h: HyperParams) -> np.ndarray:
+    """Shared moment update, in place on ``state``; returns the update ratio."""
     state.t += 1
-    _, _, m_hat, v_hat = adam_moments(state.m, state.v, g_used, state.t, h, buf)
+    _, _, m_hat, v_hat = adam_moments(state.m, state.v, g_used, state.t, h)
     if not np.all(np.isfinite(state.v)):
         raise NumericError("second moment overflowed to non-finite values")
-    v_hat += h.epsilon
-    return _safe_ratio(m_hat, np.sqrt(v_hat, out=v_hat))
+    return _safe_ratio(m_hat, np.sqrt(v_hat + h.epsilon))
 
 
-def _descend(w: np.ndarray, update: np.ndarray, h: HyperParams, what: str, out=None) -> None:
-    """``w -= eta * update`` in place, then the finiteness check; the product
-    goes to ``out``, or over ``update`` when that is scratch."""
-    w -= np.multiply(update, h.eta, out=update if out is None else out)
+def _descend(w: np.ndarray, update: np.ndarray, h: HyperParams, what: str) -> None:
+    """``w -= eta * update`` in place, then the finiteness check."""
+    w -= h.eta * update
     _finite_or_raise(w, what)
 
 
 # ---------------------------------------------------------------------------
-# in-place cores: ``core(state, w, g, h, buf)`` updates the caller's ``w`` and
-# ``state`` (its arrays and its step count) in place, with ``buf`` from
-# ``step_buffers`` as scratch. They do not check their inputs. WarpAdam's
-# core takes the warp after ``buf``.
+# in-place cores: ``core(state, w, g, h)`` updates the caller's ``w`` and
+# ``state`` (its arrays and its step count) in place; its temporaries are new
+# arrays. They do not check their inputs. WarpAdam's core also takes the warp.
 
 
-def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
-    _descend(w, _adam_direction(state, g, h, buf), h, "adam step")
+def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
+    _descend(w, _adam_direction(state, g, h), h, "adam step")
 
 
-def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf,
+def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams,
                   warp, out=None) -> None:
     """WarpAdam's core; see ``warpadam_step``. ``warp`` needs only ``apply``.
     Given ``out``, an array of ``g``'s shape, the warped gradient ``P g`` is
     written there (``warp.apply(g, out=out)``) rather than into a new array."""
     warped = warp.apply(g) if out is None else warp.apply(g, out=out)
-    _descend(w, _adam_direction(state, warped, h, buf), h, "warpadam step")
+    _descend(w, _adam_direction(state, warped, h), h, "warpadam step")
 
 
-def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     state.t += 1
-    _descend(w, g, h, "sgd step", buf[0])
+    _descend(w, g, h, "sgd step")
 
 
-def momentum_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+def momentum_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     # heavy-ball velocity: u <- mu*u + g, stored in state.m
     state.t += 1
     state.m *= h.momentum
     state.m += g
-    _descend(w, state.m, h, "momentum step", buf[0])
+    _descend(w, state.m, h, "momentum step")
 
 
-def amsgrad_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+def amsgrad_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     state.t += 1
-    _, _, m_hat, v_hat = adam_moments(state.m, state.v, g, state.t, h, buf)
+    _, _, m_hat, v_hat = adam_moments(state.m, state.v, g, state.t, h)
     if state.v_max is None:
         state.v_max = np.zeros_like(state.v)
     np.maximum(state.v_max, v_hat, out=state.v_max)
-    np.add(state.v_max, h.epsilon, out=v_hat)
-    _descend(w, _safe_ratio(m_hat, np.sqrt(v_hat, out=v_hat)), h, "amsgrad step")
+    _descend(w, _safe_ratio(m_hat, np.sqrt(state.v_max + h.epsilon)), h, "amsgrad step")
 
 
-def adamw_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+def adamw_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     # decoupled decay: the wd term bypasses the adaptive denominator
-    update = _adam_direction(state, g, h, buf)
-    decay = np.multiply(w, h.eta * h.weight_decay, out=buf[1])
-    w -= np.multiply(update, h.eta, out=update)
+    update = _adam_direction(state, g, h)
+    decay = h.eta * h.weight_decay * w
+    w -= h.eta * update
     w -= decay
     _finite_or_raise(w, "adamw step")
 
@@ -298,14 +265,12 @@ def radam_rectifier(rho_t: float, rho_inf: float) -> float:
     )
 
 
-def radam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, buf) -> None:
+def radam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     state.t += 1
-    _, _, update, v_hat = adam_moments(state.m, state.v, g, state.t, h, buf)
+    _, _, update, v_hat = adam_moments(state.m, state.v, g, state.t, h)
     rho_inf, rho_t = radam_rho(state.t, h.beta2)
     if rho_t > 4.0:
-        v_hat += h.epsilon
-        update = _safe_ratio(update, np.sqrt(v_hat, out=v_hat))
-        update *= radam_rectifier(rho_t, rho_inf)
+        update = radam_rectifier(rho_t, rho_inf) * _safe_ratio(update, np.sqrt(v_hat + h.epsilon))
     # else the variance estimate is not yet tractable: a plain momentum step on m_hat
     _descend(w, update, h, "radam step")
 
@@ -321,7 +286,7 @@ def _pure(core, state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, 
     state = AdamState(np.array(state.m, dtype=np.float64), np.array(state.v, dtype=np.float64),
                       state.t, v_max)
     w = np.array(w, dtype=np.float64)
-    core(state, w, g, h, step_buffers(w.shape), *extra)
+    core(state, w, g, h, *extra)
     return state, w
 
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_step, check_field,
-                    check_step_inputs, step_buffers, warpadam_core)
+                    check_step_inputs, warpadam_core)
 # unused; perfbench's tracer patches warp.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import Blob, Episode
@@ -583,8 +583,7 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
     from ``cfg.cut`` on writes its flat ``(w, g, m, v, P g)`` into row
     ``t - cut`` of the five planes, allocating nothing: the parameters it
     started from, the gradient there, the moments it left, and the warped
-    gradient that its moments took, which the core writes there. An untaped
-    step has the core write ``P g`` into one work array instead.
+    gradient that its moments took, which the core writes there.
 
     The gradients come from ``model.loss_grads``, on the support labels
     prepared once by ``model.targets``. The forward record that it returns at
@@ -594,18 +593,17 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
     """
     support_y = model.targets(episode.support_y)
     params = FlatParams(_start_arrays(model, episode))
-    w, state, buf = params.w, AdamState.zeros(params.w.shape), step_buffers(params.w.shape)
-    warped, forwards = np.empty_like(w), []
+    w, state, forwards = params.w, AdamState.zeros(params.w.shape), []
     for t in range(1, cfg.inner_steps + 1):
         _, grads, forward = model.loss_grads(params.arrays, episode.support_x, support_y)
         g = _flat(grads)
         check_step_inputs(state, w, g)
         rows = tape[:, t - cfg.cut] if tape is not None and t >= cfg.cut else None
         if rows is not None:
-            rows[0], rows[1], warped = w, g, rows[4]
+            rows[0], rows[1] = w, g
             if t > cfg.cut:
                 forwards.append(forward)
-        warpadam_core(state, w, g, cfg.inner_hyper, buf, warp, warped)
+        warpadam_core(state, w, g, cfg.inner_hyper, warp, None if rows is None else rows[4])
         if rows is not None:
             rows[2], rows[3] = state.m, state.v
     return params.arrays, forwards
@@ -747,9 +745,8 @@ def meta_update_P(warps: Sequence[WarpMatrix], task_batch, model, cfg: MetaConfi
     totals, losses = adjoint_hypergrad(stack_episodes(task_batch), model, warps, cfg)
     factors = [f for warp in warps for f in warp.factors]
     entries = _flat(factors)
-    g = np.empty_like(entries)
-    for warp, total, segment in zip(warps, totals, _views(g, [(w.n_params,) for w in warps])):
-        np.add(total / len(task_batch), tod_penalty_grad(warp, cfg.tod_lambda), out=segment)
+    g = _flat(total / len(task_batch) + tod_penalty_grad(warp, cfg.tod_lambda)
+              for warp, total in zip(warps, totals))
     state, entries = adam_step(outer_state, entries, g, HyperParams(eta=cfg.outer_eta))
     views = iter(_views(entries, [f.shape for f in factors]))
     new_warps = [WarpMatrix(warp.form, warp.dim, tuple(next(views) for _ in warp.factors))

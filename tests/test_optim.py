@@ -376,6 +376,29 @@ def test_public_steps_keep_the_bits_of_their_formulas(kind, epsilon):
         assert s.t == want_s.t == k + 1
 
 
+@pytest.mark.parametrize("epsilon", [1e-8, 0.0])
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_public_steps_keep_the_bits_of_their_formulas_on_a_0d_parameter(kind, epsilon):
+    # arithmetic on a 0-d array gives a numpy scalar, which cannot take an out=
+    rng = np.random.default_rng(17)
+    h = HyperParams(eta=0.05, beta2=0.9, epsilon=epsilon, weight_decay=0.1)
+    warp = WarpMatrix.dense(np.array([[-1.5]]))
+    step = _public_step(kind, warp)
+    s = want_s = fresh(())
+    w = want_w = np.array(0.0)
+    # with epsilon 0, the zero gradient's denominator is 0, and so is 1e-200's, whose
+    # square underflows; radam rectifies from step 6 on with beta2 = 0.9
+    for k, g in enumerate([0.0, 1e-200, *rng.normal(size=10)]):
+        g = np.array(g)
+        s, w = step(s, w, g, h)
+        want_s, want_w = _reference_step(kind, want_s, want_w, g, h, warp)
+        assert np.shape(w) == np.shape(s.m) == np.shape(s.v) == ()
+        assert w.tobytes() == want_w.tobytes()
+        for got, want in ((s.m, want_s.m), (s.v, want_s.v), (s.v_max, want_s.v_max)):
+            assert got is want is None or got.tobytes() == want.tobytes()
+        assert s.t == want_s.t == k + 1
+
+
 @pytest.mark.parametrize("kind", STEP_KINDS, ids=_case_id)
 def test_public_steps_leave_their_inputs_unchanged(kind):
     rng = np.random.default_rng(16)

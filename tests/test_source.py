@@ -1,6 +1,7 @@
 """Checks on the source text of the package."""
 
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import warpadam
+from warpadam import optim
 
 from test_tasks import make_tree
 
@@ -111,6 +113,18 @@ def test_only_cli_sets_the_allocator():
             if "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 naming.add((path.name, "mallopt"))
     assert naming == {("cli.py", "ctypes"), ("cli.py", "mallopt")}
+
+
+def test_optimizer_steps_own_their_temporaries():
+    # a core takes no work arrays from its caller; warpadam_core's out is the tape row
+    # that adapt has it write the warped gradient into
+    for kind, core in optim.STEP_CORES.items():
+        assert list(inspect.signature(core).parameters) == ["state", "w", "g", "h"], kind
+    assert list(inspect.signature(optim.warpadam_core).parameters) == [
+        "state", "w", "g", "h", "warp", "out"]
+    assert not hasattr(optim, "step_buffers")
+    for fn in (optim.bias_correct, optim.adam_moments, optim._descend):
+        assert "out" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def _run_with_the_benchmark(code: str) -> str:
