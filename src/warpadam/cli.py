@@ -18,7 +18,8 @@ On glibc, ``main`` first pins the allocator's mmap and trim thresholds for the
 whole process (``_pin_heap_thresholds``), so the arrays of a few hundred KiB
 that each optimizer step makes and frees stay on the heap instead of being
 page-faulted in again on every call. Library use does not go through it, and
-no output bit depends on it.
+no output bit depends on it. ``main`` builds its parser once per process, on
+its first call (``_build_parser``), and parses every call with it.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def _pin_heap_thresholds() -> None:
         libc.mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="warpadam", description=__doc__.strip().splitlines()[0])
     parser.add_argument("--version", action="version", version=f"warpadam {__version__}")

@@ -3,10 +3,10 @@
 Each optimizer's math is written once, as an in-place core
 ``core(state, w, g, h)``: it updates the caller's parameters ``w`` and
 ``state`` (moments, ``v_max`` and step count) in place, and its temporaries
-are new arrays of its own. ``STEP_CORES`` holds every core but WarpAdam's
-(which also takes a warp) by optimizer kind. A loop that owns its arrays,
-such as one over a flat buffer of every parameter tensor, steps them with a
-core.
+are new arrays of its own, which it then updates in place. ``STEP_CORES``
+holds every core but WarpAdam's (which also takes a warp) by optimizer kind.
+A loop that owns its arrays, such as one over a flat buffer of every
+parameter tensor, steps them with a core.
 
 Each public step is a pure wrapper: it checks and copies its inputs and runs
 the core on the copies, so it maps ``(state, w, g) -> (state', w')`` without
@@ -168,46 +168,52 @@ def check_step_inputs(state: AdamState, w: np.ndarray, g: np.ndarray) -> None:
             f"parameter/gradient/state shapes disagree: w={w.shape} g={g.shape} "
             f"m={state.m.shape} v={state.v.shape}"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient passed to optimizer step")
 
 
 def _safe_ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    # num / denom with 0/0 := 0; a zero denominator only occurs with eps=0
-    # and zero history, so the mask is built only then
+    # num / denom with 0/0 := 0, in place on num, an array of the step's own; a zero
+    # denominator only occurs with eps=0 and zero history, so the mask is built only then
     if denom.min(initial=math.inf) > 0:
-        return num / denom
+        num /= denom
+        return num
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 
 def _finite_or_raise(w: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericError(f"{what} overflowed to non-finite values")
 
 
 def _adam_direction(state: AdamState, g_used, h: HyperParams) -> np.ndarray:
-    """Shared moment update, in place on ``state``; returns the update ratio."""
+    """Shared moment update, in place on ``state``; returns the step ``eta * ratio``,
+    made in place in the corrected moments."""
     state.t += 1
     _, _, m_hat, v_hat = adam_moments(state.m, state.v, g_used, state.t, h)
-    if not np.all(np.isfinite(state.v)):
+    if not np.isfinite(state.v).all():
         raise NumericError("second moment overflowed to non-finite values")
-    return _safe_ratio(m_hat, np.sqrt(v_hat + h.epsilon))
+    v_hat += h.epsilon
+    ratio = _safe_ratio(m_hat, np.sqrt(v_hat))
+    ratio *= h.eta
+    return ratio
 
 
-def _descend(w: np.ndarray, update: np.ndarray, h: HyperParams, what: str) -> None:
-    """``w -= eta * update`` in place, then the finiteness check."""
-    w -= h.eta * update
+def _descend(w: np.ndarray, step: np.ndarray, what: str) -> None:
+    """``w -= step`` in place, then the finiteness check."""
+    w -= step
     _finite_or_raise(w, what)
 
 
 # ---------------------------------------------------------------------------
 # in-place cores: ``core(state, w, g, h)`` updates the caller's ``w`` and
 # ``state`` (its arrays and its step count) in place; its temporaries are new
-# arrays. They do not check their inputs. WarpAdam's core also takes the warp.
+# arrays, which it may then update in place, and ``g`` it only reads. They do
+# not check their inputs. WarpAdam's core also takes the warp.
 
 
 def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
-    _descend(w, _adam_direction(state, g, h), h, "adam step")
+    _descend(w, _adam_direction(state, g, h), "adam step")
 
 
 def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams,
@@ -216,12 +222,12 @@ def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams
     Given ``out``, an array of ``g``'s shape, the warped gradient ``P g`` is
     written there (``warp.apply(g, out=out)``) rather than into a new array."""
     warped = warp.apply(g) if out is None else warp.apply(g, out=out)
-    _descend(w, _adam_direction(state, warped, h), h, "warpadam step")
+    _descend(w, _adam_direction(state, warped, h), "warpadam step")
 
 
 def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     state.t += 1
-    _descend(w, g, h, "sgd step")
+    _descend(w, h.eta * g, "sgd step")
 
 
 def momentum_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
@@ -229,7 +235,7 @@ def momentum_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams
     state.t += 1
     state.m *= h.momentum
     state.m += g
-    _descend(w, state.m, h, "momentum step")
+    _descend(w, h.eta * state.m, "momentum step")
 
 
 def amsgrad_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
@@ -238,14 +244,16 @@ def amsgrad_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams)
     if state.v_max is None:
         state.v_max = np.zeros_like(state.v)
     np.maximum(state.v_max, v_hat, out=state.v_max)
-    _descend(w, _safe_ratio(m_hat, np.sqrt(state.v_max + h.epsilon)), h, "amsgrad step")
+    ratio = _safe_ratio(m_hat, np.sqrt(state.v_max + h.epsilon))
+    ratio *= h.eta
+    _descend(w, ratio, "amsgrad step")
 
 
 def adamw_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     # decoupled decay: the wd term bypasses the adaptive denominator
-    update = _adam_direction(state, g, h)
+    step = _adam_direction(state, g, h)
     decay = h.eta * h.weight_decay * w
-    w -= h.eta * update
+    w -= step
     w -= decay
     _finite_or_raise(w, "adamw step")
 
@@ -270,9 +278,12 @@ def radam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -
     _, _, update, v_hat = adam_moments(state.m, state.v, g, state.t, h)
     rho_inf, rho_t = radam_rho(state.t, h.beta2)
     if rho_t > 4.0:
-        update = radam_rectifier(rho_t, rho_inf) * _safe_ratio(update, np.sqrt(v_hat + h.epsilon))
+        v_hat += h.epsilon
+        update = _safe_ratio(update, np.sqrt(v_hat))
+        update *= radam_rectifier(rho_t, rho_inf)
     # else the variance estimate is not yet tractable: a plain momentum step on m_hat
-    _descend(w, update, h, "radam step")
+    update *= h.eta
+    _descend(w, update, "radam step")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import os
 import platform
 import re
@@ -446,6 +447,64 @@ print(before, faults())
     before, after = map(int, done.stdout.splitlines()[-1].split())
     assert before > 10_000
     assert after <= before // 100
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys,
+                                                                   monkeypatch):
+    # main parses every call with the one parser of its process; no flag, --set pair or
+    # default of one call may reach the namespace or the manifest of a later one
+    monkeypatch.delenv("WARP_SEED", raising=False)
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.seed=3\n", ""))
+    parser = cli._build_parser()
+
+    def manifest(out):
+        return load_config_file(tmp_path / out / "manifest.txt")
+
+    def run(out, *flags):
+        return main(["run", "--config", cfg, "--out", str(tmp_path / out), *flags])
+
+    assert run("set", "--set", "hyper.beta1=0.8", "--set", "hyper.epsilon=1e-6",
+               "--seed", "9") == 0
+    got = manifest("set")
+    assert (got["hyper.beta1"], got["hyper.epsilon"], got["run.seed"]) == ("0.8", "1e-6", "9")
+    assert got["seed.source"] == "flag"
+
+    plain = {**load_config_file(cfg), "run.seed": "0", "seed.source": "default",
+             "command": "run", "library.version": warpadam.__version__}
+    assert run("plain") == 0
+    assert manifest("plain") == {**plain, "out": str(tmp_path / "plain")}
+
+    assert run("refused", "--frobnicate") == 2
+    assert not (tmp_path / "refused").exists()
+    assert run("after") == 0
+    assert manifest("after") == {**plain, "out": str(tmp_path / "after")}
+
+    assert main(["check", "--perturb", "1e-3"]) == 1
+    assert main(["check"]) == 0
+    assert capsys.readouterr().out.endswith("all 14 checks passed\n")
+
+    assert cli._build_parser() is parser
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: sub.get_default("set") for name, sub in commands.choices.items()} == {
+        "run": [], "meta-train": [], "compare": [], "check": None, "import": []}
+    assert commands.choices["check"].get_default("perturb") == 0.0
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    # the top parser and its five subcommand parsers, on the first call only
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["--version"]) == 0
+    assert main(["run", "--out", str(tmp_path / "o"), "--frobnicate"]) == 2
+    assert main(["check", "--perturb", "1e-3", "--frobnicate"]) == 2
+    assert len(built) == 6
 
 
 def test_an_out_argument_that_is_not_utf8_is_refused_before_any_work(tmp_path):
