@@ -9,9 +9,9 @@ The package is organized as:
 - ``optim``: optimizer steps — Adam, WarpAdam, and the baseline suite (SGD,
   Momentum, AMSGrad, AdamW, RAdam), each written once as an in-place core
   (``STEP_CORES``) for loops that own their arrays, and wrapped as a pure
-  step (``STEP_FUNCS``); WarpAdam's are ``warpadam_core`` and
-  ``warpadam_step``, which warp the gradient that feeds both moments. The
-  Adam family shares one moment update, ``adam_moments``.
+  step (``STEP_FUNCS``); WarpAdam is Adam's core on the warped gradient
+  ``P g``, which feeds both moments, and its pure step is ``warpadam_step``.
+  The Adam family shares one moment update, ``adam_moments``.
 - ``warp``: the warp matrix, one ``FORMS`` row per structural form, the
   off-diagonal (TOD) penalty, unrolled hypergradients truncated at one step
   (``MetaConfig.cut``), and the one outer loop that learns the warps,

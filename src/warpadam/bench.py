@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .nn import MLP
-from .optim import STEP_CORES, AdamState, HyperParams, check_field, warpadam_core
+from .optim import STEP_CORES, AdamState, HyperParams, check_field
 # unused; perfbench's tracer patches bench.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import ClassTable, EpisodeSpec, SynthSpec, sample_episode, synth_proto_tasks
@@ -124,20 +123,19 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
     ``AdamState``, and each step is one in-place optimizer core over the
-    buffer (WarpAdam's warps act per tensor on their segments); the curves
-    have the bits of one pure step per tensor.
+    buffer; WarpAdam's is Adam's on the warped gradient, each warp acting on
+    its tensor's segment. The curves have the bits of one pure step per tensor.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
     rng, (table,), model = draw_run(cfg)
     params = FlatParams(model.params)
     w, arrays, h = params.w, params.arrays, cfg.hyper
-    state = AdamState.zeros(w.shape)
+    state, warp = AdamState.zeros(w.shape), None
     if optimizer == "warpadam":
         warps = init_warps(params.shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
-        core = partial(warpadam_core, warp=_FlatWarp(warps, params.shapes))
-    else:
-        core = STEP_CORES[optimizer]
+        warp = _FlatWarp(warps, params.shapes)
+    core = STEP_CORES[optimizer if warp is None else "adam"]
 
     records: list[CurveRecord] = []
     t0 = time.perf_counter()
@@ -163,7 +161,7 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
                 if not (np.isfinite(loss) and np.all(np.isfinite(g))):
                     return stop("non-finite loss/gradient", (float(loss), nan, nan, nan))
                 try:
-                    core(state, w, g, h)
+                    core(state, w, g if warp is None else warp.apply(g), h)
                 except NumericError as exc:
                     return stop("optimizer overflow", (float(loss), nan, nan, nan), f": {exc}")
                 if s % cfg.eval_every == 0 or s == cfg.steps_per_task:

@@ -4,8 +4,9 @@ Each optimizer's math is written once, as an in-place core
 ``core(state, w, g, h)``: it updates the caller's parameters ``w`` and
 ``state`` (moments, ``v_max`` and step count) in place, and its temporaries
 are new arrays of its own, which it then updates in place. ``STEP_CORES``
-holds every core but WarpAdam's (which also takes a warp) by optimizer kind.
-A loop that owns its arrays, such as one over a flat buffer of every
+holds every core by optimizer kind. WarpAdam has no core of its own: a loop
+that owns a warp applies it, and Adam's core steps on the warped gradient
+``P g``. A loop that owns its arrays, such as one over a flat buffer of every
 parameter tensor, steps them with a core.
 
 Each public step is a pure wrapper: it checks and copies its inputs and runs
@@ -23,14 +24,14 @@ the first three lines. It uses operators only (augmented assignments, which
 update arrays in place and build new nodes on tensors), so the unrolled,
 differentiable WarpAdam of the warp module runs it on autodiff tensors and
 gets the bits of the array steps. WarpAdam is the same rule with g replaced by
-P@g in both moment updates (warped preconditioning, Flennerhag et al. 2020);
-with P = identity the two code paths share every arithmetic instruction, so
-their outputs are bit-identical.
+P@g in both moment updates (warped preconditioning, Flennerhag et al. 2020),
+and runs Adam's code on P@g; with P = identity, P@g has g's bits, so the
+outputs are bit-identical.
 
 A zero denominator (possible only with eps=0 and an all-zero gradient
 history) yields a zero update rather than NaN: 0/0 := 0 for the ratio. A core
-raises ``NumericError`` when the Adam or WarpAdam second moment or the new
-parameters are not finite; the wrappers also check the gradient
+raises ``NumericError`` when the Adam second moment (of P@g, for WarpAdam)
+or the new parameters are not finite; the wrappers also check the gradient
 (``check_step_inputs``), which a loop over its own arrays does itself.
 """
 
@@ -209,20 +210,11 @@ def _descend(w: np.ndarray, step: np.ndarray, what: str) -> None:
 # in-place cores: ``core(state, w, g, h)`` updates the caller's ``w`` and
 # ``state`` (its arrays and its step count) in place; its temporaries are new
 # arrays, which it may then update in place, and ``g`` it only reads. They do
-# not check their inputs. WarpAdam's core also takes the warp.
+# not check their inputs.
 
 
 def adam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
     _descend(w, _adam_direction(state, g, h), "adam step")
-
-
-def warpadam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams,
-                  warp, out=None) -> None:
-    """WarpAdam's core; see ``warpadam_step``. ``warp`` needs only ``apply``.
-    Given ``out``, an array of ``g``'s shape, the warped gradient ``P g`` is
-    written there (``warp.apply(g, out=out)``) rather than into a new array."""
-    warped = warp.apply(g) if out is None else warp.apply(g, out=out)
-    _descend(w, _adam_direction(state, warped, h), "warpadam step")
 
 
 def sgd_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -> None:
@@ -290,15 +282,20 @@ def radam_core(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams) -
 # pure steps: checked copies of the inputs, then the core
 
 
-def _pure(core, state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams, *extra):
-    """``core`` run on checked copies of a step's inputs: the pure step."""
-    check_step_inputs(state, w, g)
+def _on_copies(core, state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    """``core`` run on copies of ``state`` and ``w``; the copies it stepped."""
     v_max = None if state.v_max is None else np.array(state.v_max, dtype=np.float64)
     state = AdamState(np.array(state.m, dtype=np.float64), np.array(state.v, dtype=np.float64),
                       state.t, v_max)
     w = np.array(w, dtype=np.float64)
-    core(state, w, g, h, *extra)
+    core(state, w, g, h)
     return state, w
+
+
+def _pure(core, state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
+    """``core`` run on checked copies of a step's inputs: the pure step."""
+    check_step_inputs(state, w, g)
+    return _on_copies(core, state, w, g, h)
 
 
 def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):
@@ -309,9 +306,11 @@ def warpadam_step(state: AdamState, w: np.ndarray, g: np.ndarray, warp, h: Hyper
     """Adam with the gradient pre-transformed by the warp matrix.
 
     The transformed gradient feeds *both* moment updates; the parameter update
-    rule itself is unchanged. ``warp.apply`` checks ``g`` against the warp's dim.
+    rule itself is unchanged. ``g`` is checked and ``P g`` is not: its overflow
+    is the second moment's. ``warp.apply`` checks ``g`` against the warp's dim.
     """
-    return _pure(warpadam_core, state, w, g, h, warp)
+    check_step_inputs(state, w, g)
+    return _on_copies(adam_core, state, w, warp.apply(g), h)
 
 
 def sgd_step(state: AdamState, w: np.ndarray, g: np.ndarray, h: HyperParams):

@@ -42,11 +42,12 @@ Each episode's losses do not depend on the stack it is in, so
 Array adaptation (``adapt``, which ``adaptation_query_loss`` runs and
 which is the forward pass of ``adjoint_hypergrad``) keeps the parameters of
 all tensors in one flat buffer with one Adam state (``FlatParams``), so each
-inner step is one in-place ``optim.warpadam_core``; only the warps act tensor by tensor,
-each on its segment. ``bench.run_sequential_tasks`` steps its parameters the
-same way. There each warp is resolved once (``_FlatWarp``): an
-identity-valued warp costs a copy, with the product's bits, so WarpAdam at
-``init_warps``'s warps costs what Adam costs plus that copy.
+inner step is one in-place ``optim.adam_core`` on the warped gradient; only
+the warps act tensor by tensor, each on its segment.
+``bench.run_sequential_tasks`` steps its parameters the same way. There
+each warp is resolved once (``_FlatWarp``): an identity-valued warp costs a
+copy, with the product's bits, so WarpAdam at ``init_warps``'s warps costs
+what Adam costs plus that copy.
 ``WarpMatrix.apply`` always multiplies, so the engine oracle does not
 depend on that shortcut.
 """
@@ -62,8 +63,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .optim import (AdamState, HyperParams, adam_adjoint, adam_moments, adam_step, check_field,
-                    check_step_inputs, warpadam_core)
+from .optim import (AdamState, HyperParams, adam_adjoint, adam_core, adam_moments, adam_step,
+                    check_field, check_step_inputs)
 # unused; perfbench's tracer patches warp.warpadam_step (ROADMAP item 1)
 from .optim import warpadam_step  # noqa: F401
 from .tasks import Blob, Episode
@@ -369,17 +370,17 @@ def _warp_leaves(warp: WarpMatrix) -> tuple[Tensor, ...]:
     return tuple(Tensor(f, requires_grad=True) for f in warp.factors)
 
 
-def _warpadam_graph_step(w, m, v, g, t: int, warp: WarpMatrix, leaves, h: HyperParams):
-    """Differentiable WarpAdam step ``t``: ``(w', m', v')`` as graph nodes.
+def _adam_graph_step(w, m, v, warped, t: int, h: HyperParams):
+    """Differentiable Adam step ``t`` on ``warped``, ``P g``: ``(w', m', v')`` as nodes.
 
-    The graph twin of ``optim.warpadam_step``, with the warp's factors as the
-    leaves ``leaves``. It computes the array step's values bit for bit. Where
-    ``v_hat + epsilon`` is 0 (only with epsilon 0 and an all-zero warped
-    gradient history) the ratio is the constant 0, as in the array step, and
-    ``sqrt`` sees 1 there, so its backward stays finite; those entries are
-    masked only when there are any, so other graphs are unchanged.
+    The graph twin of ``optim.adam_core``, which WarpAdam runs on ``P g``. It
+    computes the array step's values bit for bit. Where ``v_hat + epsilon``
+    is 0 (only with epsilon 0 and an all-zero warped gradient history) the
+    ratio is the constant 0, as in the array step, and ``sqrt`` sees 1
+    there, so its backward stays finite; those entries are masked only when
+    there are any, so other graphs are unchanged.
     """
-    m, v, m_hat, v_hat = adam_moments(m, v, warp.apply(g, leaves), t, h)
+    m, v, m_hat, v_hat = adam_moments(m, v, warped, t, h)
     radicand = v_hat + h.epsilon
     zero = radicand.data == 0
     if zero.any():
@@ -411,8 +412,8 @@ def _unrolled_warpadam(model, episode, warps: Sequence[WarpMatrix],
         loss = T.tsum(model.loss(ws, episode.support_x, episode.support_y))
         gs = grad(loss, ws, create_graph=k > cut)
         for i, g in enumerate(gs):
-            ws[i], ms[i], vs[i] = _warpadam_graph_step(ws[i], ms[i], vs[i], g, k, warps[i],
-                                                       leaves[i], h)
+            ws[i], ms[i], vs[i] = _adam_graph_step(ws[i], ms[i], vs[i],
+                                                   warps[i].apply(g, leaves[i]), k, h)
     return ws
 
 
@@ -574,16 +575,17 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
     parameters, and the forward records of the taped steps after ``cut``.
 
     The parameters of all tensors live in one ``FlatParams`` buffer with one
-    ``AdamState`` over it, and each inner step is one in-place
-    ``warpadam_core`` over every tensor. The adapted parameters are per-tensor
-    views of that buffer, in their plain or stacked shapes: for a stacked
-    episode every array carries one adapted copy per episode on axis 0.
+    ``AdamState`` over it, and each inner step is one in-place ``adam_core``
+    over every tensor, on the gradient that ``warp`` warped. The adapted
+    parameters are per-tensor views of that buffer, in their plain or stacked
+    shapes: for a stacked episode every array carries one adapted copy per
+    episode on axis 0.
 
     Given a ``tape`` (a ``(5, K - cut + 1, warp.size)`` array), step ``t``
     from ``cfg.cut`` on writes its flat ``(w, g, m, v, P g)`` into row
     ``t - cut`` of the five planes, allocating nothing: the parameters it
     started from, the gradient there, the moments it left, and the warped
-    gradient that its moments took, which the core writes there.
+    gradient that its moments took, which the warp writes there.
 
     The gradients come from ``model.loss_grads``, on the support labels
     prepared once by ``model.targets``. The forward record that it returns at
@@ -603,7 +605,7 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
             rows[0], rows[1] = w, g
             if t > cfg.cut:
                 forwards.append(forward)
-        warpadam_core(state, w, g, cfg.inner_hyper, warp, None if rows is None else rows[4])
+        adam_core(state, w, warp.apply(g, None if rows is None else rows[4]), cfg.inner_hyper)
         if rows is not None:
             rows[2], rows[3] = state.m, state.v
     return params.arrays, forwards

@@ -133,6 +133,17 @@ def test_run_checks_a_tasks_labels_before_its_first_step(monkeypatch, field):
     assert steps == []
 
 
+def test_a_warpadam_run_steps_with_adams_core(monkeypatch):
+    # WarpAdam is Adam's core on the warped gradient: the table's adam entry takes every step
+    steps = []
+    core = optim.STEP_CORES["adam"]
+    monkeypatch.setitem(optim.STEP_CORES, "adam", lambda *args: steps.append(1) or core(*args))
+    cfg = tiny_cfg(n_tasks=2, steps_per_task=3)
+    result = run_sequential_tasks(cfg, "warpadam")
+    assert not result.diverged
+    assert len(steps) == cfg.n_tasks * cfg.steps_per_task
+
+
 def test_run_encodes_each_tasks_labels_once_whatever_the_steps(monkeypatch):
     encoded = []
     encode = T.encode_labels

@@ -208,6 +208,19 @@ def test_warpadam_dimension_mismatch():
         warpadam_step(fresh((3,)), np.zeros(3), np.ones(3), WarpMatrix.identity(4), HyperParams())
 
 
+def test_warpadam_step_checks_the_raw_gradient_and_not_the_warped_one():
+    warp, h = WarpMatrix.dense(1e300 * np.eye(3)), HyperParams()
+    with pytest.raises(ShapeError):
+        warpadam_step(fresh((3,)), np.zeros(2), np.ones(3), warp, h)
+    with pytest.raises(NumericError, match="^non-finite gradient passed to optimizer step"):
+        warpadam_step(fresh((3,)), np.zeros(3), np.array([1.0, np.nan, 1.0]), warp, h)
+    # a finite g whose P g, or its square, leaves the float range overflows the second moment
+    for g in (np.ones(3), np.full(3, 1e10)):
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="^second moment overflowed"):
+            warpadam_step(fresh((3,)), np.zeros(3), g, warp, h)
+
+
 # ---------------------------------------------------------------------------
 # baselines
 

@@ -116,15 +116,20 @@ def test_only_cli_sets_the_allocator():
 
 
 def test_optimizer_steps_own_their_temporaries():
-    # a core takes no work arrays from its caller; warpadam_core's out is the tape row
-    # that adapt has it write the warped gradient into
+    # a core takes no work arrays from its caller
     for kind, core in optim.STEP_CORES.items():
         assert list(inspect.signature(core).parameters) == ["state", "w", "g", "h"], kind
-    assert list(inspect.signature(optim.warpadam_core).parameters) == [
-        "state", "w", "g", "h", "warp", "out"]
     assert not hasattr(optim, "step_buffers")
     for fn in (optim.bias_correct, optim.adam_moments, optim._descend):
         assert "out" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_warpadam_is_adams_core_on_the_warped_gradient():
+    # each loop that owns a warp applies it and calls adam_core: there is no second core,
+    # and the pure steps run a core on exactly the step's four arguments
+    assert not hasattr(optim, "warpadam_core")
+    assert list(inspect.signature(optim._pure).parameters) == ["core", "state", "w", "g", "h"]
+    assert sorted(optim.STEP_CORES) == ["adam", "adamw", "amsgrad", "momentum", "radam", "sgd"]
 
 
 def _run_with_the_benchmark(code: str) -> str:

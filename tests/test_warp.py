@@ -675,8 +675,8 @@ def test_flat_adapt_is_bitwise_per_tensor_steps(form, stacked):
 def test_adapt_takes_one_optimizer_step_per_inner_step(monkeypatch):
     model, warps, episode = _adapt_setup("kron", stacked=True)
     calls = []
-    original = warp_module.warpadam_core
-    monkeypatch.setattr(warp_module, "warpadam_core",
+    original = warp_module.adam_core
+    monkeypatch.setattr(warp_module, "adam_core",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     for steps in (1, 3):
         calls.clear()
@@ -690,16 +690,19 @@ def test_adapt_tape_holds_arrays_of_its_own_per_step(monkeypatch):
     h = HyperParams(eta=0.05, epsilon=0.1)
     cfg = MetaConfig(inner_steps=3, inner_hyper=h)
     tape = _nan_tape(model, warps, episode, cfg)
-    live = []  # every array a step reads or writes: parameters, gradient and moments
-    original = warp_module.warpadam_core
+    live, taken = [], []  # the parameters and moments a step updates; the gradient it takes
+    original = warp_module.adam_core
 
-    def core(state, w, g, *rest):
-        live.extend((w, g, state.m, state.v))
-        original(state, w, g, *rest)
-    monkeypatch.setattr(warp_module, "warpadam_core", core)
+    def core(state, w, g, h):
+        live.extend((w, state.m, state.v))
+        taken.append(g)
+        original(state, w, g, h)
+    monkeypatch.setattr(warp_module, "adam_core", core)
     arrays = _adapt(model, warps, episode, cfg, tape)
-    assert len(live) == 4 * 3
+    assert len(live) == 3 * 3 and len(taken) == 3
     assert not any(np.shares_memory(tape, a) for a in live + arrays)
+    # the warp writes each step's P g into that step's row of the tape's last plane
+    assert all(np.shares_memory(tape[4, k], g) for k, g in enumerate(taken))
     # step k starts from the parameters k steps left and leaves k+1 steps' moments,
     # and its moments took the warp of its gradient
     warp = _episode_warp(model, warps, episode)
@@ -892,7 +895,7 @@ def test_adapt_checks_every_segment_of_the_flat_buffer():
             _adapt(model, warps, episode, cfg)
     # an update of -1 at step 1 carries the last tensor's largest entry past the float range
     model = FixedGrads([np.zeros(3), np.array([0.0, 1e308])], [np.ones(3), -np.ones(2)])
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="warpadam step overflowed"):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^adam step overflowed"):
         _adapt(model, warps, episode, MetaConfig(inner_steps=1, inner_hyper=HyperParams(eta=1e308)))
 
 
@@ -1497,7 +1500,7 @@ def test_a_bad_label_raises_before_the_first_inner_step(monkeypatch, call, field
     model, warps, episode = _adapt_setup("dense", stacked=True)
     cfg = MetaConfig(inner_steps=4, inner_hyper=HyperParams(eta=0.05, epsilon=0.1),
                      first_order=first_order)
-    cores = _count_calls(monkeypatch, warp_module, "warpadam_core")
+    cores = _count_calls(monkeypatch, warp_module, "adam_core")
     labels = getattr(episode, field).copy()
     labels[-1, -1] = model.sizes[-1]
     with pytest.raises(ValueError, match="out of range"):
