@@ -29,7 +29,7 @@ from .tasks import ClassTable, EpisodeSpec, SynthSpec, sample_episode, synth_pro
 from .tensor import NumericError
 # unused; perfbench's tracer patches bench.grad (ROADMAP item 1)
 from .tensor import grad  # noqa: F401
-from .warp import FlatParams, WarpMatrix, _flat, _FlatWarp, init_warps
+from .warp import WarpMatrix, _flat, _FlatWarp, _views, init_warps
 
 OPTIMIZERS = tuple(sorted(STEP_CORES)) + ("warpadam",)
 
@@ -121,7 +121,7 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
     ``MLP.loss_grads`` (bitwise the engine's ``grad``) and train/query metrics
     every ``eval_every`` steps and at the last step, on labels encoded once.
 
-    The parameters of all tensors live in one ``FlatParams`` buffer with one
+    The parameters of all tensors live in one flat buffer with one
     ``AdamState``, and each step is one in-place optimizer core over the
     buffer; WarpAdam's is Adam's on the warped gradient, each warp acting on
     its tensor's segment. The curves have the bits of one pure step per tensor.
@@ -129,12 +129,11 @@ def run_sequential_tasks(cfg: RunConfig, optimizer: str) -> RunResult:
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
     rng, (table,), model = draw_run(cfg)
-    params = FlatParams(model.params)
-    w, arrays, h = params.w, params.arrays, cfg.hyper
-    state, warp = AdamState.zeros(w.shape), None
+    shapes, w = [p.shape for p in model.params], _flat(model.params)
+    arrays, state, warp, h = _views(w, shapes), AdamState.zeros(w.shape), None, cfg.hyper
     if optimizer == "warpadam":
-        warps = init_warps(params.shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
-        warp = _FlatWarp(warps, params.shapes)
+        warps = init_warps(shapes, cfg.warps) if isinstance(cfg.warps, str) else cfg.warps
+        warp = _FlatWarp(warps, shapes)
     core = STEP_CORES[optimizer if warp is None else "adam"]
 
     records: list[CurveRecord] = []

@@ -41,9 +41,11 @@ Each episode's losses do not depend on the stack it is in, so
 
 Array adaptation (``adapt``, which ``adaptation_query_loss`` runs and
 which is the forward pass of ``adjoint_hypergrad``) keeps the parameters of
-all tensors in one flat buffer with one Adam state (``FlatParams``), so each
-inner step is one in-place ``optim.adam_core`` on the warped gradient; only
-the warps act tensor by tensor, each on its segment.
+all tensors in one flat buffer with one Adam state, read through per-tensor
+views (``_views``), so each inner step is one in-place ``optim.adam_core``
+on the warped gradient (the "foreach" form of an optimizer, with the bits
+of one step per tensor); only the warps act tensor by tensor, each on its
+segment.
 ``bench.run_sequential_tasks`` steps its parameters the same way. There
 each warp is resolved once (``_FlatWarp``): an identity-valued warp costs a
 copy, with the product's bits, so WarpAdam at ``init_warps``'s warps costs
@@ -222,10 +224,10 @@ class WarpMatrix:
         return _flat(self.factors)
 
     def with_params(self, flat: np.ndarray) -> "WarpMatrix":
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1)
+        flat = np.array(flat, dtype=np.float64).reshape(-1)  # a copy: the warp owns its entries
         if flat.size != self.n_params:
             raise ShapeError(f"expected {self.n_params} entries for {self.form} warp, got {flat.size}")
-        return WarpMatrix(self.form, self.dim, _split(flat, [f.shape for f in self.factors]))
+        return WarpMatrix(self.form, self.dim, tuple(_views(flat, [f.shape for f in self.factors])))
 
 
 def _flat(arrays) -> np.ndarray:
@@ -241,11 +243,6 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
         out.append(flat[..., pos:pos + n].reshape(flat.shape[:-1] + tuple(shape)))
         pos += n
     return out
-
-
-def _split(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
-    """Copies of ``_views(flat, shapes)``."""
-    return tuple(view.copy() for view in _views(flat, shapes))
 
 
 def _stack_axes(dim: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -540,26 +537,6 @@ class _FlatWarp:
                 zip(self.warps, _views(u_bar, self.shapes), _views(g, self.shapes))]
 
 
-class FlatParams:
-    """Parameter tensors as views of one flat buffer, for a loop that steps them in place.
-
-    ``w`` holds the entries of every tensor back to back, in row-major order;
-    ``arrays`` are views of it in the tensors' plain or stacked shapes, so they
-    follow every in-place step of ``w``. With one ``AdamState`` over ``w``,
-    one optimizer core per iteration steps every tensor at once: the moment
-    update, the finiteness checks and the 0/0 := 0 ratio run once over the
-    buffer (the multi-tensor, or "foreach", form of an optimizer), and only a
-    warp acts per tensor, on its segment (``_FlatWarp``). Elementwise
-    operations do not depend on the layout, so the bits are those of one step
-    per tensor.
-    """
-
-    def __init__(self, arrays: Sequence[np.ndarray]):
-        self.shapes = [np.shape(a) for a in arrays]
-        self.w = _flat(arrays)
-        self.arrays = _views(self.w, self.shapes)
-
-
 def _episode_warp(model, warps: Sequence[WarpMatrix], episode) -> _FlatWarp:
     """The warps resolved once for ``adapt`` on ``episode``: one ``_FlatWarp``
     over the model's parameters in the episode's plain or stacked shapes. A
@@ -574,7 +551,7 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
     the support loss, warped by ``warp`` (``_episode_warp``); the adapted
     parameters, and the forward records of the taped steps after ``cut``.
 
-    The parameters of all tensors live in one ``FlatParams`` buffer with one
+    The parameters of all tensors live in one flat buffer with one
     ``AdamState`` over it, and each inner step is one in-place ``adam_core``
     over every tensor, on the gradient that ``warp`` warped. The adapted
     parameters are per-tensor views of that buffer, in their plain or stacked
@@ -594,10 +571,10 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
     list is empty.
     """
     support_y = model.targets(episode.support_y)
-    params = FlatParams(_start_arrays(model, episode))
-    w, state, forwards = params.w, AdamState.zeros(params.w.shape), []
+    w = _flat(np.broadcast_to(p, shape) for p, shape in zip(model.params, warp.shapes))
+    arrays, state, forwards = _views(w, warp.shapes), AdamState.zeros(w.shape), []
     for t in range(1, cfg.inner_steps + 1):
-        _, grads, forward = model.loss_grads(params.arrays, episode.support_x, support_y)
+        _, grads, forward = model.loss_grads(arrays, episode.support_x, support_y)
         g = _flat(grads)
         check_step_inputs(state, w, g)
         rows = tape[:, t - cfg.cut] if tape is not None and t >= cfg.cut else None
@@ -608,7 +585,7 @@ def adapt(model, warp: _FlatWarp, episode, cfg: MetaConfig,
         adam_core(state, w, warp.apply(g, None if rows is None else rows[4]), cfg.inner_hyper)
         if rows is not None:
             rows[2], rows[3] = state.m, state.v
-    return params.arrays, forwards
+    return arrays, forwards
 
 
 def _check_model(model) -> None:
@@ -839,7 +816,7 @@ def load_warps(path) -> list[WarpMatrix]:
         try:  # the reader's own errors are not ShapeErrors, so none is named twice
             shapes = FORMS[form].shapes(dim, fa, fb)
             entries = blob.floats(sum(math.prod(shape) for shape in shapes), f"warp {i}")
-            warps.append(WarpMatrix(form, dim, _split(entries, shapes)))
+            warps.append(WarpMatrix(form, dim, tuple(_views(entries, shapes))))
             if _factor_dims(warps[-1].factors) != (fa, fb):
                 raise ShapeError(f"factor dims {fa}, {fb} do not fit the {form} form")
         except ShapeError as exc:

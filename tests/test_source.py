@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import warpadam
-from warpadam import optim
+from warpadam import optim, warp
 
 from test_tasks import make_tree
 
@@ -130,6 +130,12 @@ def test_warpadam_is_adams_core_on_the_warped_gradient():
     assert not hasattr(optim, "warpadam_core")
     assert list(inspect.signature(optim._pure).parameters) == ["core", "state", "w", "g", "h"]
     assert sorted(optim.STEP_CORES) == ["adam", "adamw", "amsgrad", "momentum", "radam", "sgd"]
+
+
+def test_the_flat_buffer_has_no_wrapper():
+    # the loops that step one flat buffer, and the warp readers, call _flat and _views
+    assert not hasattr(warp, "FlatParams")
+    assert not hasattr(warp, "_split")
 
 
 def _run_with_the_benchmark(code: str) -> str:

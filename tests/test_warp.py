@@ -20,7 +20,6 @@ from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
 from warpadam.tensor import NumericError, ShapeError, Tensor, finite_diff_grad, grad
 from warpadam.warp import (
     FORMS,
-    FlatParams,
     MetaConfig,
     ResourceError,
     WarpMatrix,
@@ -29,6 +28,7 @@ from warpadam.warp import (
     _flat,
     _start_arrays,
     _unrolled_warpadam,
+    _views,
     _warp_leaves,
     adapt,
     adaptation_query_loss,
@@ -1215,12 +1215,12 @@ def test_full_adjoint_runs_each_forward_and_each_warp_once(monkeypatch, steps):
 @pytest.mark.parametrize("stacked", [False, True])
 def test_mlp_forward_record_outlives_the_parameters_it_was_taken_at(stacked):
     model, arrays, x, y, vecs = _mlp_hvp_setup([4, 5, 6, 3], stacked)
-    params = FlatParams(arrays)  # a buffer of their own, as the adaptation steps
-    forward = model.loss_grads(params.arrays, x, y)[2]
+    w = _flat(arrays)  # a buffer of their own, as the adaptation steps
+    forward = model.loss_grads(_views(w, [a.shape for a in arrays]), x, y)[2]
     held = [*forward.inputs, forward.logit_grad, forward.softmax]
     want = [a.copy() for a in held]
-    params.w[...] = np.nan  # the next step overwrites the buffer in place
-    assert not any(np.shares_memory(a, params.w) for a in held)
+    w[...] = np.nan  # the next step overwrites the buffer in place
+    assert not any(np.shares_memory(a, w) for a in held)
     assert [a.tobytes() for a in held] == [a.tobytes() for a in want]
     got = model.loss_hvp(arrays, forward, vecs)
     for a, b in zip(got, _engine_hvp(model, arrays, x, y, vecs), strict=True):
@@ -1247,6 +1247,42 @@ def _owner(a: np.ndarray) -> np.ndarray:
     while a.base is not None:
         a = a.base
     return a
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_adaptation_leaves_the_model_parameters_as_they_were(stacked, first_order):
+    # meta_train adapts from the same model.params at every outer step
+    model, episodes, warps = _stack_setup("kron")
+    episode = stack_episodes(episodes) if stacked else episodes[0]
+    cfg = MetaConfig(inner_steps=3, first_order=first_order)
+    given = [p.tobytes() for p in model.params]
+    arrays = _adapt(model, warps, episode, cfg)
+    assert not any(np.shares_memory(a, p) for a in arrays for p in model.params)
+    adjoint_hypergrad(episode, model, warps, cfg)
+    adaptation_query_loss(model, warps, episode, cfg)
+    assert [p.tobytes() for p in model.params] == given
+
+
+def test_a_warp_owns_its_entries(tmp_path):
+    # with_params and load_warps view one array of the warp's own, as meta_update_P's new warps do
+    rng = np.random.default_rng(13)
+    warps = [WarpMatrix.diagonal(rng.normal(size=5)), WarpMatrix.dense(rng.normal(size=(4, 4))),
+             WarpMatrix.kronecker(rng.normal(size=(3, 3)), rng.normal(size=(2, 2)))]
+    flats = [w.params() + 1.0 for w in warps]
+    made = [w.with_params(flat) for w, flat in zip(warps, flats)]
+    want = [w.params().tobytes() for w in made]
+    save_warps(tmp_path / "warps.bin", made)
+    loaded = load_warps(tmp_path / "warps.bin")
+    for flat in flats:
+        flat[...] = np.nan  # the caller reuses its buffer
+    for got in (made, loaded):
+        assert [w.params().tobytes() for w in got] == want
+        owners = [_owner(w.factors[0]) for w in got]
+        assert len({id(owner) for owner in owners}) == len(got)
+        for w, owner in zip(got, owners):
+            assert owner.size == w.n_params and owner.flags.writeable
+            assert all(_owner(f) is owner for f in w.factors)
 
 
 # ---------------------------------------------------------------------------
