@@ -29,7 +29,7 @@ from .optim import FieldError, HyperParams
 from .tasks import (ClassTable, EpisodeSpec, SamplingError, SynthSpec, episode_pools, load_table,
                     pool_sizes)
 from .tensor import ShapeError
-from .warp import FORMS, MetaConfig, _FlatWarp, load_warps, policy_forms
+from .warp import FORMS, MetaConfig, _FlatWarp, load_warps
 
 
 class UsageError(ValueError):
@@ -229,11 +229,11 @@ _WARP_READERS = {
 }
 
 
-def _read_warps(cfg: dict[str, str], optimizers) -> tuple[str, str | list]:
-    """The warp key that runs under ``optimizers`` read and what it gives.
-    Warpadam reads ``warp.checkpoint``, else ``warp.policy``; meta-train
-    (``optimizers`` None) reads the policy; other runs read neither. With no
-    key read, the key is ``warp.policy`` and gives ``auto``. Each other warp key
+def _read_warps(cfg: dict[str, str], optimizers) -> str | list:
+    """What the warp key that runs under ``optimizers`` read gives: a policy
+    or a checkpoint's warps. Warpadam reads ``warp.checkpoint``, else
+    ``warp.policy``; meta-train (``optimizers`` None) reads the policy; other
+    runs read neither. With no key read, it gives ``auto``. Each other warp key
     that is set is a ``UsageError`` naming the runs, and a bad policy is one
     even where it is unread."""
     policy = cfg.get("warp.policy", "auto")
@@ -249,9 +249,7 @@ def _read_warps(cfg: dict[str, str], optimizers) -> tuple[str, str | list]:
         raise UsageError("; ".join(
             f"{k} is read only by {_WARP_READERS[k]}, not by {who}"
             f"{f' with a {read}' if k in sources else ''}, got {cfg[k]!r}" for k in unread))
-    if read == "warp.checkpoint":
-        return read, load_warps(cfg[read])
-    return "warp.policy", policy
+    return load_warps(cfg[read]) if read == "warp.checkpoint" else policy
 
 
 def build_task_source(cfg: dict[str, str], prefix: str = "tasks.") -> SynthSpec | ClassTable:
@@ -297,9 +295,9 @@ def build_run_configs(cfg: dict[str, str], seed: int, pools, optimizers=None) ->
     ``_read_warps``. The pools of one block share its source and settings, and
     two of them must each list alphabets and share none. Before any run, each
     pool is checked to supply its episodes (``check_pool``), and each block's
-    model to fit the warp key read: a misfit is a ``ShapeError`` naming the key
-    and the block."""
-    key, warps = _read_warps(cfg, optimizers)
+    model to fit a ``warp.checkpoint`` read: a misfit is a ``ShapeError``
+    naming the checkpoint and the block. Every policy fits every model."""
+    warps = _read_warps(cfg, optimizers)
     hyper = read_settings(HyperParams, cfg, "hyper.", _HYPER if optimizers else {})
     run_keys = _RUN if optimizers else {"hidden": _RUN["hidden"]}
     runs = []
@@ -317,13 +315,11 @@ def build_run_configs(cfg: dict[str, str], seed: int, pools, optimizers=None) ->
         for pool, names in lists.items():
             runs.append(replace(run, episode=replace(run.episode, alphabets=names)))
             check_pool(source, runs[-1].episode, pool)
-        shapes = mlp_shapes(model_sizes(run.hidden, source.dim, run.episode.n_way))
+        if isinstance(warps, str):
+            continue  # every policy fits every model
         try:
-            if isinstance(warps, str):
-                policy_forms(shapes, warps)
-            else:
-                _FlatWarp(warps, shapes)
+            _FlatWarp(warps, mlp_shapes(model_sizes(run.hidden, source.dim, run.episode.n_way)))
         except ShapeError as exc:
-            raise ShapeError(f"{key} {cfg.get(key, warps)} does not fit the model of the "
-                             f"{block} block: {exc}") from None
+            raise ShapeError(f"warp.checkpoint {cfg['warp.checkpoint']} does not fit the model "
+                             f"of the {block} block: {exc}") from None
     return runs

@@ -330,28 +330,21 @@ class MetaConfig:
 DENSE_MAX = 256  # the most entries of a tensor that the ``auto`` policy warps densely
 
 
-def policy_forms(shapes: Sequence[tuple[int, ...]], policy: str = "auto") -> list[str]:
-    """The form ``policy`` gives each tensor of ``shapes``, allocating nothing:
-    the form it names, or under ``auto`` dense for small tensors (d <= DENSE_MAX
-    entries in total), Kronecker factors for larger matrix-shaped tensors and
-    diagonal otherwise. Kron for a tensor that is not a matrix is a ``ShapeError``."""
+def init_warps(shapes: Sequence[tuple[int, ...]], policy: str = "auto") -> list[WarpMatrix]:
+    """Warps for ``shapes``, every factor an identity (ones or an identity
+    matrix): fresh meta-training starts at Adam. Each tensor takes the form
+    ``policy`` names where that form fits it, and ``auto``'s form otherwise:
+    dense for a small tensor (d <= DENSE_MAX entries in total), Kronecker
+    factors for a larger matrix and diagonal otherwise. Only kron can fail to
+    fit: ``kron`` leaves each tensor that is not a matrix to ``auto``."""
     if policy != "auto" and policy not in FORMS:
         raise ValueError(f"unknown warp policy {policy!r}")
-    forms = [policy if policy != "auto" else "dense" if math.prod(shape) <= DENSE_MAX
-             else "kron" if len(shape) == 2 else "diagonal" for shape in shapes]
-    for shape, form in zip(shapes, forms):
-        if form == "kron" and len(shape) != 2:
-            raise ShapeError(f"kron policy needs matrix-shaped tensors, got shape {shape}")
-    return forms
-
-
-def init_warps(shapes: Sequence[tuple[int, ...]], policy: str = "auto") -> list[WarpMatrix]:
-    """Warps of the forms ``policy_forms`` gives ``shapes``, every factor an
-    identity (ones or an identity matrix): fresh meta-training starts at Adam."""
     warps = []
-    for shape, form in zip(shapes, policy_forms(shapes, policy)):
-        d = int(math.prod(shape))
-        rows, cols = shape if len(shape) == 2 else (0, 0)
+    for shape in shapes:
+        d, matrix = int(math.prod(shape)), len(shape) == 2
+        form = (policy if policy != "auto" and (matrix or policy != "kron")
+                else "dense" if d <= DENSE_MAX else "kron" if matrix else "diagonal")
+        rows, cols = shape if matrix else (0, 0)
         factors = tuple(np.ones(s) if len(s) == 1 else np.eye(s[0])
                         for s in FORMS[form].shapes(d, rows, cols))
         warps.append(WarpMatrix(form, d, factors))

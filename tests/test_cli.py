@@ -117,7 +117,7 @@ def test_run_rerun_from_manifest_is_bit_identical_except_wall(tmp_path):
     assert strip(r1) == strip(r2)
 
 
-@pytest.mark.parametrize("policy", ["auto", "dense", "diagonal", "identity"])
+@pytest.mark.parametrize("policy", ["auto", "dense", "diagonal", "identity", "kron"])
 def test_run_warpadam_at_identity_valued_warps_writes_adams_curve(tmp_path, policy):
     # hidden 40 makes the first weight 8 x 40, which auto warps with kron factors
     cfg = write_cfg(tmp_path, SMALL_RUN)
@@ -747,11 +747,14 @@ def test_negative_seed_is_usage_error_naming_its_source(tmp_path, capsys, monkey
 def test_run_that_fails_while_building_writes_no_output_directory(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.optimizer=adam", "run.optimizer=warpadam"))
     out = tmp_path / "o"
-    # the policy is valid, but the (8,) bias is not a matrix for kron factors
-    assert main(["run", "--config", cfg, "--out", str(out), "--set", "warp.policy=kron"]) == 2
-    assert capsys.readouterr().err == ("error: warp.policy kron does not fit the model of the "
-                                       "tasks block: kron policy needs matrix-shaped tensors, "
-                                       "got shape (8,)\n")
+    # the checkpoint loads, but its warps are for a [8, 4, 3] model, not SMALL_RUN's [8, 8, 3]
+    checkpoint = tmp_path / "warps.bin"
+    save_warps(checkpoint, init_warps([(8, 4), (4,), (4, 3), (3,)], "dense"))
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--set", f"warp.checkpoint={checkpoint}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: warp.checkpoint {checkpoint} does not fit the model of the tasks block: "
+        "warp 0 (dense, dim 32) does not fit parameter tensor 0 of shape (8, 8)\n")
     assert not out.exists()
 
 
@@ -911,6 +914,19 @@ def test_meta_train_same_seed_bit_identical_checkpoints(tmp_path):
     assert main(["meta-train", "--config", cfg, "--out", str(o1)]) == 0
     assert main(["meta-train", "--config", cfg, "--out", str(o2)]) == 0
     assert (o1 / "warps.bin").read_bytes() == (o2 / "warps.bin").read_bytes()
+
+
+def test_meta_train_under_the_kron_policy_replays_from_its_manifest(tmp_path):
+    # the README model is one 8 x 3 weight, which takes kron factors, and a
+    # (3,) bias, which kron does not fit, so it takes auto's dense warp
+    cfg = write_cfg(tmp_path, readme_config())
+    o1, o2 = tmp_path / "m1", tmp_path / "m2"
+    assert main(["meta-train", "--config", cfg, "--out", str(o1),
+                 "--set", "warp.policy=kron"]) == 0
+    assert tuple(w.form for w in load_warps(o1 / "warps.bin")) == ("kron", "dense")
+    assert main(["meta-train", "--config", str(o1 / "manifest.txt"), "--out", str(o2)]) == 0
+    for name in ("warps.bin", "meta_curve.csv"):
+        assert (o1 / name).read_bytes() == (o2 / name).read_bytes(), name
 
 
 def test_meta_train_writes_curve_with_eval_column(tmp_path):
@@ -1346,9 +1362,6 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
     (["warp.checkpoint=CKPT"],
      "error: warp.checkpoint CKPT does not fit the model of the tasks2 block: "
      "warp 0 (dense, dim 64) does not fit parameter tensor 0 of shape (6, 8)"),
-    (["warp.policy=kron"],
-     "error: warp.policy kron does not fit the model of the tasks block: "
-     "kron policy needs matrix-shaped tensors, got shape (8,)"),
     (["tasks2.n_way=5"],
      "usage error: tasks2.n_way, tasks2.k_shot and tasks2.query_per_class do not fit the source "
      "of the tasks2 block: no alphabet offers 5 classes with >= 3 instances each "
@@ -1358,7 +1371,7 @@ def test_building_run_configs_constructs_no_model(tmp_path, monkeypatch):
      "unknown alphabets requested: ['alpha07']"),
     (["tasks2.table=/nonexistent.wtbl"],
      "usage error: tasks2.table is read only with tasks2.source=table, got tasks2.source=synth"),
-], ids=["tasks2-range", "tasks2-checkpoint", "kron-policy", "tasks2-geometry",
+], ids=["tasks2-range", "tasks2-checkpoint", "tasks2-geometry",
         "tasks2-alphabets", "tasks2-table"])
 def test_compare_checks_every_block_before_running_any_optimizer(tmp_path, capsys, monkeypatch,
                                                                  settings, line):

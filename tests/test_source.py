@@ -138,6 +138,11 @@ def test_the_flat_buffer_has_no_wrapper():
     assert not hasattr(warp, "_split")
 
 
+def test_init_warps_inlines_the_policy_forms():
+    # every policy fits every model, so no separate function picks and checks the forms
+    assert not hasattr(warp, "policy_forms")
+
+
 def _run_with_the_benchmark(code: str) -> str:
     """Runs ``code`` in a fresh interpreter with ``src`` and ``perfbench`` on the path;
     returns its standard output."""

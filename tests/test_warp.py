@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import warpadam.nn as nn
 import warpadam.tensor as T
 import warpadam.warp as warp_module
-from warpadam.nn import MLP
+from warpadam.nn import MLP, mlp_shapes
 from warpadam.optim import AdamState, HyperParams, adam_step, warpadam_step
 from warpadam.tasks import Episode, sample_episode, synth_proto_tasks
 from warpadam.tensor import NumericError, ShapeError, Tensor, finite_diff_grad, grad
@@ -758,13 +758,6 @@ def test_adapt_tapes_only_the_steps_from_cut():
 _SHAPES = [(5, 4), (4,), (20, 16), (16,), (4, 3), (3,)]
 
 
-def _identity_valued(policy, shapes=_SHAPES):
-    """``init_warps`` of ``policy``; for ``kron``, dense warps on the vectors."""
-    if policy != "kron":
-        return init_warps(shapes, policy)
-    return [init_warps([s], "kron" if len(s) == 2 else "dense")[0] for s in shapes]
-
-
 def _warp_segments(warps, g, lead):
     """``WarpMatrix.apply`` of each warp on its tensor's segment of the flat ``g``."""
     shapes = [lead + s for s in _SHAPES]
@@ -788,7 +781,7 @@ def _count_products(monkeypatch):
 @pytest.mark.parametrize("policy", [*FORMS, "auto"])
 def test_flat_warp_has_the_bytes_of_warp_apply(monkeypatch, policy, perturbed, lead):
     rng = np.random.default_rng(51)
-    warps = _identity_valued(policy)
+    warps = init_warps(_SHAPES, policy)
     if perturbed:
         warps = [w.with_params(w.params() + 0.1 * rng.normal(size=w.n_params)) for w in warps]
     g = _signed_zeros(rng, rng.normal(size=math.prod(lead) * sum(map(math.prod, _SHAPES))))
@@ -856,7 +849,7 @@ def test_first_order_adjoint_at_identity_warps_has_the_engines_bytes(policy, sta
     for ep in episodes:
         ep.support_x[..., 0] = 0.0
     episode = stack_episodes(episodes) if stacked else episodes[0]
-    warps = _identity_valued(policy, [p.shape for p in model.params])
+    warps = init_warps([p.shape for p in model.params], policy)
     start = _start_arrays(model, episode)
     g0 = model.loss_grads(start, episode.support_x, episode.support_y)[1]
     assert np.any(np.signbit(g0[0]) & (g0[0] == 0))
@@ -1582,6 +1575,24 @@ def test_init_warps_start_as_exact_identity():
         g = rng.normal(size=shape)
         (w,) = init_warps([shape], policy=policy)
         assert np.array_equal(w.apply(g), g), policy
+
+
+@pytest.mark.parametrize("sizes", [[6, 3], [6, 5, 3], [4, warp_module.DENSE_MAX + 1, 2]],
+                         ids=["hidden-0", "hidden-5", "bias-over-dense-max"])
+@pytest.mark.parametrize("policy", ["auto", *FORMS])
+def test_every_policy_fits_every_mlp_at_identity(policy, sizes):
+    # kron does not fit a bias, which takes auto's form instead
+    shapes = mlp_shapes(sizes)
+    warps = init_warps(shapes, policy)
+    flat = _FlatWarp(warps, shapes)
+    g = np.random.default_rng(12).normal(size=flat.size)  # no zeros, whose sign a product drops
+    assert flat.apply(g).tobytes() == g.tobytes()
+    for w, seg in zip(warps, _views(g, shapes), strict=True):
+        assert w.apply(seg).tobytes() == seg.tobytes()
+    if policy == "kron":
+        auto = init_warps(shapes)
+        assert [w.form for w in warps] == ["kron" if len(s) == 2 else a.form
+                                           for s, a in zip(shapes, auto)]
 
 
 def test_init_warps_rejects_unknown_policy():
